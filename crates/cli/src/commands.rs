@@ -130,9 +130,37 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
             let _ = ndetect_obs::trace::init_from_env();
         }
     }
-    let result = dispatch_command(command, &rest);
+    let result = {
+        let _root = root_span(command).map(ndetect_obs::trace::span);
+        dispatch_command(command, &rest)
+    };
     ndetect_obs::trace::flush();
     result
+}
+
+/// The `cmd.<verb>` root span of a command, so that a trace accounts for
+/// the whole process. `serve` has none: its `serve.request` spans are
+/// the roots, one per request, and a process-long root beside them
+/// would count their time twice.
+fn root_span(command: &str) -> Option<&'static str> {
+    Some(match command {
+        "list" => "cmd.list",
+        "stats" => "cmd.stats",
+        "worst" => "cmd.worst",
+        "average" => "cmd.average",
+        "greedy" => "cmd.greedy",
+        "gen" => "cmd.gen",
+        "synth" => "cmd.synth",
+        "bench-file" => "cmd.bench-file",
+        "pla-file" => "cmd.pla-file",
+        "dot" => "cmd.dot",
+        "cones" => "cmd.cones",
+        "corpus" => "cmd.corpus",
+        "cache" => "cmd.cache",
+        "request" => "cmd.request",
+        "trace" => "cmd.trace",
+        _ => return None,
+    })
 }
 
 fn dispatch_command(command: &str, rest: &[&String]) -> Result<(), String> {

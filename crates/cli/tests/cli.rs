@@ -714,3 +714,26 @@ fn request_retry_on_flag_validation() {
     .expect_err("dead port must fail");
     assert!(err.contains("cannot connect"), "{err}");
 }
+
+#[test]
+fn a_traced_command_runs_under_one_root_span() {
+    let path = std::env::temp_dir().join(format!("ndet-root-span-{}.jsonl", std::process::id()));
+    let (ok, _, stderr) = run_binary(&["worst", "c17", "--trace-out", path.to_str().unwrap()]);
+    assert!(ok, "{stderr}");
+    let text = std::fs::read_to_string(&path).expect("trace written");
+    let _ = std::fs::remove_file(&path);
+    let records: Vec<ndetect_obs::SpanRecord> = text
+        .lines()
+        .map(|line| ndetect_obs::SpanRecord::parse(line).expect("valid record"))
+        .collect();
+    let roots: Vec<_> = records.iter().filter(|r| r.parent == 0).collect();
+    assert_eq!(roots.len(), 1, "one root span:\n{text}");
+    assert_eq!(roots[0].name, "cmd.worst");
+    assert!(
+        records.len() > 1,
+        "the analysis spans nest under it:\n{text}"
+    );
+    // The root spans the whole trace envelope.
+    let report = ndetect_obs::TraceReport::from_jsonl(&text).expect("valid trace");
+    assert_eq!(report.wall_ns, roots[0].dur_ns);
+}

@@ -1,0 +1,66 @@
+//! Byte-exact golden outputs of the compiled `ndet` binary, checked
+//! against the files in `tests/golden/` at the repository root.
+//!
+//! They pin the worst-case `nmin` pass end to end: `ndet worst` prints
+//! its coverage rows, tail counts and `nmin` distribution, and the
+//! `ndet corpus` CSV carries `nmin` columns. s27 covers the sequential
+//! explicit-target path. After an intended output change, regenerate a
+//! file from the repository root, e.g.
+//! `./target/release/ndet worst s1a > tests/golden/worst_s1a.txt`.
+
+use std::path::{Path, PathBuf};
+use std::process::Command;
+
+fn repo_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// Stdout of `ndet <args>` run from the repository root, with the
+/// environment knobs that could change output or touch a cache cleared.
+fn ndet_stdout(args: &[&str]) -> Vec<u8> {
+    let out = Command::new(env!("CARGO_BIN_EXE_ndet"))
+        .args(args)
+        .current_dir(repo_root())
+        .env_remove("NDETECT_CACHE_DIR")
+        .env_remove("NDETECT_MEM_BUDGET")
+        .env_remove("NDETECT_FAILPOINTS")
+        .env_remove("NDETECT_TRACE")
+        .output()
+        .expect("ndet binary runs");
+    assert!(
+        out.status.success(),
+        "ndet {args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out.stdout
+}
+
+fn assert_golden(file: &str, actual: &[u8]) {
+    let path = repo_root().join("tests/golden").join(file);
+    let expected =
+        std::fs::read(&path).unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    assert!(
+        actual == expected.as_slice(),
+        "{file} differs from the golden file\n--- expected\n{}\n--- actual\n{}",
+        String::from_utf8_lossy(&expected),
+        String::from_utf8_lossy(actual)
+    );
+}
+
+#[test]
+fn worst_matches_its_goldens() {
+    for circuit in ["figure1", "c17", "cse", "s1a", "s27"] {
+        assert_golden(
+            &format!("worst_{circuit}.txt"),
+            &ndet_stdout(&["worst", circuit]),
+        );
+    }
+}
+
+#[test]
+fn corpus_csv_matches_its_golden() {
+    assert_golden(
+        "corpus.csv",
+        &ndet_stdout(&["corpus", "tests/data/corpus", "--format", "csv"]),
+    );
+}

@@ -63,4 +63,4 @@ pub use distribution::NminDistribution;
 pub use error::CoreError;
 pub use summary::{AnalysisConfig, CircuitAnalysis};
 pub use test_set::TestSet;
-pub use worst_case::{WorstCaseAnalysis, KIND_WORST_CASE};
+pub use worst_case::{nmin_pair, overlapping_targets, WorstCaseAnalysis, KIND_WORST_CASE};

@@ -1,11 +1,12 @@
 //! The worst-case analysis: `nmin(g)` for every untargeted fault.
 
 use ndetect_faults::FaultUniverse;
-use ndetect_sim::parallel;
+use ndetect_sim::{parallel, rows, VectorSet};
 use ndetect_store::{
     decode_from_slice, encode_to_vec, ArtifactKey, ArtifactKind, CodecError, Decode, Decoder,
     Encode, Encoder, Fnv64, Store, CODEC_VERSION,
 };
+use std::collections::HashMap;
 use std::fmt;
 
 /// Store kind tag for serialized worst-case (`nmin` vector) analyses.
@@ -36,67 +37,53 @@ impl WorstCaseAnalysis {
     /// the auto worker count (`NDETECT_THREADS`, then the machine's
     /// available parallelism).
     ///
-    /// Targets are scanned in ascending `N(f)` with branch-and-bound
-    /// pruning (`nmin(g,f) ≥ N(f) − N(g) + 1`), which keeps the
-    /// all-pairs pass fast on large fault populations.
+    /// The pass scans once per *distinct* detection set. Bridges are
+    /// grouped by a word-level hash of `T(g)`, and each hash bucket is
+    /// split by full word equality, so a hash collision can never merge
+    /// two sets. Every bridge of a group gets the `nmin` and witness
+    /// scanned for the group's first bridge.
+    ///
+    /// Each scan walks the targets in ascending `(N(f), index)` order. It
+    /// stops once `max(1, N(f) − N(g) + 1)`, a lower bound on this and
+    /// every later `nmin(g,f)`, cannot beat the best bound found.
+    /// Before an exact `M(g,f)` it sums
+    /// `UB = Σ_s min(pop_s(T(f)), pop_s(T(g)))` over 8-word superblocks
+    /// `s`, an upper bound on `M(g,f)`. The intersection is skipped when
+    /// `UB == 0` or when `N(f) − UB + 1` cannot beat the best bound
+    /// strictly. No skip can pass over a strict improvement, so the
+    /// witness is always the target with the smallest
+    /// `(nmin(g,f), N(f), index)`.
     #[must_use]
     pub fn compute(universe: &FaultUniverse) -> Self {
         Self::compute_with(universe, 0)
     }
 
     /// Computes `nmin(g)` with up to `num_threads` workers (`0` = auto).
-    /// Each untargeted fault is scanned independently against the shared
-    /// target sets, so the result is identical for every thread count.
+    /// Hashing and the per-set scans are split across the workers, and
+    /// each scan depends only on its own set, so the result is identical
+    /// for every thread count.
     #[must_use]
     pub fn compute_with(universe: &FaultUniverse, num_threads: usize) -> Self {
-        let targets = universe.target_sets();
-        // Sort target indices by N(f): once N(f) - N(g) + 1 is no better
-        // than the best bound found, no later target can improve it.
-        let mut by_size: Vec<(usize, usize)> = targets
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.len(), i))
-            .filter(|&(n, _)| n > 0)
-            .collect();
-        by_size.sort_unstable();
-
-        let num_bridges = universe.bridges().len();
         let threads = parallel::resolve_threads(num_threads);
-        let per_bridge: Vec<Option<(usize, usize)>> =
-            parallel::run_tiled(threads, num_bridges, |range| {
+        let classes = SetClasses::of(universe.bridge_sets(), threads);
+        let targets = ScanOrder::of(universe.target_sets());
+        let per_class: Vec<Option<(usize, usize)>> =
+            parallel::run_tiled_with(threads, classes.first.len(), Vec::new, |profile, range| {
                 range
-                    .map(|j| {
-                        let t_g = universe.bridge_set(j);
-                        let n_g = t_g.len();
-                        let mut best: Option<(usize, usize)> = None; // (nmin, target idx)
-                        for &(n_f, fi) in &by_size {
-                            if let Some((b, _)) = best {
-                                // M ≤ min(N(f), N(g)) ⇒
-                                // nmin(g,f) ≥ N(f) − N(g) + 1.
-                                if n_f + 1 > b + n_g {
-                                    break;
-                                }
-                            }
-                            let m = targets[fi].intersection_count(t_g);
-                            if m == 0 {
-                                continue;
-                            }
-                            let candidate = n_f - m + 1;
-                            if best.is_none_or(|(b, _)| candidate < b) {
-                                best = Some((candidate, fi));
-                            }
-                        }
-                        best
-                    })
+                    .map(|c| targets.best(universe.bridge_set(classes.first[c]), profile))
                     .collect()
             });
-
-        let mut nmin: Vec<Option<u32>> = Vec::with_capacity(num_bridges);
-        let mut witness: Vec<Option<usize>> = Vec::with_capacity(num_bridges);
-        for best in per_bridge {
-            nmin.push(best.map(|(b, _)| u32::try_from(b).expect("nmin fits u32")));
-            witness.push(best.map(|(_, fi)| fi));
-        }
+        let (nmin, witness) = classes
+            .class_of
+            .iter()
+            .map(|&c| {
+                let best = per_class[c];
+                (
+                    best.map(|(b, _)| u32::try_from(b).expect("nmin fits u32")),
+                    best.map(|(_, fi)| fi),
+                )
+            })
+            .unzip();
         WorstCaseAnalysis { nmin, witness }
     }
 
@@ -236,6 +223,162 @@ impl WorstCaseAnalysis {
     }
 }
 
+/// Words per superblock: 512 vectors, so a superblock popcount fits a
+/// `u16`.
+const SUPERBLOCK_WORDS: usize = 8;
+
+/// Superblocks per profile group.
+const GROUP: usize = 8;
+
+/// The popcounts of 8 consecutive superblocks of a set (zero past its
+/// end).
+type Group = [u16; GROUP];
+
+/// Appends the superblock popcount profile of `set` to `out`.
+fn push_profile(set: &VectorSet, out: &mut Vec<Group>) {
+    for words in set.words().chunks(GROUP * SUPERBLOCK_WORDS) {
+        let mut group = [0u16; GROUP];
+        for (count, block) in group.iter_mut().zip(words.chunks(SUPERBLOCK_WORDS)) {
+            *count = rows::popcount(block) as u16;
+        }
+        out.push(group);
+    }
+}
+
+/// `UB = Σ_s min(pop_s(T(f)), pop_s(T(g)))`, an upper bound on
+/// `M(g,f)`, summed in `u16` lanes so that each group is one vector op.
+/// No lane exceeds `min(N(f), N(g))`, which must fit a `u16`.
+fn overlap_bound(f: &[Group], g: &[Group]) -> usize {
+    let mut lanes = [0u16; GROUP];
+    for (x, y) in f.iter().zip(g) {
+        for ((acc, &p), &q) in lanes.iter_mut().zip(x).zip(y) {
+            *acc += p.min(q);
+        }
+    }
+    lanes.iter().map(|&l| usize::from(l)).sum()
+}
+
+/// Bridges grouped by identical detection set: `first[c]` is the lowest
+/// bridge index of class `c`, and `class_of[j]` is the class of bridge
+/// `j`.
+struct SetClasses {
+    first: Vec<usize>,
+    class_of: Vec<usize>,
+}
+
+impl SetClasses {
+    /// Buckets the sets by a word-level hash, computed in parallel, and
+    /// splits each bucket by full word equality, so a hash collision
+    /// costs a compare, never a merge.
+    fn of(sets: &[VectorSet], threads: usize) -> Self {
+        let hashes: Vec<u64> = parallel::run_tiled(threads, sets.len(), |range| {
+            range.map(|j| word_hash(sets[j].words())).collect()
+        });
+        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
+        let mut first: Vec<usize> = Vec::new();
+        let class_of = hashes
+            .iter()
+            .enumerate()
+            .map(|(j, &h)| {
+                let bucket = buckets.entry(h).or_default();
+                if let Some(&c) = bucket.iter().find(|&&c| sets[first[c]] == sets[j]) {
+                    return c;
+                }
+                first.push(j);
+                bucket.push(first.len() - 1);
+                first.len() - 1
+            })
+            .collect();
+        SetClasses { first, class_of }
+    }
+}
+
+/// An FxHash-style multiply-rotate hash over the words of a set, in four
+/// independent lanes so the multiply chains overlap.
+fn word_hash(words: &[u64]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mix = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
+    let mut lanes = [0u64; 4];
+    let mut chunks = words.chunks_exact(4);
+    for chunk in &mut chunks {
+        for (h, &w) in lanes.iter_mut().zip(chunk) {
+            *h = mix(*h, w);
+        }
+    }
+    lanes
+        .iter()
+        .chain(chunks.remainder())
+        .fold(words.len() as u64, |h, &w| mix(h, w))
+}
+
+/// The detectable targets in ascending `(N(f), index)` order, each with
+/// its superblock popcount profile.
+struct ScanOrder<'a> {
+    sets: &'a [VectorSet],
+    order: Vec<(usize, usize)>,
+    /// Profiles in scan order, the same number of groups per target.
+    profiles: Vec<Group>,
+}
+
+impl<'a> ScanOrder<'a> {
+    fn of(sets: &'a [VectorSet]) -> Self {
+        let mut order: Vec<(usize, usize)> = sets
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (t.len(), i))
+            .filter(|&(n, _)| n > 0)
+            .collect();
+        order.sort_unstable();
+        let mut profiles = Vec::new();
+        for &(_, fi) in &order {
+            push_profile(&sets[fi], &mut profiles);
+        }
+        ScanOrder {
+            sets,
+            order,
+            profiles,
+        }
+    }
+
+    /// `(nmin(g), witness)` for one detection set `T(g)`, or `None` when
+    /// no target overlaps it. `profile` is scratch for `T(g)`'s profile.
+    fn best(&self, t_g: &VectorSet, profile: &mut Vec<Group>) -> Option<(usize, usize)> {
+        profile.clear();
+        push_profile(t_g, profile);
+        let n_g = t_g.len();
+        let mut best: Option<(usize, usize)> = None;
+        // Every set has at least one word, so the profile is never empty.
+        let profiles = self.profiles.chunks_exact(profile.len());
+        for (&(n_f, fi), p_f) in self.order.iter().zip(profiles) {
+            let b = best.map_or(usize::MAX, |(b, _)| b);
+            // M ≤ min(N(f), N(g)) ⇒ nmin(g,f) ≥ max(1, N(f) − N(g) + 1),
+            // and N(f) only grows from here on: stop once that bound
+            // cannot beat `b` strictly.
+            if b <= 1 || n_f + 1 >= b.saturating_add(n_g) {
+                break;
+            }
+            // M ≤ UB ⇒ nmin(g,f) ≥ N(f) − UB + 1. The bound sums in `u16`
+            // lanes, so two sets both past `u16::MAX` go straight to the
+            // exact count.
+            if n_f.min(n_g) <= usize::from(u16::MAX) {
+                let ub = overlap_bound(p_f, profile);
+                if ub == 0 || n_f + 1 >= b.saturating_add(ub) {
+                    continue;
+                }
+            }
+            let m = self.sets[fi].intersection_count(t_g);
+            if m == 0 {
+                continue;
+            }
+            let candidate = n_f - m + 1;
+            if candidate < b {
+                best = Some((candidate, fi));
+            }
+        }
+        best
+    }
+}
+
 impl Encode for WorstCaseAnalysis {
     fn encode(&self, e: &mut Encoder) {
         self.nmin.encode(e);
@@ -351,13 +494,19 @@ mod tests {
     }
 
     #[test]
-    fn pruning_matches_naive_computation() {
-        let u = FaultUniverse::build(&figure1::netlist()).unwrap();
-        let wc = WorstCaseAnalysis::compute(&u);
-        for j in 0..u.bridges().len() {
-            let naive = overlapping_targets(&u, j).into_iter().map(|(_, v)| v).min();
-            assert_eq!(wc.nmin(j), naive, "bridge {j}");
-        }
+    fn sets_past_u16_max_skip_the_bound_and_stay_exact() {
+        // 2^20 vectors: a `u16` lane of the bound would sum 256
+        // superblocks of up to 512, so pairs of sets this large must take
+        // the exact count.
+        let space = 1 << 20;
+        let targets = [
+            VectorSet::from_vectors(space, 0..900_000),
+            VectorSet::from_vectors(space, 50_000..space),
+        ];
+        let t_g = VectorSet::from_vectors(space, 100_000..space);
+        // nmin(g,f) = |T(f) \ T(g)| + 1: 100,001 for f0, 50,001 for f1.
+        let scan = ScanOrder::of(&targets);
+        assert_eq!(scan.best(&t_g, &mut Vec::new()), Some((50_001, 1)));
     }
 
     #[test]

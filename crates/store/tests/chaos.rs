@@ -3,31 +3,37 @@
 //! error — never a panic, never a corrupt published entry.
 //!
 //! Failpoints are process-global, so these tests live in their own
-//! integration-test binary and serialize on one lock; every test arms
-//! sites through a guard that disarms on drop (panic included).
+//! integration-test binary, and each holds one lock from its first line
+//! to its last.
 
 use ndetect_store::{decode_from_slice, encode_to_vec, ArtifactKey, Store};
 use std::fs;
 use std::sync::Mutex;
 
-/// Serializes the tests in this binary and guarantees a disarmed
-/// registry on entry and exit.
-struct ChaosGuard(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
+/// Holds this binary's failpoint lock for a whole test. Taking it and
+/// dropping it (panic included) both disarm every failpoint, so the
+/// unfailed steps of one test never meet the sites another test armed.
+struct ChaosLock(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
 
-impl Drop for ChaosGuard {
-    fn drop(&mut self) {
+impl ChaosLock {
+    fn take() -> Self {
+        static LOCK: Mutex<()> = Mutex::new(());
+        let guard = LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         ndetect_chaos::disarm_all();
+        ChaosLock(guard)
+    }
+
+    fn arm(&self, config: &str) {
+        ndetect_chaos::apply_config(config).expect("valid failpoint config");
     }
 }
 
-fn armed(config: &str) -> ChaosGuard {
-    static LOCK: Mutex<()> = Mutex::new(());
-    let guard = LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    ndetect_chaos::disarm_all();
-    ndetect_chaos::apply_config(config).expect("valid failpoint config");
-    ChaosGuard(guard)
+impl Drop for ChaosLock {
+    fn drop(&mut self) {
+        ndetect_chaos::disarm_all();
+    }
 }
 
 fn temp_store(tag: &str) -> Store {
@@ -39,8 +45,9 @@ fn temp_store(tag: &str) -> Store {
 
 #[test]
 fn every_save_failpoint_degrades_to_uncached_not_failed() {
+    let chaos = ChaosLock::take();
     for site in ["store.save.create", "store.save.write", "store.save.rename"] {
-        let _chaos = armed(&format!("{site}=return-err"));
+        chaos.arm(&format!("{site}=return-err"));
         let store = temp_store("save-sites");
         let key = ArtifactKey(0xfa11);
 
@@ -66,7 +73,8 @@ fn every_save_failpoint_degrades_to_uncached_not_failed() {
 
 #[test]
 fn torn_write_never_publishes_and_tmp_is_swept() {
-    let _chaos = armed("store.save.write=torn-write");
+    let chaos = ChaosLock::take();
+    chaos.arm("store.save.write=torn-write");
     let store = temp_store("torn");
     let key = ArtifactKey(0x7041);
     store.save_best_effort(key, 1, &vec![0xabu8; 4096]);
@@ -90,29 +98,28 @@ fn torn_write_never_publishes_and_tmp_is_swept() {
 
 #[test]
 fn load_and_decode_failpoints_force_clean_misses() {
+    let chaos = ChaosLock::take();
     let store = temp_store("load-miss");
     let key = ArtifactKey(0x10ad);
     store
         .save(key, 1, &encode_to_vec(&vec![1u64, 2, 3]))
         .unwrap();
 
-    {
-        let _chaos = armed("store.load=return-err");
-        assert!(
-            store.load(key, 1).is_none(),
-            "injected read error is a miss"
-        );
-        assert_eq!(store.session_misses(), 1);
-    }
-    {
-        let _chaos = armed("store.codec.decode=return-err");
-        let bytes = store.load(key, 1).expect("load itself is unfailed");
-        let decoded: Result<Vec<u64>, _> = decode_from_slice(&bytes);
-        assert!(decoded
-            .unwrap_err()
-            .to_string()
-            .contains("store.codec.decode"));
-    }
+    chaos.arm("store.load=return-err");
+    assert!(
+        store.load(key, 1).is_none(),
+        "injected read error is a miss"
+    );
+    assert_eq!(store.session_misses(), 1);
+    ndetect_chaos::disarm_all();
+    chaos.arm("store.codec.decode=return-err");
+    let bytes = store.load(key, 1).expect("load itself is unfailed");
+    let decoded: Result<Vec<u64>, _> = decode_from_slice(&bytes);
+    assert!(decoded
+        .unwrap_err()
+        .to_string()
+        .contains("store.codec.decode"));
+    ndetect_chaos::disarm_all();
     // Reality restored: the entry was never damaged.
     let decoded: Vec<u64> = decode_from_slice(&store.load(key, 1).unwrap()).unwrap();
     assert_eq!(decoded, vec![1, 2, 3]);
@@ -121,7 +128,8 @@ fn load_and_decode_failpoints_force_clean_misses() {
 
 #[test]
 fn failed_flat_migration_still_returns_the_hit() {
-    let _chaos = armed("store.migrate=return-err");
+    let chaos = ChaosLock::take();
+    chaos.arm("store.migrate=return-err");
     let store = temp_store("migrate");
     let key = ArtifactKey(0xaa00_0000_0000_0077);
     // Plant a legacy flat entry: save sharded, move the file up.
@@ -147,18 +155,18 @@ fn failed_flat_migration_still_returns_the_hit() {
 
 #[test]
 fn counter_flush_failure_is_absorbed_and_counted() {
+    let chaos = ChaosLock::take();
     let store = temp_store("flush");
     let key = ArtifactKey(0xf1u64);
     store.save(key, 1, b"x").unwrap();
-    {
-        let _chaos = armed("store.counters.flush=return-err");
-        store.flush_counters(); // absorbs the injected failure
-        assert!(
-            !store.root().join("counters.bin").exists(),
-            "failed flush persists nothing"
-        );
-        assert_eq!(store.session_write_errors(), 1);
-    }
+    chaos.arm("store.counters.flush=return-err");
+    store.flush_counters(); // absorbs the injected failure
+    assert!(
+        !store.root().join("counters.bin").exists(),
+        "failed flush persists nothing"
+    );
+    assert_eq!(store.session_write_errors(), 1);
+    ndetect_chaos::disarm_all();
     // The next (unfailed) flush persists the absorbed error too.
     store.flush_counters();
     let stats = store.stats().unwrap();
@@ -169,7 +177,8 @@ fn counter_flush_failure_is_absorbed_and_counted() {
 
 #[test]
 fn one_shot_trigger_fails_exactly_one_save() {
-    let _chaos = armed("store.save.rename=one-shot@2:return-err");
+    let chaos = ChaosLock::take();
+    chaos.arm("store.save.rename=one-shot@2:return-err");
     let store = temp_store("oneshot");
     store.save_best_effort(ArtifactKey(1), 1, b"a"); // hit 1: passes
     store.save_best_effort(ArtifactKey(2), 1, b"b"); // hit 2: fails

@@ -5,7 +5,8 @@
 //! dependency, so losing the write plane can only cost speed.
 //!
 //! Failpoints are process-global; this file is its own test binary and
-//! serializes its tests on one lock.
+//! each test holds one lock from its first line to its last, so no test
+//! runs while another has failpoints armed.
 
 use ndetect::analysis::WorstCaseAnalysis;
 use ndetect::circuits::figure1;
@@ -21,22 +22,30 @@ const ALL_WRITES_FAIL: &str = "store.save.create=always:return-err;\
                                store.save.rename=always:return-err;\
                                store.counters.flush=always:return-err";
 
-struct ChaosGuard(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
+/// Holds this binary's failpoint lock for a whole test. Taking it and
+/// dropping it (panic included) both disarm every failpoint, so the
+/// unfailed steps of one test never meet the sites another test armed.
+struct ChaosLock(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
 
-impl Drop for ChaosGuard {
-    fn drop(&mut self) {
+impl ChaosLock {
+    fn take() -> Self {
+        static LOCK: Mutex<()> = Mutex::new(());
+        let guard = LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         ndetect::chaos::disarm_all();
+        ChaosLock(guard)
+    }
+
+    fn arm(&self, config: &str) {
+        ndetect::chaos::apply_config(config).expect("valid failpoint config");
     }
 }
 
-fn armed(config: &str) -> ChaosGuard {
-    static LOCK: Mutex<()> = Mutex::new(());
-    let guard = LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    ndetect::chaos::disarm_all();
-    ndetect::chaos::apply_config(config).expect("valid failpoint config");
-    ChaosGuard(guard)
+impl Drop for ChaosLock {
+    fn drop(&mut self) {
+        ndetect::chaos::disarm_all();
+    }
 }
 
 fn temp_store(tag: &str) -> (Store, PathBuf) {
@@ -47,6 +56,7 @@ fn temp_store(tag: &str) -> (Store, PathBuf) {
 
 #[test]
 fn a_dead_write_plane_changes_no_analysis_result() {
+    let chaos = ChaosLock::take();
     // Unfailed reference run, fully through the store.
     let circuit = figure1::netlist();
     let options = UniverseOptions::default();
@@ -63,7 +73,7 @@ fn a_dead_write_plane_changes_no_analysis_result() {
     assert_eq!(clean_store.session_write_errors(), 0);
 
     // Same pipeline with the entire write plane failing.
-    let _chaos = armed(ALL_WRITES_FAIL);
+    chaos.arm(ALL_WRITES_FAIL);
     let (store, dir) = temp_store("degraded");
     let universe = FaultUniverse::build_stored(&circuit, options, Some(&store)).unwrap();
     let wc = WorstCaseAnalysis::compute_stored(&universe, 0, Some(&store));
@@ -90,16 +100,16 @@ fn a_dead_write_plane_changes_no_analysis_result() {
 
 #[test]
 fn a_degraded_run_warms_up_once_the_plane_heals() {
+    let chaos = ChaosLock::take();
     // Cold run under failing writes caches nothing...
     let circuit = figure1::netlist();
     let options = UniverseOptions::default();
     let (store, dir) = temp_store("heal");
-    {
-        let _chaos = armed(ALL_WRITES_FAIL);
-        let universe = FaultUniverse::build_stored(&circuit, options, Some(&store)).unwrap();
-        let _ = WorstCaseAnalysis::compute_stored(&universe, 0, Some(&store));
-        assert!(store.session_write_errors() > 0);
-    }
+    chaos.arm(ALL_WRITES_FAIL);
+    let universe = FaultUniverse::build_stored(&circuit, options, Some(&store)).unwrap();
+    let _ = WorstCaseAnalysis::compute_stored(&universe, 0, Some(&store));
+    assert!(store.session_write_errors() > 0);
+    ndetect::chaos::disarm_all();
     // ...so the next (healthy) run rebuilds and publishes, and the one
     // after that is fully warm.
     let universe = FaultUniverse::build_stored(&circuit, options, Some(&store)).unwrap();
