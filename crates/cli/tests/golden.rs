@@ -3,9 +3,11 @@
 //!
 //! They pin the worst-case `nmin` pass end to end: `ndet worst` prints
 //! its coverage rows, tail counts and `nmin` distribution, and the
-//! `ndet corpus` CSV carries `nmin` columns. s27 covers the sequential
-//! explicit-target path. After an intended output change, regenerate a
-//! file from the repository root, e.g.
+//! `ndet corpus` CSV carries `nmin` columns. `ndet average` pins
+//! Procedure 1 under both definitions, Definition 2's three-valued
+//! checks included. s27 covers the sequential explicit-target path.
+//! After an intended output change, regenerate a file from the
+//! repository root, e.g.
 //! `./target/release/ndet worst s1a > tests/golden/worst_s1a.txt`.
 
 use std::path::{Path, PathBuf};
@@ -62,5 +64,25 @@ fn corpus_csv_matches_its_golden() {
     assert_golden(
         "corpus.csv",
         &ndet_stdout(&["corpus", "tests/data/corpus", "--format", "csv"]),
+    );
+}
+
+#[test]
+fn average_matches_its_goldens() {
+    for (circuit, k) in [("figure1", "200"), ("c17", "100"), ("s27", "50")] {
+        for def in ["1", "2"] {
+            assert_golden(
+                &format!("average_{circuit}_def{def}.txt"),
+                &ndet_stdout(&["average", circuit, "--k", k, "--tail", "1", "--def", def]),
+            );
+        }
+    }
+    assert_golden(
+        "average_cse_def1.txt",
+        &ndet_stdout(&["average", "cse", "--k", "200", "--def", "1"]),
+    );
+    assert_golden(
+        "average_cse_def2.txt",
+        &ndet_stdout(&["average", "cse", "--k", "2", "--def", "2"]),
     );
 }

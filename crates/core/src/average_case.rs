@@ -1,7 +1,7 @@
 //! The average-case analysis: Procedure 1 and detection-probability
 //! estimation.
 
-use crate::definition::{counts_as_new_detection, Def2Cache, DetectionDefinition};
+use crate::definition::{Def2Checks, DetectionDefinition};
 use crate::error::CoreError;
 use crate::test_set::TestSet;
 use ndetect_faults::FaultUniverse;
@@ -61,6 +61,13 @@ impl Procedure1Config {
         Ok(())
     }
 
+    /// One worker's Definition-2 checks; `None` under Definition 1, so
+    /// the kernel is built only when Definition 2 runs.
+    fn def2_checks<'u>(&self, universe: &'u FaultUniverse) -> Option<Def2Checks<'u>> {
+        (self.definition == DetectionDefinition::SufficientlyDifferent)
+            .then(|| Def2Checks::new(universe))
+    }
+
     fn rng_for_set(&self, k: usize) -> StdRng {
         // Distinct, well-separated stream per test set.
         let stream = (k as u64)
@@ -101,42 +108,39 @@ impl TargetIndex {
 struct RunState {
     set: TestSet,
     def1_counts: Vec<u32>,
-    /// Definition-2 greedy state (`counted[f]` = tests counted as
-    /// different detections, in insertion order).
+    /// Definition-2 greedy state: `def2_counted[f]` holds the set
+    /// positions of the tests counted as different detections of `f`,
+    /// ascending (insertion order). Empty under Definition 1.
     def2_counted: Vec<Vec<u32>>,
-    def2_counts: Vec<u32>,
-    use_def2: bool,
 }
 
 /// Runs Procedure 1 for one test set `k`, invoking `on_add(n, t)` for
 /// every test added during iteration `n` and `on_iteration(n, set)` after
-/// each iteration completes.
+/// each iteration completes. `def2` carries the worker's Definition-2
+/// checks, and is `None` under Definition 1.
 fn run_single(
     universe: &FaultUniverse,
     index: &TargetIndex,
     config: &Procedure1Config,
     k: usize,
-    cache: &mut Def2Cache,
+    mut def2: Option<&mut Def2Checks<'_>>,
     mut on_add: impl FnMut(u32, u32),
     mut on_iteration: impl FnMut(u32, &TestSet),
 ) {
-    let netlist = universe.netlist();
-    let space = universe.space();
     let num_targets = universe.targets().len();
     let mut rng = config.rng_for_set(k);
-    let use_def2 = config.definition == DetectionDefinition::SufficientlyDifferent;
 
     let mut state = RunState {
-        set: TestSet::new(space.num_patterns()),
+        set: TestSet::new(universe.space().num_patterns()),
         def1_counts: vec![0; num_targets],
-        def2_counted: if use_def2 {
+        def2_counted: if def2.is_some() {
             vec![Vec::new(); num_targets]
         } else {
             Vec::new()
         },
-        def2_counts: vec![0; num_targets],
-        use_def2,
     };
+    let mut candidates: Vec<u32> = Vec::new();
+    let mut pass: Vec<bool> = Vec::new();
 
     for n in 1..=config.nmax {
         for fi in 0..num_targets {
@@ -144,35 +148,35 @@ fn run_single(
             if t_f.is_empty() {
                 continue; // undetectable target: never adds tests
             }
-            let chosen: Option<u32> = if use_def2 {
-                if state.def2_counts[fi] >= n {
-                    None
-                } else {
-                    // Candidates not yet in the set, in random order; the
-                    // first that counts as a new Definition-2 detection
-                    // wins. If none counts, fall back to Definition 1.
-                    let mut candidates: Vec<u32> = t_f
-                        .iter()
-                        .copied()
-                        .filter(|&v| !state.set.contains(v as usize))
-                        .collect();
+            let chosen: Option<u32> = match def2.as_deref_mut() {
+                Some(_) if state.def2_counted[fi].len() >= n as usize => None,
+                Some(checks) => {
+                    // Candidates not yet in the set, each with its
+                    // verdict: sufficiently different from every counted
+                    // test. Drawn in random order, the first that passes
+                    // wins; if none does, fall back to Definition 1.
+                    candidates.clear();
+                    candidates.extend(
+                        t_f.iter()
+                            .copied()
+                            .filter(|&v| !state.set.contains(v as usize)),
+                    );
+                    let vectors = state.set.vectors();
+                    checks.pass_mask(
+                        universe.targets()[fi],
+                        state.def2_counted[fi].iter().map(|&p| vectors[p as usize]),
+                        &candidates,
+                        &mut pass,
+                    );
                     let mut pick = None;
                     // Incremental Fisher-Yates: draw without full shuffle.
                     let len = candidates.len();
                     for i in 0..len {
                         let j = rng.gen_range(i..len);
                         candidates.swap(i, j);
-                        let t = candidates[i];
-                        if counts_as_new_detection(
-                            netlist,
-                            space,
-                            fi,
-                            universe.targets()[fi],
-                            &state.def2_counted[fi],
-                            t,
-                            cache,
-                        ) {
-                            pick = Some(t);
+                        pass.swap(i, j);
+                        if pass[i] {
+                            pick = Some(candidates[i]);
                             break;
                         }
                     }
@@ -184,14 +188,12 @@ fn run_single(
                         None => None,
                     }
                 }
-            } else if state.def1_counts[fi] >= n {
-                None
-            } else {
-                sample_not_in_set(t_f, &state.set, &mut rng)
+                None if state.def1_counts[fi] >= n => None,
+                None => sample_not_in_set(t_f, &state.set, &mut rng),
             };
 
             if let Some(t) = chosen {
-                add_test(universe, index, &mut state, t, cache);
+                add_test(universe, index, &mut state, t, def2.as_deref_mut());
                 on_add(n, t);
             }
         }
@@ -221,35 +223,35 @@ fn sample_not_in_set(t_f: &[u32], set: &TestSet, rng: &mut StdRng) -> Option<u32
 }
 
 /// Adds `t` to the evolving set, updating Definition-1 counts for every
-/// target detecting `t` and the greedy Definition-2 state when enabled.
+/// target detecting `t` and, given `def2`, the greedy Definition-2 state.
 fn add_test(
     universe: &FaultUniverse,
     index: &TargetIndex,
     state: &mut RunState,
     t: u32,
-    cache: &mut Def2Cache,
+    def2: Option<&mut Def2Checks<'_>>,
 ) {
     if !state.set.push(t as usize) {
         return;
     }
-    let netlist = universe.netlist();
-    let space = universe.space();
-    for &f in &index.targets_of_vector[t as usize] {
-        let fi = f as usize;
-        state.def1_counts[fi] += 1;
-        if state.use_def2
-            && counts_as_new_detection(
-                netlist,
-                space,
-                fi,
-                universe.targets()[fi],
-                &state.def2_counted[fi],
-                t,
-                cache,
-            )
-        {
-            state.def2_counted[fi].push(t);
-            state.def2_counts[fi] += 1;
+    let targets = &index.targets_of_vector[t as usize];
+    for &f in targets {
+        state.def1_counts[f as usize] += 1;
+    }
+    if let Some(checks) = def2 {
+        let vectors = state.set.vectors();
+        let pos = vectors.len() - 1;
+        let fresh = checks.new_detections(
+            universe.targets(),
+            t,
+            &vectors[..pos],
+            targets,
+            &state.def2_counted,
+        );
+        for (&f, &new) in targets.iter().zip(fresh) {
+            if new {
+                state.def2_counted[f as usize].push(pos as u32);
+            }
         }
     }
 }
@@ -277,14 +279,14 @@ pub fn construct_test_set_series(
     config.validate()?;
     let index = TargetIndex::build(universe);
     let mut sets: Vec<Vec<TestSet>> = vec![Vec::new(); config.nmax as usize];
-    let mut cache = Def2Cache::new();
+    let mut def2 = config.def2_checks(universe);
     for k in 0..config.num_test_sets {
         run_single(
             universe,
             &index,
             config,
             k,
-            &mut cache,
+            def2.as_mut(),
             |_, _| {},
             |n, set| sets[(n - 1) as usize].push(set.clone()),
         );
@@ -421,7 +423,7 @@ pub fn estimate_detection_probabilities(
             let num_tracked = tracked.len();
             handles.push(scope.spawn(move || {
                 let mut local: Vec<Vec<u32>> = vec![vec![0; num_tracked]; nmax];
-                let mut cache = Def2Cache::new();
+                let mut def2 = config.def2_checks(universe);
                 let mut detected_at: Vec<u32> = vec![0; num_tracked];
                 for k in (w..config.num_test_sets).step_by(num_threads) {
                     detected_at.fill(0);
@@ -430,7 +432,7 @@ pub fn estimate_detection_probabilities(
                         index,
                         config,
                         k,
-                        &mut cache,
+                        def2.as_mut(),
                         |n, t| {
                             for &pos in &tracked_of_vector[t as usize] {
                                 let p = pos as usize;
@@ -708,20 +710,26 @@ mod tests {
     fn thread_count_does_not_change_results() {
         let u = universe();
         let tracked: Vec<usize> = (0..u.bridges().len()).collect();
-        let base = Procedure1Config {
-            nmax: 3,
-            num_test_sets: 50,
-            threads: 1,
-            ..Default::default()
-        };
-        let a = estimate_detection_probabilities(&u, &tracked, &base).unwrap();
-        let b = estimate_detection_probabilities(
-            &u,
-            &tracked,
-            &Procedure1Config { threads: 4, ..base },
-        )
-        .unwrap();
-        assert_eq!(a.d, b.d);
+        for definition in [
+            DetectionDefinition::Standard,
+            DetectionDefinition::SufficientlyDifferent,
+        ] {
+            let base = Procedure1Config {
+                nmax: 3,
+                num_test_sets: 50,
+                definition,
+                threads: 1,
+                ..Default::default()
+            };
+            let a = estimate_detection_probabilities(&u, &tracked, &base).unwrap();
+            let b = estimate_detection_probabilities(
+                &u,
+                &tracked,
+                &Procedure1Config { threads: 4, ..base },
+            )
+            .unwrap();
+            assert_eq!(a.d, b.d, "{definition:?}");
+        }
     }
 
     #[test]

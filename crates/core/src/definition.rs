@@ -1,10 +1,7 @@
 //! The two definitions of "detected n times" (the paper's Definitions 1
 //! and 2).
 
-use ndetect_faults::{threeval_detects_stuck, StuckAtFault};
-use ndetect_netlist::Netlist;
-use ndetect_sim::{PartialVector, PatternSpace};
-use std::collections::HashMap;
+use ndetect_faults::{FaultUniverse, StuckAtFault, TijKernel};
 
 /// Which counting rule Procedure 1 uses for target-fault detections.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -21,83 +18,125 @@ pub enum DetectionDefinition {
     SufficientlyDifferent,
 }
 
-/// Memo cache for Definition-2 similarity queries.
-///
-/// The predicate "does the common-bits vector of `(ti, tj)` detect fault
-/// `f`" is pure; Procedure 1 asks it repeatedly for the same triples
-/// across the K random test sets, so a simple hash memo removes most of
-/// the three-valued simulation cost.
-#[derive(Debug, Default)]
-pub struct Def2Cache {
-    map: HashMap<u64, bool>,
-    hits: u64,
-    misses: u64,
+/// The Definition-2 checks of one Procedure-1 worker, in the two batch
+/// shapes Procedure 1 needs, 64 `tij` vectors per kernel pass (see
+/// [`TijKernel`]).
+pub(crate) struct Def2Checks<'u> {
+    kernel: TijKernel<'u>,
+    /// The lane tests of the batch being loaded.
+    lanes: Vec<u32>,
+    /// Candidate indices that passed every counted test checked so far,
+    /// and the next round's survivors.
+    survivors: Vec<u32>,
+    next: Vec<u32>,
+    /// Per target of the latest [`Self::new_detections`] call.
+    fresh: Vec<bool>,
 }
 
-impl Def2Cache {
-    /// Creates an empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        Def2Cache::default()
-    }
-
-    /// `(hits, misses)` counters — exposed for the efficiency ablation.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Whether the common-bits vector `tij` of `ti`,`tj` detects
-    /// `fault` (memoized [`threeval_detects_stuck`]).
-    pub fn tij_detects(
-        &mut self,
-        netlist: &Netlist,
-        space: &PatternSpace,
-        fault_index: usize,
-        fault: StuckAtFault,
-        ti: u32,
-        tj: u32,
-    ) -> bool {
-        let (lo, hi) = if ti <= tj { (ti, tj) } else { (tj, ti) };
-        let key = ((fault_index as u64) << 48) | (u64::from(lo) << 24) | u64::from(hi);
-        if let Some(&v) = self.map.get(&key) {
-            self.hits += 1;
-            return v;
+impl<'u> Def2Checks<'u> {
+    pub(crate) fn new(universe: &'u FaultUniverse) -> Self {
+        Def2Checks {
+            kernel: TijKernel::new(universe.netlist(), universe.simulator()),
+            lanes: Vec::with_capacity(64),
+            survivors: Vec::new(),
+            next: Vec::new(),
+            fresh: Vec::new(),
         }
-        self.misses += 1;
-        let tij = PartialVector::common_bits(space, lo as usize, hi as usize);
-        let v = threeval_detects_stuck(netlist, fault, &tij);
-        self.map.insert(key, v);
-        v
     }
-}
 
-/// Whether adding `t` to a test set whose Definition-2-counted
-/// detections of `fault` are `counted` would count as a **new**
-/// detection: `t` must be "sufficiently different" from every counted
-/// test (no common-bits vector may already detect the fault).
-pub fn counts_as_new_detection(
-    netlist: &Netlist,
-    space: &PatternSpace,
-    fault_index: usize,
-    fault: StuckAtFault,
-    counted: &[u32],
-    t: u32,
-    cache: &mut Def2Cache,
-) -> bool {
-    counted
-        .iter()
-        .all(|&s| !cache.tij_detects(netlist, space, fault_index, fault, s, t))
+    /// Sets `pass[i]` iff `candidates[i]` is sufficiently different from
+    /// every `counted` test of `fault`: no common-bits vector of the two
+    /// detects it. Checks one counted test at a time, against only the
+    /// candidates that survived the earlier ones.
+    pub(crate) fn pass_mask(
+        &mut self,
+        fault: StuckAtFault,
+        counted: impl IntoIterator<Item = u32>,
+        candidates: &[u32],
+        pass: &mut Vec<bool>,
+    ) {
+        pass.clear();
+        pass.resize(candidates.len(), true);
+        self.survivors.clear();
+        self.survivors.extend(0..candidates.len() as u32);
+        for s in counted {
+            if self.survivors.is_empty() {
+                break;
+            }
+            self.next.clear();
+            for batch in self.survivors.chunks(64) {
+                self.lanes.clear();
+                self.lanes
+                    .extend(batch.iter().map(|&i| candidates[i as usize]));
+                let detected = self.kernel.detects_batch(fault, s, &self.lanes);
+                for (lane, &i) in batch.iter().enumerate() {
+                    if detected >> lane & 1 == 1 {
+                        pass[i as usize] = false;
+                    } else {
+                        self.next.push(i);
+                    }
+                }
+            }
+            std::mem::swap(&mut self.survivors, &mut self.next);
+        }
+    }
+
+    /// Which of `targets` (all detected by the new test `t`) count `t`
+    /// as a new Definition-2 detection: entry `i` is `true` iff `t` is
+    /// sufficiently different from every counted test of
+    /// `targets[i]`. `earlier` are the set's tests before `t`, and
+    /// `counted[f]` holds the ascending positions in `earlier` of the
+    /// tests counted for target `f`.
+    ///
+    /// One fault-free pass per 64 earlier tests serves every target;
+    /// each target then re-evaluates only its own cone, masked to its
+    /// counted tests.
+    pub(crate) fn new_detections(
+        &mut self,
+        faults: &[StuckAtFault],
+        t: u32,
+        earlier: &[u32],
+        targets: &[u32],
+        counted: &[Vec<u32>],
+    ) -> &[bool] {
+        self.fresh.clear();
+        self.fresh.resize(targets.len(), true);
+        for (b, batch) in earlier.chunks(64).enumerate() {
+            let lo = (64 * b) as u32;
+            let hi = lo + batch.len() as u32;
+            let mut loaded = false;
+            for (fresh, &f) in self.fresh.iter_mut().zip(targets) {
+                if !*fresh {
+                    continue;
+                }
+                let positions = &counted[f as usize];
+                let from = positions.partition_point(|&p| p < lo);
+                let mask = positions[from..]
+                    .iter()
+                    .take_while(|&&p| p < hi)
+                    .fold(0u64, |m, &p| m | 1 << (p - lo));
+                if mask == 0 {
+                    continue;
+                }
+                if !loaded {
+                    self.kernel.load(t, batch);
+                    loaded = true;
+                }
+                if self.kernel.detects(faults[f as usize]) & mask != 0 {
+                    *fresh = false;
+                }
+            }
+        }
+        &self.fresh
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ndetect_faults::FaultUniverse;
-    use ndetect_netlist::NetlistBuilder;
 
     fn and2() -> ndetect_netlist::Netlist {
-        let mut b = NetlistBuilder::new("and2");
+        let mut b = ndetect_netlist::NetlistBuilder::new("and2");
         let a = b.input("a");
         let c = b.input("c");
         let g = b.and("g", &[a, c]).unwrap();
@@ -114,43 +153,57 @@ mod tests {
         let u = FaultUniverse::build(&n).unwrap();
         let f_idx = u.find_target("g", true).unwrap();
         let fault = u.targets()[f_idx];
-        let mut cache = Def2Cache::new();
-        assert!(cache.tij_detects(&n, u.space(), f_idx, fault, 0, 1));
-        assert!(!counts_as_new_detection(
-            &n,
-            u.space(),
-            f_idx,
-            fault,
-            &[0],
-            1,
-            &mut cache
-        ));
+        let mut checks = Def2Checks::new(&u);
+        let mut pass = Vec::new();
+        checks.pass_mask(fault, [0], &[1, 2], &mut pass);
         // Tests 01 and 10 share "--" (nothing specified): tij detects
-        // nothing => they are sufficiently different.
-        assert!(!cache.tij_detects(&n, u.space(), f_idx, fault, 1, 2));
-        assert!(counts_as_new_detection(
-            &n,
-            u.space(),
-            f_idx,
-            fault,
-            &[1],
-            2,
-            &mut cache
-        ));
+        // nothing => they are sufficiently different; 00 and 10 share
+        // "-0", which detects.
+        assert_eq!(pass, [false, false]);
+        checks.pass_mask(fault, [1], &[0, 2], &mut pass);
+        assert_eq!(pass, [false, true]);
+        // With nothing counted, every candidate passes.
+        checks.pass_mask(fault, [], &[0, 1, 2], &mut pass);
+        assert_eq!(pass, [true, true, true]);
+        // The add_test shape agrees: 10 is new against counted 01 (set
+        // position 1), not against counted 00 (position 0).
+        let counted = |positions: &[u32]| {
+            let mut c = vec![Vec::new(); u.targets().len()];
+            c[f_idx] = positions.to_vec();
+            c
+        };
+        let f = f_idx as u32;
+        assert_eq!(
+            checks.new_detections(u.targets(), 2, &[0, 1], &[f], &counted(&[1])),
+            [true]
+        );
+        assert_eq!(
+            checks.new_detections(u.targets(), 2, &[0, 1], &[f], &counted(&[0, 1])),
+            [false]
+        );
     }
 
     #[test]
-    fn cache_is_symmetric_and_counts_hits() {
+    fn tij_checks_are_symmetric() {
+        // tij = tji, so checking a against counted b must agree with
+        // checking b against counted a, in both batch shapes.
         let n = and2();
         let u = FaultUniverse::build(&n).unwrap();
-        let f_idx = u.find_target("g", true).unwrap();
-        let fault = u.targets()[f_idx];
-        let mut cache = Def2Cache::new();
-        let a = cache.tij_detects(&n, u.space(), f_idx, fault, 0, 1);
-        let b = cache.tij_detects(&n, u.space(), f_idx, fault, 1, 0);
-        assert_eq!(a, b);
-        let (hits, misses) = cache.stats();
-        assert_eq!(hits, 1);
-        assert_eq!(misses, 1);
+        let mut checks = Def2Checks::new(&u);
+        let mut ab = Vec::new();
+        let mut ba = Vec::new();
+        for (fi, &fault) in u.targets().iter().enumerate() {
+            let mut counted = vec![Vec::new(); u.targets().len()];
+            counted[fi] = vec![0];
+            for a in 0..4u32 {
+                for b in 0..4u32 {
+                    checks.pass_mask(fault, [b], &[a], &mut ab);
+                    checks.pass_mask(fault, [a], &[b], &mut ba);
+                    assert_eq!(ab, ba, "target {fi}, tests {a} and {b}");
+                    let fresh = checks.new_detections(u.targets(), a, &[b], &[fi as u32], &counted);
+                    assert_eq!(fresh, ab.as_slice(), "target {fi}, tests {a} and {b}");
+                }
+            }
+        }
     }
 }

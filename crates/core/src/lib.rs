@@ -58,7 +58,7 @@ pub use average_case::{
     estimate_detection_probabilities_stored, procedure1_key, DetectionProbabilities,
     Procedure1Config, TestSetSeries, KIND_PROCEDURE1,
 };
-pub use definition::{Def2Cache, DetectionDefinition};
+pub use definition::DetectionDefinition;
 pub use distribution::NminDistribution;
 pub use error::CoreError;
 pub use summary::{AnalysisConfig, CircuitAnalysis};

@@ -23,6 +23,11 @@
 //! are bundled into a [`FaultUniverse`] — the input to the analyses in
 //! `ndetect-core`.
 //!
+//! The paper's Definition 2 asks whether the common bits of two tests
+//! already detect a target under three-valued simulation. [`TijKernel`]
+//! answers that for 64 test pairs per machine word; the scalar
+//! [`threeval_detects_stuck`] is its oracle.
+//!
 //! # Example
 //!
 //! ```
@@ -51,6 +56,7 @@ pub mod collapse;
 mod error;
 mod sim;
 mod stuck_at;
+mod tij;
 mod universe;
 
 pub use artifact::{explicit_universe_key, universe_key, KIND_UNIVERSE};
@@ -61,4 +67,5 @@ pub use collapse::CollapsedFaults;
 pub use error::FaultError;
 pub use sim::{threeval_detects_stuck, FaultSimulator};
 pub use stuck_at::{all_stuck_at_faults, input_line_of_pin, StuckAtFault};
+pub use tij::TijKernel;
 pub use universe::{ExplicitTargets, FaultUniverse, UniverseOptions};

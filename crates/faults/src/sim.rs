@@ -558,10 +558,16 @@ impl FaultSimulator {
     /// Node `i`'s strictly-downstream gates in topological order (CSR
     /// row of the cone arena).
     #[inline]
-    fn cone(&self, node: NodeId) -> &[NodeId] {
+    pub(crate) fn cone(&self, node: NodeId) -> &[NodeId] {
         let lo = self.cone_offsets[node.index()] as usize;
         let hi = self.cone_offsets[node.index() + 1] as usize;
         &self.cone_gates[lo..hi]
+    }
+
+    /// Whether `node` is observed on at least one primary-output slot.
+    #[inline]
+    pub(crate) fn is_observed(&self, node: NodeId) -> bool {
+        self.observed[node.index()]
     }
 
     /// The base block of the tile `scratch` currently addresses (0 in

@@ -21,6 +21,7 @@ const HOT_MODULES: &[&str] = &[
     "crates/sim/src/good.rs",
     "crates/sim/src/set.rs",
     "crates/faults/src/sim.rs",
+    "crates/faults/src/tij.rs",
     "crates/faults/src/universe.rs",
     "crates/gen/src/generate.rs",
 ];
@@ -33,6 +34,7 @@ const DENY_GATED: &[&str] = &[
     "crates/sim/src/good.rs",
     "crates/sim/src/set.rs",
     "crates/faults/src/sim.rs",
+    "crates/faults/src/tij.rs",
     "crates/faults/src/universe.rs",
     "crates/gen/src/generate.rs",
 ];
