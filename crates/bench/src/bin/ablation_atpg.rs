@@ -9,8 +9,8 @@
 //! Usage: `ablation_atpg [--circuits a,b,c] [--nmax 10] [--k 100]`.
 
 use ndetect_bench::{build_universe_options, open_store, selected_circuits, Args};
-use ndetect_core::atpg::{bridge_coverage, greedy_n_detection};
-use ndetect_core::{construct_test_set_series, Procedure1Config};
+use ndetect_core::{bridge_coverage, construct_test_set_series, Procedure1Config};
+use ndetect_gen::{generate, GenOptions};
 
 fn main() {
     let args = Args::parse();
@@ -40,11 +40,17 @@ fn main() {
             if n > nmax {
                 continue;
             }
-            let greedy = greedy_n_detection(&universe, n);
-            let gcov = bridge_coverage(&universe, &greedy);
+            let greedy = generate(
+                &universe,
+                &GenOptions {
+                    threads,
+                    ..GenOptions::with_n(n)
+                },
+            );
+            let gcov = bridge_coverage(&universe, greedy.as_vector_set());
             let rcov: f64 = series.sets[(n - 1) as usize]
                 .iter()
-                .map(|s| bridge_coverage(&universe, s))
+                .map(|s| bridge_coverage(&universe, s.as_vector_set()))
                 .sum::<f64>()
                 / k as f64;
             println!(

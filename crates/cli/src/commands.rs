@@ -1,6 +1,5 @@
 //! Subcommand implementations for `ndet`.
 
-use ndetect_core::atpg::{bridge_coverage, greedy_n_detection};
 use ndetect_core::partition::analyze_output_cones_budget;
 use ndetect_core::{
     estimate_detection_probabilities_stored, DetectionDefinition, Procedure1Config,
@@ -12,18 +11,19 @@ use ndetect_seq::{expand_stored, FaultModel};
 use ndetect_serve::render::{CorpusRequest, Knobs, StoreProvider};
 use ndetect_sim::MemoryBudget;
 use ndetect_store::Store;
+use std::fmt::{self, Write as _};
+use std::io::{self, Write};
 use std::path::PathBuf;
 
 mod serve_cmd;
 
-/// Usage text shown on errors.
+/// Usage text shown when the command word is missing or unknown.
 pub const USAGE: &str = "usage:
   ndet list
   ndet stats <circuit> [--seq] [--fault-model M]
   ndet worst <circuit> [--floor N] [--seq] [--fault-model M]
   ndet average <circuit> [--k K] [--nmax N] [--def 1|2] [--tail T]
               [--seq] [--fault-model M]
-  ndet greedy <circuit> [--n N]
   ndet gen <circuit> [--n N] [--compact] [--seed S] [--seq]
           [--fault-model M]
   ndet synth <circuit>
@@ -57,7 +57,7 @@ analysed under the transition model.
 --addr-file, written to a file) and answers newline-delimited requests
 (`stats <circuit>`, `worst <circuit> [floor=N]`, `gen <circuit> [n=N]
 [compact] [seed=S]`, `corpus <dir> [format=csv|json] [max_inputs=N]
-[recursive]`, `counters`, `metrics`, `ping`) with exactly the bytes the
+[recursive]`, `metrics`, `ping`) with exactly the bytes the
 matching one-shot command prints. Hot artifacts stay in an in-memory
 LRU, identical concurrent requests coalesce into a single build,
 connections beyond --max-conns get a one-line `err busy` reply, and
@@ -83,8 +83,8 @@ original path and reason) instead of deleting them.
 
 Every command accepts `--trace-out FILE` (or the NDETECT_TRACE
 environment variable): spans covering the analysis hot paths — universe
-build phases, kernel selection, store load/save, generator rounds,
-serve request lifecycle — are appended to FILE as JSONL. `ndet trace
+build phases, kernel selection, store load/save, generation and
+compaction, serve request lifecycle — are appended to FILE as JSONL. `ndet trace
 report <file>` aggregates such a file into a per-span time table.
 `metrics` (over `ndet request`) returns a Prometheus-style text
 exposition of the serve counters, store session counters, and request
@@ -110,16 +110,43 @@ cache directory (read-only, full disk) makes analysis commands warn
 once and continue uncached — only `ndet cache` itself treats an
 unopenable store as fatal.";
 
-/// Parses and runs a command line; returns a user-facing error string on
-/// failure.
-pub fn dispatch(args: &[String]) -> Result<(), String> {
+/// Why a command line failed.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Failure {
+    /// The command word is missing or unknown: `ndet` follows the
+    /// message with [`USAGE`].
+    Usage(String),
+    /// The command ran and failed (a bad flag value, an unknown circuit,
+    /// an unreadable or malformed file): the message alone says why.
+    Error(String),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Error(message)
+    }
+}
+
+impl fmt::Display for Failure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Failure::Usage(message) | Failure::Error(message) => f.write_str(message),
+        }
+    }
+}
+
+/// Parses and runs a command line, writing what the command prints to
+/// `stdout`; returns a user-facing error on failure.
+pub fn dispatch(args: &[String], stdout: &mut dyn Write) -> Result<(), Failure> {
     let mut it = args.iter();
-    let command = it.next().ok_or("missing command")?;
+    let command = it
+        .next()
+        .ok_or_else(|| Failure::Usage("missing command".into()))?;
     let rest: Vec<&String> = it.collect();
     // Failpoints from NDETECT_FAILPOINTS arm before anything touches
     // the store or engine; a malformed spec is a hard error so a typo'd
     // chaos run cannot silently test nothing.
-    ndetect_chaos::init_from_env()?;
+    ndetect_chaos::init_from_env().map_err(|e| format!("NDETECT_FAILPOINTS: {e}"))?;
     // Tracing: an explicit --trace-out wins over NDETECT_TRACE; either
     // way the sink is flushed after the command so the JSONL is
     // complete even for buffered writers.
@@ -132,10 +159,27 @@ pub fn dispatch(args: &[String]) -> Result<(), String> {
     }
     let result = {
         let _root = root_span(command).map(ndetect_obs::trace::span);
-        dispatch_command(command, &rest)
+        let mut out = String::new();
+        let ran = dispatch_command(command, &rest, &mut out, stdout);
+        // What a command printed goes out even when it then failed
+        // (`cache verify` lists the entries it rejects).
+        ran.and(write_stdout(stdout, &out).map_err(Failure::Error))
     };
     ndetect_obs::trace::flush();
     result
+}
+
+/// Writes `text` to `stdout` and flushes it. A reader that closed the
+/// pipe early (`ndet list | head -1`) has all it wanted, so a broken
+/// pipe counts as written.
+fn write_stdout(stdout: &mut dyn Write, text: &str) -> Result<(), String> {
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => Err(format!("cannot write output: {e}")),
+        _ => Ok(()),
+    }
 }
 
 /// The `cmd.<verb>` root span of a command, so that a trace accounts for
@@ -148,7 +192,6 @@ fn root_span(command: &str) -> Option<&'static str> {
         "stats" => "cmd.stats",
         "worst" => "cmd.worst",
         "average" => "cmd.average",
-        "greedy" => "cmd.greedy",
         "gen" => "cmd.gen",
         "synth" => "cmd.synth",
         "bench-file" => "cmd.bench-file",
@@ -163,7 +206,14 @@ fn root_span(command: &str) -> Option<&'static str> {
     })
 }
 
-fn dispatch_command(command: &str, rest: &[&String]) -> Result<(), String> {
+/// Runs one command, appending what it prints to `out`. Only `serve`,
+/// which prints while it runs, writes to `stdout` itself.
+fn dispatch_command(
+    command: &str,
+    rest: &[&String],
+    out: &mut String,
+    stdout: &mut dyn Write,
+) -> Result<(), Failure> {
     let rest: Vec<&String> = rest.to_vec();
     // Worker threads for fault simulation and analysis; 0 = auto
     // (NDETECT_THREADS, then the machine's available parallelism).
@@ -180,8 +230,8 @@ fn dispatch_command(command: &str, rest: &[&String]) -> Result<(), String> {
         threads,
         mem_budget,
     };
-    match command {
-        "list" => list(),
+    let text = match command {
+        "list" => Ok(list()),
         "stats" => {
             let store = open_store_degraded(&rest)?;
             with_any_circuit(&rest, |_, kind| match kind {
@@ -220,54 +270,50 @@ fn dispatch_command(command: &str, rest: &[&String]) -> Result<(), String> {
                 )
             })
         }
-        "greedy" => {
-            let n_det = flag_value(&rest, "--n")?.unwrap_or(10);
-            let store = open_store_degraded(&rest)?;
-            with_circuit(&rest, |_, n| {
-                greedy(&n, n_det as u32, knobs, store.as_ref())
-            })
-        }
         "gen" => {
             let n_det = flag_value(&rest, "--n")?.unwrap_or(10);
             let do_compact = flag_present(&rest, "--compact");
             let seed = flag_value(&rest, "--seed")?.map(|s| s as u64);
+            if n_det == 0 {
+                return Err(Failure::Error("--n must be at least 1".into()));
+            }
             let store = open_store_degraded(&rest)?;
+            let provider = StoreProvider::new(store.as_ref());
+            let n_det = n_det as u32;
             with_any_circuit(&rest, |_, kind| match kind {
                 CircuitKind::Comb(n) => {
-                    gen_set(&n, n_det as u32, do_compact, seed, knobs, store.as_ref())
+                    ndetect_serve::render_gen(&n, n_det, do_compact, seed, knobs, &provider)
                 }
                 CircuitKind::Seq(s, m) => {
-                    seq_gen_set(&s, m, n_det as u32, do_compact, seed, knobs, store.as_ref())
+                    ndetect_serve::render_seq_gen(&s, m, n_det, do_compact, seed, knobs, &provider)
                 }
             })
         }
-        "synth" => with_circuit(&rest, |_, n| {
-            print!("{}", bench_format::write(&n));
-            Ok(())
-        }),
+        "synth" => with_circuit(&rest, |_, n| Ok(bench_format::write(&n))),
         "bench-file" => bench_file(&rest, knobs, open_store_degraded(&rest)?.as_ref()),
         "pla-file" => pla_file(&rest, knobs, open_store_degraded(&rest)?.as_ref()),
-        "dot" => with_circuit(&rest, |_, n| {
-            print!("{}", ndetect_netlist::dot::write(&n));
-            Ok(())
-        }),
+        "dot" => with_circuit(&rest, |_, n| Ok(ndetect_netlist::dot::write(&n))),
         "cones" => {
             let max_inputs = flag_value(&rest, "--max-inputs")?.unwrap_or(14);
             let store = open_store_degraded(&rest)?;
             with_circuit(&rest, |_, n| cones(&n, max_inputs, knobs, store.as_ref()))
         }
         "corpus" => corpus(&rest, knobs, open_store_degraded(&rest)?.as_ref()),
-        "cache" => cache(&rest, open_store(&rest)?.as_ref()),
-        "serve" => serve_cmd::serve(&rest, open_store_degraded(&rest)?),
+        "cache" => cache(&rest, open_store(&rest)?.as_ref(), out).map(|()| String::new()),
+        "serve" => {
+            serve_cmd::serve(&rest, open_store_degraded(&rest)?, stdout).map(|()| String::new())
+        }
         "request" => serve_cmd::request(&rest),
         "trace" => trace_cmd(&rest),
-        other => Err(format!("unknown command `{other}`")),
-    }
+        other => return Err(Failure::Usage(format!("unknown command `{other}`"))),
+    };
+    out.push_str(&text?);
+    Ok(())
 }
 
 /// `ndet trace report <file>`: aggregate a JSONL trace (as written by
 /// `--trace-out` / `NDETECT_TRACE`) into a per-span time table.
-fn trace_cmd(rest: &[&String]) -> Result<(), String> {
+fn trace_cmd(rest: &[&String]) -> Result<String, String> {
     let pos = positionals(rest);
     match pos.first().copied() {
         Some("report") => {
@@ -275,8 +321,7 @@ fn trace_cmd(rest: &[&String]) -> Result<(), String> {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let report = ndetect_obs::TraceReport::from_jsonl(&text)?;
-            print!("{}", ndetect_obs::render_report(&report));
-            Ok(())
+            Ok(ndetect_obs::render_report(&report))
         }
         Some(other) => Err(format!("unknown trace subcommand `{other}`")),
         None => Err("missing trace subcommand (expected `report <file>`)".into()),
@@ -377,8 +422,8 @@ fn positionals<'a>(rest: &[&'a String]) -> Vec<&'a str> {
 
 fn with_circuit(
     rest: &[&String],
-    f: impl FnOnce(&str, Netlist) -> Result<(), String>,
-) -> Result<(), String> {
+    f: impl FnOnce(&str, Netlist) -> Result<String, String>,
+) -> Result<String, String> {
     let name = positionals(rest)
         .into_iter()
         .find(|a| !a.chars().all(|c| c.is_ascii_digit()))
@@ -412,8 +457,8 @@ fn fault_model_flag(rest: &[&String]) -> Result<Option<FaultModel>, String> {
 /// fault-model selection only exists for time-frame expansion.
 fn with_any_circuit(
     rest: &[&String],
-    f: impl FnOnce(&str, CircuitKind) -> Result<(), String>,
-) -> Result<(), String> {
+    f: impl FnOnce(&str, CircuitKind) -> Result<String, String>,
+) -> Result<String, String> {
     let name = positionals(rest)
         .into_iter()
         .find(|a| !a.chars().all(|c| c.is_ascii_digit()))
@@ -443,13 +488,14 @@ fn with_any_circuit(
     }
 }
 
-fn list() -> Result<(), String> {
-    println!(
-        "{:<10} {:>6} {:>7} {:>7} {:>10} {:<14}",
+fn list() -> String {
+    let mut out = format!(
+        "{:<10} {:>6} {:>7} {:>7} {:>10} {:<14}\n",
         "circuit", "inputs", "outputs", "states", "sim bits", "source"
     );
     for spec in ndetect_circuits::suite() {
-        println!(
+        let _ = writeln!(
+            out,
             "{:<10} {:>6} {:>7} {:>7} {:>10} {:<14}",
             spec.name(),
             spec.inputs(),
@@ -459,8 +505,7 @@ fn list() -> Result<(), String> {
             format!("{:?}", spec.source()),
         );
     }
-    println!("\nspecials: figure1 (paper example), c17 (ISCAS-85)");
-    Ok(())
+    out + "\nspecials: figure1 (paper example), c17 (ISCAS-85)\n"
 }
 
 fn universe_of(
@@ -493,13 +538,8 @@ fn seq_universe_of(
 /// The one-shot analysis commands delegate to `ndetect_serve::render`,
 /// the render layer shared with `ndet serve` — this is what guarantees
 /// a serve reply is byte-identical to the one-shot stdout.
-fn stats(netlist: &Netlist, knobs: Knobs, store: Option<&Store>) -> Result<(), String> {
-    let provider = StoreProvider::new(store);
-    print!(
-        "{}",
-        ndetect_serve::render_stats(netlist, knobs, &provider)?
-    );
-    Ok(())
+fn stats(netlist: &Netlist, knobs: Knobs, store: Option<&Store>) -> Result<String, String> {
+    ndetect_serve::render_stats(netlist, knobs, &StoreProvider::new(store))
 }
 
 fn worst(
@@ -507,13 +547,8 @@ fn worst(
     floor: usize,
     knobs: Knobs,
     store: Option<&Store>,
-) -> Result<(), String> {
-    let provider = StoreProvider::new(store);
-    print!(
-        "{}",
-        ndetect_serve::render_worst(netlist, floor, knobs, &provider)?
-    );
-    Ok(())
+) -> Result<String, String> {
+    ndetect_serve::render_worst(netlist, floor, knobs, &StoreProvider::new(store))
 }
 
 fn seq_stats(
@@ -521,13 +556,8 @@ fn seq_stats(
     model: FaultModel,
     knobs: Knobs,
     store: Option<&Store>,
-) -> Result<(), String> {
-    let provider = StoreProvider::new(store);
-    print!(
-        "{}",
-        ndetect_serve::render_seq_stats(seq, model, knobs, &provider)?
-    );
-    Ok(())
+) -> Result<String, String> {
+    ndetect_serve::render_seq_stats(seq, model, knobs, &StoreProvider::new(store))
 }
 
 fn seq_worst(
@@ -536,34 +566,8 @@ fn seq_worst(
     floor: usize,
     knobs: Knobs,
     store: Option<&Store>,
-) -> Result<(), String> {
-    let provider = StoreProvider::new(store);
-    print!(
-        "{}",
-        ndetect_serve::render_seq_worst(seq, model, floor, knobs, &provider)?
-    );
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn seq_gen_set(
-    seq: &SeqNetlist,
-    model: FaultModel,
-    n: u32,
-    compact: bool,
-    seed: Option<u64>,
-    knobs: Knobs,
-    store: Option<&Store>,
-) -> Result<(), String> {
-    if n == 0 {
-        return Err("--n must be at least 1".into());
-    }
-    let provider = StoreProvider::new(store);
-    print!(
-        "{}",
-        ndetect_serve::render_seq_gen(seq, model, n, compact, seed, knobs, &provider)?
-    );
-    Ok(())
+) -> Result<String, String> {
+    ndetect_serve::render_seq_worst(seq, model, floor, knobs, &StoreProvider::new(store))
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -576,7 +580,7 @@ fn average(
     tail: u32,
     knobs: Knobs,
     store: Option<&Store>,
-) -> Result<(), String> {
+) -> Result<String, String> {
     let definition = match def {
         1 => DetectionDefinition::Standard,
         2 => DetectionDefinition::SufficientlyDifferent,
@@ -585,8 +589,9 @@ fn average(
     let wc = WorstCaseAnalysis::compute_stored(universe, knobs.threads, store);
     let tracked = wc.tail_indices(tail);
     if tracked.is_empty() {
-        println!("{name}: no untargeted faults with nmin >= {tail}; nothing to estimate");
-        return Ok(());
+        return Ok(format!(
+            "{name}: no untargeted faults with nmin >= {tail}; nothing to estimate\n"
+        ));
     }
     let config = Procedure1Config {
         nmax,
@@ -599,63 +604,32 @@ fn average(
     // cacheable: warm re-runs load the estimate from the store.
     let probs = estimate_detection_probabilities_stored(universe, &tracked, &config, store)
         .map_err(|e| e.to_string())?;
-    println!(
-        "{name}: {} tracked faults (nmin >= {tail}), K = {k}, definition {def}",
+    let mut out = format!(
+        "{name}: {} tracked faults (nmin >= {tail}), K = {k}, definition {def}\n",
         tracked.len()
     );
-    println!(
+    let _ = writeln!(
+        out,
         "p({nmax},g) >= thresholds 1.0..0.0: {:?}",
         probs.histogram_row(nmax)
     );
     if let Some((pos, p)) = probs.min_probability(nmax) {
-        println!(
+        let _ = writeln!(
+            out,
             "lowest p({nmax},g) = {p:.3} for {}",
             universe.bridges()[tracked[pos]].name(universe.netlist())
         );
     }
-    println!(
+    let _ = writeln!(
+        out,
         "expected escapes at n = {nmax}: {:.2} of {} tracked faults",
         probs.expected_escapes(nmax),
         tracked.len()
     );
-    Ok(())
+    Ok(out)
 }
 
-fn greedy(netlist: &Netlist, n: u32, knobs: Knobs, store: Option<&Store>) -> Result<(), String> {
-    let universe = universe_of(netlist, knobs, store)?;
-    let set = greedy_n_detection(&universe, n);
-    println!(
-        "greedy {n}-detection set: {} tests, bridging coverage {:.2}%",
-        set.len(),
-        bridge_coverage(&universe, &set)
-    );
-    println!("{set}");
-    Ok(())
-}
-
-/// `ndet gen`: the set-cover generation engine (`ndetect-gen`), with
-/// compaction and seeded tie-breaking, store-backed so warm
-/// re-generation is a cache hit.
-fn gen_set(
-    netlist: &Netlist,
-    n: u32,
-    compact: bool,
-    seed: Option<u64>,
-    knobs: Knobs,
-    store: Option<&Store>,
-) -> Result<(), String> {
-    if n == 0 {
-        return Err("--n must be at least 1".into());
-    }
-    let provider = StoreProvider::new(store);
-    print!(
-        "{}",
-        ndetect_serve::render_gen(netlist, n, compact, seed, knobs, &provider)?
-    );
-    Ok(())
-}
-
-fn pla_file(rest: &[&String], knobs: Knobs, store: Option<&Store>) -> Result<(), String> {
+fn pla_file(rest: &[&String], knobs: Knobs, store: Option<&Store>) -> Result<String, String> {
     let pos = positionals(rest);
     let path = *pos.first().ok_or("missing .pla path")?;
     let sub = pos.get(1).copied().unwrap_or("stats");
@@ -669,15 +643,12 @@ fn pla_file(rest: &[&String], knobs: Knobs, store: Option<&Store>) -> Result<(),
     match sub {
         "stats" => stats(&netlist, knobs, store),
         "worst" => worst(&netlist, 100, knobs, store),
-        "synth" => {
-            print!("{}", bench_format::write(&netlist));
-            Ok(())
-        }
+        "synth" => Ok(bench_format::write(&netlist)),
         other => Err(format!("unknown pla-file subcommand `{other}`")),
     }
 }
 
-fn bench_file(rest: &[&String], knobs: Knobs, store: Option<&Store>) -> Result<(), String> {
+fn bench_file(rest: &[&String], knobs: Knobs, store: Option<&Store>) -> Result<String, String> {
     let pos = positionals(rest);
     let path = *pos.first().ok_or("missing .bench path")?;
     let sub = pos.get(1).copied().unwrap_or("stats");
@@ -733,16 +704,17 @@ fn cones(
     max_inputs: usize,
     knobs: Knobs,
     store: Option<&Store>,
-) -> Result<(), String> {
+) -> Result<String, String> {
     let reports =
         analyze_output_cones_budget(netlist, max_inputs, knobs.threads, knobs.mem_budget, store)
             .map_err(|e| e.to_string())?;
-    println!(
-        "{}: {} output cones analysed (cones wider than {max_inputs} inputs skipped)",
+    let mut out = format!(
+        "{}: {} output cones analysed (cones wider than {max_inputs} inputs skipped)\n",
         netlist.name(),
         reports.len()
     );
-    println!(
+    let _ = writeln!(
+        out,
         "{:<12} {:>6} {:>6} {:>7} {:>8} {:>9} {:>8}",
         "output", "inputs", "gates", "targets", "bridges", "cov@10", "tail11"
     );
@@ -752,7 +724,8 @@ fn cones(
             .iter()
             .find(|(n, _)| *n == 10)
             .map_or(100.0, |(_, pct)| *pct);
-        println!(
+        let _ = writeln!(
+            out,
             "{:<12} {:>6} {:>6} {:>7} {:>8} {:>8.2}% {:>8}",
             r.output_name,
             r.num_inputs,
@@ -763,39 +736,39 @@ fn cones(
             r.tail_11
         );
     }
-    Ok(())
+    Ok(out)
 }
 
 /// `ndet cache <stats|verify|repair|clear|gc>`: inspection and
 /// maintenance of the on-disk artifact store.
-fn cache(rest: &[&String], store: Option<&Store>) -> Result<(), String> {
+fn cache(rest: &[&String], store: Option<&Store>, out: &mut String) -> Result<(), String> {
     let sub = positionals(rest).first().copied().unwrap_or("stats");
     let store = store
         .ok_or("no cache directory configured: pass --cache-dir DIR or set NDETECT_CACHE_DIR")?;
     match sub {
         "stats" => {
             let s = store.stats().map_err(|e| e.to_string())?;
-            println!("cache dir: {}", store.root().display());
-            println!("entries: {}", s.entries);
-            println!("bytes: {}", s.total_bytes);
-            println!("hits: {}", s.hits);
-            println!("misses: {}", s.misses);
-            println!("writes: {}", s.writes);
-            println!("shards: {}", s.shards);
-            println!("flat entries: {}", s.flat_entries);
+            let _ = writeln!(out, "cache dir: {}", store.root().display());
+            let _ = writeln!(out, "entries: {}", s.entries);
+            let _ = writeln!(out, "bytes: {}", s.total_bytes);
+            let _ = writeln!(out, "hits: {}", s.hits);
+            let _ = writeln!(out, "misses: {}", s.misses);
+            let _ = writeln!(out, "writes: {}", s.writes);
+            let _ = writeln!(out, "shards: {}", s.shards);
+            let _ = writeln!(out, "flat entries: {}", s.flat_entries);
             // Per-shard entry histogram (occupied fan-out dirs only).
             let histogram = store.shard_histogram().map_err(|e| e.to_string())?;
             for (shard, count) in &histogram.shards {
-                println!("shard {shard}: {count}");
+                let _ = writeln!(out, "shard {shard}: {count}");
             }
             Ok(())
         }
         "verify" => {
             let report = store.verify().map_err(|e| e.to_string())?;
-            println!("valid entries: {}", report.valid);
-            println!("corrupt entries: {}", report.corrupt.len());
+            let _ = writeln!(out, "valid entries: {}", report.valid);
+            let _ = writeln!(out, "corrupt entries: {}", report.corrupt.len());
             for (path, reason) in &report.corrupt {
-                println!("  {}: {reason}", path.display());
+                let _ = writeln!(out, "  {}: {reason}", path.display());
             }
             if report.corrupt.is_empty() {
                 Ok(())
@@ -808,13 +781,14 @@ fn cache(rest: &[&String], store: Option<&Store>) -> Result<(), String> {
         }
         "repair" => {
             let report = store.repair().map_err(|e| e.to_string())?;
-            println!("valid entries: {}", report.valid);
-            println!("quarantined: {}", report.quarantined.len());
+            let _ = writeln!(out, "valid entries: {}", report.valid);
+            let _ = writeln!(out, "quarantined: {}", report.quarantined.len());
             for (path, reason) in &report.quarantined {
-                println!("  {}: {reason}", path.display());
+                let _ = writeln!(out, "  {}: {reason}", path.display());
             }
             if !report.quarantined.is_empty() {
-                println!(
+                let _ = writeln!(
+                    out,
                     "quarantined entries moved under {} (see MANIFEST); they rebuild as cache misses",
                     store.root().join("quarantine").display()
                 );
@@ -823,13 +797,14 @@ fn cache(rest: &[&String], store: Option<&Store>) -> Result<(), String> {
         }
         "clear" => {
             store.clear().map_err(|e| e.to_string())?;
-            println!("cache cleared: {}", store.root().display());
+            let _ = writeln!(out, "cache cleared: {}", store.root().display());
             Ok(())
         }
         "gc" => {
             let max_bytes = flag_value(rest, "--max-bytes")?.unwrap_or(256 * 1024 * 1024);
             let report = store.gc(max_bytes as u64).map_err(|e| e.to_string())?;
-            println!(
+            let _ = writeln!(
+                out,
                 "gc to {max_bytes} bytes: evicted {} entries ({} bytes), kept {} ({} bytes)",
                 report.evicted, report.freed_bytes, report.kept, report.kept_bytes
             );
@@ -847,7 +822,7 @@ fn cache(rest: &[&String], store: Option<&Store>) -> Result<(), String> {
 /// exhaustive simulation), generates compact n-detection sets at
 /// n = 1, 5, 10 for exhaustively analysed circuits, and emits a
 /// machine-readable CSV or JSON summary on stdout.
-fn corpus(rest: &[&String], knobs: Knobs, store: Option<&Store>) -> Result<(), String> {
+fn corpus(rest: &[&String], knobs: Knobs, store: Option<&Store>) -> Result<String, String> {
     let dir = positionals(rest)
         .first()
         .copied()
@@ -864,7 +839,6 @@ fn corpus(rest: &[&String], knobs: Knobs, store: Option<&Store>) -> Result<(), S
     };
     let provider = StoreProvider::new(store);
     let output = ndetect_serve::render_corpus(&request, knobs, &provider)?;
-    print!("{}", output.body);
     for message in &output.errors {
         eprintln!("# corpus error: {message}");
     }
@@ -875,22 +849,26 @@ fn corpus(rest: &[&String], knobs: Knobs, store: Option<&Store>) -> Result<(), S
             output.files
         );
     }
-    Ok(())
+    Ok(output.body)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn run(args: &[&str]) -> Result<(), String> {
+    fn run(args: &[&str]) -> Result<(), Failure> {
         let owned: Vec<String> = args.iter().map(ToString::to_string).collect();
-        dispatch(&owned)
+        dispatch(&owned, &mut std::io::sink())
     }
 
     #[test]
     fn rejects_missing_and_unknown_commands() {
-        assert!(dispatch(&[]).is_err());
-        assert!(run(&["frobnicate"]).is_err());
+        assert!(matches!(run(&[]), Err(Failure::Usage(_))));
+        assert!(matches!(run(&["frobnicate"]), Err(Failure::Usage(_))));
+        assert!(matches!(
+            run(&["greedy", "figure1"]),
+            Err(Failure::Usage(_))
+        ));
     }
 
     #[test]
@@ -915,7 +893,7 @@ mod tests {
 
     #[test]
     fn greedy_synth_dot_cones() {
-        assert!(run(&["greedy", "figure1", "--n", "2"]).is_ok());
+        assert!(run(&["gen", "figure1", "--n", "2"]).is_ok());
         assert!(run(&["synth", "figure1"]).is_ok());
         assert!(run(&["dot", "c17"]).is_ok());
         assert!(run(&["cones", "c17"]).is_ok());

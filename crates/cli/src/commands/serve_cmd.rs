@@ -8,12 +8,12 @@ use std::io::{self, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-use super::{flag_present, flag_str, flag_value, positionals};
+use super::{flag_present, flag_str, flag_value, positionals, write_stdout};
 
 /// `ndet serve [--addr A] [--addr-file F] [--request-timeout-ms T]
 /// [--hot-universes N] [--hot-sets N] [--max-conns N] [--chaos]`: bind,
 /// announce, serve until SIGTERM/ctrl-c, then drain and exit cleanly.
-pub fn serve(rest: &[&String], store: Option<Store>) -> Result<(), String> {
+pub fn serve(rest: &[&String], store: Option<Store>, stdout: &mut dyn Write) -> Result<(), String> {
     let config = ServerConfig {
         addr: flag_str(rest, "--addr")?
             .unwrap_or("127.0.0.1:0")
@@ -34,8 +34,7 @@ pub fn serve(rest: &[&String], store: Option<Store>) -> Result<(), String> {
     let addr = server.local_addr()?;
     // Announce before accepting so a supervisor can connect as soon as
     // the line appears.
-    println!("listening on {addr}");
-    let _ = std::io::stdout().flush();
+    write_stdout(stdout, &format!("listening on {addr}\n"))?;
     if let Some(path) = addr_file {
         // Temp-plus-rename so a polling client never reads a torn file.
         let tmp = format!("{path}.tmp");
@@ -72,7 +71,7 @@ enum Attempt {
 /// request — reconnect and resend — up to N times with exponential
 /// backoff (50ms doubling, capped at 3.2s) whenever the failure is on
 /// the `--retry-on` list (default: refused,busy,timeout).
-pub fn request(rest: &[&String]) -> Result<(), String> {
+pub fn request(rest: &[&String]) -> Result<String, String> {
     let pos = positionals(rest);
     let addr = *pos.first().ok_or("missing server address")?;
     if pos.len() < 2 {
@@ -88,10 +87,7 @@ pub fn request(rest: &[&String]) -> Result<(), String> {
     loop {
         let may_retry = attempt < retries;
         match attempt_once(addr, &line, timeout)? {
-            Attempt::Replied(Reply::Ok(payload)) => {
-                print!("{payload}");
-                return Ok(());
-            }
+            Attempt::Replied(Reply::Ok(payload)) => return Ok(payload),
             Attempt::Replied(Reply::Err { code, message }) => {
                 if !(may_retry && retry_on.contains(&code)) {
                     return Err(format!("server error ({code}): {message}"));

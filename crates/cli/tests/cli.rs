@@ -1,12 +1,14 @@
 //! Integration tests for the `ndet` CLI: drives `commands::dispatch`
-//! in-process for exit-status checks, and the compiled binary for
-//! output checks (the commands print to the process stdout).
+//! in-process for exit-status checks (discarding the output), and the
+//! compiled binary for output, stderr and exit-code checks.
 
-use ndetect_cli::commands;
-use std::process::Command;
+use ndetect_cli::commands::{self, Failure};
+use std::process::{Command, Stdio};
 
-fn args(parts: &[&str]) -> Vec<String> {
-    parts.iter().map(ToString::to_string).collect()
+/// Runs a command line in-process, discarding its output.
+fn dispatch(parts: &[&str]) -> Result<(), Failure> {
+    let args: Vec<String> = parts.iter().map(ToString::to_string).collect();
+    commands::dispatch(&args, &mut std::io::sink())
 }
 
 fn run_binary(parts: &[&str]) -> (bool, String, String) {
@@ -23,17 +25,24 @@ fn run_binary(parts: &[&str]) -> (bool, String, String) {
 
 #[test]
 fn dispatch_succeeds_on_core_commands() {
-    assert_eq!(commands::dispatch(&args(&["list"])), Ok(()));
-    assert_eq!(commands::dispatch(&args(&["stats", "figure1"])), Ok(()));
-    assert_eq!(commands::dispatch(&args(&["worst", "figure1"])), Ok(()));
+    assert_eq!(dispatch(&["list"]), Ok(()));
+    assert_eq!(dispatch(&["stats", "figure1"]), Ok(()));
+    assert_eq!(dispatch(&["worst", "figure1"]), Ok(()));
 }
 
 #[test]
 fn dispatch_rejects_bad_invocations() {
-    assert!(commands::dispatch(&args(&[])).is_err());
-    assert!(commands::dispatch(&args(&["frobnicate"])).is_err());
-    assert!(commands::dispatch(&args(&["stats", "no-such-circuit"])).is_err());
-    assert!(commands::dispatch(&args(&["worst", "figure1", "--floor", "NaN"])).is_err());
+    // Only a missing or unknown command word is a usage error.
+    assert!(matches!(dispatch(&[]), Err(Failure::Usage(_))));
+    assert!(matches!(dispatch(&["frobnicate"]), Err(Failure::Usage(_))));
+    assert!(matches!(
+        dispatch(&["stats", "no-such-circuit"]),
+        Err(Failure::Error(_))
+    ));
+    assert!(matches!(
+        dispatch(&["worst", "figure1", "--floor", "NaN"]),
+        Err(Failure::Error(_))
+    ));
 }
 
 #[test]
@@ -85,9 +94,54 @@ fn worst_reports_the_papers_figure1_nmin_profile() {
 
 #[test]
 fn unknown_command_exits_nonzero_with_usage() {
-    let (ok, _, stderr) = run_binary(&["frobnicate"]);
-    assert!(!ok);
-    assert!(stderr.contains("usage:"), "usage on stderr:\n{stderr}");
+    for line in [&["frobnicate"][..], &[]] {
+        let (ok, _, stderr) = run_binary(line);
+        assert!(!ok);
+        assert!(stderr.contains("usage:"), "usage on stderr:\n{stderr}");
+    }
+    // A data error prints the error alone.
+    let (ok, _, stderr) = run_binary(&["stats", "no-such-circuit"]);
+    assert!(!ok && stderr.starts_with("error: "), "{stderr}");
+    assert!(
+        !stderr.contains("usage:"),
+        "usage on a data error:\n{stderr}"
+    );
+}
+
+/// The write end of a pipe whose reader has already gone: the stdin of
+/// a `true` process that has exited.
+#[cfg(unix)]
+fn closed_pipe() -> Stdio {
+    let mut reader = Command::new("true")
+        .stdin(Stdio::piped())
+        .spawn()
+        .expect("true runs");
+    let writer = reader.stdin.take().expect("piped stdin");
+    reader.wait().expect("true exits");
+    Stdio::from(writer)
+}
+
+#[cfg(unix)]
+#[test]
+fn a_closed_stdout_pipe_exits_zero() {
+    let dir = temp_cache("closed-pipe");
+    let dirs = dir.to_str().expect("utf8 path");
+    // `ndet list | head`: the reader is gone before `ndet` writes.
+    for line in [
+        &["list"][..],
+        &["worst", "c17"],
+        &["cache", "stats", "--cache-dir", dirs],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_ndet"))
+            .args(line)
+            .stdout(closed_pipe())
+            .output()
+            .expect("ndet binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{line:?}: {:?}\n{stderr}", out.status);
+        assert!(stderr.is_empty(), "{line:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A throwaway cache directory, removed at the end of the test.
@@ -420,14 +474,19 @@ fn cache_subcommands_and_warm_analysis_round_trip() {
 
     let (ok, stats, _) = run_binary(&["cache", "stats", "--cache-dir", dirs]);
     assert!(ok);
-    assert!(stats.contains("entries: 2"), "{stats}"); // universe + nmin
-    assert!(stats.contains("hits: 2"), "{stats}");
-    assert!(stats.contains("misses: 2"), "{stats}");
+    // The report keeps its line order: the directory, then the counts.
+    let keys: Vec<&str> = stats.lines().filter_map(|l| l.split(':').next()).collect();
+    assert_eq!(
+        keys[..8].join(","),
+        "cache dir,entries,bytes,hits,misses,writes,shards,flat entries"
+    );
+    assert!(stats.contains("\nentries: 2\n"), "{stats}"); // universe + nmin
+    assert!(stats.contains("\nhits: 2\n"), "{stats}");
+    assert!(stats.contains("\nmisses: 2\n"), "{stats}");
 
     let (ok, verify, _) = run_binary(&["cache", "verify", "--cache-dir", dirs]);
     assert!(ok);
-    assert!(verify.contains("valid entries: 2"), "{verify}");
-    assert!(verify.contains("corrupt entries: 0"), "{verify}");
+    assert_eq!(verify, "valid entries: 2\ncorrupt entries: 0\n");
 
     // gc to zero bytes evicts everything; clear then leaves it empty.
     let (ok, gc, _) = run_binary(&["cache", "gc", "--cache-dir", dirs, "--max-bytes", "0"]);
@@ -519,14 +578,8 @@ fn cache_dir_flag_does_not_shadow_the_circuit_name() {
     // circuit name, in either order.
     let dir = temp_cache("flag-order");
     let dirs = dir.to_str().expect("utf8 path");
-    assert_eq!(
-        commands::dispatch(&args(&["stats", "--cache-dir", dirs, "figure1"])),
-        Ok(())
-    );
-    assert_eq!(
-        commands::dispatch(&args(&["stats", "figure1", "--cache-dir", dirs])),
-        Ok(())
-    );
+    assert_eq!(dispatch(&["stats", "--cache-dir", dirs, "figure1"]), Ok(()));
+    assert_eq!(dispatch(&["stats", "figure1", "--cache-dir", dirs]), Ok(()));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -643,7 +696,7 @@ fn cache_repair_quarantines_corruption_and_the_cache_recovers() {
     // A healthy store repairs to "nothing quarantined".
     let (ok, stdout, _) = run_binary(&["cache", "repair", "--cache-dir", dirs]);
     assert!(ok);
-    assert!(stdout.contains("quarantined: 0"), "{stdout}");
+    assert_eq!(stdout, "valid entries: 2\nquarantined: 0\n");
 
     // Corrupt one entry on disk; verify flags it, repair quarantines it.
     let victim = walk_entries(&dir)
@@ -692,26 +745,22 @@ fn walk_entries(root: &std::path::Path) -> Vec<std::path::PathBuf> {
 #[test]
 fn request_retry_on_flag_validation() {
     // Unknown tokens are rejected with the allowed list in the message.
-    let err = commands::dispatch(&args(&[
-        "request",
-        "127.0.0.1:1",
-        "ping",
-        "--retry-on",
-        "zebra",
-    ]))
-    .expect_err("bad token must fail");
+    let err = dispatch(&["request", "127.0.0.1:1", "ping", "--retry-on", "zebra"])
+        .expect_err("bad token must fail")
+        .to_string();
     assert!(err.contains("--retry-on"), "{err}");
     assert!(err.contains("refused,busy,timeout"), "{err}");
     // Valid lists parse; with zero retries the request itself still
     // fails fast against a dead port.
-    let err = commands::dispatch(&args(&[
+    let err = dispatch(&[
         "request",
         "127.0.0.1:1",
         "ping",
         "--retry-on",
         "busy,timeout",
-    ]))
-    .expect_err("dead port must fail");
+    ])
+    .expect_err("dead port must fail")
+    .to_string();
     assert!(err.contains("cannot connect"), "{err}");
 }
 

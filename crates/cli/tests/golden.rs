@@ -5,7 +5,9 @@
 //! its coverage rows, tail counts and `nmin` distribution, and the
 //! `ndet corpus` CSV carries `nmin` columns. `ndet average` pins
 //! Procedure 1 under both definitions, Definition 2's three-valued
-//! checks included. s27 covers the sequential explicit-target path.
+//! checks included. `ndet gen` pins the generator's vectors and their
+//! order, with and without compaction and seeded tie-breaking. s27
+//! covers the sequential explicit-target path.
 //! After an intended output change, regenerate a file from the
 //! repository root, e.g.
 //! `./target/release/ndet worst s1a > tests/golden/worst_s1a.txt`.
@@ -85,4 +87,23 @@ fn average_matches_its_goldens() {
         "average_cse_def2.txt",
         &ndet_stdout(&["average", "cse", "--k", "2", "--def", "2"]),
     );
+}
+
+#[test]
+fn gen_matches_its_goldens() {
+    // s1a twice: one worker and single-block gain spans build the same set.
+    let seeded = ["--n", "10", "--compact", "--seed", "5"];
+    let budgeted = [&seeded[..], &["--threads", "1", "--mem-budget", "1"]].concat();
+    for (circuit, flags) in [
+        ("figure1", &["--n", "3"][..]),
+        ("c17", &["--n", "5", "--compact"]),
+        ("cse", &seeded),
+        ("s1a", &seeded),
+        ("s1a", &budgeted),
+        ("rie", &["--n", "10"]),
+        ("s27", &["--n", "3", "--compact"]),
+    ] {
+        let args = [&["gen", circuit][..], flags].concat();
+        assert_golden(&format!("gen_{circuit}.txt"), &ndet_stdout(&args));
+    }
 }

@@ -42,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod atpg;
 mod average_case;
 mod definition;
 mod distribution;
@@ -62,5 +61,5 @@ pub use definition::DetectionDefinition;
 pub use distribution::NminDistribution;
 pub use error::CoreError;
 pub use summary::{AnalysisConfig, CircuitAnalysis};
-pub use test_set::TestSet;
+pub use test_set::{bridge_coverage, TestSet};
 pub use worst_case::{nmin_pair, overlapping_targets, WorstCaseAnalysis, KIND_WORST_CASE};

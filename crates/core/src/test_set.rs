@@ -1,5 +1,6 @@
 //! Test sets: ordered collections of distinct input vectors.
 
+use ndetect_faults::FaultUniverse;
 use ndetect_sim::VectorSet;
 use std::fmt;
 
@@ -106,6 +107,22 @@ impl fmt::Display for TestSet {
         }
         write!(f, "]")
     }
+}
+
+/// Percentage of the universe's untargeted (bridging) faults that a set
+/// of vectors detects — the coverage the ablations and examples report
+/// for generated and random test sets alike.
+#[must_use]
+pub fn bridge_coverage(universe: &FaultUniverse, set: &VectorSet) -> f64 {
+    if universe.bridges().is_empty() {
+        return 100.0;
+    }
+    let detected = universe
+        .bridge_sets()
+        .iter()
+        .filter(|t_g| set.intersects(t_g))
+        .count();
+    100.0 * detected as f64 / universe.bridges().len() as f64
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The greedy set-cover n-detection generator.
 
-// Hot module: per-round gain rows are the generator's bulk memory and
-// must come from the budgeted data plane (`ndetect_sim::rows`).
+// Hot module: the gain rows are the generator's bulk memory and must
+// come from the budgeted data plane (`ndetect_sim::rows`).
 #![deny(clippy::disallowed_methods)]
 
 use crate::artifact::{generated_key, KIND_GENERATED_SET};
@@ -28,15 +28,17 @@ pub struct GenOptions {
     /// rank, giving a different (still deterministic) set per seed —
     /// useful for generating diverse sets of the same quality.
     pub seed: Option<u64>,
-    /// Worker threads for the gain pass; `0` means auto
+    /// Worker threads for the initial gain pass; `0` means auto
     /// (`NDETECT_THREADS`, then the machine's available parallelism).
     /// Results are bit-identical for every thread count.
     pub threads: usize,
-    /// Per-worker memory budget for the gain pass: gain rows are
-    /// accumulated over budget-sized spans of the pattern space instead
-    /// of one full-width row per worker. A performance knob like
-    /// [`Self::threads`] — generated sets are bit-identical for every
-    /// budget, so it is excluded from the store key. `Auto` consults
+    /// Per-worker memory budget for the initial gain pass: workers
+    /// accumulate their partial gain rows over budget-sized spans of the
+    /// pattern space instead of one full-width row each. It does not
+    /// cap the one full-width gain row (4 bytes per pattern) that the
+    /// rounds maintain. A performance knob like [`Self::threads`] —
+    /// generated sets are bit-identical for every budget, so it is
+    /// excluded from the store key. `Auto` consults
     /// `NDETECT_MEM_BUDGET` and defaults to unbounded.
     pub mem_budget: MemoryBudget,
 }
@@ -229,23 +231,22 @@ fn pick_best_span(gain: &[u32], base: usize, seed: Option<u64>, best: &mut Optio
 }
 
 /// One 64-vector block's worth of gain counters (64 × `u32`) in u64
-/// words — the unit the memory budget meters the gain pass in: a
-/// worker's span row costs `8 · GAIN_WORDS_PER_BLOCK · span_blocks`
+/// words — the unit the memory budget meters the initial gain pass in:
+/// a worker's span row costs `8 · GAIN_WORDS_PER_BLOCK · span_blocks`
 /// bytes.
 const GAIN_WORDS_PER_BLOCK: usize = 32;
 
-/// Accumulates the gain of every candidate vector in one span of
-/// 64-vector blocks: each worker chunk of the active fault list walks
-/// its targets' remaining detection words (`T(f) \ chosen`) restricted
-/// to the span and scores them into a span-local gain row. Per-fault
-/// cost is uniform (every set spans the same block count), so one
-/// static chunk per worker balances fine and keeps the per-span
-/// allocation at `workers` rows. Partial rows are summed in chunk
-/// order, so the totals are identical for any thread count.
+/// Counts, for every vector in one span of 64-vector blocks, the
+/// deficient targets that detect it: each worker chunk of the active
+/// fault list walks its targets' detection words restricted to the span
+/// into a span-local row. Per-fault cost is uniform (every set spans the
+/// same block count), so one static chunk per worker balances fine and
+/// keeps the per-span allocation at `workers` rows. Partial rows are
+/// summed in chunk order, so the totals are identical for any thread
+/// count.
 fn gain_for_span(
     targets: &[VectorSet],
     active: &[u32],
-    members: &VectorSet,
     threads: usize,
     span: Range<usize>,
 ) -> Vec<u32> {
@@ -263,11 +264,10 @@ fn gain_for_span(
                 let end = ((w + 1) * chunk).min(active.len());
                 for &fi in &active[start..end] {
                     let t_words = targets[fi as usize].words();
-                    let m_words = members.words();
                     for b in span.clone() {
                         // Tail bits past |U| are zero by the VectorSet
                         // invariant, so they never score.
-                        let mut word = t_words[b] & !m_words[b];
+                        let mut word = t_words[b];
                         while word != 0 {
                             gain[b * 64 + word.trailing_zeros() as usize - base] += 1;
                             word &= word - 1;
@@ -292,19 +292,24 @@ fn gain_for_span(
 /// Builds a compact n-detection test set for the universe's target
 /// faults by greedy set cover.
 ///
-/// Each round accumulates, over fault tiles on the shared worker pool,
-/// the **gain** of every candidate vector — how many still-deficient
-/// targets it would push one detection closer to `min(n, |T(f)|)` — by
-/// walking `T(f) \ chosen` word-parallel on the detection bitsets; the
-/// highest-gain vector joins the set. Under a bounded
-/// [`GenOptions::mem_budget`] the gain rows are streamed over
-/// budget-sized spans of the pattern space instead of held full-width
-/// per worker. The construction is deterministic for every thread count
-/// and budget (tiles are reassembled in index order, spans are folded
-/// into the argmax in ascending vector order, and the argmax scan is
-/// serial), and seeded tie-breaking yields deterministic *diverse*
-/// sets. With `options.compact` the reverse-order redundant-vector
-/// elimination passes run before returning.
+/// The **gain** of a vector is the number of still-deficient targets it
+/// would push one detection closer to `min(n, |T(f)|)`. One pass over
+/// fault tiles on the shared worker pool fills the gain row (under a
+/// bounded [`GenOptions::mem_budget`], span by span of the pattern
+/// space); after that the row is maintained, not recomputed. Each round
+/// the highest-gain vector joins the set and its gain drops to zero, and
+/// every target that reaches its goal takes one unit of gain from each
+/// unchosen vector of its detection set. A round therefore costs one
+/// scan of `|U|` plus one pass over the active targets, and the gain
+/// work over the whole run is one walk of every `T(f)`.
+///
+/// The construction is deterministic for every thread count and budget
+/// (partial rows are summed in tile order and the argmax scan is
+/// serial): equal gains go to the smallest vector index, or with
+/// [`GenOptions::seed`] to the smallest seeded hash rank, which yields
+/// deterministic *diverse* sets. With `options.compact` the
+/// reverse-order redundant-vector elimination passes run before
+/// returning.
 ///
 /// Undetectable targets (empty `T(f)`) impose no requirement. The
 /// greedy invariant guarantees termination: while any target is
@@ -322,13 +327,11 @@ pub fn generate(universe: &FaultUniverse, options: &GenOptions) -> GeneratedSet 
 
     // Outstanding detections per target: min(n, |T(f)|) minus the
     // detections already provided by the chosen set (0 at the start).
-    let goal: Vec<u32> = targets
+    let mut deficit: Vec<u32> = targets
         .iter()
         .map(|t| (options.n as usize).min(t.len()) as u32)
         .collect();
-    let mut deficit = goal;
-    // Targets still short of their goal — the only ones the gain pass
-    // scans; shrinks every round.
+    // Targets still short of their goal; shrinks every round.
     let mut active: Vec<u32> = deficit
         .iter()
         .enumerate()
@@ -339,56 +342,61 @@ pub fn generate(universe: &FaultUniverse, options: &GenOptions) -> GeneratedSet 
     let mut members = VectorSet::new(num_patterns);
     let mut vectors: Vec<u32> = Vec::new();
 
-    // Budget-sized block spans for the gain rows: unbounded budgets get
-    // one full-width span per round (the fast path); bounded budgets
-    // stream the pattern space through span-local rows, folding each
-    // span into the running argmax — bit-identical either way, since
-    // spans are visited in ascending vector order.
+    let mut gen_span = trace::span("gen.generate");
+    gen_span.field("n", options.n);
+    gen_span.field("targets", targets.len());
+
+    // The initial gain row, filled over budget-sized block spans:
+    // unbounded budgets take one full-width span; bounded budgets cap
+    // each worker's partial row at a span. Tail entries past |U| stay 0.
     let num_blocks = universe.space().num_blocks();
     let span_blocks = options
         .mem_budget
         .tile_width(GAIN_WORDS_PER_BLOCK, num_blocks);
+    let mut gain = rows::zeroed_counts(num_blocks * 64);
+    let mut start = 0;
+    while start < num_blocks {
+        let end = num_blocks.min(start + span_blocks);
+        let span = gain_for_span(targets, &active, threads, start..end);
+        gain[start * 64..end * 64].copy_from_slice(&span);
+        start = end;
+    }
 
-    let mut gen_span = trace::span("gen.generate");
-    gen_span.field("n", options.n);
-    gen_span.field("targets", targets.len());
     while !active.is_empty() {
-        // Per-round span: gain-pass time, candidates scanned, and the
-        // gain of the vector the round chose — the per-round cost data
-        // the set-cover analysis (PAPERS.md, Cui) predicts shifts in.
-        let mut round_span = trace::span("gen.round");
-        round_span.field("active", active.len());
         let mut running: Option<Argmax> = None;
-        let mut start = 0;
-        while start < num_blocks {
-            let end = num_blocks.min(start + span_blocks);
-            let gain = gain_for_span(targets, &active, &members, threads, start..end);
-            // Vectors already chosen contribute nothing by construction
-            // (chosen words are masked out), so the argmax folds `gain`
-            // directly.
-            pick_best_span(&gain, start * 64, options.seed, &mut running);
-            start = end;
-        }
+        pick_best_span(&gain, 0, options.seed, &mut running);
         let (best, best_gain, _) = running.expect("at least one block");
         if best_gain == 0 {
             // Defensively unreachable: a deficient target always has an
             // unchosen vector left in T(f).
             break;
         }
-        round_span.field("gain", best_gain);
+        debug_assert!(!members.contains(best), "vector {best} chosen twice");
+        gain[best] = 0;
         members.insert(best);
         vectors.push(best as u32);
         active.retain(|&fi| {
-            let fi = fi as usize;
-            if targets[fi].contains(best) {
-                deficit[fi] -= 1;
+            let t_f = &targets[fi as usize];
+            let d = &mut deficit[fi as usize];
+            if t_f.contains(best) {
+                *d -= 1;
+                if *d == 0 {
+                    // Saturated: f no longer counts toward the gain of
+                    // the unchosen vectors that detect it.
+                    for v in t_f.iter_difference(&members) {
+                        gain[v] -= 1;
+                    }
+                }
             }
-            deficit[fi] > 0
+            *d > 0
         });
-        ndetect_obs::global().counter("gen_rounds_total").inc();
     }
     gen_span.field("vectors", vectors.len());
     drop(gen_span);
+    // One round per chosen vector: the rounds are the uncompacted set size.
+    ndetect_obs::global()
+        .counter("gen_rounds_total")
+        .add(vectors.len() as u64);
     ndetect_obs::global().counter("gen_sets_total").inc();
 
     let mut set = GeneratedSet {

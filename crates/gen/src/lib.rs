@@ -4,13 +4,14 @@
 //! The paper analyzes properties of n-detection test sets; this crate
 //! *produces* them. [`generate`] runs a deterministic greedy set-cover
 //! construction over a [`ndetect_faults::FaultUniverse`]: each round it
-//! picks the input vector that satisfies the most still-outstanding
-//! (fault, remaining-detections) pairs, with the gain pass accumulated
-//! over fault tiles on the `ndetect_sim::parallel` worker pool and all
-//! per-fault accounting done word-parallel on the universe's detection
-//! bitsets. Optional [`compact`] passes then eliminate redundant vectors
-//! in reverse insertion order without ever breaking the n-detection
-//! property.
+//! picks the input vector that advances the most still-deficient
+//! targets. One pass over fault tiles on the `ndetect_sim::parallel`
+//! worker pool counts every vector's gain; the rounds then maintain
+//! that row, taking one unit from each unchosen vector of a target's
+//! detection set when the target reaches its goal, word-parallel on the
+//! universe's detection bitsets. Optional [`compact`] passes then
+//! eliminate redundant vectors in reverse insertion order without ever
+//! breaking the n-detection property.
 //!
 //! The result is a [`GeneratedSet`] — vectors in insertion order plus
 //! per-target detection counts and the options that produced it — which

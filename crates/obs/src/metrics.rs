@@ -6,8 +6,8 @@
 //! lock is only taken on registration and exposition. Components with
 //! per-instance metric populations (a serving engine, one store) own a
 //! private [`Registry`] and register their existing atomics into it, so
-//! the legacy render paths (`counters` verb, `cache stats`) and the
-//! Prometheus exposition read the same cells — one source of truth.
+//! the other render paths (`cache stats`) and the Prometheus exposition
+//! read the same cells — one source of truth.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

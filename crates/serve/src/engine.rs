@@ -27,16 +27,16 @@ use ndetect_obs::{trace, Counter, Histogram, Registry};
 use ndetect_store::{ArtifactKey, Store};
 use std::sync::{Arc, Mutex};
 
-/// Monotonic counters exposed by the `counters` request; the CI
-/// serve-smoke job asserts `universe_builds`/`gen_builds` stay equal to
-/// the number of *distinct* artifacts requested, however many identical
-/// requests raced.
+/// Monotonic build and traffic counters; the CI serve-smoke job asserts
+/// through the `metrics` request that `universe_builds`/`gen_builds`
+/// stay equal to the number of *distinct* artifacts requested, however
+/// many identical requests raced.
 ///
-/// Each field is an [`ndetect_obs::Counter`] cell that the engine also
-/// registers into its per-instance metrics [`Registry`], so the legacy
-/// `counters` text and the Prometheus `metrics` exposition read the
-/// same atomics — one source of truth. (Per-instance, not global: tests
-/// run several engines in one process and assert exact counts.)
+/// Each field is an [`ndetect_obs::Counter`] cell that the engine
+/// registers into its per-instance metrics [`Registry`], so the
+/// Prometheus `metrics` exposition and in-process callers read the same
+/// atomics. (Per-instance, not global: tests run several engines in one
+/// process and assert exact counts.)
 #[derive(Debug, Default)]
 pub struct Counters {
     /// Requests accepted (parsed and executed, whatever the outcome).
@@ -65,31 +65,6 @@ pub struct Counters {
 }
 
 impl Counters {
-    /// Renders the counters as stable `key value` lines (the `counters`
-    /// request payload; CI greps these).
-    #[must_use]
-    pub fn render(&self, store: Option<&Store>) -> String {
-        let mut out = String::new();
-        use std::fmt::Write as _;
-        let _ = writeln!(out, "requests {}", self.requests.get());
-        let _ = writeln!(out, "universe_builds {}", self.universe_builds.get());
-        let _ = writeln!(out, "gen_builds {}", self.gen_builds.get());
-        let _ = writeln!(out, "hot_hits {}", self.hot_hits.get());
-        let _ = writeln!(out, "hot_evictions {}", self.hot_evictions.get());
-        let _ = writeln!(out, "coalesced {}", self.coalesced.get());
-        let _ = writeln!(out, "errors {}", self.errors.get());
-        let _ = writeln!(out, "rejected {}", self.rejected.get());
-        let _ = writeln!(out, "panics_caught {}", self.panics_caught.get());
-        let _ = writeln!(out, "flights_poisoned {}", self.flights_poisoned.get());
-        if let Some(store) = store {
-            let _ = writeln!(out, "store_hits {}", store.session_hits());
-            let _ = writeln!(out, "store_misses {}", store.session_misses());
-            let _ = writeln!(out, "store_writes {}", store.session_writes());
-            let _ = writeln!(out, "store_write_errors {}", store.session_write_errors());
-        }
-        out
-    }
-
     /// Registers every counter cell into `registry` under its
     /// exposition name.
     fn register(&self, registry: &Registry) {
@@ -175,13 +150,6 @@ impl Engine {
     /// Records one request's wall time into the latency histogram.
     pub fn record_request_latency_us(&self, micros: u64) {
         self.request_latency_us.record(micros);
-    }
-
-    /// Renders the counters (including store session counters when a
-    /// store is configured).
-    #[must_use]
-    pub fn render_counters(&self) -> String {
-        self.counters.render(self.store.as_ref())
     }
 
     /// Renders the full Prometheus-style exposition: this engine's

@@ -41,7 +41,6 @@
 //! worst <circuit> [floor=N] [model=M]
 //! gen <circuit> [n=N] [compact] [seed=S] [model=M]
 //! corpus <dir> [format=csv|json] [max_inputs=N] [recursive]
-//! counters
 //! metrics
 //! ping
 //! sleep [ms=N]
@@ -113,8 +112,6 @@ pub enum Request {
         /// Performance knobs.
         knobs: Knobs,
     },
-    /// `counters`: the engine's build/traffic counters.
-    Counters,
     /// `metrics`: the Prometheus-style text exposition (the engine's
     /// registry plus the process-global library metrics).
     Metrics,
@@ -368,13 +365,6 @@ impl Request {
                     knobs,
                 })
             }
-            "counters" => {
-                reject_extras("counters", &extras)?;
-                if positional.is_some() {
-                    return Err(ErrorReply::parse("`counters` takes no arguments"));
-                }
-                Ok(Request::Counters)
-            }
             "metrics" => {
                 reject_extras("metrics", &extras)?;
                 if positional.is_some() {
@@ -545,7 +535,6 @@ mod tests {
     #[test]
     fn parses_the_verbs() {
         assert_eq!(Request::parse("ping").unwrap(), Request::Ping);
-        assert_eq!(Request::parse("counters").unwrap(), Request::Counters);
         assert_eq!(Request::parse("metrics").unwrap(), Request::Metrics);
         let stats = Request::parse("stats figure1").unwrap();
         assert!(matches!(stats, Request::Stats { ref circuit, .. } if circuit == "figure1"));

@@ -329,11 +329,6 @@ fn execute_line_traced(
             request_span.field("outcome", "ok");
             return write_ok_traced(writer, "pong\n");
         }
-        Request::Counters => {
-            let payload = engine.render_counters();
-            request_span.field("outcome", "ok");
-            return write_ok_traced(writer, &payload);
-        }
         Request::Metrics => {
             let payload = engine.render_metrics();
             request_span.field("outcome", "ok");
@@ -619,7 +614,7 @@ fn execute_request(
             std::thread::sleep(Duration::from_millis(*ms));
             Ok(format!("slept {ms}ms\n"))
         }
-        Request::Ping | Request::Counters | Request::Metrics | Request::Chaos(_) => {
+        Request::Ping | Request::Metrics | Request::Chaos(_) => {
             unreachable!("answered inline")
         }
     }
@@ -660,11 +655,17 @@ mod tests {
     fn ping_counters_and_errors_round_trip() {
         let (addr, _engine, shutdown, handle) = start(ServerConfig::default());
         assert_eq!(request_line(addr, "ping"), Reply::Ok("pong\n".to_string()));
-        assert!(matches!(request_line(addr, "counters"), Reply::Ok(_)));
-        let Reply::Err { code, .. } = request_line(addr, "frobnicate") else {
-            panic!("expected parse error");
+        // The counters travel in the `metrics` exposition.
+        let Reply::Ok(metrics) = request_line(addr, "metrics") else {
+            panic!("expected the exposition");
         };
-        assert_eq!(code, "parse");
+        assert!(metrics.contains("\nuniverse_builds 0\n"), "{metrics}");
+        for unknown in ["frobnicate", "counters"] {
+            let Reply::Err { code, .. } = request_line(addr, unknown) else {
+                panic!("expected parse error for `{unknown}`");
+            };
+            assert_eq!(code, "parse");
+        }
         let Reply::Err { code, .. } = request_line(addr, "stats not-a-circuit") else {
             panic!("expected analysis error");
         };

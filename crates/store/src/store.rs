@@ -136,9 +136,8 @@ pub struct GcReport {
 ///
 /// The session counters are [`ndetect_obs::Counter`] cells, so callers
 /// can register them into a metrics registry
-/// ([`Store::register_metrics`]) and have `cache stats`, the serve
-/// `counters` verb, and Prometheus exposition all read the same
-/// atomics.
+/// ([`Store::register_metrics`]) and have `cache stats` and the
+/// Prometheus exposition read the same atomics.
 #[derive(Debug)]
 pub struct Store {
     root: PathBuf,
@@ -171,8 +170,7 @@ impl Store {
 
     /// Registers this store's session counters into `registry` under
     /// `store_hits` / `store_misses` / `store_writes` — the exposition
-    /// then reads the very cells `cache stats` and the serve `counters`
-    /// verb already report.
+    /// then reads the very cells `cache stats` already reports.
     pub fn register_metrics(&self, registry: &ndetect_obs::Registry) {
         registry.register_counter("store_hits", Arc::clone(&self.session_hits));
         registry.register_counter("store_misses", Arc::clone(&self.session_misses));

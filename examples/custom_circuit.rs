@@ -5,9 +5,11 @@
 //!
 //! Run with: `cargo run --release --example custom_circuit`
 
-use ndetect::analysis::atpg::{bridge_coverage, greedy_n_detection};
-use ndetect::analysis::{estimate_detection_probabilities, Procedure1Config, WorstCaseAnalysis};
+use ndetect::analysis::{
+    bridge_coverage, estimate_detection_probabilities, Procedure1Config, WorstCaseAnalysis,
+};
 use ndetect::faults::FaultUniverse;
+use ndetect::gen::{generate, GenOptions};
 use ndetect::netlist::{bench_format, NetlistBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -78,11 +80,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // And a compact deterministic test set.
     for n in [1u32, 5] {
-        let set = greedy_n_detection(&universe, n);
+        let set = generate(&universe, &GenOptions::with_n(n));
         println!(
             "greedy {n}-detection set: {} tests, bridging coverage {:.1}%",
             set.len(),
-            bridge_coverage(&universe, &set)
+            bridge_coverage(&universe, set.as_vector_set())
         );
     }
     Ok(())

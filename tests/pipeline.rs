@@ -3,12 +3,13 @@
 //! circuits, checking the structural invariants that must hold for
 //! *any* circuit.
 
-use ndetect::analysis::atpg::{bridge_coverage, greedy_n_detection};
 use ndetect::analysis::{
-    estimate_detection_probabilities, DetectionDefinition, Procedure1Config, WorstCaseAnalysis,
+    bridge_coverage, estimate_detection_probabilities, DetectionDefinition, Procedure1Config,
+    WorstCaseAnalysis,
 };
 use ndetect::faults::FaultUniverse;
 use ndetect::fsm::{synthesize, MinimizeMode, StateEncoding, SynthOptions};
+use ndetect::gen::{generate, GenOptions};
 
 /// Small, fast circuits exercised in debug-mode CI.
 const SMALL: &[&str] = &["lion", "dk27", "bbtas", "firstex", "modulo12", "tav"];
@@ -126,7 +127,7 @@ fn greedy_sets_beat_random_sets_on_size() {
     for name in ["bbtas", "tav"] {
         let netlist = ndetect::circuits::build(name).expect("builds");
         let universe = FaultUniverse::build(&netlist).expect("fits");
-        let greedy = greedy_n_detection(&universe, 3);
+        let greedy = generate(&universe, &GenOptions::with_n(3));
         let config = Procedure1Config {
             nmax: 3,
             num_test_sets: 5,
@@ -142,7 +143,17 @@ fn greedy_sets_beat_random_sets_on_size() {
             "{name}: greedy {} not competitive with random {avg_random}",
             greedy.len()
         );
-        assert!(bridge_coverage(&universe, &greedy) > 0.0);
+        assert!(bridge_coverage(&universe, greedy.as_vector_set()) > 0.0);
+        // Bridging coverage grows with n here (not a theorem: the greedy
+        // set for a larger n need not contain the smaller one).
+        let coverage = |n| {
+            bridge_coverage(
+                &universe,
+                generate(&universe, &GenOptions::with_n(n)).as_vector_set(),
+            )
+        };
+        let (c1, c8) = (coverage(1), coverage(8));
+        assert!(c1 <= c8 && c8 <= 100.0, "{name}: {c1} at n=1, {c8} at n=8");
     }
 }
 
