@@ -2,7 +2,8 @@
 //! against the files in `tests/golden/` at the repository root.
 //!
 //! They pin the worst-case `nmin` pass end to end: `ndet worst` prints
-//! its coverage rows, tail counts and `nmin` distribution, and the
+//! its coverage rows, tail counts and `nmin` distribution, `ndet stats`
+//! prints `|F|`, `|G|` and the undetectable-bridge count, and the
 //! `ndet corpus` CSV carries `nmin` columns. `ndet average` pins
 //! Procedure 1 under both definitions, Definition 2's three-valued
 //! checks included. `ndet gen` pins the generator's vectors and their
@@ -57,6 +58,16 @@ fn worst_matches_its_goldens() {
         assert_golden(
             &format!("worst_{circuit}.txt"),
             &ndet_stdout(&["worst", circuit]),
+        );
+    }
+}
+
+#[test]
+fn stats_matches_its_goldens() {
+    for circuit in ["figure1", "c17", "cse", "s1a", "s27"] {
+        assert_golden(
+            &format!("stats_{circuit}.txt"),
+            &ndet_stdout(&["stats", circuit]),
         );
     }
 }

@@ -61,5 +61,5 @@ pub use definition::DetectionDefinition;
 pub use distribution::NminDistribution;
 pub use error::CoreError;
 pub use summary::{AnalysisConfig, CircuitAnalysis};
-pub use test_set::{bridge_coverage, TestSet};
+pub use test_set::{bridge_coverage, bridges_detected, TestSet};
 pub use worst_case::{nmin_pair, overlapping_targets, WorstCaseAnalysis, KIND_WORST_CASE};

@@ -117,12 +117,25 @@ pub fn bridge_coverage(universe: &FaultUniverse, set: &VectorSet) -> f64 {
     if universe.bridges().is_empty() {
         return 100.0;
     }
-    let detected = universe
-        .bridge_sets()
+    100.0 * bridges_detected(universe, set) as f64 / universe.bridges().len() as f64
+}
+
+/// Number of the universe's untargeted (bridging) faults that a set of
+/// vectors detects: one intersection test per distinct `T(g)`
+/// ([`FaultUniverse::bridge_classes`]), counted per bridge through
+/// [`FaultUniverse::bridge_class_of`].
+#[must_use]
+pub fn bridges_detected(universe: &FaultUniverse, set: &VectorSet) -> usize {
+    let detected: Vec<bool> = universe
+        .bridge_classes()
         .iter()
-        .filter(|t_g| set.intersects(t_g))
-        .count();
-    100.0 * detected as f64 / universe.bridges().len() as f64
+        .map(|t_g| set.intersects(t_g))
+        .collect();
+    universe
+        .bridge_class_of()
+        .iter()
+        .filter(|&&c| detected[c as usize])
+        .count()
 }
 
 #[cfg(test)]

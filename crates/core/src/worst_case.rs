@@ -6,7 +6,6 @@ use ndetect_store::{
     decode_from_slice, encode_to_vec, ArtifactKey, ArtifactKind, CodecError, Decode, Decoder,
     Encode, Encoder, Fnv64, Store, CODEC_VERSION,
 };
-use std::collections::HashMap;
 use std::fmt;
 
 /// Store kind tag for serialized worst-case (`nmin` vector) analyses.
@@ -37,11 +36,10 @@ impl WorstCaseAnalysis {
     /// the auto worker count (`NDETECT_THREADS`, then the machine's
     /// available parallelism).
     ///
-    /// The pass scans once per *distinct* detection set. Bridges are
-    /// grouped by a word-level hash of `T(g)`, and each hash bucket is
-    /// split by full word equality, so a hash collision can never merge
-    /// two sets. Every bridge of a group gets the `nmin` and witness
-    /// scanned for the group's first bridge.
+    /// The pass scans once per *distinct* detection set, i.e. once per
+    /// class of [`FaultUniverse::bridge_classes`], and every bridge gets
+    /// the `nmin` and witness of its class
+    /// ([`FaultUniverse::bridge_class_of`]).
     ///
     /// Each scan walks the targets in ascending `(N(f), index)` order. It
     /// stops once `max(1, N(f) − N(g) + 1)`, a lower bound on this and
@@ -59,25 +57,23 @@ impl WorstCaseAnalysis {
     }
 
     /// Computes `nmin(g)` with up to `num_threads` workers (`0` = auto).
-    /// Hashing and the per-set scans are split across the workers, and
-    /// each scan depends only on its own set, so the result is identical
-    /// for every thread count.
+    /// The per-class scans are split across the workers, and each scan
+    /// depends only on its own set, so the result is identical for every
+    /// thread count.
     #[must_use]
     pub fn compute_with(universe: &FaultUniverse, num_threads: usize) -> Self {
         let threads = parallel::resolve_threads(num_threads);
-        let classes = SetClasses::of(universe.bridge_sets(), threads);
+        let classes = universe.bridge_classes();
         let targets = ScanOrder::of(universe.target_sets());
         let per_class: Vec<Option<(usize, usize)>> =
-            parallel::run_tiled_with(threads, classes.first.len(), Vec::new, |profile, range| {
-                range
-                    .map(|c| targets.best(universe.bridge_set(classes.first[c]), profile))
-                    .collect()
+            parallel::run_tiled_with(threads, classes.len(), Vec::new, |profile, range| {
+                range.map(|c| targets.best(&classes[c], profile)).collect()
             });
-        let (nmin, witness) = classes
-            .class_of
+        let (nmin, witness) = universe
+            .bridge_class_of()
             .iter()
             .map(|&c| {
-                let best = per_class[c];
+                let best = per_class[c as usize];
                 (
                     best.map(|(b, _)| u32::try_from(b).expect("nmin fits u32")),
                     best.map(|(_, fi)| fi),
@@ -256,59 +252,6 @@ fn overlap_bound(f: &[Group], g: &[Group]) -> usize {
         }
     }
     lanes.iter().map(|&l| usize::from(l)).sum()
-}
-
-/// Bridges grouped by identical detection set: `first[c]` is the lowest
-/// bridge index of class `c`, and `class_of[j]` is the class of bridge
-/// `j`.
-struct SetClasses {
-    first: Vec<usize>,
-    class_of: Vec<usize>,
-}
-
-impl SetClasses {
-    /// Buckets the sets by a word-level hash, computed in parallel, and
-    /// splits each bucket by full word equality, so a hash collision
-    /// costs a compare, never a merge.
-    fn of(sets: &[VectorSet], threads: usize) -> Self {
-        let hashes: Vec<u64> = parallel::run_tiled(threads, sets.len(), |range| {
-            range.map(|j| word_hash(sets[j].words())).collect()
-        });
-        let mut buckets: HashMap<u64, Vec<usize>> = HashMap::new();
-        let mut first: Vec<usize> = Vec::new();
-        let class_of = hashes
-            .iter()
-            .enumerate()
-            .map(|(j, &h)| {
-                let bucket = buckets.entry(h).or_default();
-                if let Some(&c) = bucket.iter().find(|&&c| sets[first[c]] == sets[j]) {
-                    return c;
-                }
-                first.push(j);
-                bucket.push(first.len() - 1);
-                first.len() - 1
-            })
-            .collect();
-        SetClasses { first, class_of }
-    }
-}
-
-/// An FxHash-style multiply-rotate hash over the words of a set, in four
-/// independent lanes so the multiply chains overlap.
-fn word_hash(words: &[u64]) -> u64 {
-    const K: u64 = 0x517c_c1b7_2722_0a95;
-    let mix = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
-    let mut lanes = [0u64; 4];
-    let mut chunks = words.chunks_exact(4);
-    for chunk in &mut chunks {
-        for (h, &w) in lanes.iter_mut().zip(chunk) {
-            *h = mix(*h, w);
-        }
-    }
-    lanes
-        .iter()
-        .chain(chunks.remainder())
-        .fold(words.len() as u64, |h, &w| mix(h, w))
 }
 
 /// The detectable targets in ascending `(N(f), index)` order, each with

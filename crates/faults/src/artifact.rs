@@ -2,9 +2,11 @@
 //! artifact store (`ndetect-store`).
 //!
 //! The cache key is `hash(canonical netlist bytes + universe options +
-//! codec version)` — see [`universe_key`]. The payload carries
-//! everything expensive about a universe: the target and bridging fault
-//! lists, every detection set, and the fault-free good-value blocks.
+//! codec version + payload layout)` — see [`universe_key`]. The payload
+//! carries everything expensive about a universe: the target and
+//! bridging fault lists, every target detection set, each distinct
+//! bridging detection set once plus every bridge's class index, and the
+//! fault-free good-value blocks.
 //! Cheap structural tables (equivalence collapsing, reachability, fanout
 //! cones) are recomputed on load.
 //!
@@ -25,6 +27,11 @@ use ndetect_store::{
 /// Store kind tag for serialized fault universes.
 pub const KIND_UNIVERSE: ArtifactKind = 1;
 
+/// The payload layout, mixed into both universe keys: entries in an
+/// older layout (one detection set per bridge) are misses, not decode
+/// attempts.
+const UNIVERSE_LAYOUT: &[u8] = b"layout:bridge-classes";
+
 fn bridge_model_tag(model: BridgeModel) -> u8 {
     match model {
         BridgeModel::FourWay => 0,
@@ -43,8 +50,8 @@ fn bridge_model_from_tag(tag: u8) -> Option<BridgeModel> {
 }
 
 /// The content-addressed key of a universe: the FNV-1a hash of the
-/// canonical netlist bytes, the semantic universe options, and the codec
-/// version. [`UniverseOptions::threads`] and
+/// canonical netlist bytes, the semantic universe options, the codec
+/// version and the payload layout. [`UniverseOptions::threads`] and
 /// [`UniverseOptions::mem_budget`] are deliberately excluded — universes
 /// are bit-identical for every worker count and memory budget, so a
 /// cache populated on one machine hits on another with a different core
@@ -54,6 +61,7 @@ pub fn universe_key(netlist: &Netlist, options: UniverseOptions) -> ArtifactKey 
     let mut h = Fnv64::new();
     h.update(b"ndetect.universe");
     h.update_u64(u64::from(CODEC_VERSION));
+    h.update(UNIVERSE_LAYOUT);
     h.update(&netlist.canonical_bytes());
     h.update(&[
         u8::from(options.collapse_targets),
@@ -76,6 +84,7 @@ pub fn explicit_universe_key(canonical: &[u8], options: UniverseOptions) -> Arti
     let mut h = Fnv64::new();
     h.update(b"ndetect.universe.explicit");
     h.update_u64(u64::from(CODEC_VERSION));
+    h.update(UNIVERSE_LAYOUT);
     h.update(canonical);
     h.update(&[
         u8::from(options.collapse_targets),
@@ -166,7 +175,8 @@ pub(crate) struct UniverseArtifactRef<'a> {
     pub targets: &'a [StuckAtFault],
     pub target_sets: &'a [VectorSet],
     pub bridges: &'a [BridgingFault],
-    pub bridge_sets: &'a [VectorSet],
+    pub bridge_classes: &'a [VectorSet],
+    pub bridge_class_of: &'a [u32],
     pub num_undetectable_bridges: usize,
     pub good: &'a GoodValues,
 }
@@ -180,7 +190,8 @@ impl Encode for UniverseArtifactRef<'_> {
         self.targets.encode(e);
         self.target_sets.encode(e);
         self.bridges.encode(e);
-        self.bridge_sets.encode(e);
+        self.bridge_classes.encode(e);
+        self.bridge_class_of.encode(e);
         e.put_usize(self.num_undetectable_bridges);
         self.good.encode(e);
     }
@@ -198,7 +209,8 @@ pub(crate) struct UniverseArtifact {
     pub targets: Vec<StuckAtFault>,
     pub target_sets: Vec<VectorSet>,
     pub bridges: Vec<BridgingFault>,
-    pub bridge_sets: Vec<VectorSet>,
+    pub bridge_classes: Vec<VectorSet>,
+    pub bridge_class_of: Vec<u32>,
     pub num_undetectable_bridges: usize,
     pub good: GoodValues,
 }
@@ -213,7 +225,8 @@ impl Decode for UniverseArtifact {
             targets: Vec::decode(d)?,
             target_sets: Vec::decode(d)?,
             bridges: Vec::decode(d)?,
-            bridge_sets: Vec::decode(d)?,
+            bridge_classes: Vec::decode(d)?,
+            bridge_class_of: Vec::decode(d)?,
             num_undetectable_bridges: d.get_usize()?,
             good: GoodValues::decode(d)?,
         })
@@ -241,7 +254,7 @@ impl UniverseArtifact {
             && self.num_lines == netlist.lines().len()
             && stored == semantic
             && self.targets.len() == self.target_sets.len()
-            && self.bridges.len() == self.bridge_sets.len()
+            && self.bridges.len() == self.bridge_class_of.len()
             && self.targets.iter().all(|f| f.line.index() < self.num_lines)
             && self
                 .bridges
@@ -250,18 +263,37 @@ impl UniverseArtifact {
             && self
                 .target_sets
                 .iter()
-                .chain(self.bridge_sets.iter())
+                .chain(self.bridge_classes.iter())
                 .all(|s| s.num_patterns() == num_patterns)
+            && self.bridge_classes.iter().all(|s| !s.is_empty())
+            && classes_in_first_occurrence_order(&self.bridge_class_of, self.bridge_classes.len())
             && self.good.num_nodes() == netlist.num_nodes()
             && self.good.num_blocks() == num_patterns.div_ceil(64).max(1)
     }
 }
 
+/// Whether `class_of` opens the classes `0..num_classes` in order (each
+/// index is at most one past every earlier one) and uses all of them:
+/// no index is out of range and no class is unreferenced.
+fn classes_in_first_occurrence_order(class_of: &[u32], num_classes: usize) -> bool {
+    let mut opened = 0usize;
+    for &c in class_of {
+        let c = c as usize;
+        if c == opened {
+            opened += 1;
+        } else if c > opened {
+            return false;
+        }
+    }
+    opened == num_classes
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::universe::FaultUniverse;
     use ndetect_netlist::NetlistBuilder;
-    use ndetect_store::{decode_from_slice, encode_to_vec};
+    use ndetect_store::{decode_from_slice, encode_to_vec, Store};
 
     fn and2() -> Netlist {
         let mut b = NetlistBuilder::new("and2");
@@ -345,5 +377,88 @@ mod tests {
                 ..o
             }
         );
+    }
+
+    fn figure1() -> Netlist {
+        let mut b = NetlistBuilder::new("figure1");
+        let i1 = b.input("1");
+        let i2 = b.input("2");
+        let i3 = b.input("3");
+        let i4 = b.input("4");
+        let g9 = b.and("9", &[i1, i2]).unwrap();
+        let g10 = b.and("10", &[i2, i3]).unwrap();
+        let g11 = b.or("11", &[i3, i4]).unwrap();
+        b.output(g9);
+        b.output(g10);
+        b.output(g11);
+        b.build().unwrap()
+    }
+
+    fn encode_artifact(a: &UniverseArtifact) -> Vec<u8> {
+        encode_to_vec(&UniverseArtifactRef {
+            num_inputs: a.num_inputs,
+            num_nodes: a.num_nodes,
+            num_lines: a.num_lines,
+            options: a.options,
+            targets: &a.targets,
+            target_sets: &a.target_sets,
+            bridges: &a.bridges,
+            bridge_classes: &a.bridge_classes,
+            bridge_class_of: &a.bridge_class_of,
+            num_undetectable_bridges: a.num_undetectable_bridges,
+            good: &a.good,
+        })
+    }
+
+    #[test]
+    fn bad_bridge_class_tables_are_rejected_and_rebuilt() {
+        let n = figure1();
+        let options = UniverseOptions::default();
+        let fresh = FaultUniverse::build_with(&n, options).unwrap();
+        let bytes = encode_to_vec(&fresh.artifact_ref());
+        let decoded = decode_from_slice::<UniverseArtifact>(&bytes).unwrap();
+        assert!(decoded.is_consistent_with(&n, options));
+
+        let dir = std::env::temp_dir().join(format!(
+            "ndetect-faults-artifact-classes-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Store::open(&dir).unwrap();
+        let key = universe_key(&n, options);
+        type Damage = fn(&mut UniverseArtifact);
+        let damages: [(&str, Damage); 4] = [
+            ("out-of-range class index", |a| {
+                let past_end = a.bridge_classes.len() as u32;
+                *a.bridge_class_of.last_mut().unwrap() = past_end;
+            }),
+            ("empty class", |a| {
+                let space = a.bridge_classes[0].num_patterns();
+                a.bridge_classes[0] = VectorSet::new(space);
+            }),
+            ("unreferenced class", |a| {
+                let copy = a.bridge_classes[0].clone();
+                a.bridge_classes.push(copy);
+            }),
+            ("short class index", |a| {
+                a.bridge_class_of.pop();
+            }),
+        ];
+        for (label, damage) in damages {
+            let mut bad = decode_from_slice::<UniverseArtifact>(&bytes).unwrap();
+            damage(&mut bad);
+            assert!(!bad.is_consistent_with(&n, options), "{label}");
+            store.save_best_effort(key, KIND_UNIVERSE, &encode_artifact(&bad));
+            assert!(store.load(key, KIND_UNIVERSE).is_some(), "{label}");
+            let rebuilt = FaultUniverse::build_stored(&n, options, Some(&store)).unwrap();
+            assert_eq!(rebuilt.bridges(), fresh.bridges(), "{label}");
+            assert_eq!(rebuilt.bridge_classes(), fresh.bridge_classes(), "{label}");
+            assert_eq!(
+                rebuilt.bridge_class_of(),
+                fresh.bridge_class_of(),
+                "{label}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

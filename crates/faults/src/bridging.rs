@@ -1,5 +1,6 @@
 //! Four-way bridging faults between outputs of multi-input gates.
 
+use crate::stuck_at::StuckAtFault;
 use ndetect_netlist::{LineId, Netlist, ReachabilityMatrix};
 use std::fmt;
 
@@ -41,6 +42,14 @@ impl BridgingFault {
             aggressor,
             aggressor_value,
         }
+    }
+
+    /// The victim stem stuck at `ā1`. It flips the victim on exactly the
+    /// vectors where the fault-free victim is `a1`, so
+    /// `T(g) = T(l1 stuck-at ā1) ∩ {t : l2(t) = a2}`, with `l2(t)` the
+    /// fault-free aggressor value.
+    pub(crate) fn victim_fault(&self) -> StuckAtFault {
+        StuckAtFault::new(self.victim, !self.victim_value)
     }
 
     /// Renders the paper's `(l1,a1,l2,a2)` notation with line names, e.g.

@@ -68,4 +68,4 @@ pub use error::FaultError;
 pub use sim::{threeval_detects_stuck, FaultSimulator};
 pub use stuck_at::{all_stuck_at_faults, input_line_of_pin, StuckAtFault};
 pub use tij::TijKernel;
-pub use universe::{ExplicitTargets, FaultUniverse, UniverseOptions};
+pub use universe::{BridgeSets, BridgeSetsIter, ExplicitTargets, FaultUniverse, UniverseOptions};

@@ -211,8 +211,8 @@ fn fill_others(
 /// observed nodes as the frontier crosses them, and propagation ends
 /// the moment the frontier dies. All mutable state lives in a reusable
 /// [`SimScratch`], so the hot loop performs zero heap allocations.
-/// Bridging faults whose activation condition never holds never enter
-/// propagation at all.
+/// A bridging fault propagates nothing of its own: its detection set is
+/// its victim stem fault's, masked by the aggressor's fault-free row.
 ///
 /// # Memory
 ///
@@ -914,61 +914,30 @@ impl FaultSimulator {
         }
     }
 
-    /// Detection words of a bridging fault over a contiguous block
-    /// range (streamed tile by tile under a bounded budget).
-    pub(crate) fn bridge_words(
-        &self,
-        netlist: &Netlist,
-        fault: &BridgingFault,
-        blocks: Range<usize>,
-        scratch: &mut SimScratch,
-    ) -> Vec<u64> {
-        let mut out = Vec::with_capacity(blocks.len());
-        self.for_each_tile_span(netlist, blocks, scratch, |sim, span, scratch| {
-            sim.bridge_words_span(netlist, fault, span, scratch, &mut out);
-        });
-        out
+    /// Node `node`'s fault-free words over every block of the space.
+    pub(crate) fn good_row(&self, node: NodeId) -> Vec<u64> {
+        (0..self.num_blocks)
+            .map(|b| self.good.node_word(b, node))
+            .collect()
     }
 
-    /// One tile-resident span of [`Self::bridge_words`].
-    fn bridge_words_span(
+    /// `T(g)` from the detection set of its victim fault
+    /// ([`BridgingFault::victim_fault`]) and the aggressor's good row.
+    fn bridge_set_of_victim(
         &self,
         netlist: &Netlist,
         fault: &BridgingFault,
-        span: Range<usize>,
-        scratch: &mut SimScratch,
-        out: &mut Vec<u64>,
-    ) {
-        let victim = netlist.lines().line(fault.victim).driver();
-        let aggressor = netlist.lines().line(fault.aggressor).driver();
-        let base = Self::scratch_base(scratch);
-
-        // Root row: the victim flips exactly on the activated vectors
-        // (fault-free victim == a1 and aggressor == a2) — one streaming
-        // pass over two contiguous node rows. Blocks with an empty
-        // activation never enter propagation.
-        {
-            let SimScratch {
-                rows, tile_good, ..
-            } = scratch;
-            let good_rows: &RowMatrix = if tile_good.is_empty() {
-                &self.good_nm
-            } else {
-                tile_good
-            };
-            let vrow = rows.row_mut(victim.index());
-            for b in span.clone() {
-                let c = b - base;
-                let gv = good_rows.row(victim.index())[c];
-                let ga = good_rows.row(aggressor.index())[c];
-                let cond = (if fault.victim_value { gv } else { !gv })
-                    & (if fault.aggressor_value { ga } else { !ga })
-                    & self.space.block_mask(b);
-                vrow[c] = gv ^ cond;
-            }
-        }
-        self.propagate(netlist, victim, span.clone(), scratch);
-        self.collect_det_into(span, scratch, out);
+        victim: &VectorSet,
+    ) -> VectorSet {
+        let aggressor = self.good_row(netlist.lines().line(fault.aggressor).driver());
+        let mut words = zeroed_words(self.num_blocks);
+        intersect_activation(
+            victim.words(),
+            &aggressor,
+            fault.aggressor_value,
+            &mut words,
+        );
+        VectorSet::from_block_words(self.space.num_patterns(), words)
     }
 
     /// Computes `T(f)` for a stuck-at fault (stem or branch).
@@ -1030,7 +999,9 @@ impl FaultSimulator {
         VectorSet::from_block_words(self.space.num_patterns(), words)
     }
 
-    /// Computes `T(g)` for a four-way bridging fault.
+    /// Computes `T(g)` for a four-way bridging fault: the detection set
+    /// of the victim stem stuck at `ā1`, restricted to the vectors on
+    /// which the fault-free aggressor is `a2`.
     ///
     /// # Panics
     ///
@@ -1055,18 +1026,13 @@ impl FaultSimulator {
         fault: &BridgingFault,
         scratch: &mut SimScratch,
     ) -> VectorSet {
-        assert_eq!(netlist.num_nodes(), self.num_nodes, "wrong netlist");
-        debug_assert!(
-            netlist.lines().line(fault.victim).kind().is_stem()
-                && netlist.lines().line(fault.aggressor).kind().is_stem(),
-            "bridging faults live on stems"
-        );
-        let words = self.bridge_words(netlist, fault, 0..self.num_blocks, scratch);
-        VectorSet::from_block_words(self.space.num_patterns(), words)
+        debug_assert_stems(netlist, fault);
+        let victim = self.detection_set_stuck_with(netlist, fault.victim_fault(), scratch);
+        self.bridge_set_of_victim(netlist, fault, &victim)
     }
 
-    /// Computes `T(g)` with the pattern blocks sharded over up to
-    /// `num_threads` workers (see
+    /// Computes `T(g)` with the victim fault's pattern blocks sharded over
+    /// up to `num_threads` workers (see
     /// [`Self::detection_set_stuck_threaded`]).
     ///
     /// # Panics
@@ -1080,20 +1046,38 @@ impl FaultSimulator {
         fault: &BridgingFault,
         num_threads: usize,
     ) -> VectorSet {
-        assert_eq!(netlist.num_nodes(), self.num_nodes, "wrong netlist");
-        debug_assert!(
-            netlist.lines().line(fault.victim).kind().is_stem()
-                && netlist.lines().line(fault.aggressor).kind().is_stem(),
-            "bridging faults live on stems"
-        );
-        let words = parallel::run_tiled_with(
-            num_threads,
-            self.num_blocks,
-            || self.new_scratch(),
-            |scratch, blocks| self.bridge_words(netlist, fault, blocks, scratch),
-        );
-        VectorSet::from_block_words(self.space.num_patterns(), words)
+        debug_assert_stems(netlist, fault);
+        let victim = self.detection_set_stuck_threaded(netlist, fault.victim_fault(), num_threads);
+        self.bridge_set_of_victim(netlist, fault, &victim)
     }
+}
+
+fn debug_assert_stems(netlist: &Netlist, fault: &BridgingFault) {
+    debug_assert!(
+        netlist.lines().line(fault.victim).kind().is_stem()
+            && netlist.lines().line(fault.aggressor).kind().is_stem(),
+        "bridging faults live on stems"
+    );
+}
+
+/// Writes a bridge's detection words to `out` and returns whether any
+/// bit is set: `victim`, the words of its victim fault's detection set
+/// ([`BridgingFault::victim_fault`]), masked by `aggressor`, the
+/// aggressor's fault-free words, complemented when `a2` is 0. `victim`
+/// carries the space's tail mask, so `out` does too.
+pub(crate) fn intersect_activation(
+    victim: &[u64],
+    aggressor: &[u64],
+    aggressor_value: bool,
+    out: &mut [u64],
+) -> bool {
+    let flip = if aggressor_value { 0 } else { u64::MAX };
+    let mut any = 0;
+    for ((o, &v), &a) in out.iter_mut().zip(victim).zip(aggressor) {
+        *o = v & (a ^ flip);
+        any |= *o;
+    }
+    any != 0
 }
 
 /// The reference full-cone kernel, kept as the differential-testing

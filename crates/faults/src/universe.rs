@@ -11,14 +11,16 @@ use crate::artifact::{
 use crate::bridging::{enumerate_bridges_among, BridgeModel, BridgingFault};
 use crate::collapse::CollapsedFaults;
 use crate::error::FaultError;
-use crate::sim::FaultSimulator;
+use crate::sim::{intersect_activation, FaultSimulator};
 use crate::stuck_at::{all_stuck_at_faults, StuckAtFault};
-use ndetect_netlist::Netlist;
+use ndetect_netlist::{LineId, Netlist, NodeId};
 use ndetect_obs::trace;
-use ndetect_sim::{parallel, MemoryBudget, PatternSpace, SimScratch, VectorSet};
+use ndetect_sim::rows::{zeroed_counts, zeroed_words};
+use ndetect_sim::{parallel, MemoryBudget, PatternSpace, VectorSet};
 use ndetect_store::{decode_from_slice, encode_to_vec, ArtifactKey, Store};
+use std::collections::HashMap;
 use std::fmt;
-use std::ops::Range;
+use std::ops::Index;
 
 /// Configuration for [`FaultUniverse::build_with`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -103,15 +105,25 @@ pub struct ExplicitTargets {
 ///
 /// This is the single input the worst-case and average-case analyses in
 /// `ndetect-core` consume. Building it runs one exhaustive bit-parallel
-/// fault simulation per fault, with the fault list tiled across worker
-/// threads (see [`UniverseOptions::threads`]).
+/// fault simulation per target, with the fault list tiled across worker
+/// threads (see [`UniverseOptions::threads`]). Bridges are not simulated
+/// one by one: a bridge `(l1,a1,l2,a2)` flips `l1` exactly where the stem
+/// fault `l1` stuck-at `ā1` does and the fault-free `l2` is `a2`, so the
+/// build simulates that stem fault once per victim and masks its
+/// detection set with one fault-free aggressor row per bridge.
+///
+/// Many bridges share a detection set (`rie` has 3,995 distinct sets
+/// among 59,696 bridges), so each distinct `T(g)` is stored once, as a
+/// class in [`Self::bridge_classes`], and [`Self::bridge_class_of`] maps
+/// every bridge to its class.
 ///
 /// # Memory
 ///
-/// Detection sets are dense bitsets of `2^I` bits each. For `I` inputs and
-/// `|G|` bridging faults the universe holds roughly
-/// `(|F| + |G|) * 2^I / 8` bytes — e.g. ~50 MB for `I = 13`,
-/// `|G| = 50 000`. Keep `I ≤ 14` for large bridging populations.
+/// Detection sets are dense bitsets of `2^I` bits each. For `I` inputs,
+/// `|F|` targets and `|C|` distinct bridging detection sets the universe
+/// holds roughly `(|F| + |C|) * 2^I / 8` bytes plus 4 bytes per bridge —
+/// e.g. ~10 MB for `rie` (`I = 14`, 1,227 targets, 3,995 classes among
+/// 59,696 bridges). Keep `I ≤ 14` for large bridging populations.
 pub struct FaultUniverse {
     netlist: Netlist,
     simulator: FaultSimulator,
@@ -120,7 +132,11 @@ pub struct FaultUniverse {
     targets: Vec<StuckAtFault>,
     target_sets: Vec<VectorSet>,
     bridges: Vec<BridgingFault>,
-    bridge_sets: Vec<VectorSet>,
+    /// Each distinct bridging detection set once, in order of first
+    /// occurrence over [`Self::bridges`].
+    bridge_classes: Vec<VectorSet>,
+    /// Per bridge, its index into [`Self::bridge_classes`].
+    bridge_class_of: Vec<u32>,
     num_undetectable_bridges: usize,
     /// `Some` for explicit-target universes: overrides [`Self::store_key`]
     /// so derived artifacts are keyed by the source model's canonical
@@ -206,79 +222,28 @@ impl FaultUniverse {
             None if options.collapse_targets => collapsed.representatives().to_vec(),
             None => all_stuck_at_faults(netlist),
         };
-        // Fault-parallel tiling: each worker simulates a tile of the
-        // fault list against the shared read-only simulator, reusing one
-        // event-propagation scratch for its whole tile; tiles are
-        // reassembled in fault order, so the sets are bit-identical to a
-        // serial pass. Under a bounded budget the sweep is additionally
-        // tile-major over blocks (see [`build_sets_tiled`]).
         let target_sets: Vec<VectorSet> = {
             let mut span = trace::span("universe.target_sweep");
             span.field("faults", targets.len());
-            if simulator.tile_width() < simulator.space().num_blocks() {
-                build_sets_tiled(netlist, &simulator, threads, &targets, |n, s, &f, b, sc| {
-                    s.stuck_words(n, f, b, sc)
-                })
-            } else {
-                parallel::parallel_map_with(
-                    threads,
-                    &targets,
-                    || simulator.new_scratch(),
-                    |scratch, _, &f| simulator.detection_set_stuck_with(netlist, f, scratch),
-                )
-            }
+            stuck_sets(netlist, &simulator, threads, &targets)
         };
 
-        let mut bridges = Vec::new();
-        let mut bridge_sets = Vec::new();
-        let mut num_undetectable_bridges = 0;
-        if options.include_bridges {
-            let mut span = trace::span("universe.bridge_sweep");
+        let bridges = if options.include_bridges {
             let default_stems;
-            let stems: &[ndetect_netlist::LineId] = match explicit {
+            let stems: &[LineId] = match explicit {
                 Some(explicit) => &explicit.bridge_stems,
                 None => {
                     default_stems = netlist.multi_input_gate_stems();
                     &default_stems
                 }
             };
-            let enumerated = enumerate_bridges_among(
-                netlist,
-                simulator.reachability(),
-                options.bridge_model,
-                stems,
-            );
-            span.field("faults", enumerated.len());
-            let sets = if simulator.tile_width() < simulator.space().num_blocks() {
-                build_sets_tiled(
-                    netlist,
-                    &simulator,
-                    threads,
-                    &enumerated,
-                    |n, s, f, b, sc| s.bridge_words(n, f, b, sc),
-                )
-            } else {
-                parallel::parallel_map_with(
-                    threads,
-                    &enumerated,
-                    || simulator.new_scratch(),
-                    |scratch, _, fault| {
-                        simulator.detection_set_bridge_with(netlist, fault, scratch)
-                    },
-                )
-            };
-            for (fault, set) in enumerated.into_iter().zip(sets) {
-                if set.is_empty() {
-                    num_undetectable_bridges += 1;
-                } else {
-                    bridges.push(fault);
-                    bridge_sets.push(set);
-                }
-            }
-        }
+            BridgeClasses::sweep(netlist, &simulator, threads, options.bridge_model, stems)
+        } else {
+            BridgeClasses::default()
+        };
 
         build_span.field("targets", targets.len());
-        build_span.field("bridges", bridges.len());
+        build_span.field("bridges", bridges.bridges.len());
         // Library-level metrics: builds across the whole process (the
         // serve engine separately counts *its* builds per instance).
         ndetect_obs::global().counter("universe_builds_total").inc();
@@ -292,9 +257,10 @@ impl FaultUniverse {
             options,
             targets,
             target_sets,
-            bridges,
-            bridge_sets,
-            num_undetectable_bridges,
+            bridges: bridges.bridges,
+            bridge_classes: bridges.classes,
+            bridge_class_of: bridges.class_of,
+            num_undetectable_bridges: bridges.num_undetectable,
             explicit_key: explicit.map(|x| explicit_universe_key(&x.canonical, options)),
         })
     }
@@ -388,7 +354,7 @@ impl FaultUniverse {
 
     /// Borrowed serialization view — the save path encodes directly
     /// from the universe's own buffers, no clones.
-    fn artifact_ref(&self) -> UniverseArtifactRef<'_> {
+    pub(crate) fn artifact_ref(&self) -> UniverseArtifactRef<'_> {
         UniverseArtifactRef {
             num_inputs: self.netlist.num_inputs(),
             num_nodes: self.netlist.num_nodes(),
@@ -397,7 +363,8 @@ impl FaultUniverse {
             targets: &self.targets,
             target_sets: &self.target_sets,
             bridges: &self.bridges,
-            bridge_sets: &self.bridge_sets,
+            bridge_classes: &self.bridge_classes,
+            bridge_class_of: &self.bridge_class_of,
             num_undetectable_bridges: self.num_undetectable_bridges,
             good: self.simulator.good_values(),
         }
@@ -427,7 +394,8 @@ impl FaultUniverse {
             targets: artifact.targets,
             target_sets: artifact.target_sets,
             bridges: artifact.bridges,
-            bridge_sets: artifact.bridge_sets,
+            bridge_classes: artifact.bridge_classes,
+            bridge_class_of: artifact.bridge_class_of,
             num_undetectable_bridges: artifact.num_undetectable_bridges,
             explicit_key: None,
         })
@@ -509,13 +477,34 @@ impl FaultUniverse {
     /// Panics if `j` is out of range.
     #[must_use]
     pub fn bridge_set(&self, j: usize) -> &VectorSet {
-        &self.bridge_sets[j]
+        &self.bridge_classes[self.bridge_class_of[j] as usize]
     }
 
-    /// All bridging detection sets, parallel to [`Self::bridges`].
+    /// All bridging detection sets, parallel to [`Self::bridges`]: a
+    /// per-bridge view over [`Self::bridge_classes`].
     #[must_use]
-    pub fn bridge_sets(&self) -> &[VectorSet] {
-        &self.bridge_sets
+    pub fn bridge_sets(&self) -> BridgeSets<'_> {
+        BridgeSets {
+            classes: &self.bridge_classes,
+            class_of: &self.bridge_class_of,
+        }
+    }
+
+    /// The distinct bridging detection sets, each non-empty and stored
+    /// once, in order of first occurrence over [`Self::bridges`].
+    /// Per-set work (an `nmin` scan, an intersection test) done once per
+    /// class and counted through [`Self::bridge_class_of`] covers every
+    /// bridge.
+    #[must_use]
+    pub fn bridge_classes(&self) -> &[VectorSet] {
+        &self.bridge_classes
+    }
+
+    /// Per bridge, parallel to [`Self::bridges`]: the index of its
+    /// detection set in [`Self::bridge_classes`].
+    #[must_use]
+    pub fn bridge_class_of(&self) -> &[u32] {
+        &self.bridge_class_of
     }
 
     /// Number of enumerated four-way bridging faults that turned out to be
@@ -554,6 +543,316 @@ impl FaultUniverse {
     }
 }
 
+/// The per-bridge view of a universe's bridging detection sets returned
+/// by [`FaultUniverse::bridge_sets`]: `sets[j]` is `T(g_j)`, read through
+/// the bridge's class.
+#[derive(Clone, Copy, Debug)]
+pub struct BridgeSets<'a> {
+    classes: &'a [VectorSet],
+    class_of: &'a [u32],
+}
+
+impl<'a> BridgeSets<'a> {
+    /// Number of bridges.
+    #[must_use]
+    pub fn len(self) -> usize {
+        self.class_of.len()
+    }
+
+    /// Returns `true` if the universe has no bridges.
+    #[must_use]
+    pub fn is_empty(self) -> bool {
+        self.class_of.is_empty()
+    }
+
+    /// The detection sets in bridge order.
+    #[must_use]
+    pub fn iter(self) -> BridgeSetsIter<'a> {
+        BridgeSetsIter {
+            classes: self.classes,
+            class_of: self.class_of.iter(),
+        }
+    }
+}
+
+impl Index<usize> for BridgeSets<'_> {
+    type Output = VectorSet;
+
+    fn index(&self, j: usize) -> &VectorSet {
+        &self.classes[self.class_of[j] as usize]
+    }
+}
+
+impl<'a> IntoIterator for BridgeSets<'a> {
+    type Item = &'a VectorSet;
+    type IntoIter = BridgeSetsIter<'a>;
+
+    fn into_iter(self) -> BridgeSetsIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over [`BridgeSets`], in bridge order.
+#[derive(Clone, Debug)]
+pub struct BridgeSetsIter<'a> {
+    classes: &'a [VectorSet],
+    class_of: std::slice::Iter<'a, u32>,
+}
+
+impl<'a> Iterator for BridgeSetsIter<'a> {
+    type Item = &'a VectorSet;
+
+    fn next(&mut self) -> Option<&'a VectorSet> {
+        self.class_of.next().map(|&c| &self.classes[c as usize])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.class_of.size_hint()
+    }
+}
+
+impl ExactSizeIterator for BridgeSetsIter<'_> {}
+
+/// A bridge population after the sweep: the detectable bridges, their
+/// distinct detection sets and each bridge's class.
+#[derive(Default)]
+struct BridgeClasses {
+    bridges: Vec<BridgingFault>,
+    classes: Vec<VectorSet>,
+    class_of: Vec<u32>,
+    num_undetectable: usize,
+}
+
+impl BridgeClasses {
+    /// Enumerates the bridges among `stems` and builds their detection
+    /// sets without simulating a single bridge: one stuck-at pass per
+    /// distinct victim fault ([`BridgingFault::victim_fault`]), one good
+    /// row per distinct aggressor, and per bridge one AND of the two
+    /// rows ([`intersect_activation`]). Empty results are the
+    /// undetectable bridges; the rest are grouped by content
+    /// ([`group_by_content`]) and each group's set is materialized once.
+    fn sweep(
+        netlist: &Netlist,
+        simulator: &FaultSimulator,
+        threads: usize,
+        model: BridgeModel,
+        stems: &[LineId],
+    ) -> Self {
+        let mut span = trace::span("universe.bridge_sweep");
+        let enumerated = enumerate_bridges_among(netlist, simulator.reachability(), model, stems);
+        span.field("faults", enumerated.len());
+
+        let (victim_faults, victim_of) = first_occurrence_index(
+            enumerated.iter().map(BridgingFault::victim_fault),
+            2 * netlist.lines().len(),
+            |f| 2 * f.line.index() + usize::from(f.value),
+        );
+        let (aggressors, aggressor_of) = first_occurrence_index(
+            enumerated
+                .iter()
+                .map(|b| netlist.lines().line(b.aggressor).driver()),
+            netlist.num_nodes(),
+            NodeId::index,
+        );
+        span.field("victims", victim_faults.len());
+        let victim_sets = stuck_sets(netlist, simulator, threads, &victim_faults);
+        let aggressor_rows: Vec<Vec<u64>> =
+            aggressors.iter().map(|&a| simulator.good_row(a)).collect();
+
+        let (classes, class_of) = group_by_content(
+            threads,
+            enumerated.len(),
+            simulator.space().num_patterns(),
+            word_hash,
+            |j, row| {
+                intersect_activation(
+                    victim_sets[victim_of[j] as usize].words(),
+                    &aggressor_rows[aggressor_of[j] as usize],
+                    enumerated[j].aggressor_value,
+                    row,
+                )
+            },
+        );
+        span.field("classes", classes.len());
+
+        let mut out = BridgeClasses {
+            classes,
+            ..BridgeClasses::default()
+        };
+        for (fault, class) in enumerated.into_iter().zip(class_of) {
+            match class {
+                Some(c) => {
+                    out.bridges.push(fault);
+                    out.class_of.push(c);
+                }
+                None => out.num_undetectable += 1,
+            }
+        }
+        out
+    }
+}
+
+/// Numbers the distinct items in order of first occurrence: returns the
+/// distinct items and every item's number. `key` maps an item to a
+/// dense index below `key_space`.
+fn first_occurrence_index<T: Copy>(
+    items: impl Iterator<Item = T>,
+    key_space: usize,
+    key: impl Fn(T) -> usize,
+) -> (Vec<T>, Vec<u32>) {
+    // One past a key's number; 0 until the key is seen.
+    let mut slot = zeroed_counts(key_space);
+    let mut distinct = Vec::new();
+    let numbers = items
+        .map(|item| {
+            let k = key(item);
+            if slot[k] == 0 {
+                distinct.push(item);
+                slot[k] = u32::try_from(distinct.len()).expect("item count fits u32");
+            }
+            slot[k] - 1
+        })
+        .collect();
+    (distinct, numbers)
+}
+
+/// Groups the sets `0..len` over a space of `num_patterns` vectors by
+/// content. `fill(j, row)` writes set `j`'s words to `row` and returns
+/// whether any bit is set; empty sets join no class. Returns the
+/// distinct non-empty sets in order of first occurrence, and each set's
+/// class.
+///
+/// A parallel pass hashes every set. Each distinct hash opens a
+/// tentative class, materialized from its first set, and a second
+/// parallel pass checks every set word by word against its class. If
+/// any set differs from its class, two sets took one 64-bit hash, and
+/// [`group_by_words`] redoes the grouping by full word equality. A
+/// collision therefore costs a serial pass, never a merge.
+fn group_by_content<F>(
+    threads: usize,
+    len: usize,
+    num_patterns: usize,
+    hash: fn(&[u64]) -> u64,
+    fill: F,
+) -> (Vec<VectorSet>, Vec<Option<u32>>)
+where
+    F: Fn(usize, &mut [u64]) -> bool + Sync,
+{
+    let width = num_patterns.div_ceil(64).max(1);
+    let hashes: Vec<Option<u64>> = parallel::run_tiled_with(
+        threads,
+        len,
+        || zeroed_words(width),
+        |row, range| range.map(|j| fill(j, row).then(|| hash(row))).collect(),
+    );
+    let mut class_of_hash: HashMap<u64, u32> = HashMap::new();
+    let mut firsts = Vec::new();
+    let class_of: Vec<Option<u32>> = hashes
+        .iter()
+        .enumerate()
+        .map(|(j, h)| {
+            h.map(|h| {
+                *class_of_hash.entry(h).or_insert_with(|| {
+                    firsts.push(j);
+                    u32::try_from(firsts.len() - 1).expect("class count fits u32")
+                })
+            })
+        })
+        .collect();
+    let classes = parallel::parallel_map(threads, &firsts, |_, &j| {
+        let mut words = zeroed_words(width);
+        fill(j, &mut words);
+        VectorSet::from_block_words(num_patterns, words)
+    });
+    // One flag per tile: whether any of its sets differs from its class.
+    let collided = parallel::run_tiled_with(
+        threads,
+        len,
+        || zeroed_words(width),
+        |row, range| {
+            let differs = |j: usize| {
+                class_of[j].is_some_and(|c| {
+                    fill(j, row);
+                    row[..] != *classes[c as usize].words()
+                })
+            };
+            vec![range.into_iter().any(differs)]
+        },
+    );
+    if collided.contains(&true) {
+        return group_by_words(len, num_patterns, fill);
+    }
+    (classes, class_of)
+}
+
+/// [`group_by_content`] after a hash collision: one serial pass keyed by
+/// the sets themselves, so only equal words share a class.
+fn group_by_words<F>(len: usize, num_patterns: usize, fill: F) -> (Vec<VectorSet>, Vec<Option<u32>>)
+where
+    F: Fn(usize, &mut [u64]) -> bool,
+{
+    let width = num_patterns.div_ceil(64).max(1);
+    let mut class_of_set: HashMap<VectorSet, u32> = HashMap::new();
+    let mut classes = Vec::new();
+    let class_of = (0..len)
+        .map(|j| {
+            let mut words = zeroed_words(width);
+            if !fill(j, &mut words) {
+                return None;
+            }
+            let set = VectorSet::from_block_words(num_patterns, words);
+            Some(*class_of_set.entry(set).or_insert_with_key(|set| {
+                classes.push(set.clone());
+                u32::try_from(classes.len() - 1).expect("class count fits u32")
+            }))
+        })
+        .collect();
+    (classes, class_of)
+}
+
+/// An FxHash-style multiply-rotate hash over the words of a set, in four
+/// independent lanes so the multiply chains overlap.
+fn word_hash(words: &[u64]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mix = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
+    let mut lanes = [0u64; 4];
+    let mut chunks = words.chunks_exact(4);
+    for chunk in &mut chunks {
+        for (h, &w) in lanes.iter_mut().zip(chunk) {
+            *h = mix(*h, w);
+        }
+    }
+    lanes
+        .iter()
+        .chain(chunks.remainder())
+        .fold(words.len() as u64, |h, &w| mix(h, w))
+}
+
+/// Detection sets of stuck-at faults, in fault order: the target sweep
+/// and the bridge sweep's victim pass. Each worker simulates a tile of
+/// the fault list against the shared read-only simulator, reusing one
+/// event-propagation scratch for its whole tile, and tiles reassemble in
+/// fault order, so the sets are bit-identical to a serial pass. Under a
+/// bounded budget the sweep is tile-major over blocks instead (see
+/// [`stuck_sets_tiled`]).
+fn stuck_sets(
+    netlist: &Netlist,
+    simulator: &FaultSimulator,
+    threads: usize,
+    faults: &[StuckAtFault],
+) -> Vec<VectorSet> {
+    if simulator.tile_width() < simulator.space().num_blocks() {
+        stuck_sets_tiled(netlist, simulator, threads, faults)
+    } else {
+        parallel::parallel_map_with(
+            threads,
+            faults,
+            || simulator.new_scratch(),
+            |scratch, _, &f| simulator.detection_set_stuck_with(netlist, f, scratch),
+        )
+    }
+}
+
 /// Builds detection sets for a fault list under a bounded memory budget
 /// with a **tile-major** sweep: the outer loop walks budget-sized block
 /// tiles in order, and the inner [`parallel::parallel_map_with`] fans
@@ -566,16 +865,12 @@ impl FaultUniverse {
 /// Tiles are visited in block order and per-fault words are appended in
 /// fault order, so the resulting sets are bit-identical to the
 /// full-width single-pass build for every budget and thread count.
-fn build_sets_tiled<T: Sync, F>(
+fn stuck_sets_tiled(
     netlist: &Netlist,
     simulator: &FaultSimulator,
     threads: usize,
-    faults: &[T],
-    sim_words: F,
-) -> Vec<VectorSet>
-where
-    F: Fn(&Netlist, &FaultSimulator, &T, Range<usize>, &mut SimScratch) -> Vec<u64> + Sync,
-{
+    faults: &[StuckAtFault],
+) -> Vec<VectorSet> {
     let num_blocks = simulator.space().num_blocks();
     let num_patterns = simulator.space().num_patterns();
     let tile = simulator.tile_width();
@@ -593,7 +888,7 @@ where
             threads,
             faults,
             || simulator.new_scratch(),
-            |scratch, _, fault| sim_words(netlist, simulator, fault, start..end, scratch),
+            |scratch, _, &fault| simulator.stuck_words(netlist, fault, start..end, scratch),
         );
         for (buf, span) in words.iter_mut().zip(spans) {
             buf.extend_from_slice(&span);
@@ -612,6 +907,7 @@ impl fmt::Debug for FaultUniverse {
             .field("circuit", &self.netlist.name())
             .field("num_targets", &self.targets.len())
             .field("num_bridges", &self.bridges.len())
+            .field("num_bridge_classes", &self.bridge_classes.len())
             .field("num_undetectable_bridges", &self.num_undetectable_bridges)
             .field("num_patterns", &self.space().num_patterns())
             .finish()
@@ -762,9 +1058,16 @@ mod tests {
             for (a, b) in full.target_sets().iter().zip(tiled.target_sets()) {
                 assert_eq!(a.words(), b.words(), "budget {budget}");
             }
-            for (a, b) in full.bridge_sets().iter().zip(tiled.bridge_sets()) {
-                assert_eq!(a.words(), b.words(), "budget {budget}");
-            }
+            assert_eq!(
+                full.bridge_classes(),
+                tiled.bridge_classes(),
+                "budget {budget}"
+            );
+            assert_eq!(
+                full.bridge_class_of(),
+                tiled.bridge_class_of(),
+                "budget {budget}"
+            );
         }
     }
 
@@ -808,6 +1111,40 @@ mod tests {
             canonical: Vec::new(),
         };
         let _ = FaultUniverse::build_explicit(&n, &explicit, UniverseOptions::default());
+    }
+
+    #[test]
+    fn a_hash_collision_never_merges_two_sets() {
+        // 128 patterns (two words per set). Under a constant hash every
+        // non-empty set collides, so only the word comparison can keep
+        // them apart.
+        let sets: Vec<VectorSet> = [
+            &[][..],
+            &[1, 2, 100],
+            &[3],
+            &[1, 2, 100],
+            &[],
+            &[3],
+            &[1, 2, 101],
+        ]
+        .iter()
+        .map(|vs| VectorSet::from_vectors(128, vs.iter().copied()))
+        .collect();
+        let fill = |j: usize, row: &mut [u64]| {
+            row.copy_from_slice(sets[j].words());
+            !sets[j].is_empty()
+        };
+        let constant: fn(&[u64]) -> u64 = |_| 0;
+        for hash in [word_hash, constant] {
+            for threads in [1, 4] {
+                let (classes, class_of) = group_by_content(threads, sets.len(), 128, hash, fill);
+                assert_eq!(classes, [&sets[1], &sets[2], &sets[6]].map(Clone::clone));
+                assert_eq!(
+                    class_of,
+                    [None, Some(0), Some(1), Some(0), None, Some(1), Some(2)]
+                );
+            }
+        }
     }
 
     #[test]

@@ -58,9 +58,8 @@ fn assert_universes_identical(a: &FaultUniverse, b: &FaultUniverse) {
     for (x, y) in a.target_sets().iter().zip(b.target_sets()) {
         assert_eq!(x, y);
     }
-    for (x, y) in a.bridge_sets().iter().zip(b.bridge_sets()) {
-        assert_eq!(x, y);
-    }
+    assert_eq!(a.bridge_classes(), b.bridge_classes());
+    assert_eq!(a.bridge_class_of(), b.bridge_class_of());
     let (ga, gb) = (a.simulator().good_values(), b.simulator().good_values());
     assert_eq!(ga.words(), gb.words());
     assert_eq!(

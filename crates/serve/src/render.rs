@@ -10,7 +10,7 @@
 
 use ndetect_core::partition::analyze_output_cones_budget;
 use ndetect_core::report::{render_table2, render_table3, table2_row, table3_row};
-use ndetect_core::{NminDistribution, WorstCaseAnalysis};
+use ndetect_core::{bridges_detected, NminDistribution, WorstCaseAnalysis};
 use ndetect_faults::{ExplicitTargets, FaultUniverse, UniverseOptions};
 use ndetect_gen::{GenOptions, GeneratedSet};
 use ndetect_netlist::{bench_format, Netlist, NetlistError, NetlistStats, SeqNetlist};
@@ -352,11 +352,7 @@ fn gen_body(
         universe.num_detectable_targets(),
         universe.targets().len()
     );
-    let covered = universe
-        .bridge_sets()
-        .iter()
-        .filter(|t_g| t_g.intersects(set.as_vector_set()))
-        .count();
+    let covered = bridges_detected(universe, set.as_vector_set());
     let coverage = if universe.bridges().is_empty() {
         100.0
     } else {

@@ -18,7 +18,16 @@ fn assert_universes_identical(a: &FaultUniverse, b: &FaultUniverse, label: &str)
     assert_eq!(a.targets(), b.targets(), "{label}: target fault lists");
     assert_eq!(a.target_sets(), b.target_sets(), "{label}: target sets");
     assert_eq!(a.bridges(), b.bridges(), "{label}: bridge fault lists");
-    assert_eq!(a.bridge_sets(), b.bridge_sets(), "{label}: bridge sets");
+    assert_eq!(
+        a.bridge_classes(),
+        b.bridge_classes(),
+        "{label}: bridge classes"
+    );
+    assert_eq!(
+        a.bridge_class_of(),
+        b.bridge_class_of(),
+        "{label}: bridge class index"
+    );
     assert_eq!(
         a.num_undetectable_bridges(),
         b.num_undetectable_bridges(),

@@ -151,7 +151,8 @@ fn explicit_universes_are_thread_count_invariant() {
     assert_eq!(serial.targets(), parallel.targets());
     assert_eq!(serial.target_sets(), parallel.target_sets());
     assert_eq!(serial.bridges(), parallel.bridges());
-    assert_eq!(serial.bridge_sets(), parallel.bridge_sets());
+    assert_eq!(serial.bridge_classes(), parallel.bridge_classes());
+    assert_eq!(serial.bridge_class_of(), parallel.bridge_class_of());
     let wc1 = WorstCaseAnalysis::compute_with(&serial, 1);
     let wc4 = WorstCaseAnalysis::compute_with(&parallel, 4);
     assert_eq!(wc1.nmin_values(), wc4.nmin_values());
