@@ -7,8 +7,8 @@ use ndetect_core::{
 };
 use ndetect_faults::FaultUniverse;
 use ndetect_netlist::{bench_format, Netlist, NetlistError, SeqNetlist};
-use ndetect_seq::{expand_stored, FaultModel};
-use ndetect_serve::render::{CorpusRequest, Knobs, StoreProvider};
+use ndetect_seq::FaultModel;
+use ndetect_serve::render::{CorpusRequest, Knobs, StoreProvider, UniverseProvider};
 use ndetect_sim::MemoryBudget;
 use ndetect_store::Store;
 use std::fmt::{self, Write as _};
@@ -207,7 +207,10 @@ fn root_span(command: &str) -> Option<&'static str> {
 }
 
 /// Runs one command, appending what it prints to `out`. Only `serve`,
-/// which prints while it runs, writes to `stdout` itself.
+/// which prints while it runs, writes to `stdout` itself. The analysis
+/// verbs render through `ndetect_serve::render`, the layer `ndet serve`
+/// shares, which is what keeps a served reply byte-identical to the
+/// one-shot stdout.
 fn dispatch_command(
     command: &str,
     rest: &[&String],
@@ -234,17 +237,21 @@ fn dispatch_command(
         "list" => Ok(list()),
         "stats" => {
             let store = open_store_degraded(&rest)?;
+            let provider = StoreProvider::new(store.as_ref());
             with_any_circuit(&rest, |_, kind| match kind {
-                CircuitKind::Comb(n) => stats(&n, knobs, store.as_ref()),
-                CircuitKind::Seq(s, m) => seq_stats(&s, m, knobs, store.as_ref()),
+                CircuitKind::Comb(n) => ndetect_serve::render_stats(&n, knobs, &provider),
+                CircuitKind::Seq(s, m) => ndetect_serve::render_seq_stats(&s, m, knobs, &provider),
             })
         }
         "worst" => {
             let floor = flag_value(&rest, "--floor")?.unwrap_or(100);
             let store = open_store_degraded(&rest)?;
+            let provider = StoreProvider::new(store.as_ref());
             with_any_circuit(&rest, |_, kind| match kind {
-                CircuitKind::Comb(n) => worst(&n, floor, knobs, store.as_ref()),
-                CircuitKind::Seq(s, m) => seq_worst(&s, m, floor, knobs, store.as_ref()),
+                CircuitKind::Comb(n) => ndetect_serve::render_worst(&n, floor, knobs, &provider),
+                CircuitKind::Seq(s, m) => {
+                    ndetect_serve::render_seq_worst(&s, m, floor, knobs, &provider)
+                }
             })
         }
         "average" => {
@@ -253,10 +260,13 @@ fn dispatch_command(
             let def = flag_value(&rest, "--def")?.unwrap_or(1) as u32;
             let tail = flag_value(&rest, "--tail")?.unwrap_or(nmax + 1);
             let store = open_store_degraded(&rest)?;
+            let provider = StoreProvider::new(store.as_ref());
             with_any_circuit(&rest, |name, kind| {
                 let universe = match kind {
-                    CircuitKind::Comb(n) => universe_of(&n, knobs, store.as_ref())?,
-                    CircuitKind::Seq(s, m) => seq_universe_of(&s, m, knobs, store.as_ref())?,
+                    CircuitKind::Comb(n) => provider.universe(&n, knobs.universe_options())?,
+                    CircuitKind::Seq(s, m) => {
+                        ndetect_serve::render::seq_universe(&s, m, knobs, &provider)?.1
+                    }
                 };
                 average(
                     name,
@@ -508,68 +518,6 @@ fn list() -> String {
     out + "\nspecials: figure1 (paper example), c17 (ISCAS-85)\n"
 }
 
-fn universe_of(
-    netlist: &Netlist,
-    knobs: Knobs,
-    store: Option<&Store>,
-) -> Result<FaultUniverse, String> {
-    FaultUniverse::build_stored(netlist, knobs.universe_options(), store).map_err(|e| e.to_string())
-}
-
-/// Expands a sequential circuit and builds the explicit-target fault
-/// universe of its two-frame model, both store-backed so a warm run
-/// does neither expansion nor simulation.
-fn seq_universe_of(
-    seq: &SeqNetlist,
-    model: FaultModel,
-    knobs: Knobs,
-    store: Option<&Store>,
-) -> Result<FaultUniverse, String> {
-    let expanded = expand_stored(seq, model, store).map_err(|e| e.to_string())?;
-    FaultUniverse::build_stored_explicit(
-        expanded.netlist(),
-        &expanded.explicit_targets(),
-        knobs.universe_options(),
-        store,
-    )
-    .map_err(|e| e.to_string())
-}
-
-/// The one-shot analysis commands delegate to `ndetect_serve::render`,
-/// the render layer shared with `ndet serve` — this is what guarantees
-/// a serve reply is byte-identical to the one-shot stdout.
-fn stats(netlist: &Netlist, knobs: Knobs, store: Option<&Store>) -> Result<String, String> {
-    ndetect_serve::render_stats(netlist, knobs, &StoreProvider::new(store))
-}
-
-fn worst(
-    netlist: &Netlist,
-    floor: usize,
-    knobs: Knobs,
-    store: Option<&Store>,
-) -> Result<String, String> {
-    ndetect_serve::render_worst(netlist, floor, knobs, &StoreProvider::new(store))
-}
-
-fn seq_stats(
-    seq: &SeqNetlist,
-    model: FaultModel,
-    knobs: Knobs,
-    store: Option<&Store>,
-) -> Result<String, String> {
-    ndetect_serve::render_seq_stats(seq, model, knobs, &StoreProvider::new(store))
-}
-
-fn seq_worst(
-    seq: &SeqNetlist,
-    model: FaultModel,
-    floor: usize,
-    knobs: Knobs,
-    store: Option<&Store>,
-) -> Result<String, String> {
-    ndetect_serve::render_seq_worst(seq, model, floor, knobs, &StoreProvider::new(store))
-}
-
 #[allow(clippy::too_many_arguments)]
 fn average(
     name: &str,
@@ -640,9 +588,10 @@ fn pla_file(rest: &[&String], knobs: Knobs, store: Option<&Store>) -> Result<Str
         .unwrap_or("pla");
     let pla = ndetect_fsm::parse_pla(name, &text).map_err(|e| e.to_string())?;
     let netlist = pla.synthesize().map_err(|e| e.to_string())?;
+    let provider = StoreProvider::new(store);
     match sub {
-        "stats" => stats(&netlist, knobs, store),
-        "worst" => worst(&netlist, 100, knobs, store),
+        "stats" => ndetect_serve::render_stats(&netlist, knobs, &provider),
+        "worst" => ndetect_serve::render_worst(&netlist, 100, knobs, &provider),
         "synth" => Ok(bench_format::write(&netlist)),
         other => Err(format!("unknown pla-file subcommand `{other}`")),
     }
@@ -670,6 +619,7 @@ fn bench_file(rest: &[&String], knobs: Knobs, store: Option<&Store>) -> Result<S
             Err(e) => return Err(e.to_string()),
         }
     };
+    let provider = StoreProvider::new(store);
     match netlist {
         Some(netlist) => {
             if let Some(m) = model {
@@ -679,8 +629,8 @@ fn bench_file(rest: &[&String], knobs: Knobs, store: Option<&Store>) -> Result<S
                 ));
             }
             match sub {
-                "stats" => stats(&netlist, knobs, store),
-                "worst" => worst(&netlist, 100, knobs, store),
+                "stats" => ndetect_serve::render_stats(&netlist, knobs, &provider),
+                "worst" => ndetect_serve::render_worst(&netlist, 100, knobs, &provider),
                 "cones" => cones(&netlist, 14, knobs, store),
                 other => Err(format!("unknown bench-file subcommand `{other}`")),
             }
@@ -689,8 +639,8 @@ fn bench_file(rest: &[&String], knobs: Knobs, store: Option<&Store>) -> Result<S
             let seq = bench_format::parse_seq(name, &text).map_err(|e| e.to_string())?;
             let model = model.unwrap_or_default();
             match sub {
-                "stats" => seq_stats(&seq, model, knobs, store),
-                "worst" => seq_worst(&seq, model, 100, knobs, store),
+                "stats" => ndetect_serve::render_seq_stats(&seq, model, knobs, &provider),
+                "worst" => ndetect_serve::render_seq_worst(&seq, model, 100, knobs, &provider),
                 other => Err(format!(
                     "unknown bench-file subcommand `{other}` for a sequential circuit (expected stats or worst)"
                 )),
@@ -755,10 +705,9 @@ fn cache(rest: &[&String], store: Option<&Store>, out: &mut String) -> Result<()
             let _ = writeln!(out, "misses: {}", s.misses);
             let _ = writeln!(out, "writes: {}", s.writes);
             let _ = writeln!(out, "shards: {}", s.shards);
-            let _ = writeln!(out, "flat entries: {}", s.flat_entries);
             // Per-shard entry histogram (occupied fan-out dirs only).
             let histogram = store.shard_histogram().map_err(|e| e.to_string())?;
-            for (shard, count) in &histogram.shards {
+            for (shard, count) in &histogram {
                 let _ = writeln!(out, "shard {shard}: {count}");
             }
             Ok(())

@@ -477,8 +477,8 @@ fn cache_subcommands_and_warm_analysis_round_trip() {
     // The report keeps its line order: the directory, then the counts.
     let keys: Vec<&str> = stats.lines().filter_map(|l| l.split(':').next()).collect();
     assert_eq!(
-        keys[..8].join(","),
-        "cache dir,entries,bytes,hits,misses,writes,shards,flat entries"
+        keys[..7].join(","),
+        "cache dir,entries,bytes,hits,misses,writes,shards"
     );
     assert!(stats.contains("\nentries: 2\n"), "{stats}"); // universe + nmin
     assert!(stats.contains("\nhits: 2\n"), "{stats}");
@@ -511,28 +511,15 @@ fn cache_verify_reports_corruption_and_analysis_still_succeeds() {
     let (ok, cold, _) = run_binary(&["worst", "c17", "--cache-dir", dirs]);
     assert!(ok);
 
-    // Flip a byte in the middle of every cached entry (entries live in
-    // fan-out shard subdirectories of objects/).
-    let mut corrupted = 0;
-    for entry in std::fs::read_dir(dir.join("objects")).expect("objects dir") {
-        let path = entry.expect("entry").path();
-        let files: Vec<_> = if path.is_dir() {
-            std::fs::read_dir(&path)
-                .expect("shard dir")
-                .map(|e| e.expect("shard entry").path())
-                .collect()
-        } else {
-            vec![path]
-        };
-        for file in files {
-            let mut bytes = std::fs::read(&file).expect("entry bytes");
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0xff;
-            std::fs::write(&file, &bytes).expect("rewrite entry");
-            corrupted += 1;
-        }
+    // Flip a byte in the middle of every cached entry.
+    let entries = walk_entries(&dir);
+    assert!(!entries.is_empty(), "no cache entries found to corrupt");
+    for file in entries {
+        let mut bytes = std::fs::read(&file).expect("entry bytes");
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xff;
+        std::fs::write(&file, &bytes).expect("rewrite entry");
     }
-    assert!(corrupted > 0, "no cache entries found to corrupt");
 
     let (ok, _, _) = run_binary(&["cache", "verify", "--cache-dir", dirs]);
     assert!(!ok, "verify must flag corrupt entries");
@@ -720,8 +707,8 @@ fn cache_repair_quarantines_corruption_and_the_cache_recovers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every regular file under the store's objects/ tree (sharded or
-/// flat), for corruption tests.
+/// Every regular file under the store's objects/ tree, i.e. every entry
+/// in the fan-out shard dirs, for corruption tests.
 fn walk_entries(root: &std::path::Path) -> Vec<std::path::PathBuf> {
     let mut out = Vec::new();
     let mut stack = vec![root.join("objects")];

@@ -18,18 +18,14 @@ fn temp_store(tag: &str) -> (Store, PathBuf) {
     (Store::open(&dir).unwrap(), dir)
 }
 
-/// The lone artifact file in a store directory, descending into the
+/// The lone artifact file in a store directory: entries live in the
 /// first-key-byte shard subdirectories under `objects/`.
 fn sole_entry(dir: &std::path::Path) -> PathBuf {
-    let mut files = Vec::new();
-    for entry in std::fs::read_dir(dir.join("objects")).unwrap() {
-        let path = entry.unwrap().path();
-        if path.is_dir() {
-            files.extend(std::fs::read_dir(&path).unwrap().map(|e| e.unwrap().path()));
-        } else {
-            files.push(path);
-        }
-    }
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir.join("objects"))
+        .unwrap()
+        .flat_map(|shard| std::fs::read_dir(shard.unwrap().path()).unwrap())
+        .map(|e| e.unwrap().path())
+        .collect();
     assert_eq!(files.len(), 1, "expected exactly one cache entry");
     files.pop().unwrap()
 }

@@ -2,10 +2,9 @@
 //! on-disk artifact store.
 //!
 //! The cache key mixes the universe's own store key with the semantic
-//! generation options (`n`, `compact`, `seed` — `threads` and
-//! `mem_budget` are excluded: generation is bit-identical for every
-//! worker count and memory budget), so warm re-generation of the same
-//! set is a disk hit. Decoding is defensive:
+//! generation options (`n`, `compact`, `seed` — `threads` is excluded:
+//! generation is bit-identical for every worker count), so warm
+//! re-generation of the same set is a disk hit. Decoding is defensive:
 //! the membership bitset is rebuilt from the vector list (rejecting
 //! duplicates and out-of-range indices) and the caller revalidates the
 //! per-target counts and the n-detection property against the live

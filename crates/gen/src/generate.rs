@@ -8,10 +8,9 @@ use crate::artifact::{generated_key, KIND_GENERATED_SET};
 use crate::compact::compact;
 use ndetect_faults::FaultUniverse;
 use ndetect_obs::trace;
-use ndetect_sim::{parallel, rows, MemoryBudget, VectorSet};
+use ndetect_sim::{parallel, rows, VectorSet};
 use ndetect_store::{decode_from_slice, encode_to_vec, Store};
 use std::fmt;
-use std::ops::Range;
 
 /// Configuration for [`generate`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -30,17 +29,10 @@ pub struct GenOptions {
     pub seed: Option<u64>,
     /// Worker threads for the initial gain pass; `0` means auto
     /// (`NDETECT_THREADS`, then the machine's available parallelism).
-    /// Results are bit-identical for every thread count.
+    /// Each worker holds one full-width partial gain row (4 bytes per
+    /// pattern) during that pass. Results are bit-identical for every
+    /// thread count, so it is excluded from the store key.
     pub threads: usize,
-    /// Per-worker memory budget for the initial gain pass: workers
-    /// accumulate their partial gain rows over budget-sized spans of the
-    /// pattern space instead of one full-width row each. It does not
-    /// cap the one full-width gain row (4 bytes per pattern) that the
-    /// rounds maintain. A performance knob like [`Self::threads`] —
-    /// generated sets are bit-identical for every budget, so it is
-    /// excluded from the store key. `Auto` consults
-    /// `NDETECT_MEM_BUDGET` and defaults to unbounded.
-    pub mem_budget: MemoryBudget,
 }
 
 impl Default for GenOptions {
@@ -50,7 +42,6 @@ impl Default for GenOptions {
             compact: false,
             seed: None,
             threads: 0,
-            mem_budget: MemoryBudget::Auto,
         }
     }
 }
@@ -198,78 +189,54 @@ fn mix(seed: u64, v: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Running argmax of the gain scan: `(vector, gain, tie-break rank)`.
-type Argmax = (usize, u32, u64);
-
-/// Folds one span of gain values (vector indices `base..base + len`)
-/// into the running argmax. Spans must be folded in ascending vector
-/// order; the result is then identical to a single scan of the
-/// concatenated row — the highest gain wins, ties go to the smallest
-/// index (`seed = None`) or the smallest seeded hash rank.
-fn pick_best_span(gain: &[u32], base: usize, seed: Option<u64>, best: &mut Option<Argmax>) {
+/// The argmax of a non-empty gain row as `(vector, gain)`: the highest
+/// gain wins, ties go to the smallest index (`seed = None`) or the
+/// smallest seeded hash rank.
+fn pick_best(gain: &[u32], seed: Option<u64>) -> (usize, u32) {
     let rank = |v: usize| seed.map_or(v as u64, |s| mix(s, v as u64));
-    let mut it = gain.iter().enumerate();
-    if best.is_none() {
-        if let Some((v, &g)) = it.next() {
-            *best = Some((base + v, g, rank(base + v)));
-        }
-    }
-    let Some((best_v, best_gain, best_rank)) = best.as_mut() else {
-        return;
-    };
-    for (v, &g) in it {
-        if g < *best_gain {
+    let (mut best_v, mut best_gain, mut best_rank) = (0, gain[0], rank(0));
+    for (v, &g) in gain.iter().enumerate().skip(1) {
+        if g < best_gain {
             continue;
         }
-        let r = rank(base + v);
-        if g > *best_gain || r < *best_rank {
-            *best_v = base + v;
-            *best_gain = g;
-            *best_rank = r;
+        let r = rank(v);
+        if g > best_gain || r < best_rank {
+            (best_v, best_gain, best_rank) = (v, g, r);
         }
     }
+    (best_v, best_gain)
 }
 
-/// One 64-vector block's worth of gain counters (64 × `u32`) in u64
-/// words — the unit the memory budget meters the initial gain pass in:
-/// a worker's span row costs `8 · GAIN_WORDS_PER_BLOCK · span_blocks`
-/// bytes.
-const GAIN_WORDS_PER_BLOCK: usize = 32;
-
-/// Counts, for every vector in one span of 64-vector blocks, the
-/// deficient targets that detect it: each worker chunk of the active
-/// fault list walks its targets' detection words restricted to the span
-/// into a span-local row. Per-fault cost is uniform (every set spans the
-/// same block count), so one static chunk per worker balances fine and
-/// keeps the per-span allocation at `workers` rows. Partial rows are
-/// summed in chunk order, so the totals are identical for any thread
-/// count.
-fn gain_for_span(
+/// Counts, for every vector, the deficient targets that detect it: each
+/// worker chunk of the active fault list walks its targets' detection
+/// words into a full-width partial row (`num_blocks · 64` entries; tail
+/// entries past |U| stay 0). Per-fault cost is uniform (every set spans
+/// the same block count), so one static chunk per worker balances fine.
+/// Partial rows are summed in chunk order, so the totals are identical
+/// for any thread count.
+fn initial_gain(
     targets: &[VectorSet],
     active: &[u32],
     threads: usize,
-    span: Range<usize>,
+    num_blocks: usize,
 ) -> Vec<u32> {
-    let len = span.len() * 64;
-    let base = span.start * 64;
     let workers = threads.min(active.len()).max(1);
     let chunk = active.len().div_ceil(workers);
     let partials: Vec<Vec<u32>> = parallel::run_tiled(workers, workers, |chunks| {
         chunks
             .map(|w| {
-                let mut gain = rows::zeroed_counts(len);
+                let mut gain = rows::zeroed_counts(num_blocks * 64);
                 // Ceil chunking can leave trailing chunks empty
                 // (e.g. 5 faults over 4 workers): clamp both ends.
                 let start = (w * chunk).min(active.len());
                 let end = ((w + 1) * chunk).min(active.len());
                 for &fi in &active[start..end] {
-                    let t_words = targets[fi as usize].words();
-                    for b in span.clone() {
-                        // Tail bits past |U| are zero by the VectorSet
-                        // invariant, so they never score.
-                        let mut word = t_words[b];
+                    // Tail bits past |U| are zero by the VectorSet
+                    // invariant, so they never score.
+                    for (b, &word) in targets[fi as usize].words().iter().enumerate() {
+                        let mut word = word;
                         while word != 0 {
-                            gain[b * 64 + word.trailing_zeros() as usize - base] += 1;
+                            gain[b * 64 + word.trailing_zeros() as usize] += 1;
                             word &= word - 1;
                         }
                     }
@@ -294,22 +261,20 @@ fn gain_for_span(
 ///
 /// The **gain** of a vector is the number of still-deficient targets it
 /// would push one detection closer to `min(n, |T(f)|)`. One pass over
-/// fault tiles on the shared worker pool fills the gain row (under a
-/// bounded [`GenOptions::mem_budget`], span by span of the pattern
-/// space); after that the row is maintained, not recomputed. Each round
-/// the highest-gain vector joins the set and its gain drops to zero, and
-/// every target that reaches its goal takes one unit of gain from each
-/// unchosen vector of its detection set. A round therefore costs one
-/// scan of `|U|` plus one pass over the active targets, and the gain
-/// work over the whole run is one walk of every `T(f)`.
+/// fault chunks on the shared worker pool fills the gain row; after that
+/// the row is maintained, not recomputed. Each round the highest-gain
+/// vector joins the set and its gain drops to zero, and every target
+/// that reaches its goal takes one unit of gain from each unchosen
+/// vector of its detection set. A round therefore costs one scan of
+/// `|U|` plus one pass over the active targets, and the gain work over
+/// the whole run is one walk of every `T(f)`.
 ///
-/// The construction is deterministic for every thread count and budget
-/// (partial rows are summed in tile order and the argmax scan is
-/// serial): equal gains go to the smallest vector index, or with
-/// [`GenOptions::seed`] to the smallest seeded hash rank, which yields
-/// deterministic *diverse* sets. With `options.compact` the
-/// reverse-order redundant-vector elimination passes run before
-/// returning.
+/// The construction is deterministic for every thread count (partial
+/// rows are summed in chunk order and the argmax scan is serial): equal
+/// gains go to the smallest vector index, or with [`GenOptions::seed`]
+/// to the smallest seeded hash rank, which yields deterministic
+/// *diverse* sets. With `options.compact` the reverse-order
+/// redundant-vector elimination passes run before returning.
 ///
 /// Undetectable targets (empty `T(f)`) impose no requirement. The
 /// greedy invariant guarantees termination: while any target is
@@ -346,26 +311,10 @@ pub fn generate(universe: &FaultUniverse, options: &GenOptions) -> GeneratedSet 
     gen_span.field("n", options.n);
     gen_span.field("targets", targets.len());
 
-    // The initial gain row, filled over budget-sized block spans:
-    // unbounded budgets take one full-width span; bounded budgets cap
-    // each worker's partial row at a span. Tail entries past |U| stay 0.
-    let num_blocks = universe.space().num_blocks();
-    let span_blocks = options
-        .mem_budget
-        .tile_width(GAIN_WORDS_PER_BLOCK, num_blocks);
-    let mut gain = rows::zeroed_counts(num_blocks * 64);
-    let mut start = 0;
-    while start < num_blocks {
-        let end = num_blocks.min(start + span_blocks);
-        let span = gain_for_span(targets, &active, threads, start..end);
-        gain[start * 64..end * 64].copy_from_slice(&span);
-        start = end;
-    }
+    let mut gain = initial_gain(targets, &active, threads, universe.space().num_blocks());
 
     while !active.is_empty() {
-        let mut running: Option<Argmax> = None;
-        pick_best_span(&gain, 0, options.seed, &mut running);
-        let (best, best_gain, _) = running.expect("at least one block");
+        let (best, best_gain) = pick_best(&gain, options.seed);
         if best_gain == 0 {
             // Defensively unreachable: a deficient target always has an
             // unchosen vector left in T(f).
@@ -481,34 +430,6 @@ mod tests {
         for threads in [2, 4, 7] {
             let multi = generate(&u, &GenOptions { threads, ..base });
             assert_eq!(one, multi, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn generation_is_deterministic_across_memory_budgets() {
-        // ripple_adder(3) has 7 inputs -> 128 patterns -> 2 blocks, so a
-        // 1-byte budget genuinely splits the gain rows into spans.
-        let u = FaultUniverse::build(&ndetect_circuits::extra::ripple_adder(3)).unwrap();
-        for (n, seed) in [(1, None), (3, None), (3, Some(17))] {
-            let base = GenOptions {
-                n,
-                seed,
-                ..GenOptions::default()
-            };
-            let unbounded = generate(&u, &base);
-            // 1 byte forces single-block gain spans; 2 threads crosses
-            // the tiling with the fault chunking.
-            for (budget, threads) in [(MemoryBudget::Bytes(1), 1), (MemoryBudget::Bytes(1), 2)] {
-                let tiled = generate(
-                    &u,
-                    &GenOptions {
-                        threads,
-                        mem_budget: budget,
-                        ..base
-                    },
-                );
-                assert_eq!(unbounded, tiled, "n={n} seed={seed:?} threads={threads}");
-            }
         }
     }
 

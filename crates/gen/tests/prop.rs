@@ -12,12 +12,12 @@
 //!   and unseeded;
 //! * the generator, which maintains its gain row across rounds, picks
 //!   exactly the vectors of a naive greedy that recounts every gain in
-//!   every round, for every thread count and memory budget.
+//!   every round, for every thread count.
 
 use ndetect_faults::{FaultUniverse, UniverseOptions};
 use ndetect_gen::{compact, generate, GenOptions};
 use ndetect_netlist::{bench_format, Netlist};
-use ndetect_sim::{MemoryBudget, VectorSet};
+use ndetect_sim::VectorSet;
 use ndetect_testutil::arb_netlist_sized;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -197,8 +197,8 @@ proptest! {
 
     #[test]
     fn generation_matches_the_recounting_oracle(
-        // Up to 9 inputs: 512 patterns, so 1-byte budgets split the
-        // gain pass into several single-block spans.
+        // Up to 9 inputs: 512 patterns, so the gain row spans several
+        // blocks.
         netlist in arb_netlist_sized(9, 24),
         n in 1u32..=8,
         seed_raw in any::<u64>(),
@@ -207,16 +207,14 @@ proptest! {
         let universe = targets_universe(&netlist);
         let expected = recounting_greedy(&universe, n, seed);
         for threads in [1, 4] {
-            for mem_budget in [MemoryBudget::Unbounded, MemoryBudget::Bytes(1)] {
-                let options = GenOptions { n, seed, threads, mem_budget, ..GenOptions::default() };
-                let set = generate(&universe, &options);
-                prop_assert_eq!(
-                    set.vectors(),
-                    &expected[..],
-                    "n={} seed={:?} threads={} budget={:?}",
-                    n, seed, threads, mem_budget
-                );
-            }
+            let options = GenOptions { n, seed, threads, ..GenOptions::default() };
+            let set = generate(&universe, &options);
+            prop_assert_eq!(
+                set.vectors(),
+                &expected[..],
+                "n={} seed={:?} threads={}",
+                n, seed, threads
+            );
         }
     }
 

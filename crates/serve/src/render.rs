@@ -162,7 +162,12 @@ fn stats_body(netlist: &Netlist, universe: &FaultUniverse) -> String {
 
 /// Expands a sequential circuit (through the store when available) and
 /// builds the explicit-target universe over the expansion.
-fn seq_universe(
+///
+/// # Errors
+///
+/// Returns a user-facing message when the expansion fails or the
+/// expanded universe cannot be built.
+pub fn seq_universe(
     seq: &SeqNetlist,
     model: FaultModel,
     knobs: Knobs,
@@ -330,7 +335,6 @@ fn gen_body(
         compact,
         seed,
         threads: knobs.threads,
-        mem_budget: knobs.mem_budget,
     };
     let set = provider.generated(universe, &options);
     let space = universe.space().num_patterns();
@@ -614,7 +618,6 @@ fn corpus_row(
                 compact: true,
                 seed: None,
                 threads: knobs.threads,
-                mem_budget: knobs.mem_budget,
             };
             Some(provider.generated(&universe, &options).len())
         };
@@ -738,7 +741,6 @@ fn seq_corpus_row(
             compact: true,
             seed: None,
             threads: knobs.threads,
-            mem_budget: knobs.mem_budget,
         };
         Some(provider.generated(&universe, &options).len())
     };

@@ -48,6 +48,4 @@ pub use codec::{
     decode_from_slice, encode_to_vec, CodecError, Decode, Decoder, Encode, Encoder, CODEC_VERSION,
 };
 pub use hash::{fnv1a64, ArtifactKey, Fnv64};
-pub use store::{
-    ArtifactKind, GcReport, RepairReport, ShardHistogram, Store, StoreStats, VerifyReport,
-};
+pub use store::{ArtifactKind, GcReport, RepairReport, Store, StoreStats, VerifyReport};

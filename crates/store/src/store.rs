@@ -4,6 +4,7 @@ use crate::codec::CODEC_VERSION;
 use crate::hash::{fnv1a64, ArtifactKey};
 use ndetect_chaos::{failpoint, Injected};
 use ndetect_obs::trace;
+use std::collections::BTreeMap;
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -39,10 +40,8 @@ pub struct StoreStats {
     /// Total size of entry files in bytes.
     pub total_bytes: u64,
     /// Number of fan-out shard subdirectories holding at least one
-    /// entry (entries still in the legacy flat layout are not shards).
+    /// entry.
     pub shards: u64,
-    /// Entries still sitting in the legacy flat `objects/` layout.
-    pub flat_entries: u64,
     /// Cumulative successful loads.
     pub hits: u64,
     /// Cumulative failed loads (absent, corrupt, or version-mismatched).
@@ -52,18 +51,6 @@ pub struct StoreStats {
     /// Cumulative failed writes that were absorbed (computation
     /// proceeded uncached instead of failing the request).
     pub write_errors: u64,
-}
-
-/// Per-shard occupancy of the fan-out `objects/` layout
-/// ([`Store::shard_histogram`]).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardHistogram {
-    /// Entries still in the legacy flat layout (directly under
-    /// `objects/`).
-    pub flat: u64,
-    /// `(shard name, entry count)` for every shard directory holding at
-    /// least one entry, sorted by shard name.
-    pub shards: Vec<(String, u64)>,
 }
 
 /// Result of a full-store integrity scan ([`Store::verify`]).
@@ -106,19 +93,18 @@ pub struct GcReport {
 /// <root>/objects/<hh>/<key-hex16>-k<kind>.art  one file per artifact,
 ///                                              fanned out over 256 shard
 ///                                              dirs by the first key byte
-/// <root>/objects/<key-hex16>-k<kind>.art       legacy flat layout, still
-///                                              read (and migrated on hit)
 /// <root>/tmp/                                  staging for atomic writes
 /// <root>/counters.bin                          cumulative hit/miss/write counters
 /// ```
 ///
 /// Entries are sharded into 256 fan-out subdirectories (the first two
 /// hex digits of the key) so directories stay short even for
-/// ~10^5-entry corpora. Stores written before sharding are read
-/// transparently: a load probes the shard first and falls back to the
-/// flat path, migrating the entry into its shard on a hit (an atomic
-/// rename, so concurrent readers see one layout or the other, never a
-/// torn entry).
+/// ~10^5-entry corpora. An entry is a file inside a shard dir and
+/// nowhere else: anything directly under `objects/` (where stores
+/// written before sharding kept their entries) is never loaded,
+/// counted, verified, evicted or repaired — only [`Store::clear`]
+/// removes it. The store is a disposable accelerator, so an old
+/// directory simply reads as empty.
 ///
 /// Every entry carries a `NDST` magic, the codec version, an artifact
 /// kind tag, the payload length, and an FNV-1a checksum; anything that
@@ -187,26 +173,14 @@ impl Store {
         &self.root
     }
 
-    /// The entry file name shared by both layouts.
-    fn entry_file_name(key: ArtifactKey, kind: ArtifactKind) -> String {
-        format!("{}-k{kind}.art", key.to_hex())
-    }
-
-    /// The sharded (current) location of an entry: fanned out by the
-    /// first key byte, i.e. the first two hex digits of the key.
+    /// The location of an entry: fanned out by the first key byte, i.e.
+    /// the first two hex digits of the key.
     fn entry_path(&self, key: ArtifactKey, kind: ArtifactKind) -> PathBuf {
+        let hex = key.to_hex();
         self.root
             .join("objects")
-            .join(&key.to_hex()[..2])
-            .join(Self::entry_file_name(key, kind))
-    }
-
-    /// The legacy flat location of an entry (stores written before
-    /// sharding). Still read, never written.
-    fn flat_entry_path(&self, key: ArtifactKey, kind: ArtifactKind) -> PathBuf {
-        self.root
-            .join("objects")
-            .join(Self::entry_file_name(key, kind))
+            .join(&hex[..2])
+            .join(format!("{hex}-k{kind}.art"))
     }
 
     /// Loads an artifact payload, or `None` on any kind of miss: entry
@@ -214,9 +188,7 @@ impl Store {
     /// under a different codec version. Never fails loudly — a corrupt
     /// cache degrades to recomputation.
     ///
-    /// The sharded location is probed first; a hit on the legacy flat
-    /// location migrates the entry into its shard (atomic rename, best
-    /// effort). A hit refreshes the entry's mtime (best effort) so that
+    /// A hit refreshes the entry's mtime (best effort) so that
     /// [`Store::gc`]'s least-recently-used eviction sees real usage.
     #[must_use]
     pub fn load(&self, key: ArtifactKey, kind: ArtifactKind) -> Option<Vec<u8>> {
@@ -228,53 +200,19 @@ impl Store {
             span.field("outcome", "miss");
             return None;
         }
-        let sharded = self.entry_path(key, kind);
-        let (payload, path) = match read_entry(&sharded, Some(kind)) {
-            Ok(payload) => (payload, sharded),
-            Err(_) => {
-                // Flat-layout fallback for stores written before
-                // sharding.
-                let flat = self.flat_entry_path(key, kind);
-                match read_entry(&flat, Some(kind)) {
-                    Ok(payload) => {
-                        // Migrate into the shard so the old layout
-                        // drains incrementally; losing the race to a
-                        // concurrent writer is harmless.
-                        if let Some(dir) = sharded.parent() {
-                            // Chaos hook: a failed migration must not
-                            // cost the caller its hit — skip it.
-                            if failpoint!("store.migrate").is_none()
-                                && fs::create_dir_all(dir).is_ok()
-                                && fs::rename(&flat, &sharded).is_ok()
-                            {
-                                self.record_hit(&sharded);
-                                span.field("outcome", "hit");
-                                span.field("bytes", payload.len());
-                                return Some(payload);
-                            }
-                        }
-                        (payload, flat)
-                    }
-                    Err(_) => {
-                        self.session_misses.inc();
-                        span.field("outcome", "miss");
-                        return None;
-                    }
-                }
-            }
+        let path = self.entry_path(key, kind);
+        let Ok(payload) = read_entry(&path, Some(kind)) else {
+            self.session_misses.inc();
+            span.field("outcome", "miss");
+            return None;
         };
-        self.record_hit(&path);
+        self.session_hits.inc();
+        if let Ok(f) = fs::File::open(&path) {
+            let _ = f.set_modified(SystemTime::now());
+        }
         span.field("outcome", "hit");
         span.field("bytes", payload.len());
         Some(payload)
-    }
-
-    /// Counts a hit and refreshes the entry's LRU recency (best effort).
-    fn record_hit(&self, path: &Path) {
-        self.session_hits.inc();
-        if let Ok(f) = fs::File::open(path) {
-            let _ = f.set_modified(SystemTime::now());
-        }
     }
 
     /// Stores an artifact payload under `key`, atomically replacing any
@@ -341,9 +279,6 @@ impl Store {
             let _ = fs::remove_file(&tmp);
         }
         result?;
-        // A replaced flat-layout duplicate would shadow future loads'
-        // shard probe — sharded wins, but remove the stale twin anyway.
-        let _ = fs::remove_file(self.flat_entry_path(key, kind));
         self.session_writes.inc();
         Ok(())
     }
@@ -449,41 +384,33 @@ impl Store {
     }
 
     /// Reads `(hits, misses, writes, write_errors)` from `counters.bin`.
-    /// The file grew from three to four words when write-error tracking
-    /// landed; three-word files from older builds still read (their
-    /// write-error count is zero).
+    /// A file that is not exactly four words reads as zeros; the next
+    /// flush rewrites it.
     fn read_persisted_counters(&self) -> (u64, u64, u64, u64) {
-        let Ok(bytes) = fs::read(self.root.join(COUNTERS_FILE)) else {
+        let bytes = fs::read(self.root.join(COUNTERS_FILE)).unwrap_or_default();
+        let Ok(words) = <[u8; 32]>::try_from(bytes.as_slice()) else {
             return (0, 0, 0, 0);
         };
-        if bytes.len() != 24 && bytes.len() != 32 {
-            return (0, 0, 0, 0);
-        }
-        let word = |i: usize| u64::from_le_bytes(bytes[i * 8..(i + 1) * 8].try_into().expect("8"));
-        let errors = if bytes.len() == 32 { word(3) } else { 0 };
-        (word(0), word(1), word(2), errors)
+        let word = |i: usize| u64::from_le_bytes(words[i * 8..(i + 1) * 8].try_into().expect("8"));
+        (word(0), word(1), word(2), word(3))
     }
 
-    /// Walks both layouts: flat entry files directly under `objects/`
-    /// plus every file one level down inside the fan-out shard dirs.
+    /// Every entry on disk: the files one level down inside the fan-out
+    /// shard dirs. Nothing else under `objects/` is an entry.
     fn entry_files(&self) -> io::Result<Vec<(PathBuf, u64, SystemTime)>> {
         let mut files = Vec::new();
-        for entry in fs::read_dir(self.root.join("objects"))? {
-            let entry = entry?;
-            let meta = entry.metadata()?;
-            if meta.is_dir() {
-                for sub in fs::read_dir(entry.path())? {
-                    let sub = sub?;
-                    let meta = sub.metadata()?;
-                    if !meta.is_file() {
-                        continue;
-                    }
+        for shard in fs::read_dir(self.root.join("objects"))? {
+            let shard = shard?;
+            if !shard.file_type()?.is_dir() {
+                continue;
+            }
+            for entry in fs::read_dir(shard.path())? {
+                let entry = entry?;
+                let meta = entry.metadata()?;
+                if meta.is_file() {
                     let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-                    files.push((sub.path(), meta.len(), mtime));
+                    files.push((entry.path(), meta.len(), mtime));
                 }
-            } else if meta.is_file() {
-                let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-                files.push((entry.path(), meta.len(), mtime));
             }
         }
         Ok(files)
@@ -497,13 +424,11 @@ impl Store {
     /// Returns the I/O error if the objects directory cannot be scanned.
     pub fn stats(&self) -> io::Result<StoreStats> {
         let files = self.entry_files()?;
-        let histogram = self.shard_histogram()?;
         let (hits, misses, writes, write_errors) = self.read_persisted_counters();
         Ok(StoreStats {
             entries: files.len() as u64,
             total_bytes: files.iter().map(|(_, len, _)| len).sum(),
-            shards: histogram.shards.len() as u64,
-            flat_entries: histogram.flat,
+            shards: shard_counts(&files).len() as u64,
             hits: hits + self.session_hits(),
             misses: misses + self.session_misses(),
             writes: writes + self.session_writes(),
@@ -512,30 +437,14 @@ impl Store {
     }
 
     /// Per-shard entry counts: how the fan-out layout is filling up.
-    /// Only shards holding at least one entry are listed (sorted by
-    /// shard name); entries still in the legacy flat layout are counted
-    /// separately.
+    /// `(shard name, entry count)` for every shard holding at least one
+    /// entry, sorted by shard name.
     ///
     /// # Errors
     ///
     /// Returns the I/O error if the objects directory cannot be scanned.
-    pub fn shard_histogram(&self) -> io::Result<ShardHistogram> {
-        let mut histogram = ShardHistogram::default();
-        for (path, _, _) in self.entry_files()? {
-            let shard = path
-                .parent()
-                .filter(|dir| dir.file_name().is_some_and(|n| n != "objects"))
-                .and_then(|dir| dir.file_name()?.to_str())
-                .map(str::to_string);
-            match shard {
-                Some(name) => match histogram.shards.binary_search_by(|(s, _)| s.cmp(&name)) {
-                    Ok(i) => histogram.shards[i].1 += 1,
-                    Err(i) => histogram.shards.insert(i, (name, 1)),
-                },
-                None => histogram.flat += 1,
-            }
-        }
-        Ok(histogram)
+    pub fn shard_histogram(&self) -> io::Result<Vec<(String, u64)>> {
+        Ok(shard_counts(&self.entry_files()?))
     }
 
     /// Validates every entry's header and checksum.
@@ -560,12 +469,10 @@ impl Store {
 
     /// Quarantines every entry that fails validation. Where
     /// [`Store::verify`] only reports, repair *moves* each corrupt file
-    /// into `<root>/quarantine/` (disambiguating name collisions
-    /// between the flat and sharded layouts) and appends a
-    /// tab-separated line to `quarantine/MANIFEST` — quarantined name,
-    /// original path, failure reason — so the bytes stay inspectable
-    /// for debugging while the store itself ends the pass holding only
-    /// valid entries.
+    /// into `<root>/quarantine/` and appends a tab-separated line to
+    /// `quarantine/MANIFEST` — quarantined name, original path, failure
+    /// reason — so the bytes stay inspectable for debugging while the
+    /// store itself ends the pass holding only valid entries.
     ///
     /// Note a repaired store is not necessarily a *smaller* failure
     /// domain: corrupt entries were already misses. Repair exists so
@@ -605,8 +512,9 @@ impl Store {
     }
 
     /// Picks a free file name inside `quarantine/` for `path`, creating
-    /// the directory on first use. A flat entry and its sharded twin
-    /// share a file name, so collisions get a numeric prefix.
+    /// the directory on first use. An entry that is rebuilt and
+    /// corrupted again arrives under the name its first copy already
+    /// holds, so collisions get a numeric prefix.
     fn quarantine_dest(&self, path: &Path) -> io::Result<PathBuf> {
         let dir = self.root.join(QUARANTINE_DIR);
         fs::create_dir_all(&dir)?;
@@ -624,17 +532,21 @@ impl Store {
         Ok(dest)
     }
 
-    /// Removes every entry, the counters file, and all staging files
-    /// (including partial writes left behind by crashed processes).
+    /// Removes the whole `objects/` tree (entries, and any file a store
+    /// written before sharding left outside the shards), the counters
+    /// file, and all staging files (including partial writes left
+    /// behind by crashed processes).
     ///
     /// # Errors
     ///
     /// Returns the first I/O error encountered.
     pub fn clear(&self) -> io::Result<()> {
-        for (path, _, _) in self.entry_files()? {
-            fs::remove_file(path)?;
+        let objects = self.root.join("objects");
+        match fs::remove_dir_all(&objects) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+            _ => {}
         }
-        self.prune_empty_shards();
+        fs::create_dir_all(&objects)?;
         let _ = fs::remove_file(self.root.join(COUNTERS_FILE));
         self.sweep_tmp(std::time::Duration::ZERO);
         let _ = self.session_hits.take();
@@ -714,6 +626,18 @@ impl Drop for Store {
     fn drop(&mut self) {
         self.flush_counters();
     }
+}
+
+/// Entry counts per shard directory, sorted by shard name.
+fn shard_counts(files: &[(PathBuf, u64, SystemTime)]) -> Vec<(String, u64)> {
+    let mut counts = BTreeMap::<String, u64>::new();
+    for (path, _, _) in files {
+        let shard = path.parent().and_then(Path::file_name).unwrap_or_default();
+        *counts
+            .entry(shard.to_string_lossy().into_owned())
+            .or_default() += 1;
+    }
+    counts.into_iter().collect()
 }
 
 /// Parses the `-k<kind>` tag out of an entry file name.
@@ -980,95 +904,70 @@ mod tests {
         let stats = store.stats().unwrap();
         assert_eq!(stats.entries, 3);
         assert_eq!(stats.shards, 2);
-        assert_eq!(stats.flat_entries, 0);
-        let histogram = store.shard_histogram().unwrap();
         assert_eq!(
-            histogram.shards,
+            store.shard_histogram().unwrap(),
             vec![("00".to_string(), 2), ("ff".to_string(), 1)]
         );
         let _ = fs::remove_dir_all(store.root());
     }
 
-    /// Plants an entry in the legacy flat layout by writing it sharded
-    /// and moving the file up — byte-identical to what a pre-sharding
-    /// store produced.
-    fn plant_flat_entry(store: &Store, key: ArtifactKey, kind: ArtifactKind, payload: &[u8]) {
-        store.save(key, kind, payload).unwrap();
-        fs::rename(
-            store.entry_path(key, kind),
-            store.flat_entry_path(key, kind),
-        )
-        .unwrap();
-        store.prune_empty_shards();
-    }
-
     #[test]
-    fn flat_layout_entries_read_through_and_migrate_on_hit() {
-        let store = temp_store("flat-readthrough");
+    fn files_outside_the_shards_are_not_entries() {
+        // A store written before sharding kept its entries directly
+        // under objects/. Such files are not entries: nothing loads,
+        // counts, verifies, evicts or repairs them; only clear removes
+        // them.
+        let store = temp_store("outside-shards");
         let key = ArtifactKey(0xaa00_0000_0000_0042);
-        plant_flat_entry(&store, key, 1, b"legacy payload");
+        store.save(key, 1, b"payload").unwrap();
+        let sharded = store.entry_path(key, 1);
+        let objects = store.root().join("objects");
+        let moved = objects.join(sharded.file_name().unwrap());
+        fs::rename(&sharded, &moved).unwrap();
+        store.prune_empty_shards();
+        let garbage = objects.join("0000000000000001-k1.art");
+        fs::write(&garbage, b"garbage").unwrap();
+
+        assert!(store.load(key, 1).is_none());
         let stats = store.stats().unwrap();
-        assert_eq!((stats.entries, stats.flat_entries, stats.shards), (1, 1, 0));
-        // verify sees the flat entry too.
-        let report = store.verify().unwrap();
-        assert_eq!(report.valid, 1);
-        assert!(report.corrupt.is_empty());
-        // The load hits — and migrates the entry into its shard.
-        assert_eq!(store.load(key, 1).unwrap(), b"legacy payload");
-        assert!(store.entry_path(key, 1).is_file());
-        assert!(!store.flat_entry_path(key, 1).exists());
-        let stats = store.stats().unwrap();
-        assert_eq!((stats.entries, stats.flat_entries, stats.shards), (1, 0, 1));
-        // Still a hit from the shard.
-        assert_eq!(store.load(key, 1).unwrap(), b"legacy payload");
+        assert_eq!((stats.entries, stats.shards), (0, 0));
+        assert!(store.shard_histogram().unwrap().is_empty());
+        assert_eq!(store.verify().unwrap(), VerifyReport::default());
+        assert_eq!(store.gc(0).unwrap(), GcReport::default());
+        assert_eq!(store.repair().unwrap(), RepairReport::default());
+        assert!(moved.is_file() && garbage.is_file());
+
+        store.clear().unwrap();
+        assert!(!moved.exists() && !garbage.exists());
+        assert!(objects.is_dir());
+        assert_eq!(fs::read_dir(&objects).unwrap().count(), 0);
         let _ = fs::remove_dir_all(store.root());
     }
 
     #[test]
-    fn save_replaces_a_stale_flat_twin() {
-        let store = temp_store("flat-twin");
-        let key = ArtifactKey(0xbb00_0000_0000_0007);
-        plant_flat_entry(&store, key, 1, b"old");
-        store.save(key, 1, b"new").unwrap();
-        assert!(!store.flat_entry_path(key, 1).exists());
-        assert_eq!(store.load(key, 1).unwrap(), b"new");
-        assert_eq!(store.stats().unwrap().entries, 1);
-        let _ = fs::remove_dir_all(store.root());
-    }
-
-    #[test]
-    fn gc_orders_lru_across_shards_and_the_flat_layout() {
+    fn gc_orders_lru_across_shards() {
         // LRU eviction must interleave entries from different shard
-        // dirs and the legacy flat layout purely by recency.
+        // dirs purely by recency.
         let store = temp_store("gc-across-shards");
         let payload = vec![0u8; 100];
         let keys = [
             ArtifactKey(0x1100_0000_0000_0001), // shard 11, oldest
             ArtifactKey(0x2200_0000_0000_0002), // shard 22
-            ArtifactKey(0x3300_0000_0000_0003), // flat, newest but one
+            ArtifactKey(0x3300_0000_0000_0003), // shard 33
             ArtifactKey(0x4400_0000_0000_0004), // shard 44, newest
         ];
-        for (i, &key) in keys.iter().enumerate() {
+        // Save newest first, so that creation order and recency differ.
+        for (i, &key) in keys.iter().enumerate().rev() {
             store.save(key, 1, &payload).unwrap();
-            if i == 2 {
-                fs::rename(store.entry_path(key, 1), store.flat_entry_path(key, 1)).unwrap();
-            }
-        }
-        for (i, &key) in keys.iter().enumerate() {
-            let path = if i == 2 {
-                store.flat_entry_path(key, 1)
-            } else {
-                store.entry_path(key, 1)
-            };
             let age = std::time::Duration::from_secs(1000 - 100 * i as u64);
-            let f = fs::File::open(path).unwrap();
+            let f = fs::File::open(store.entry_path(key, 1)).unwrap();
             f.set_modified(SystemTime::now() - age).unwrap();
         }
         let per_entry = (HEADER_LEN + payload.len()) as u64;
         let report = store.gc(2 * per_entry).unwrap();
         assert_eq!(report.evicted, 2);
-        // The two oldest (shards 11 and 22) are gone; the flat entry and
-        // shard 44 survive. Emptied shard dirs are pruned.
+        // The two oldest (shards 11 and 22) are gone; shards 33 and 44
+        // survive. Emptied shard dirs are pruned.
         assert!(store.load(keys[0], 1).is_none());
         assert!(store.load(keys[1], 1).is_none());
         assert!(store.load(keys[2], 1).is_some());
@@ -1115,7 +1014,7 @@ mod tests {
         // The corrupt file left the data path but not the disk.
         assert!(!bad_path.exists());
         let qdir = store.root().join(QUARANTINE_DIR);
-        assert!(qdir.join(Store::entry_file_name(bad, 1)).is_file());
+        assert!(qdir.join(bad_path.file_name().unwrap()).is_file());
         let manifest = fs::read_to_string(qdir.join("MANIFEST")).unwrap();
         assert!(manifest.contains("checksum mismatch"), "{manifest}");
         // After repair the store verifies clean and a second repair is
@@ -1127,50 +1026,25 @@ mod tests {
     }
 
     #[test]
-    fn repair_disambiguates_flat_and_sharded_twins() {
-        // A corrupt flat entry and a corrupt sharded entry share a file
-        // name; both must land in quarantine under distinct names.
-        let store = temp_store("repair-twins");
+    fn repairing_the_same_entry_twice_keeps_both_copies() {
+        // An entry that is rebuilt and corrupted again reaches
+        // quarantine under the name its first copy already holds; both
+        // copies must survive, each with its own MANIFEST line.
+        let store = temp_store("repair-twice");
         let key = ArtifactKey(0x3300_0000_0000_0009);
-        store.save(key, 1, b"sharded").unwrap();
-        fs::copy(store.entry_path(key, 1), store.flat_entry_path(key, 1)).unwrap();
-        for path in [store.entry_path(key, 1), store.flat_entry_path(key, 1)] {
-            fs::write(&path, b"garbage").unwrap();
+        let path = store.entry_path(key, 1);
+        for garbage in [&b"first"[..], b"second"] {
+            store.save(key, 1, b"entry").unwrap();
+            fs::write(&path, garbage).unwrap();
+            assert_eq!(store.repair().unwrap().quarantined.len(), 1);
         }
-        let report = store.repair().unwrap();
-        assert_eq!(report.quarantined.len(), 2);
-        let quarantined: Vec<_> = fs::read_dir(store.root().join(QUARANTINE_DIR))
-            .unwrap()
-            .filter_map(Result::ok)
-            .filter(|e| e.file_name() != "MANIFEST")
-            .collect();
-        assert_eq!(quarantined.len(), 2, "no silent overwrite");
-        let _ = fs::remove_dir_all(store.root());
-    }
-
-    #[test]
-    fn three_word_counters_files_from_older_builds_still_read() {
-        let store = temp_store("counters-compat");
-        let mut legacy = Vec::new();
-        for word in [7u64, 5, 3] {
-            legacy.extend_from_slice(&word.to_le_bytes());
-        }
-        fs::write(store.root().join(COUNTERS_FILE), &legacy).unwrap();
-        let stats = store.stats().unwrap();
-        assert_eq!(
-            (stats.hits, stats.misses, stats.writes, stats.write_errors),
-            (7, 5, 3, 0)
-        );
-        // A flush upgrades the file to four words in place.
-        store.session_write_errors.inc();
-        store.flush_counters();
-        assert_eq!(
-            fs::read(store.root().join(COUNTERS_FILE)).unwrap().len(),
-            32
-        );
-        let stats = store.stats().unwrap();
-        assert_eq!(stats.write_errors, 1);
-        assert_eq!(stats.hits, 7);
+        let qdir = store.root().join(QUARANTINE_DIR);
+        let name = path.file_name().unwrap().to_str().unwrap();
+        assert_eq!(fs::read(qdir.join(name)).unwrap(), b"first");
+        assert_eq!(fs::read(qdir.join(format!("1-{name}"))).unwrap(), b"second");
+        let manifest = fs::read_to_string(qdir.join("MANIFEST")).unwrap();
+        assert_eq!(manifest.lines().count(), 2, "{manifest}");
+        assert!(manifest.contains(&format!("\n1-{name}\t")), "{manifest}");
         let _ = fs::remove_dir_all(store.root());
     }
 

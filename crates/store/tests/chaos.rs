@@ -127,33 +127,6 @@ fn load_and_decode_failpoints_force_clean_misses() {
 }
 
 #[test]
-fn failed_flat_migration_still_returns_the_hit() {
-    let chaos = ChaosLock::take();
-    chaos.arm("store.migrate=return-err");
-    let store = temp_store("migrate");
-    let key = ArtifactKey(0xaa00_0000_0000_0077);
-    // Plant a legacy flat entry: save sharded, move the file up.
-    store.save(key, 1, b"legacy").unwrap();
-    let flat = store
-        .root()
-        .join("objects")
-        .join(format!("{}-k1.art", key.to_hex()));
-    let sharded_dir = store.root().join("objects").join(&key.to_hex()[..2]);
-    fs::rename(sharded_dir.join(format!("{}-k1.art", key.to_hex())), &flat).unwrap();
-    let _ = fs::remove_dir(&sharded_dir);
-
-    // The migration is suppressed but the caller still gets its data.
-    assert_eq!(store.load(key, 1).unwrap(), b"legacy");
-    assert!(flat.is_file(), "entry stays flat when migration fails");
-
-    // Disarmed, the next hit migrates as usual.
-    ndetect_chaos::disarm_all();
-    assert_eq!(store.load(key, 1).unwrap(), b"legacy");
-    assert!(!flat.exists(), "entry migrated into its shard");
-    let _ = fs::remove_dir_all(store.root());
-}
-
-#[test]
 fn counter_flush_failure_is_absorbed_and_counted() {
     let chaos = ChaosLock::take();
     let store = temp_store("flush");
