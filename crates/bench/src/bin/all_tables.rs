@@ -30,7 +30,7 @@ fn main() {
     let threads = args.threads();
     let store = open_store(&args);
     let nmax: u32 = 10;
-    let mut cache = UniverseCache::with_budget(threads, args.mem_budget());
+    let mut cache = UniverseCache::new(threads);
 
     // Table 1 + Table 4 + Figure 1 example data are exact and cheap and
     // share one cached figure1 universe.

@@ -11,7 +11,6 @@
 
 use ndetect_faults::{FaultUniverse, UniverseOptions};
 use ndetect_netlist::Netlist;
-use ndetect_sim::MemoryBudget;
 use ndetect_store::Store;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -103,24 +102,6 @@ impl Args {
         self.get_or("threads", 0)
     }
 
-    /// Per-worker kernel memory budget (`--mem-budget B`, e.g. `16MiB`,
-    /// `64K`, a plain byte count, or `unbounded`). The default `Auto`
-    /// consults the `NDETECT_MEM_BUDGET` environment variable, then
-    /// runs unbounded. Results are identical for every budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value does not parse.
-    #[must_use]
-    pub fn mem_budget(&self) -> MemoryBudget {
-        match self.get("mem-budget") {
-            None => MemoryBudget::Auto,
-            Some(v) => {
-                MemoryBudget::parse(v).unwrap_or_else(|e| panic!("bad value for --mem-budget: {e}"))
-            }
-        }
-    }
-
     /// The on-disk artifact cache directory: `--cache-dir DIR`, falling
     /// back to the `NDETECT_CACHE_DIR` environment variable. `None`
     /// (no flag, no variable) disables the disk cache.
@@ -132,19 +113,15 @@ impl Args {
             .filter(|d| !d.is_empty())
     }
 
-    /// The universe options selected by the common performance flags
-    /// (`--threads`, `--mem-budget`), defaults otherwise.
+    /// The universe options selected by the common performance flag
+    /// (`--threads`), defaults otherwise.
     ///
     /// # Panics
     ///
-    /// Panics if either flag's value does not parse.
+    /// Panics if the flag's value does not parse.
     #[must_use]
     pub fn universe_options(&self) -> UniverseOptions {
-        UniverseOptions {
-            threads: self.threads(),
-            mem_budget: self.mem_budget(),
-            ..UniverseOptions::default()
-        }
+        UniverseOptions::with_threads(self.threads())
     }
 }
 
@@ -237,7 +214,6 @@ pub fn build_universe_options(
 #[derive(Default)]
 pub struct UniverseCache {
     threads: usize,
-    mem_budget: MemoryBudget,
     entries: HashMap<(String, UniverseOptions), (Netlist, FaultUniverse)>,
 }
 
@@ -246,16 +222,8 @@ impl UniverseCache {
     /// `threads` workers (`0` = auto).
     #[must_use]
     pub fn new(threads: usize) -> Self {
-        Self::with_budget(threads, MemoryBudget::Auto)
-    }
-
-    /// Creates an empty cache building with up to `threads` workers and
-    /// the given per-worker kernel memory budget.
-    #[must_use]
-    pub fn with_budget(threads: usize, mem_budget: MemoryBudget) -> Self {
         UniverseCache {
             threads,
-            mem_budget,
             entries: HashMap::new(),
         }
     }
@@ -280,12 +248,7 @@ impl UniverseCache {
     /// Panics if the circuit name is unknown or the universe cannot be
     /// built (suite circuits always can).
     pub fn get_stored(&mut self, name: &str, store: Option<&Store>) -> &(Netlist, FaultUniverse) {
-        let options = UniverseOptions {
-            threads: self.threads,
-            mem_budget: self.mem_budget,
-            ..UniverseOptions::default()
-        };
-        self.get_with(name, options, store)
+        self.get_with(name, UniverseOptions::with_threads(self.threads), store)
     }
 
     /// The fully general lookup: the universe for `name` built with
@@ -301,15 +264,13 @@ impl UniverseCache {
         options: UniverseOptions,
         store: Option<&Store>,
     ) -> &(Netlist, FaultUniverse) {
-        // Key on the semantic options only: thread count and memory
-        // budget are performance knobs with bit-identical results, so
-        // they must not split the cache (matching the on-disk key
-        // derivation).
+        // Key on the semantic options only: the thread count is a
+        // performance knob with bit-identical results, so it must not
+        // split the cache (matching the on-disk key derivation).
         let key = (
             name.to_string(),
             UniverseOptions {
                 threads: 0,
-                mem_budget: MemoryBudget::Auto,
                 ..options
             },
         );

@@ -1,6 +1,6 @@
 //! Subcommand implementations for `ndet`.
 
-use ndetect_core::partition::analyze_output_cones_budget;
+use ndetect_core::partition::analyze_output_cones;
 use ndetect_core::{
     estimate_detection_probabilities_stored, DetectionDefinition, Procedure1Config,
     WorstCaseAnalysis,
@@ -9,7 +9,6 @@ use ndetect_faults::FaultUniverse;
 use ndetect_netlist::{bench_format, Netlist, NetlistError, SeqNetlist};
 use ndetect_seq::FaultModel;
 use ndetect_serve::render::{CorpusRequest, Knobs, StoreProvider, UniverseProvider};
-use ndetect_sim::MemoryBudget;
 use ndetect_store::Store;
 use std::fmt::{self, Write as _};
 use std::io::{self, Write};
@@ -83,8 +82,8 @@ original path and reason) instead of deleting them.
 
 Every command accepts `--trace-out FILE` (or the NDETECT_TRACE
 environment variable): spans covering the analysis hot paths — universe
-build phases, kernel selection, store load/save, generation and
-compaction, serve request lifecycle — are appended to FILE as JSONL. `ndet trace
+build phases, store load/save, generation and compaction, serve request
+lifecycle — are appended to FILE as JSONL. `ndet trace
 report <file>` aggregates such a file into a per-span time table.
 `metrics` (over `ndet request`) returns a Prometheus-style text
 exposition of the serve counters, store session counters, and request
@@ -93,12 +92,6 @@ latency histogram.
 Every analysis command accepts `--threads N` (worker threads for fault
 simulation; default: the NDETECT_THREADS environment variable, then all
 available cores). Results are identical for every thread count.
-
-Every analysis command accepts `--mem-budget B` (per-worker cap on the
-fault-simulation working set, e.g. `16MiB`, `64K`, a plain byte count,
-or `unbounded`; default: the NDETECT_MEM_BUDGET environment variable,
-then unbounded). Bounded budgets stream block tiles through the kernel;
-results are identical for every budget.
 
 Every analysis command also accepts `--cache-dir DIR` (default: the
 NDETECT_CACHE_DIR environment variable): a content-addressed on-disk
@@ -221,18 +214,7 @@ fn dispatch_command(
     // Worker threads for fault simulation and analysis; 0 = auto
     // (NDETECT_THREADS, then the machine's available parallelism).
     let threads = flag_value(&rest, "--threads")?.unwrap_or(0);
-    // Per-worker kernel memory budget; Auto = NDETECT_MEM_BUDGET, then
-    // unbounded.
-    let mem_budget = match flag_str(&rest, "--mem-budget")? {
-        None => MemoryBudget::Auto,
-        Some(v) => {
-            MemoryBudget::parse(v).map_err(|e| format!("bad value for --mem-budget: {e}"))?
-        }
-    };
-    let knobs = Knobs {
-        threads,
-        mem_budget,
-    };
+    let knobs = Knobs { threads };
     let text = match command {
         "list" => Ok(list()),
         "stats" => {
@@ -655,9 +637,8 @@ fn cones(
     knobs: Knobs,
     store: Option<&Store>,
 ) -> Result<String, String> {
-    let reports =
-        analyze_output_cones_budget(netlist, max_inputs, knobs.threads, knobs.mem_budget, store)
-            .map_err(|e| e.to_string())?;
+    let reports = analyze_output_cones(netlist, max_inputs, knobs.threads, store)
+        .map_err(|e| e.to_string())?;
     let mut out = format!(
         "{}: {} output cones analysed (cones wider than {max_inputs} inputs skipped)\n",
         netlist.name(),
@@ -878,16 +859,6 @@ mod tests {
         .is_ok());
         assert!(run(&["worst", "figure1", "--threads", "zebra"]).is_err());
         assert!(run(&["worst", "figure1", "--threads"]).is_err());
-    }
-
-    #[test]
-    fn mem_budget_flag_accepted_and_validated() {
-        assert!(run(&["stats", "figure1", "--mem-budget", "16MiB"]).is_ok());
-        assert!(run(&["worst", "figure1", "--mem-budget", "1"]).is_ok());
-        assert!(run(&["gen", "figure1", "--n", "2", "--mem-budget", "unbounded"]).is_ok());
-        assert!(run(&["cones", "c17", "--mem-budget", "64K"]).is_ok());
-        assert!(run(&["stats", "figure1", "--mem-budget", "zebra"]).is_err());
-        assert!(run(&["stats", "figure1", "--mem-budget"]).is_err());
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! Procedure 1 under both definitions, Definition 2's three-valued
 //! checks included. `ndet gen` pins the generator's vectors and their
 //! order, with and without compaction and seeded tie-breaking. s27
-//! covers the sequential explicit-target path.
+//! covers the sequential explicit-target path. `ndet cones` pins the
+//! per-output-cone analysis, with and without `--max-inputs`.
 //! After an intended output change, regenerate a file from the
 //! repository root, e.g.
 //! `./target/release/ndet worst s1a > tests/golden/worst_s1a.txt`.
@@ -27,7 +28,6 @@ fn ndet_stdout(args: &[&str]) -> Vec<u8> {
         .args(args)
         .current_dir(repo_root())
         .env_remove("NDETECT_CACHE_DIR")
-        .env_remove("NDETECT_MEM_BUDGET")
         .env_remove("NDETECT_FAILPOINTS")
         .env_remove("NDETECT_TRACE")
         .output()
@@ -102,19 +102,28 @@ fn average_matches_its_goldens() {
 
 #[test]
 fn gen_matches_its_goldens() {
-    // s1a twice: one worker and single-block gain spans build the same set.
+    // s1a twice: one worker builds the same set as the default count.
     let seeded = ["--n", "10", "--compact", "--seed", "5"];
-    let budgeted = [&seeded[..], &["--threads", "1", "--mem-budget", "1"]].concat();
+    let one_thread = [&seeded[..], &["--threads", "1"]].concat();
     for (circuit, flags) in [
         ("figure1", &["--n", "3"][..]),
         ("c17", &["--n", "5", "--compact"]),
         ("cse", &seeded),
         ("s1a", &seeded),
-        ("s1a", &budgeted),
+        ("s1a", &one_thread),
         ("rie", &["--n", "10"]),
         ("s27", &["--n", "3", "--compact"]),
     ] {
         let args = [&["gen", circuit][..], flags].concat();
         assert_golden(&format!("gen_{circuit}.txt"), &ndet_stdout(&args));
     }
+}
+
+#[test]
+fn cones_matches_its_goldens() {
+    assert_golden("cones_c17.txt", &ndet_stdout(&["cones", "c17"]));
+    assert_golden(
+        "cones_s1a.txt",
+        &ndet_stdout(&["cones", "s1a", "--max-inputs", "10"]),
+    );
 }

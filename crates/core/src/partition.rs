@@ -77,20 +77,21 @@ pub struct ConeReport {
     pub coverage: Vec<(u32, f64)>,
     /// Cone bridges needing `n ≥ 11` for guaranteed detection.
     pub tail_11: usize,
-    /// Kernel mode the cone's simulator ran in (`"full"` or `"tiled"`,
-    /// see [`ndetect_faults::FaultSimulator::kernel_mode`]).
-    pub kernel: &'static str,
-    /// Per-worker kernel working-set bytes of the cone's simulator
+    /// Data-plane bytes of the cone's simulator
     /// ([`ndetect_faults::FaultSimulator::data_plane_bytes`]).
     pub data_plane_bytes: u64,
 }
 
-/// Analyses every output cone of `netlist` independently, with the auto
-/// worker count (see [`analyze_output_cones_with`]).
+/// Analyses every output cone of `netlist` independently, with up to
+/// `num_threads` workers (`0` = auto) for each cone's fault simulation
+/// and `nmin` pass. Results are identical for every thread count.
 ///
-/// Cones wider than the exhaustive limit are reported as errors by
-/// the underlying simulator; `max_cone_inputs` lets the caller skip
-/// them instead (cones with more inputs are silently omitted).
+/// Cones with more than `max_cone_inputs` inputs are skipped, so a
+/// circuit too wide for one exhaustive universe is analysed through
+/// the cones that fit. Each cone's fault universe and `nmin` vector go
+/// through the content-addressed artifact store when one is given —
+/// cone netlists are keyed by their own canonical structure, so
+/// re-running a wide-circuit analysis is incremental per cone.
 ///
 /// # Errors
 ///
@@ -99,63 +100,7 @@ pub struct ConeReport {
 pub fn analyze_output_cones(
     netlist: &Netlist,
     max_cone_inputs: usize,
-) -> Result<Vec<ConeReport>, CoreError> {
-    analyze_output_cones_with(netlist, max_cone_inputs, 0)
-}
-
-/// Analyses every output cone with up to `num_threads` workers (`0` =
-/// auto) for each cone's fault simulation and `nmin` pass. Results are
-/// identical for every thread count.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Faults`] if a retained cone still exceeds the
-/// simulator's limits.
-pub fn analyze_output_cones_with(
-    netlist: &Netlist,
-    max_cone_inputs: usize,
     num_threads: usize,
-) -> Result<Vec<ConeReport>, CoreError> {
-    analyze_output_cones_stored(netlist, max_cone_inputs, num_threads, None)
-}
-
-/// Analyses every output cone, routing each cone's fault universe and
-/// `nmin` vector through the content-addressed artifact store when one
-/// is given — cone netlists are keyed by their own canonical structure,
-/// so re-running a wide-circuit analysis is incremental per cone.
-///
-/// # Errors
-///
-/// Returns [`CoreError::Faults`] if a retained cone still exceeds the
-/// simulator's limits.
-pub fn analyze_output_cones_stored(
-    netlist: &Netlist,
-    max_cone_inputs: usize,
-    num_threads: usize,
-    store: Option<&ndetect_store::Store>,
-) -> Result<Vec<ConeReport>, CoreError> {
-    analyze_output_cones_budget(
-        netlist,
-        max_cone_inputs,
-        num_threads,
-        ndetect_sim::MemoryBudget::Auto,
-        store,
-    )
-}
-
-/// Like [`analyze_output_cones_stored`], with an explicit per-worker
-/// memory budget for each cone's fault simulation (a performance knob —
-/// reports are identical for every budget).
-///
-/// # Errors
-///
-/// Returns [`CoreError::Faults`] if a retained cone still exceeds the
-/// simulator's limits.
-pub fn analyze_output_cones_budget(
-    netlist: &Netlist,
-    max_cone_inputs: usize,
-    num_threads: usize,
-    mem_budget: ndetect_sim::MemoryBudget,
     store: Option<&ndetect_store::Store>,
 ) -> Result<Vec<ConeReport>, CoreError> {
     let mut reports = Vec::new();
@@ -164,11 +109,7 @@ pub fn analyze_output_cones_budget(
         if cone.num_inputs() > max_cone_inputs {
             continue;
         }
-        let options = ndetect_faults::UniverseOptions {
-            threads: num_threads,
-            mem_budget,
-            ..ndetect_faults::UniverseOptions::default()
-        };
+        let options = ndetect_faults::UniverseOptions::with_threads(num_threads);
         let universe = FaultUniverse::build_stored(&cone, options, store)
             .map_err(|e| CoreError::Faults(e.to_string()))?;
         let wc = WorstCaseAnalysis::compute_stored(&universe, num_threads, store);
@@ -183,7 +124,6 @@ pub fn analyze_output_cones_budget(
                 .map(|&n| (n, wc.coverage_percent(n)))
                 .collect(),
             tail_11: wc.tail_count(11),
-            kernel: universe.simulator().kernel_mode(),
             data_plane_bytes: universe.simulator().data_plane_bytes(),
         });
     }
@@ -224,7 +164,7 @@ mod tests {
     #[test]
     fn figure1_cones_are_tiny() {
         let n = figure1::netlist();
-        let reports = analyze_output_cones(&n, 8).unwrap();
+        let reports = analyze_output_cones(&n, 8, 0, None).unwrap();
         assert_eq!(reports.len(), 3);
         for r in &reports {
             assert_eq!(r.num_inputs, 2);
@@ -237,16 +177,16 @@ mod tests {
     #[test]
     fn max_inputs_filter_skips_wide_cones() {
         let n = extra::c17();
-        let all = analyze_output_cones(&n, 16).unwrap();
+        let all = analyze_output_cones(&n, 16, 0, None).unwrap();
         assert_eq!(all.len(), 2);
-        let none = analyze_output_cones(&n, 2).unwrap();
+        let none = analyze_output_cones(&n, 2, 0, None).unwrap();
         assert!(none.is_empty());
     }
 
     #[test]
     fn cone_analysis_runs_on_adder() {
         let n = extra::ripple_adder(3);
-        let reports = analyze_output_cones(&n, 16).unwrap();
+        let reports = analyze_output_cones(&n, 16, 0, None).unwrap();
         assert_eq!(reports.len(), 4);
         // The last sum bit and carry see the whole input space.
         let widest = reports.iter().map(|r| r.num_inputs).max().unwrap();

@@ -19,7 +19,7 @@ use crate::bridging::{BridgeModel, BridgingFault};
 use crate::stuck_at::StuckAtFault;
 use crate::universe::UniverseOptions;
 use ndetect_netlist::{LineId, Netlist};
-use ndetect_sim::{GoodValues, MemoryBudget, VectorSet};
+use ndetect_sim::{GoodValues, VectorSet};
 use ndetect_store::{
     ArtifactKey, ArtifactKind, CodecError, Decode, Decoder, Encode, Encoder, Fnv64, CODEC_VERSION,
 };
@@ -51,11 +51,10 @@ fn bridge_model_from_tag(tag: u8) -> Option<BridgeModel> {
 
 /// The content-addressed key of a universe: the FNV-1a hash of the
 /// canonical netlist bytes, the semantic universe options, the codec
-/// version and the payload layout. [`UniverseOptions::threads`] and
-/// [`UniverseOptions::mem_budget`] are deliberately excluded — universes
-/// are bit-identical for every worker count and memory budget, so a
-/// cache populated on one machine hits on another with a different core
-/// count or budget.
+/// version and the payload layout. [`UniverseOptions::threads`] is
+/// deliberately excluded — universes are bit-identical for every worker
+/// count, so a cache populated on one machine hits on another with a
+/// different core count.
 #[must_use]
 pub fn universe_key(netlist: &Netlist, options: UniverseOptions) -> ArtifactKey {
     let mut h = Fnv64::new();
@@ -78,7 +77,7 @@ pub fn universe_key(netlist: &Netlist, options: UniverseOptions) -> ArtifactKey 
 /// circuits that is the sequential netlist's canonical bytes plus a
 /// fault-model tag, so derived artifacts (worst-case, generated sets)
 /// are keyed by the sequential circuit, not its expansion. Like
-/// [`universe_key`], threads and memory budget are excluded.
+/// [`universe_key`], the thread count is excluded.
 #[must_use]
 pub fn explicit_universe_key(canonical: &[u8], options: UniverseOptions) -> ArtifactKey {
     let mut h = Fnv64::new();
@@ -138,10 +137,8 @@ impl Encode for UniverseOptions {
         e.put_bool(self.collapse_targets);
         e.put_bool(self.include_bridges);
         e.put_u8(bridge_model_tag(self.bridge_model));
-        // threads and mem_budget are performance knobs, not part of the
-        // result: threads encodes as the normalized value so warm loads
-        // compare equal, and mem_budget stays off the wire entirely
-        // (decode restores `Auto`).
+        // threads is a performance knob, not part of the result: it
+        // encodes as the normalized value so warm loads compare equal.
         e.put_usize(0);
     }
 }
@@ -158,7 +155,6 @@ impl Decode for UniverseOptions {
             include_bridges,
             bridge_model,
             threads,
-            mem_budget: MemoryBudget::Auto,
         })
     }
 }
@@ -241,12 +237,10 @@ impl UniverseArtifact {
         let num_patterns = 1usize << netlist.num_inputs();
         let semantic = UniverseOptions {
             threads: 0,
-            mem_budget: MemoryBudget::Auto,
             ..options
         };
         let stored = UniverseOptions {
             threads: 0,
-            mem_budget: MemoryBudget::Auto,
             ..self.options
         };
         self.num_inputs == netlist.num_inputs()
@@ -312,15 +306,6 @@ mod tests {
         // Thread count does not change the key.
         let k2 = universe_key(&n, UniverseOptions::with_threads(4));
         assert_eq!(k1, k2);
-        // Neither does the memory budget.
-        let k_budget = universe_key(
-            &n,
-            UniverseOptions {
-                mem_budget: MemoryBudget::Bytes(1 << 20),
-                ..defaults
-            },
-        );
-        assert_eq!(k1, k_budget);
         // Any semantic option does.
         let k3 = universe_key(
             &n,
@@ -365,18 +350,10 @@ mod tests {
             include_bridges: true,
             bridge_model: BridgeModel::WiredOr,
             threads: 5,
-            mem_budget: MemoryBudget::Bytes(4096),
         };
         let back = decode_from_slice::<UniverseOptions>(&encode_to_vec(&o)).unwrap();
-        // threads and mem_budget are normalized away by the codec.
-        assert_eq!(
-            back,
-            UniverseOptions {
-                threads: 0,
-                mem_budget: MemoryBudget::Auto,
-                ..o
-            }
-        );
+        // threads is normalized away by the codec.
+        assert_eq!(back, UniverseOptions { threads: 0, ..o });
     }
 
     fn figure1() -> Netlist {

@@ -9,17 +9,7 @@
 //! blocks as one contiguous node-major [`RowMatrix`] row (running the
 //! chunked SIMD kernels of [`ndetect_sim::rows`]), and restricts every
 //! row operation to the sub-range of blocks on which the fault is
-//! active at all.
-//!
-//! Under a bounded [`MemoryBudget`] the kernel runs **tiled**: the
-//! node-major good-value transpose and the per-edge `others` table are
-//! not materialized at full width; instead each worker streams the
-//! pattern space in tiles of `tile_width` blocks, gathering its private
-//! tile of both tables on demand (cached per scratch, so a worker
-//! sweeping many faults over one tile pays the gather once). Results
-//! are bit-identical to the full-width kernel — tiles partition the
-//! block axis and blocks are independent. The pre-existing full-cone
-//! kernel survives as
+//! active at all. The pre-existing full-cone kernel survives as
 //! [`FaultSimulator::detection_set_stuck_full_cone`] /
 //! [`FaultSimulator::detection_set_bridge_full_cone`] — the
 //! differential-testing oracle and benchmark baseline.
@@ -35,7 +25,7 @@ use ndetect_sim::rows as rowops;
 use ndetect_sim::rows::{zeroed_words, RowMatrix};
 use ndetect_sim::{
     eval_gate_trit, eval_gate_word_pin_override, eval_trits_all, parallel, GoodValues,
-    MemoryBudget, PartialVector, PatternSpace, SimScratch, Trit, VectorSet,
+    PartialVector, PatternSpace, SimScratch, Trit, VectorSet,
 };
 use std::ops::Range;
 
@@ -144,23 +134,19 @@ fn has_others_rows(kind: GateKind) -> bool {
     )
 }
 
-/// Rebuilds the per-edge "all other fanins" rows of every associative
-/// gate over one node-major tile of good values: one suffix and one
-/// prefix sweep per gate (the standard exclusive-scan trick, O(fanins)
-/// row passes). `good_rows` and `others` must share a width, and `run`
-/// is a caller-provided scratch row of that width. Used both by full
-/// mode at assembly (width = all blocks) and per tile by the tiled
-/// kernel.
+/// Builds the per-edge "all other fanins" rows of every associative
+/// gate from the node-major good values: one suffix and one prefix
+/// sweep per gate (the standard exclusive-scan trick, O(fanins) row
+/// passes). `good_rows` and `others` must share a width.
 fn fill_others(
     netlist: &Netlist,
     good_rows: &RowMatrix,
     others: &mut RowMatrix,
     edge_offsets: &[u32],
-    run: &mut [u64],
 ) {
     let w = others.width();
     debug_assert_eq!(good_rows.width(), w);
-    debug_assert_eq!(run.len(), w);
+    let mut run = zeroed_words(w);
     for (i, &offset) in edge_offsets.iter().enumerate().take(netlist.num_nodes()) {
         let node = netlist.node(NodeId::new(i));
         let kind = node.kind();
@@ -186,8 +172,8 @@ fn fill_others(
         // Prefix sweep folds in good fanins 0..pin.
         run.fill(ident);
         for (pin, fanin) in fanins.iter().enumerate() {
-            fold_rows(kind, others.row_mut(base + pin), run);
-            fold_rows(kind, run, good_rows.row(fanin.index()));
+            fold_rows(kind, others.row_mut(base + pin), &run);
+            fold_rows(kind, &mut run, good_rows.row(fanin.index()));
         }
     }
 }
@@ -217,18 +203,15 @@ fn fill_others(
 /// # Memory
 ///
 /// The row-oriented kernel trades memory for streaming speed: the
-/// node-major transpose, the per-edge "other fanins" rows, and every
-/// per-worker [`SimScratch`] each cost `O(num_nodes × tile_width)`
-/// words (the `others` table scales with total fanin instead of node
-/// count). With an unbounded [`MemoryBudget`] (the default)
-/// `tile_width` is the full block count — a few copies of the
+/// node-major transpose and the per-edge "other fanins" rows, shared by
+/// every worker, and each per-worker [`SimScratch`] cost
+/// `O(num_nodes × num_blocks)` words (the `others` table scales with
+/// total fanin instead of node count). That is a few copies of the
 /// [`GoodValues`] table, trivial at the circuit widths the paper's
 /// analysis targets (`I ≤ 14`, see [`crate::FaultUniverse`]'s memory
 /// note) but gigabytes per table near
-/// [`ndetect_sim::MAX_EXHAUSTIVE_INPUTS`]. A bounded budget caps the
-/// per-worker working set instead: `tile_width` is the largest block
-/// count whose transpose + others + scratch rows fit the budget, and
-/// workers stream the space tile by tile with bit-identical results.
+/// [`ndetect_sim::MAX_EXHAUSTIVE_INPUTS`]; wider circuits are analysed
+/// per output cone instead.
 ///
 /// ```
 /// use ndetect_netlist::NetlistBuilder;
@@ -255,18 +238,8 @@ pub struct FaultSimulator {
     reach: ReachabilityMatrix,
     num_nodes: usize,
     num_blocks: usize,
-    /// The memory budget this simulator was built under.
-    budget: MemoryBudget,
-    /// Tile width in blocks: `num_blocks` in full (unbounded) mode,
-    /// smaller when the budget constrains the working set.
-    tile_width: usize,
-    /// Total rows of the per-edge `others` table (tiled scratches size
-    /// their private tile from this).
-    num_other_rows: usize,
-    /// Full mode only: node-major transpose of the good values (row `i`
-    /// = node `i`'s words for blocks `0..num_blocks`). Empty in tiled
-    /// mode — each worker gathers its tile into
-    /// [`SimScratch::tile_good`] instead.
+    /// Node-major transpose of the good values (row `i` = node `i`'s
+    /// words for blocks `0..num_blocks`).
     good_nm: RowMatrix,
     /// CSR offsets into [`Self::cone_gates`]: node `i`'s
     /// strictly-downstream gates (topological order) are
@@ -274,12 +247,10 @@ pub struct FaultSimulator {
     cone_offsets: Vec<u32>,
     /// Flattened cone arena, indexed through [`Self::cone_offsets`].
     cone_gates: Vec<NodeId>,
-    /// Full mode only: per associative gate and fanin pin, the
-    /// fault-free fold of **all other** fanins (row `edge_offsets[g] +
-    /// pin`): when exactly one fanin of a gate changes, the gate
-    /// re-evaluates in a single fused pass `op(others, changed)`
-    /// instead of folding every operand. Empty in tiled mode (see
-    /// [`SimScratch::tile_others`]).
+    /// Per associative gate and fanin pin, the fault-free fold of **all
+    /// other** fanins (row `edge_offsets[g] + pin`): when exactly one
+    /// fanin of a gate changes, the gate re-evaluates in a single fused
+    /// pass `op(others, changed)` instead of folding every operand.
     others: RowMatrix,
     /// Per node: first `others` row index of its fanin pins (nodes
     /// without tabulated rows span zero rows).
@@ -311,31 +282,13 @@ impl FaultSimulator {
         netlist: &Netlist,
         num_threads: usize,
     ) -> Result<Self, ndetect_sim::SimError> {
-        Self::with_budget(netlist, num_threads, MemoryBudget::Auto)
-    }
-
-    /// Prepares a simulator under an explicit [`MemoryBudget`]: a
-    /// bounded budget caps each worker's kernel working set (transpose
-    /// tile + others tile + scratch rows) and the kernel streams the
-    /// pattern space in tiles. Results are bit-identical for every
-    /// budget; only peak memory (and streaming order) change.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ndetect_sim::SimError`] if the circuit has too many
-    /// inputs for exhaustive simulation.
-    pub fn with_budget(
-        netlist: &Netlist,
-        num_threads: usize,
-        budget: MemoryBudget,
-    ) -> Result<Self, ndetect_sim::SimError> {
         let space = PatternSpace::new(netlist.num_inputs())?;
         let good = {
             let mut span = trace::span("sim.good_values");
             span.field("blocks", space.num_blocks());
             GoodValues::compute_with(netlist, &space, num_threads)
         };
-        Self::assemble(netlist, space, good, budget)
+        Ok(Self::assemble(netlist, space, good))
     }
 
     /// Prepares a simulator around **precomputed** fault-free values
@@ -357,38 +310,13 @@ impl FaultSimulator {
         netlist: &Netlist,
         good: GoodValues,
     ) -> Result<Self, ndetect_sim::SimError> {
-        Self::with_good_values_budget(netlist, good, MemoryBudget::Auto)
-    }
-
-    /// [`Self::with_good_values`] under an explicit [`MemoryBudget`]
-    /// (see [`Self::with_budget`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ndetect_sim::SimError`] if the circuit has too many
-    /// inputs for exhaustive simulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `good`'s dimensions do not match the netlist and its
-    /// pattern space.
-    pub fn with_good_values_budget(
-        netlist: &Netlist,
-        good: GoodValues,
-        budget: MemoryBudget,
-    ) -> Result<Self, ndetect_sim::SimError> {
         let space = PatternSpace::new(netlist.num_inputs())?;
         assert_eq!(good.num_nodes(), netlist.num_nodes(), "good-value shape");
         assert_eq!(good.num_blocks(), space.num_blocks(), "good-value shape");
-        Self::assemble(netlist, space, good, budget)
+        Ok(Self::assemble(netlist, space, good))
     }
 
-    fn assemble(
-        netlist: &Netlist,
-        space: PatternSpace,
-        good: GoodValues,
-        budget: MemoryBudget,
-    ) -> Result<Self, ndetect_sim::SimError> {
+    fn assemble(netlist: &Netlist, space: PatternSpace, good: GoodValues) -> Self {
         // Cone arena + transpose + others-table setup: the structural
         // (non-simulating) half of simulator construction.
         let mut span = trace::span("sim.assemble");
@@ -426,44 +354,22 @@ impl FaultSimulator {
             edge_offsets.push(num_other_rows as u32);
         }
 
-        // Per-worker kernel working set per block, in words: faulty
-        // rows + good tile + others tile + acc + det. The budget picks
-        // the widest tile that fits; the full block count means the
-        // zero-overhead full-width mode.
-        let words_per_block = 2 * n + num_other_rows + 2;
-        let tile_width = budget.tile_width(words_per_block, nb);
-        let kernel = if tile_width == nb { "full" } else { "tiled" };
-        span.field("kernel", kernel);
         span.field("nodes", n);
         span.field("blocks", nb);
-        // Library-level metric: which kernel the budget selected, across
-        // every simulator built in this process.
-        ndetect_obs::global()
-            .counter(&format!("kernel_{kernel}_selected_total"))
-            .inc();
 
-        let (good_nm, others) = if tile_width == nb {
-            // Full mode: materialize the node-major transpose (the
-            // event kernel streams one node's words across all blocks,
-            // so give it a contiguous row) and the others table once,
-            // shared by every worker.
-            let mut good_nm = RowMatrix::zeroed(n, nb);
-            for b in 0..nb {
-                let block = good.block(b);
-                let words = good_nm.words_mut();
-                for (i, &w) in block.iter().enumerate() {
-                    words[i * nb + b] = w;
-                }
+        // The node-major transpose (the event kernel streams one node's
+        // words across all blocks, so give it a contiguous row) and the
+        // others table, built once and shared by every worker.
+        let mut good_nm = RowMatrix::zeroed(n, nb);
+        for b in 0..nb {
+            let block = good.block(b);
+            let words = good_nm.words_mut();
+            for (i, &w) in block.iter().enumerate() {
+                words[i * nb + b] = w;
             }
-            let mut others = RowMatrix::zeroed(num_other_rows, nb);
-            let mut run = zeroed_words(nb);
-            fill_others(netlist, &good_nm, &mut others, &edge_offsets, &mut run);
-            (good_nm, others)
-        } else {
-            // Tiled mode: no shared full-width tables — each worker
-            // gathers per-tile slices into its scratch on demand.
-            (RowMatrix::empty(), RowMatrix::empty())
-        };
+        }
+        let mut others = RowMatrix::zeroed(num_other_rows, nb);
+        fill_others(netlist, &good_nm, &mut others, &edge_offsets);
 
         // Cold per-circuit setup; a bool flag table is not a word buffer.
         #[allow(clippy::disallowed_methods)]
@@ -472,22 +378,19 @@ impl FaultSimulator {
             observed[po.index()] = true;
         }
 
-        Ok(FaultSimulator {
+        FaultSimulator {
             space,
             good,
             reach,
             num_nodes: n,
             num_blocks: nb,
-            budget,
-            tile_width,
-            num_other_rows,
             good_nm,
             cone_offsets,
             cone_gates,
             others,
             edge_offsets,
             observed,
-        })
+        }
     }
 
     /// The exhaustive pattern space this simulator runs over.
@@ -509,50 +412,21 @@ impl FaultSimulator {
         &self.reach
     }
 
-    /// Allocates scratch buffers sized for this simulator's circuit and
-    /// kernel mode (full-width or tiled). One scratch serves any number
-    /// of faults; workers should create one and reuse it (see
-    /// [`FaultSimulator::detection_set_stuck_with`]).
+    /// Allocates scratch buffers sized for this simulator's circuit. One
+    /// scratch serves any number of faults; workers should create one
+    /// and reuse it (see [`FaultSimulator::detection_set_stuck_with`]).
     #[must_use]
     pub fn new_scratch(&self) -> SimScratch {
-        if self.tile_width == self.num_blocks {
-            SimScratch::new(self.num_nodes, self.num_blocks)
-        } else {
-            SimScratch::new_tiled(self.num_nodes, self.tile_width, self.num_other_rows)
-        }
+        SimScratch::new(self.num_nodes, self.num_blocks)
     }
 
-    /// The memory budget this simulator was built under.
-    #[must_use]
-    pub fn mem_budget(&self) -> MemoryBudget {
-        self.budget
-    }
-
-    /// The tile width in 64-vector blocks (equals the space's block
-    /// count in full-width mode).
-    #[must_use]
-    pub fn tile_width(&self) -> usize {
-        self.tile_width
-    }
-
-    /// Which kernel the budget selected: `"full"` (full-width shared
-    /// tables, the unbounded fast path) or `"tiled"` (per-worker
-    /// streamed tiles).
-    #[must_use]
-    pub fn kernel_mode(&self) -> &'static str {
-        if self.tile_width == self.num_blocks {
-            "full"
-        } else {
-            "tiled"
-        }
-    }
-
-    /// Estimated per-worker data-plane bytes: faulty rows + good tile +
-    /// others tile + accumulator + detection row, at the selected tile
-    /// width. This is the quantity the [`MemoryBudget`] bounds.
+    /// The kernel's data-plane bytes over every block of the space: a
+    /// worker's faulty rows, accumulator and detection row, plus the
+    /// good-value transpose and `others` table every worker shares.
     #[must_use]
     pub fn data_plane_bytes(&self) -> u64 {
-        8 * (2 * self.num_nodes + self.num_other_rows + 2) as u64 * self.tile_width as u64
+        let words_per_block = 2 * self.num_nodes + self.others.num_rows() + 2;
+        8 * words_per_block as u64 * self.num_blocks as u64
     }
 
     /// Node `i`'s strictly-downstream gates in topological order (CSR
@@ -570,62 +444,16 @@ impl FaultSimulator {
         self.observed[node.index()]
     }
 
-    /// The base block of the tile `scratch` currently addresses (0 in
-    /// full-width mode, where rows span the whole space).
-    #[inline]
-    fn scratch_base(scratch: &SimScratch) -> usize {
-        if scratch.is_tiled() {
-            scratch.tile_start
-        } else {
-            0
-        }
-    }
-
-    /// Loads the tile starting at block `tile_base` into a tiled
-    /// scratch's private good/others tables (no-op in full-width mode
-    /// or when that tile is already loaded — a worker sweeping many
-    /// faults over one tile pays the gather once).
-    fn prepare_tile(&self, netlist: &Netlist, tile_base: usize, scratch: &mut SimScratch) {
-        if !scratch.is_tiled() || scratch.tile_start == tile_base {
-            return;
-        }
-        let w = self.tile_width.min(self.num_blocks - tile_base);
-        // Gather the node-major transpose of this tile from the
-        // block-major good values. Stray columns of a narrow final tile
-        // keep stale words; no column ≥ `w` is ever read.
-        {
-            let tw = scratch.tile_good.width();
-            let tg = scratch.tile_good.words_mut();
-            for c in 0..w {
-                let block = self.good.block(tile_base + c);
-                for (i, &word) in block.iter().enumerate() {
-                    tg[i * tw + c] = word;
-                }
-            }
-        }
-        fill_others(
-            netlist,
-            &scratch.tile_good,
-            &mut scratch.tile_others,
-            &self.edge_offsets,
-            &mut scratch.acc,
-        );
-        scratch.tile_start = tile_base;
-    }
-
     /// The event-driven kernel: propagates the difference between the
     /// root's faulty row (already written to `scratch.rows` over
     /// `blocks` by the caller) and its fault-free row through the
     /// root's cone, accumulating per-block detection words into the
     /// scratch detection row.
     ///
-    /// `blocks` are **global** block coordinates and must lie inside
-    /// the tile `scratch` currently addresses (the whole space in
-    /// full-width mode). Gates are evaluated only while some fanin is
-    /// on the difference frontier, over only the block sub-range on
-    /// which the root differs at all; the walk degenerates to cheap
-    /// frontier checks as soon as the frontier dies. Zero heap
-    /// allocations.
+    /// Gates are evaluated only while some fanin is on the difference
+    /// frontier, over only the sub-range of `blocks` on which the root
+    /// differs at all; the walk degenerates to cheap frontier checks as
+    /// soon as the frontier dies. Zero heap allocations.
     fn propagate(
         &self,
         netlist: &Netlist,
@@ -634,7 +462,7 @@ impl FaultSimulator {
         scratch: &mut SimScratch,
     ) {
         debug_assert!(
-            scratch.fits(self.num_nodes, self.tile_width),
+            scratch.fits(self.num_nodes, self.num_blocks),
             "scratch shape"
         );
         scratch.begin_fault();
@@ -646,39 +474,23 @@ impl FaultSimulator {
             frontier,
             det_lo,
             det_hi,
-            tile_good,
-            tile_others,
-            tile_start,
             ..
         } = scratch;
-        // One data plane, two sources: full mode reads the simulator's
-        // shared full-width tables, tiled mode this worker's private
-        // tile (both node-major RowMatrix — the kernel below cannot
-        // tell them apart).
-        let (good_rows, others_rows, base): (&RowMatrix, &RowMatrix, usize) =
-            if tile_good.is_empty() {
-                (&self.good_nm, &self.others, 0)
-            } else {
-                debug_assert!(*tile_start < self.num_blocks, "tile not prepared");
-                (tile_good, tile_others, *tile_start)
-            };
-        debug_assert!(blocks.start >= base && blocks.end <= base + rows.width());
+        let good_rows = &self.good_nm;
 
-        // Tighten to the sub-range of columns on which the root
-        // actually changed: no node anywhere can differ outside it.
-        // (lo..hi are tile-local columns; det_lo/det_hi stay global.)
-        let cols = blocks.start - base..blocks.end - base;
+        // Tighten to the sub-range of blocks on which the root actually
+        // changed: no node anywhere can differ outside it.
         let mut lo = usize::MAX;
-        let mut hi = cols.start;
+        let mut hi = blocks.start;
         {
-            let faulty = &rows.row(root.index())[cols.clone()];
-            let good = &good_rows.row(root.index())[cols.clone()];
+            let faulty = &rows.row(root.index())[blocks.clone()];
+            let good = &good_rows.row(root.index())[blocks.clone()];
             for (k, (&a, &b)) in faulty.iter().zip(good).enumerate() {
                 if a ^ b != 0 {
                     if lo == usize::MAX {
-                        lo = cols.start + k;
+                        lo = blocks.start + k;
                     }
-                    hi = cols.start + k + 1;
+                    hi = blocks.start + k + 1;
                 }
             }
         }
@@ -688,8 +500,8 @@ impl FaultSimulator {
             *det_hi = blocks.start;
             return;
         }
-        *det_lo = base + lo;
-        *det_hi = base + hi;
+        *det_lo = lo;
+        *det_hi = hi;
         let w = hi - lo;
         det[lo..hi].fill(0);
 
@@ -729,7 +541,7 @@ impl FaultSimulator {
                     rows.row_window_pair(fanins[changed_pin].index(), g.index(), lo..hi);
                 let others = if has_others_rows(kind) {
                     let row = self.edge_offsets[g.index()] as usize + changed_pin;
-                    &others_rows.row(row)[lo..hi]
+                    &self.others.row(row)[lo..hi]
                 } else {
                     changed
                 };
@@ -783,135 +595,72 @@ impl FaultSimulator {
         }
     }
 
-    /// Appends the detection row back out as per-block words (masked to
-    /// the space; blocks outside the fault's active range read as zero).
-    fn collect_det_into(&self, blocks: Range<usize>, scratch: &SimScratch, out: &mut Vec<u64>) {
-        let base = Self::scratch_base(scratch);
-        out.extend(blocks.map(|b| {
-            if b >= scratch.det_lo && b < scratch.det_hi {
-                scratch.det[b - base] & self.space.block_mask(b)
-            } else {
-                0
-            }
-        }));
-    }
-
-    /// Splits a block range at tile boundaries and runs `body` on each
-    /// tile-resident sub-range with the tile loaded. Blocks are
-    /// independent, so any partition of the range concatenates back to
-    /// the full-range result; in full-width mode this degenerates to a
-    /// single call with no gathering.
-    fn for_each_tile_span(
-        &self,
-        netlist: &Netlist,
-        blocks: Range<usize>,
-        scratch: &mut SimScratch,
-        mut body: impl FnMut(&Self, Range<usize>, &mut SimScratch),
-    ) {
-        let mut start = blocks.start;
-        while start < blocks.end {
-            let tile_base = start - start % self.tile_width;
-            let end = blocks.end.min(tile_base + self.tile_width);
-            self.prepare_tile(netlist, tile_base, scratch);
-            body(self, start..end, scratch);
-            start = end;
-        }
-    }
-
     /// Detection words of a stuck-at fault over a contiguous block
-    /// range (streamed tile by tile under a bounded budget).
-    pub(crate) fn stuck_words(
+    /// range.
+    fn stuck_words(
         &self,
         netlist: &Netlist,
         fault: StuckAtFault,
         blocks: Range<usize>,
         scratch: &mut SimScratch,
     ) -> Vec<u64> {
-        let line = netlist.lines().line(fault.line);
-        // Output-slot branch faults never touch the kernel at all:
-        // detected exactly where the good driver differs from the stuck
-        // value (only that output observation is faulty).
-        if let LineKind::Branch {
-            node,
-            sink: Sink::OutputSlot { .. },
-        } = *line.kind()
-        {
-            let vword = stuck_word(fault.value);
-            return blocks
-                .map(|b| (self.good.node_word(b, node) ^ vword) & self.space.block_mask(b))
-                .collect();
-        }
-        let mut out = Vec::with_capacity(blocks.len());
-        self.for_each_tile_span(netlist, blocks, scratch, |sim, span, scratch| {
-            sim.stuck_words_span(netlist, fault, span, scratch, &mut out);
-        });
-        out
-    }
-
-    /// One tile-resident span of [`Self::stuck_words`]: writes the root
-    /// row, propagates, and appends the masked detection words.
-    fn stuck_words_span(
-        &self,
-        netlist: &Netlist,
-        fault: StuckAtFault,
-        span: Range<usize>,
-        scratch: &mut SimScratch,
-        out: &mut Vec<u64>,
-    ) {
         let vword = stuck_word(fault.value);
         let line = netlist.lines().line(fault.line);
-        let base = Self::scratch_base(scratch);
-        let cols = span.start - base..span.end - base;
-
-        match *line.kind() {
+        // The kernel's root: the stem's node forced to the stuck value,
+        // or a pin fault's sink gate evaluated with the overridden
+        // operand (a constant row), all other operands fault-free.
+        let root = match *line.kind() {
             LineKind::Stem { node } => {
-                scratch.rows.row_mut(node.index())[cols].fill(vword);
-                self.propagate(netlist, node, span.clone(), scratch);
-                self.collect_det_into(span, scratch, out);
+                scratch.rows.row_mut(node.index())[blocks.clone()].fill(vword);
+                node
             }
-            LineKind::Branch { node: _, sink } => match sink {
-                Sink::GatePin { gate, pin } => {
-                    // Root row: the sink gate evaluated with the
-                    // overridden operand (a constant row), all other
-                    // operands fault-free.
-                    let gnode = netlist.node(gate);
-                    let w = cols.len();
-                    {
-                        let SimScratch {
-                            rows,
-                            acc,
-                            tile_good,
-                            ..
-                        } = scratch;
-                        let good_rows: &RowMatrix = if tile_good.is_empty() {
-                            &self.good_nm
-                        } else {
-                            tile_good
-                        };
-                        acc[..w].fill(vword);
-                        let acc_r: &[u64] = &acc[..w];
-                        let op = |i: usize, f: NodeId| -> &[u64] {
-                            if i == pin {
-                                acc_r
-                            } else {
-                                &good_rows.row(f.index())[cols.clone()]
-                            }
-                        };
-                        eval_gate_rows(
-                            gnode.kind(),
-                            gnode.fanins(),
-                            op,
-                            &mut rows.row_mut(gate.index())[cols.clone()],
-                        );
+            LineKind::Branch {
+                sink: Sink::GatePin { gate, pin },
+                ..
+            } => {
+                let gnode = netlist.node(gate);
+                let SimScratch { rows, acc, .. } = scratch;
+                acc[..blocks.len()].fill(vword);
+                let acc_r: &[u64] = &acc[..blocks.len()];
+                let op = |i: usize, f: NodeId| -> &[u64] {
+                    if i == pin {
+                        acc_r
+                    } else {
+                        &self.good_nm.row(f.index())[blocks.clone()]
                     }
-                    self.propagate(netlist, gate, span.clone(), scratch);
-                    self.collect_det_into(span, scratch, out);
+                };
+                eval_gate_rows(
+                    gnode.kind(),
+                    gnode.fanins(),
+                    op,
+                    &mut rows.row_mut(gate.index())[blocks.clone()],
+                );
+                gate
+            }
+            // Output-slot branch faults never touch the kernel at all:
+            // detected exactly where the good driver differs from the
+            // stuck value (only that output observation is faulty).
+            LineKind::Branch {
+                node,
+                sink: Sink::OutputSlot { .. },
+            } => {
+                return blocks
+                    .map(|b| (self.good.node_word(b, node) ^ vword) & self.space.block_mask(b))
+                    .collect();
+            }
+        };
+        self.propagate(netlist, root, blocks.clone(), scratch);
+        // The detection row as per-block words, masked to the space;
+        // blocks outside the fault's active range read as zero.
+        blocks
+            .map(|b| {
+                if (scratch.det_lo..scratch.det_hi).contains(&b) {
+                    scratch.det[b] & self.space.block_mask(b)
+                } else {
+                    0
                 }
-                Sink::OutputSlot { slot: _ } => {
-                    unreachable!("handled without the kernel in stuck_words")
-                }
-            },
-        }
+            })
+            .collect()
     }
 
     /// Node `node`'s fault-free words over every block of the space.
@@ -1099,7 +848,7 @@ impl FaultSimulator {
     /// blocks.
     fn cone_buffers(&self, netlist: &Netlist, root: NodeId) -> (Vec<NodeId>, Vec<u64>, Vec<bool>) {
         let outputs = self.observable_outputs_of(netlist, root);
-        // Reference oracle, off the budgeted data plane by design.
+        // Reference oracle, off the row data plane by design.
         #[allow(clippy::disallowed_methods)]
         let mut in_cone = vec![false; self.num_nodes];
         in_cone[root.index()] = true;

@@ -1,7 +1,7 @@
 //! The complete fault picture of one circuit: targets `F` and untargeted
 //! faults `G` with their detection sets.
 
-// Hot module: universe building drives the budgeted data plane; any word
+// Hot module: universe building drives the row data plane; any word
 // buffer it allocates must come from `ndetect_sim::rows`.
 #![deny(clippy::disallowed_methods)]
 
@@ -16,7 +16,7 @@ use crate::stuck_at::{all_stuck_at_faults, StuckAtFault};
 use ndetect_netlist::{LineId, Netlist, NodeId};
 use ndetect_obs::trace;
 use ndetect_sim::rows::{zeroed_counts, zeroed_words};
-use ndetect_sim::{parallel, MemoryBudget, PatternSpace, VectorSet};
+use ndetect_sim::{parallel, PatternSpace, VectorSet};
 use ndetect_store::{decode_from_slice, encode_to_vec, ArtifactKey, Store};
 use std::collections::HashMap;
 use std::fmt;
@@ -42,15 +42,9 @@ pub struct UniverseOptions {
     /// (`NDETECT_THREADS`, then the machine's available parallelism).
     /// The fault list is tiled across workers, each owning a read-only
     /// view of the simulator and producing its own slice of detection
-    /// sets, so results are bit-identical for every thread count.
+    /// sets, so results are bit-identical for every thread count, and
+    /// the store key excludes it.
     pub threads: usize,
-    /// Per-worker kernel memory budget. Bounds the simulator's working
-    /// set (good/others tables + faulty rows) by streaming block tiles
-    /// through the kernel; like [`Self::threads`] it is a performance
-    /// knob — detection sets are bit-identical for every budget, so it
-    /// is excluded from the store key. `Auto` consults
-    /// `NDETECT_MEM_BUDGET` and defaults to unbounded.
-    pub mem_budget: MemoryBudget,
 }
 
 impl Default for UniverseOptions {
@@ -60,7 +54,6 @@ impl Default for UniverseOptions {
             include_bridges: true,
             bridge_model: BridgeModel::FourWay,
             threads: 0,
-            mem_budget: MemoryBudget::Auto,
         }
     }
 }
@@ -210,8 +203,7 @@ impl FaultUniverse {
         build_span.field("circuit", netlist.name());
         let started = std::time::Instant::now();
         let threads = parallel::resolve_threads(options.threads);
-        let simulator = FaultSimulator::with_budget(netlist, threads, options.mem_budget)?;
-        build_span.field("kernel", simulator.kernel_mode());
+        let simulator = FaultSimulator::with_threads(netlist, threads)?;
         let collapsed = {
             let _span = trace::span("universe.collapse");
             CollapsedFaults::compute(netlist)
@@ -382,9 +374,7 @@ impl FaultUniverse {
         if !artifact.is_consistent_with(netlist, options) {
             return None;
         }
-        let simulator =
-            FaultSimulator::with_good_values_budget(netlist, artifact.good, options.mem_budget)
-                .ok()?;
+        let simulator = FaultSimulator::with_good_values(netlist, artifact.good).ok()?;
         let collapsed = CollapsedFaults::compute(netlist);
         Some(FaultUniverse {
             netlist: netlist.clone(),
@@ -832,73 +822,19 @@ fn word_hash(words: &[u64]) -> u64 {
 /// and the bridge sweep's victim pass. Each worker simulates a tile of
 /// the fault list against the shared read-only simulator, reusing one
 /// event-propagation scratch for its whole tile, and tiles reassemble in
-/// fault order, so the sets are bit-identical to a serial pass. Under a
-/// bounded budget the sweep is tile-major over blocks instead (see
-/// [`stuck_sets_tiled`]).
+/// fault order, so the sets are bit-identical to a serial pass.
 fn stuck_sets(
     netlist: &Netlist,
     simulator: &FaultSimulator,
     threads: usize,
     faults: &[StuckAtFault],
 ) -> Vec<VectorSet> {
-    if simulator.tile_width() < simulator.space().num_blocks() {
-        stuck_sets_tiled(netlist, simulator, threads, faults)
-    } else {
-        parallel::parallel_map_with(
-            threads,
-            faults,
-            || simulator.new_scratch(),
-            |scratch, _, &f| simulator.detection_set_stuck_with(netlist, f, scratch),
-        )
-    }
-}
-
-/// Builds detection sets for a fault list under a bounded memory budget
-/// with a **tile-major** sweep: the outer loop walks budget-sized block
-/// tiles in order, and the inner [`parallel::parallel_map_with`] fans
-/// the whole fault list across workers, so each worker gathers its
-/// private tile of the good/others tables **once per tile** and then
-/// streams its entire fault chunk through it. (A fault-major sweep would
-/// regather the tile tables for every fault — `O(|F| · nodes · blocks)`
-/// instead of `O(workers · nodes · blocks)`.)
-///
-/// Tiles are visited in block order and per-fault words are appended in
-/// fault order, so the resulting sets are bit-identical to the
-/// full-width single-pass build for every budget and thread count.
-fn stuck_sets_tiled(
-    netlist: &Netlist,
-    simulator: &FaultSimulator,
-    threads: usize,
-    faults: &[StuckAtFault],
-) -> Vec<VectorSet> {
-    let num_blocks = simulator.space().num_blocks();
-    let num_patterns = simulator.space().num_patterns();
-    let tile = simulator.tile_width();
-    let mut words: Vec<Vec<u64>> = faults
-        .iter()
-        .map(|_| Vec::with_capacity(num_blocks))
-        .collect();
-    let mut start = 0;
-    while start < num_blocks {
-        let end = num_blocks.min(start + tile);
-        let mut tile_span = trace::span("universe.tile_gather");
-        tile_span.field("blocks", end - start);
-        tile_span.field("faults", faults.len());
-        let spans = parallel::parallel_map_with(
-            threads,
-            faults,
-            || simulator.new_scratch(),
-            |scratch, _, &fault| simulator.stuck_words(netlist, fault, start..end, scratch),
-        );
-        for (buf, span) in words.iter_mut().zip(spans) {
-            buf.extend_from_slice(&span);
-        }
-        start = end;
-    }
-    words
-        .into_iter()
-        .map(|w| VectorSet::from_block_words(num_patterns, w))
-        .collect()
+    parallel::parallel_map_with(
+        threads,
+        faults,
+        || simulator.new_scratch(),
+        |scratch, _, &f| simulator.detection_set_stuck_with(netlist, f, scratch),
+    )
 }
 
 impl fmt::Debug for FaultUniverse {
@@ -1017,58 +953,6 @@ mod tests {
         assert_eq!(u.num_detectable_targets(), manual);
         // Every collapsed figure1 target is detectable.
         assert_eq!(u.num_detectable_targets(), u.targets().len());
-    }
-
-    #[test]
-    fn bounded_budget_builds_identical_universe() {
-        // 8 inputs -> 256 patterns -> 4 blocks; a tiny budget forces the
-        // tile-major sweep with several tiles, which must reproduce the
-        // unbounded universe bit for bit (targets and bridges alike).
-        let mut b = NetlistBuilder::new("wide8");
-        let inputs: Vec<_> = (0..8).map(|i| b.input(format!("i{i}"))).collect();
-        let a0 = b.and("a0", &inputs[0..4]).unwrap();
-        let o0 = b.or("o0", &inputs[4..8]).unwrap();
-        let x0 = b.xor("x0", &[a0, o0]).unwrap();
-        let n0 = b.nand("n0", &[inputs[1], inputs[6]]).unwrap();
-        let top = b.or("top", &[x0, n0]).unwrap();
-        b.output(top);
-        b.output(a0);
-        let n = b.build().unwrap();
-
-        let full = FaultUniverse::build(&n).unwrap();
-        assert_eq!(full.simulator().kernel_mode(), "full");
-        // Half the full working set -> a two-block tile (two tiles).
-        let half = MemoryBudget::Bytes(full.simulator().data_plane_bytes() / 2);
-        for (budget, threads) in [
-            (MemoryBudget::Bytes(1), 1),
-            (MemoryBudget::Bytes(1), 4),
-            (half, 2),
-        ] {
-            let tiled = FaultUniverse::build_with(
-                &n,
-                UniverseOptions {
-                    threads,
-                    mem_budget: budget,
-                    ..UniverseOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(full.targets(), tiled.targets());
-            assert_eq!(full.bridges(), tiled.bridges());
-            for (a, b) in full.target_sets().iter().zip(tiled.target_sets()) {
-                assert_eq!(a.words(), b.words(), "budget {budget}");
-            }
-            assert_eq!(
-                full.bridge_classes(),
-                tiled.bridge_classes(),
-                "budget {budget}"
-            );
-            assert_eq!(
-                full.bridge_class_of(),
-                tiled.bridge_class_of(),
-                "budget {budget}"
-            );
-        }
     }
 
     #[test]

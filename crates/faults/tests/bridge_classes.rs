@@ -1,27 +1,21 @@
-//! Differential test of the bridge sweep. A universe never simulates a
+//! Differential test of the universe build. Every target set `T(f)` it
+//! reports must equal the full-cone oracle's. It never simulates a
 //! bridge: it masks the victim stem fault's detection set with the
 //! aggressor's fault-free row and stores each distinct result once. Every
 //! `T(g)` it reports must still equal the full-cone oracle's, the
 //! per-fault `detection_set_bridge*` calls must agree with it, and the
 //! classes must be non-empty, pairwise distinct and in first-occurrence
-//! order, at every thread count and memory budget.
+//! order, at 1 and 4 threads.
 
 use ndetect_faults::{enumerate_bridges_among, ExplicitTargets, FaultUniverse, UniverseOptions};
 use ndetect_netlist::{Netlist, NetlistBuilder};
 use ndetect_seq::{expand, FaultModel};
-use ndetect_sim::MemoryBudget;
 use ndetect_testutil::arb_netlist_sized;
 use proptest::prelude::*;
 use std::collections::HashSet;
 
-/// The thread × budget grid every universe is rebuilt under: unbounded,
-/// and 1 KiB, which tiles every multi-block space.
-const CONFIGS: [(usize, MemoryBudget); 4] = [
-    (1, MemoryBudget::Unbounded),
-    (4, MemoryBudget::Unbounded),
-    (1, MemoryBudget::Bytes(1024)),
-    (4, MemoryBudget::Bytes(1024)),
-];
+/// The thread counts every universe is built at.
+const THREADS: [usize; 2] = [1, 4];
 
 fn figure1() -> Netlist {
     let mut b = NetlistBuilder::new("figure1");
@@ -38,16 +32,8 @@ fn figure1() -> Netlist {
     b.build().unwrap()
 }
 
-fn build(
-    netlist: &Netlist,
-    explicit: Option<&ExplicitTargets>,
-    config: (usize, MemoryBudget),
-) -> FaultUniverse {
-    let options = UniverseOptions {
-        threads: config.0,
-        mem_budget: config.1,
-        ..UniverseOptions::default()
-    };
+fn build(netlist: &Netlist, explicit: Option<&ExplicitTargets>, threads: usize) -> FaultUniverse {
+    let options = UniverseOptions::with_threads(threads);
     match explicit {
         Some(explicit) => FaultUniverse::build_explicit(netlist, explicit, options),
         None => FaultUniverse::build_with(netlist, options),
@@ -76,12 +62,21 @@ fn assert_classes_well_formed(u: &FaultUniverse, label: &str) {
     assert_eq!(opened, u.bridge_classes().len(), "{label}: unused class");
 }
 
-/// Checks one circuit: the reference universe against the oracle bridge
-/// by bridge, then every thread × budget build against the reference.
+/// Checks one circuit: the reference universe against the oracle target
+/// by target and bridge by bridge, then the build at every thread count
+/// against the reference.
 fn assert_bridge_sets_match_oracle(netlist: &Netlist, explicit: Option<&ExplicitTargets>) {
     let label = netlist.name();
-    let reference = build(netlist, explicit, CONFIGS[0]);
+    let reference = build(netlist, explicit, THREADS[0]);
     let sim = reference.simulator();
+    for (i, &fault) in reference.targets().iter().enumerate() {
+        assert_eq!(
+            reference.target_set(i),
+            &sim.detection_set_stuck_full_cone(netlist, fault),
+            "{label} target {}",
+            fault.name(netlist)
+        );
+    }
     let stems = match explicit {
         Some(explicit) => explicit.bridge_stems.clone(),
         None => netlist.multi_input_gate_stems(),
@@ -137,18 +132,12 @@ fn assert_bridge_sets_match_oracle(netlist: &Netlist, explicit: Option<&Explicit
         .zip(0..)
         .all(|(set, j)| set == reference.bridge_set(j)));
 
-    for config in CONFIGS {
-        let u = build(netlist, explicit, config);
-        let label = format!("{label} threads {} budget {}", config.0, config.1);
-        // 1 KiB tiles every multi-block space whose full-width data
-        // plane does not fit it.
-        if config.1 == MemoryBudget::Bytes(1024)
-            && u.space().num_blocks() > 1
-            && sim.data_plane_bytes() > 1024
-        {
-            assert_eq!(u.simulator().kernel_mode(), "tiled", "{label}");
-        }
+    for threads in THREADS {
+        let u = build(netlist, explicit, threads);
+        let label = format!("{label} threads {threads}");
         assert_classes_well_formed(&u, &label);
+        assert_eq!(u.targets(), reference.targets(), "{label}");
+        assert_eq!(u.target_sets(), reference.target_sets(), "{label}");
         assert_eq!(u.bridges(), reference.bridges(), "{label}");
         assert_eq!(u.bridge_classes(), reference.bridge_classes(), "{label}");
         assert_eq!(u.bridge_class_of(), reference.bridge_class_of(), "{label}");
@@ -176,12 +165,13 @@ fn s27_transition_bridge_sets_match_the_oracle() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Random netlists of up to 8 inputs (4 blocks), so the 1 KiB budget
-    /// really runs the tiled victim sweep.
+    /// Random netlists of 1 to 8 inputs and up to 20 gates: dense
+    /// single-block DAGs, and spaces of up to 4 blocks, which the 4-worker
+    /// block sharding of `detection_set_bridge_threaded` splits.
     #[test]
-    fn random_bridge_sets_match_the_oracle(netlist in arb_netlist_sized(8, 16)) {
+    fn random_bridge_sets_match_the_oracle(netlist in arb_netlist_sized(8, 20)) {
         assert_bridge_sets_match_oracle(&netlist, None);
     }
 }

@@ -1,27 +1,21 @@
-//! Differential suite for the memory-bounded tiled row kernels: on
-//! randomly generated netlists, the fault universe built under any
-//! memory budget — including a 1-byte budget that forces single-block
-//! tiles, and the tile-major multi-worker sweep — must be bit-identical
-//! to the unbounded build, which itself must match the reference
-//! full-cone kernel on every stuck-at and bridging detection set.
+//! Differential suite for the universe build on randomly generated
+//! netlists. The fault simulator has one kernel and takes no memory
+//! budget, so the worker count is the only knob a build has: at every
+//! worker count the universe must be bit-identical to the default build,
+//! which itself must match the reference full-cone kernel on every
+//! stuck-at and bridging detection set.
 
 use ndetect_faults::{FaultUniverse, UniverseOptions};
 use ndetect_netlist::Netlist;
-use ndetect_sim::MemoryBudget;
 use ndetect_testutil::arb_netlist_sized;
 use proptest::prelude::*;
 
-/// The budget sweep: a tiny budget (1 byte — clamps to one-block tiles,
-/// the maximal tile count), the default, and explicitly unbounded.
-const BUDGETS: [MemoryBudget; 3] = [
-    MemoryBudget::Bytes(1),
-    MemoryBudget::Auto,
-    MemoryBudget::Unbounded,
-];
+/// The worker counts every universe is rebuilt at.
+const THREADS: [usize; 2] = [1, 4];
 
-/// Asserts that every budget × thread-count combination reproduces the
-/// unbounded universe bit for bit, and that the unbounded universe
-/// agrees with the full-cone oracle fault by fault.
+/// Asserts that every worker count reproduces the default universe bit
+/// for bit, and that the default universe agrees with the full-cone
+/// oracle fault by fault.
 fn assert_budgets_agree(netlist: &Netlist) -> Result<(), TestCaseError> {
     let reference = FaultUniverse::build(netlist).expect("fits exhaustive sim");
     let sim = reference.simulator();
@@ -45,54 +39,43 @@ fn assert_budgets_agree(netlist: &Netlist) -> Result<(), TestCaseError> {
         );
     }
 
-    // Budget sweep: identical fault lists and identical set words.
-    let num_blocks = sim.space().num_blocks();
-    for budget in BUDGETS {
-        for threads in [1usize, 4] {
-            let universe = FaultUniverse::build_with(
-                netlist,
-                UniverseOptions {
-                    threads,
-                    mem_budget: budget,
-                    ..UniverseOptions::default()
-                },
-            )
+    // Worker sweep: identical fault lists and identical set words.
+    for threads in THREADS {
+        let universe = FaultUniverse::build_with(netlist, UniverseOptions::with_threads(threads))
             .expect("fits exhaustive sim");
-            if budget == MemoryBudget::Bytes(1) && num_blocks > 1 {
-                prop_assert_eq!(universe.simulator().kernel_mode(), "tiled");
-            }
-            prop_assert_eq!(universe.targets(), reference.targets());
-            prop_assert_eq!(universe.bridges(), reference.bridges());
-            for (i, (got, want)) in universe
-                .target_sets()
-                .iter()
-                .zip(reference.target_sets())
-                .enumerate()
-            {
-                prop_assert_eq!(
-                    got.words(),
-                    want.words(),
-                    "target {} budget {} threads {}",
-                    i,
-                    budget,
-                    threads
-                );
-            }
-            for (j, (got, want)) in universe
-                .bridge_sets()
-                .iter()
-                .zip(reference.bridge_sets())
-                .enumerate()
-            {
-                prop_assert_eq!(
-                    got.words(),
-                    want.words(),
-                    "bridge {} budget {} threads {}",
-                    j,
-                    budget,
-                    threads
-                );
-            }
+        prop_assert_eq!(
+            universe.simulator().data_plane_bytes(),
+            sim.data_plane_bytes()
+        );
+        prop_assert_eq!(universe.targets(), reference.targets());
+        prop_assert_eq!(universe.bridges(), reference.bridges());
+        for (i, (got, want)) in universe
+            .target_sets()
+            .iter()
+            .zip(reference.target_sets())
+            .enumerate()
+        {
+            prop_assert_eq!(
+                got.words(),
+                want.words(),
+                "target {} threads {}",
+                i,
+                threads
+            );
+        }
+        for (j, (got, want)) in universe
+            .bridge_sets()
+            .iter()
+            .zip(reference.bridge_sets())
+            .enumerate()
+        {
+            prop_assert_eq!(
+                got.words(),
+                want.words(),
+                "bridge {} threads {}",
+                j,
+                threads
+            );
         }
     }
     Ok(())
@@ -101,16 +84,14 @@ fn assert_budgets_agree(netlist: &Netlist) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Small dense DAGs: single-block spaces, where every budget clamps
-    /// to the full-width fast path.
+    /// Small dense DAGs: single-block spaces.
     #[test]
     fn budgets_agree_on_small_netlists(netlist in arb_netlist_sized(4, 20)) {
         assert_budgets_agree(&netlist)?;
     }
 
-    /// Wider spaces (up to 4 blocks): the 1-byte budget really tiles,
-    /// so the tile-major sweep, the per-worker tile gather, and the
-    /// tile-order set reassembly are all on the hook.
+    /// Wider spaces (up to 4 blocks): the multi-worker sweep splits the
+    /// fault list across workers that each walk every block.
     #[test]
     fn budgets_agree_on_multi_block_netlists(netlist in arb_netlist_sized(8, 14)) {
         assert_budgets_agree(&netlist)?;

@@ -127,64 +127,6 @@ fn thread_count_shares_one_entry() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Memory budgets are a performance knob like thread counts: every
-/// budget maps to the **same** store key, a build under one budget is a
-/// warm hit for every other, and the artifact bytes on disk are
-/// byte-identical whether the full-width or the tiled kernel produced
-/// them.
-#[test]
-fn memory_budget_shares_one_entry_with_identical_bytes() {
-    use ndetect_sim::MemoryBudget;
-
-    // 8 inputs -> 4 blocks, so a tiny budget really runs the tiled
-    // kernel (figure1 is single-block and would clamp to full-width).
-    let wide8 = || {
-        let mut b = NetlistBuilder::new("wide8");
-        let inputs: Vec<_> = (0..8).map(|i| b.input(format!("i{i}"))).collect();
-        let a0 = b.and("a0", &inputs[0..4]).unwrap();
-        let o0 = b.or("o0", &inputs[4..8]).unwrap();
-        let x0 = b.xor("x0", &[a0, o0]).unwrap();
-        b.output(x0);
-        b.output(a0);
-        b.build().unwrap()
-    };
-    let n = wide8();
-    let unbounded = UniverseOptions::default();
-    let tiny = UniverseOptions {
-        mem_budget: MemoryBudget::Bytes(1),
-        ..unbounded
-    };
-    assert_eq!(universe_key(&n, unbounded), universe_key(&n, tiny));
-
-    let entry_bytes = |dir: &PathBuf| -> (PathBuf, Vec<u8>) {
-        let path = sole_entry(dir);
-        let bytes = std::fs::read(&path).unwrap();
-        (path, bytes)
-    };
-
-    // Tiled cold build populates; an unbounded build is a warm hit.
-    let (store, dir) = temp_store("budget-tiled");
-    let tiled = FaultUniverse::build_stored(&n, tiny, Some(&store)).unwrap();
-    assert_eq!(tiled.simulator().kernel_mode(), "tiled");
-    let full = FaultUniverse::build_stored(&n, unbounded, Some(&store)).unwrap();
-    assert_eq!(store.session_hits(), 1);
-    assert_universes_identical(&tiled, &full);
-    let (tiled_path, tiled_bytes) = entry_bytes(&dir);
-
-    // A fresh store populated by the unbounded kernel holds the same
-    // artifact, byte for byte, under the same content address.
-    let (store2, dir2) = temp_store("budget-full");
-    let reference = FaultUniverse::build_stored(&n, unbounded, Some(&store2)).unwrap();
-    assert_eq!(reference.simulator().kernel_mode(), "full");
-    assert_universes_identical(&reference, &tiled);
-    let (full_path, full_bytes) = entry_bytes(&dir2);
-    assert_eq!(tiled_path.file_name(), full_path.file_name());
-    assert_eq!(tiled_bytes, full_bytes);
-
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&dir2);
-}
-
 #[test]
 fn every_corruption_mode_degrades_to_a_correct_rebuild() {
     let (store, dir) = temp_store("corruption");

@@ -1,5 +1,6 @@
 //! Property tests for the FSM substrate: cube algebra, QM minimization,
-//! KISS2/PLA round trips, and synthesis equivalence.
+//! KISS2/PLA round trips, synthesis equivalence, and KISS2/PLA parsers
+//! that never panic on untrusted input.
 
 use ndetect_fsm::{
     parse_kiss2, parse_pla, qm, random_fsm, synthesize, write_kiss2, write_pla, Cube, MinimizeMode,
@@ -190,6 +191,91 @@ proptest! {
                 .map(|i| (m >> (num_inputs - 1 - i)) & 1 == 1)
                 .collect();
             prop_assert_eq!(netlist.eval_bool(&bits), pla.eval(m), "minterm {}", m);
+        }
+    }
+}
+
+/// Fragments a mutation splices into a seed file: the KISS2 and PLA
+/// syntax a hand-written parser is most likely to slip on.
+const TOKENS: [&str; 12] = [
+    ".i ", ".o ", ".s ", ".p ", ".r ", ".e", "-", "~", " ", "\n", "99999", "\u{e9}",
+];
+
+/// Applies each `(kind, at, what)` edit to `seed` in turn: a bit flip, an
+/// inserted [`TOKENS`] fragment, or a truncation at byte `at`.
+fn mutate(seed: &str, edits: &[(u8, u64, u64)]) -> String {
+    let mut bytes = seed.as_bytes().to_vec();
+    for &(kind, at, what) in edits {
+        let pos = (at as usize) % (bytes.len() + 1);
+        match kind {
+            0 if pos < bytes.len() => bytes[pos] ^= 1 << (what % 8),
+            1 => {
+                let token = TOKENS[(what as usize) % TOKENS.len()];
+                bytes.splice(pos..pos, token.bytes());
+            }
+            2 => bytes.truncate(pos),
+            _ => {}
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Runs both parsers on `text`; whatever parses is written back out.
+/// Any panic fails the calling test.
+fn parse_and_write(text: &str) {
+    if let Ok(fsm) = parse_kiss2("fuzz", text) {
+        let _ = write_kiss2(&fsm);
+    }
+    if let Ok(pla) = parse_pla("fuzz", text) {
+        let _ = write_pla(&pla);
+    }
+}
+
+/// A valid KISS2 file and a valid PLA file, both drawn from `seed`.
+fn seed_files(seed: u64) -> [String; 2] {
+    use ndetect_fsm::{OutputBit, Pla, PlaRow};
+    let fsm = random_fsm(
+        "seed",
+        &RandomFsmConfig {
+            num_inputs: 1 + (seed % 3) as usize,
+            num_states: 1 + (seed % 5) as usize,
+            seed,
+            ..Default::default()
+        },
+    );
+    // One to four rows over 3 inputs: care and value bits from `seed`,
+    // outputs alternating between 1 and 0.
+    let rows = (0..1 + seed as u32 % 4).map(|r| {
+        let care = (seed >> (6 * r)) as u32 & 7;
+        PlaRow {
+            input: Cube::from_masks(3, care, (seed >> (6 * r + 3)) as u32 & care),
+            outputs: vec![[OutputBit::One, OutputBit::Zero][r as usize % 2]],
+        }
+    });
+    let pla = Pla::new("seed", 3, 1, rows.collect());
+    [write_kiss2(&fsm), write_pla(&pla)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes give `Ok` or `Err`, never a panic.
+    #[test]
+    fn kiss2_and_pla_parsers_never_panic_on_arbitrary_bytes(
+        raw in prop::collection::vec(any::<u8>(), 0..512),
+    ) {
+        parse_and_write(&String::from_utf8_lossy(&raw));
+    }
+
+    /// Nor do valid KISS2 and PLA files under byte flips, spliced tokens
+    /// and truncations.
+    #[test]
+    fn kiss2_and_pla_parsers_never_panic_on_mutated_files(
+        seed in any::<u64>(),
+        edits in prop::collection::vec((0u8..3, any::<u64>(), any::<u64>()), 1..6),
+    ) {
+        for file in seed_files(seed) {
+            parse_and_write(&mutate(&file, &edits));
         }
     }
 }

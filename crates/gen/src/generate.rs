@@ -1,7 +1,7 @@
 //! The greedy set-cover n-detection generator.
 
 // Hot module: the gain rows are the generator's bulk memory and must
-// come from the budgeted data plane (`ndetect_sim::rows`).
+// come from the row data plane (`ndetect_sim::rows`).
 #![deny(clippy::disallowed_methods)]
 
 use crate::artifact::{generated_key, KIND_GENERATED_SET};

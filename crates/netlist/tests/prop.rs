@@ -1,5 +1,6 @@
 //! Property tests for the netlist substrate: reachability against a DFS
-//! oracle, line-model invariants, and `.bench` round trips.
+//! oracle, line-model invariants, `.bench` round trips, and `.bench`
+//! parsers that never panic on untrusted input.
 
 use ndetect_netlist::{
     bench_format, fanin_cone, fanout_cone, GateKind, LineKind, Netlist, NetlistBuilder, NodeId,
@@ -153,5 +154,72 @@ proptest! {
                 .collect();
             prop_assert_eq!(n.eval_bool(&bits), back.eval_bool(&bits));
         }
+    }
+}
+
+/// The bundled `.bench` corpus (combinational and DFF), the seeds of the
+/// mutation tests.
+const CORPUS: [&str; 4] = [
+    include_str!("../../../tests/data/corpus/c17.bench"),
+    include_str!("../../../tests/data/corpus/figure1.bench"),
+    include_str!("../../../tests/data/corpus/mux_parity.bench"),
+    include_str!("../../../tests/data/corpus/s27.bench"),
+];
+
+/// Fragments a mutation splices into a seed file: the `.bench` syntax a
+/// hand-written parser is most likely to slip on.
+const TOKENS: [&str; 12] = [
+    "DFF(", "DFFSR(", "=", ")", "(", ",", "INPUT(", "OUTPUT(", "AND(", "#", "\n", "\u{e9}",
+];
+
+/// Applies each `(kind, at, what)` edit to `seed` in turn: a bit flip, an
+/// inserted [`TOKENS`] fragment, or a truncation at byte `at`.
+fn mutate(seed: &str, edits: &[(u8, u64, u64)]) -> String {
+    let mut bytes = seed.as_bytes().to_vec();
+    for &(kind, at, what) in edits {
+        let pos = (at as usize) % (bytes.len() + 1);
+        match kind {
+            0 if pos < bytes.len() => bytes[pos] ^= 1 << (what % 8),
+            1 => {
+                let token = TOKENS[(what as usize) % TOKENS.len()];
+                bytes.splice(pos..pos, token.bytes());
+            }
+            2 => bytes.truncate(pos),
+            _ => {}
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Runs both `.bench` parsers on `text`; whatever parses is written back
+/// out. Any panic fails the calling test.
+fn parse_and_write(text: &str) {
+    if let Ok(netlist) = bench_format::parse("fuzz", text) {
+        let _ = bench_format::write(&netlist);
+    }
+    if let Ok(seq) = bench_format::parse_seq("fuzz", text) {
+        let _ = bench_format::write(seq.core());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary bytes give `Ok` or `Err`, never a panic.
+    #[test]
+    fn bench_parsers_never_panic_on_arbitrary_bytes(
+        raw in prop::collection::vec(any::<u8>(), 0..512),
+    ) {
+        parse_and_write(&String::from_utf8_lossy(&raw));
+    }
+
+    /// Nor do corpus files under byte flips, spliced tokens and
+    /// truncations.
+    #[test]
+    fn bench_parsers_never_panic_on_mutated_corpus_files(
+        pick in any::<u64>(),
+        edits in prop::collection::vec((0u8..3, any::<u64>(), any::<u64>()), 1..6),
+    ) {
+        parse_and_write(&mutate(CORPUS[(pick as usize) % CORPUS.len()], &edits));
     }
 }

@@ -155,7 +155,7 @@ impl Engine {
     /// Renders the full Prometheus-style exposition: this engine's
     /// per-instance registry followed by the process-global registry
     /// (library-level metrics — universe builds, generator rounds,
-    /// kernel selection). Names are kept disjoint between the two.
+    /// data-plane allocation). Names are kept disjoint between the two.
     #[must_use]
     pub fn render_metrics(&self) -> String {
         let mut out = self.registry.render();

@@ -56,11 +56,10 @@
 //! only works when the server was started with `--chaos`; otherwise it
 //! answers `err denied`.
 //!
-//! Every analysis verb also accepts `threads=N` and `mem_budget=B`
-//! (same semantics as the CLI flags — pure performance knobs).
+//! Every analysis verb also accepts `threads=N` (same semantics as the
+//! CLI's `--threads` — a pure performance knob).
 
 use crate::render::{CorpusRequest, Knobs};
-use ndetect_sim::MemoryBudget;
 use std::io::{self, BufRead, Write};
 use std::path::PathBuf;
 
@@ -75,7 +74,7 @@ pub enum Request {
         /// Fault model for sequential circuits (`model=`, unresolved
         /// until execution; `None` defaults to transition).
         model: Option<String>,
-        /// Performance knobs (`threads=`, `mem_budget=`).
+        /// Performance knobs (`threads=`).
         knobs: Knobs,
     },
     /// `worst <circuit> [floor=N] [model=M]`: worst-case nmin analysis.
@@ -202,19 +201,14 @@ fn split_kv(token: &str) -> Option<(&str, &str)> {
     token.split_once('=')
 }
 
-/// Parses `threads=` / `mem_budget=` off a token; `Ok(true)` when the
-/// token was consumed as a knob.
+/// Parses `threads=` off a token; `Ok(true)` when the token was
+/// consumed as a knob.
 fn parse_knob(knobs: &mut Knobs, key: &str, value: &str) -> Result<bool, ErrorReply> {
     match key {
         "threads" => {
             knobs.threads = value
                 .parse()
                 .map_err(|_| ErrorReply::parse(format!("bad threads value `{value}`")))?;
-            Ok(true)
-        }
-        "mem_budget" => {
-            knobs.mem_budget = MemoryBudget::parse(value)
-                .map_err(|e| ErrorReply::parse(format!("bad mem_budget value: {e}")))?;
             Ok(true)
         }
         _ => Ok(false),
@@ -592,12 +586,15 @@ mod tests {
 
     #[test]
     fn parses_knobs_on_any_analysis_verb() {
-        let stats = Request::parse("stats figure1 threads=2 mem_budget=16MiB").unwrap();
+        let stats = Request::parse("stats figure1 threads=2").unwrap();
         let Request::Stats { knobs, .. } = stats else {
             panic!("not stats");
         };
         assert_eq!(knobs.threads, 2);
-        assert_eq!(knobs.mem_budget, MemoryBudget::parse("16MiB").unwrap());
+        // `mem_budget=` is no knob: it is rejected like any unknown token.
+        let err = Request::parse("stats figure1 mem_budget=16MiB").unwrap_err();
+        assert_eq!(err.code, "parse");
+        assert!(err.message.contains("unknown token"), "{}", err.message);
     }
 
     #[test]

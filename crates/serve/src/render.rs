@@ -8,39 +8,32 @@
 //! ([`StoreProvider`]), the server layers its hot LRU and single-flight
 //! dedup on top ([`crate::Engine`]).
 
-use ndetect_core::partition::analyze_output_cones_budget;
+use ndetect_core::partition::analyze_output_cones;
 use ndetect_core::report::{render_table2, render_table3, table2_row, table3_row};
 use ndetect_core::{bridges_detected, NminDistribution, WorstCaseAnalysis};
 use ndetect_faults::{ExplicitTargets, FaultUniverse, UniverseOptions};
 use ndetect_gen::{GenOptions, GeneratedSet};
 use ndetect_netlist::{bench_format, Netlist, NetlistError, NetlistStats, SeqNetlist};
 use ndetect_seq::{expand_stored, ExpandedModel, FaultModel};
-use ndetect_sim::MemoryBudget;
 use ndetect_store::Store;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Simulation knobs shared by every analysis request: worker threads
-/// and the per-worker kernel memory budget. Both are performance knobs
-/// — results are identical for every combination.
+/// Simulation knobs shared by every analysis request: the worker
+/// thread count, a performance knob — results are identical for every
+/// value.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Knobs {
     /// Worker threads (0 = auto: `NDETECT_THREADS`, then all cores).
     pub threads: usize,
-    /// Per-worker kernel memory budget.
-    pub mem_budget: MemoryBudget,
 }
 
 impl Knobs {
     /// The universe options these knobs select (semantic defaults).
     #[must_use]
     pub fn universe_options(self) -> UniverseOptions {
-        UniverseOptions {
-            threads: self.threads,
-            mem_budget: self.mem_budget,
-            ..UniverseOptions::default()
-        }
+        UniverseOptions::with_threads(self.threads)
     }
 }
 
@@ -150,12 +143,11 @@ fn stats_body(netlist: &Netlist, universe: &FaultUniverse) -> String {
     let _ = writeln!(out, "{netlist}");
     let _ = writeln!(out, "{}", NetlistStats::compute(netlist));
     let _ = writeln!(out, "{universe}");
+    // Constant words: the stats goldens and benchmark digests pin this line.
     let _ = writeln!(
         out,
-        "kernel: {} ({} bytes/worker data plane, budget {})",
-        universe.simulator().kernel_mode(),
+        "kernel: full ({} bytes/worker data plane, budget auto)",
         universe.simulator().data_plane_bytes(),
-        universe.simulator().mem_budget(),
     );
     out
 }
@@ -426,12 +418,9 @@ struct CorpusRow {
     gen1: Option<usize>,
     gen5: Option<usize>,
     gen10: Option<usize>,
-    /// Kernel mode the circuit's simulation ran in: `full` or `tiled`
-    /// (`tiled` as soon as any cone tiled, in `cones` mode); `None` when
-    /// nothing was simulated.
-    kernel: Option<&'static str>,
-    /// Peak per-worker kernel working-set bytes (the maximum across
-    /// cones in `cones` mode); `None` when nothing was simulated.
+    /// Peak kernel data-plane bytes (the maximum across cones in `cones`
+    /// mode); `None` when nothing was simulated. The `kernel` column
+    /// reads `full` exactly when this is set.
     peak_bytes: Option<u64>,
 }
 
@@ -453,7 +442,6 @@ impl CorpusRow {
             gen1: None,
             gen5: None,
             gen10: None,
-            kernel: None,
             peak_bytes: None,
         }
     }
@@ -637,18 +625,11 @@ fn corpus_row(
             gen1: gen_size(1),
             gen5: gen_size(5),
             gen10: gen_size(10),
-            kernel: Some(universe.simulator().kernel_mode()),
             peak_bytes: Some(universe.simulator().data_plane_bytes()),
         })
     } else {
-        let reports = analyze_output_cones_budget(
-            &netlist,
-            max_inputs,
-            knobs.threads,
-            knobs.mem_budget,
-            provider.store(),
-        )
-        .map_err(|e| e.to_string())?;
+        let reports = analyze_output_cones(&netlist, max_inputs, knobs.threads, provider.store())
+            .map_err(|e| e.to_string())?;
         if reports.is_empty() {
             // Every cone was wider than max_inputs: nothing was
             // simulated, so report no coverage rather than a vacuous
@@ -695,13 +676,7 @@ fn corpus_row(
             gen1: None,
             gen5: None,
             gen10: None,
-            // Peak over cones: the widest cone dominates the working
-            // set; `tiled` as soon as any cone had to tile.
-            kernel: Some(if reports.iter().any(|r| r.kernel == "tiled") {
-                "tiled"
-            } else {
-                "full"
-            }),
+            // Peak over cones: the widest cone dominates the data plane.
             peak_bytes: reports.iter().map(|r| r.data_plane_bytes).max(),
         })
     }
@@ -754,7 +729,6 @@ fn seq_corpus_row(
     row.gen1 = gen_size(1);
     row.gen5 = gen_size(5);
     row.gen10 = gen_size(10);
-    row.kernel = Some(universe.simulator().kernel_mode());
     row.peak_bytes = Some(universe.simulator().data_plane_bytes());
     Ok(row)
 }
@@ -781,7 +755,7 @@ fn corpus_csv_row(r: &CorpusRow) -> String {
         opt(r.gen1),
         opt(r.gen5),
         opt(r.gen10),
-        r.kernel.unwrap_or(""),
+        if r.peak_bytes.is_some() { "full" } else { "" },
         r.peak_bytes.map_or(String::new(), |v| v.to_string()),
     )
 }
@@ -813,7 +787,11 @@ fn corpus_json_row(r: &CorpusRow, comma: bool) -> String {
         opt(r.gen1),
         opt(r.gen5),
         opt(r.gen10),
-        r.kernel.map_or("null".to_string(), |k| format!("\"{k}\"")),
+        if r.peak_bytes.is_some() {
+            "\"full\""
+        } else {
+            "null"
+        },
         r.peak_bytes.map_or("null".to_string(), |v| v.to_string()),
         if comma { "," } else { "" },
     )

@@ -29,7 +29,7 @@ proptest! {
             "worst figure1 floor=2",
             "gen figure1 n=3 compact seed=7",
             "corpus /tmp/x format=json recursive",
-            "stats c17 threads=2 mem_budget=16MiB",
+            "stats c17 threads=2 model=stuck-at",
             "chaos set store.save.write=one-shot@2:torn-write",
         ];
         let mut bytes = VALID[(pick as usize) % VALID.len()].as_bytes().to_vec();

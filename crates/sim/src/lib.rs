@@ -18,12 +18,10 @@
 //!   stamps, level-indexed frontier queues) for the event-driven fault
 //!   kernel in `ndetect-faults`, so hot simulation loops perform zero
 //!   heap allocations.
-//! * [`rows`] — the unified block-tiled row data plane: [`RowMatrix`]
-//!   tile storage, [`MemoryBudget`] working-set bounds (CLI
-//!   `--mem-budget` / `NDETECT_MEM_BUDGET`), and the chunked SIMD word
-//!   kernels (and/or/xor/andnot/popcount/select/diff) every hot loop in
-//!   the workspace — simulation, universe build, gain pass, analysis —
-//!   runs on.
+//! * [`rows`] — the row data plane: [`RowMatrix`] row storage and the
+//!   chunked SIMD word kernels (and/or/xor/andnot/popcount/select/diff)
+//!   every hot loop in the workspace — simulation, universe build, gain
+//!   pass, analysis — runs on.
 //! * [`parallel`] — a scoped-thread worker pool shared by every
 //!   data-parallel loop in the workspace (fault-tile and pattern-block
 //!   sharding, Procedure-1 test-set construction), with one `0 = auto`
@@ -70,7 +68,7 @@ mod twoval;
 
 pub use error::SimError;
 pub use good::GoodValues;
-pub use rows::{MemoryBudget, RowMatrix, MEM_BUDGET_ENV};
+pub use rows::RowMatrix;
 pub use scratch::SimScratch;
 pub use set::VectorSet;
 pub use space::{PatternSpace, MAX_EXHAUSTIVE_INPUTS};

@@ -1,20 +1,15 @@
-//! The unified block-tiled row data plane: memory budgets, tiled row
-//! storage, and the chunked SIMD word kernels every hot loop in the
-//! workspace runs on.
+//! The row data plane: row storage and the chunked SIMD word kernels
+//! every hot loop in the workspace runs on.
 //!
 //! The exhaustive spaces of the paper grow as `2^I`, so every node-major
 //! table of the event-driven kernel — the good-value transpose, the
 //! per-edge "other fanins" rows, the per-worker faulty rows — costs
-//! `O(num_nodes × num_blocks)` words. Near the
-//! [`crate::MAX_EXHAUSTIVE_INPUTS`] ceiling that is gigabytes *per
-//! table*: the data plane, not the algorithm, becomes the scaling wall.
+//! `O(num_nodes × num_blocks)` words. At the widths the paper's analysis
+//! targets (`I ≤ 14`) that is a few copies of the good-value table; near
+//! the [`crate::MAX_EXHAUSTIVE_INPUTS`] ceiling it is gigabytes *per
+//! table*, so circuits that wide are analysed per output cone instead.
 //! This module makes the data plane explicit:
 //!
-//! * [`MemoryBudget`] — a bound on the per-worker kernel working set.
-//!   The tile width (in 64-vector blocks) is chosen as the largest `T`
-//!   with `words_per_block × T × 8 ≤ budget`, so a worker streams the
-//!   pattern space tile by tile instead of materializing full-width
-//!   tables. `0`/unbounded keeps the PR-4 full-width fast path.
 //! * [`RowMatrix`] — dense row-major `rows × width` word storage with
 //!   disjoint-borrow row access, the one layout used for the transpose,
 //!   the `others` table, and simulation scratch rows alike.
@@ -35,160 +30,10 @@
 //! sanctioned allocation points, so every word buffer in the system is
 //! accounted to this data plane.
 
-use std::fmt;
-
-/// Environment variable providing the default memory budget when a
-/// [`MemoryBudget::Auto`] is resolved (`NDETECT_MEM_BUDGET=64MiB`).
-/// Accepts the same forms as [`MemoryBudget::parse`]; unparsable values
-/// are ignored (auto stays unbounded).
-pub const MEM_BUDGET_ENV: &str = "NDETECT_MEM_BUDGET";
-
 /// Lane count of the production chunked kernels (`u64x8` — one AVX-512
 /// register, two AVX2 registers, four NEON registers; LLVM splits the
 /// fixed-size chunk to whatever the target offers).
 pub const LANES: usize = 8;
-
-/// A bound on the per-worker working set of the row kernels.
-///
-/// The budget governs the **kernel working set** — the node-major
-/// good-value tile, the per-edge `others` tile, and the per-worker
-/// scratch rows — by shrinking the tile width (see
-/// [`MemoryBudget::tile_width`]). It does not bound the detection-set
-/// output itself (dense bitsets of `2^I` bits per fault), which is the
-/// result, not scratch.
-///
-/// `Auto` resolves through the [`MEM_BUDGET_ENV`] environment variable
-/// and defaults to unbounded — so existing callers keep the full-width
-/// fast path unless a budget is asked for. Like thread counts, budgets
-/// never change results, only peak memory; they are excluded from
-/// artifact-store keys.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum MemoryBudget {
-    /// Resolve via [`MEM_BUDGET_ENV`], else unbounded.
-    #[default]
-    Auto,
-    /// No bound: full-width tables (the PR-4 behaviour).
-    Unbounded,
-    /// At most this many bytes of kernel working set per worker.
-    Bytes(u64),
-}
-
-impl MemoryBudget {
-    /// A budget of `bytes` bytes; `0` means unbounded.
-    #[must_use]
-    pub fn from_bytes(bytes: u64) -> Self {
-        if bytes == 0 {
-            MemoryBudget::Unbounded
-        } else {
-            MemoryBudget::Bytes(bytes)
-        }
-    }
-
-    /// Parses a human-friendly budget: `unbounded` / `none` / `0`, a
-    /// plain byte count, or a count with a binary suffix (`K`/`KiB`,
-    /// `M`/`MB`/`MiB`, `G`/`GiB` — all powers of 1024,
-    /// case-insensitive), e.g. `16MiB`, `1g`, `65536`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message when the value does not parse.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let t = text.trim();
-        let lower = t.to_ascii_lowercase();
-        if matches!(lower.as_str(), "unbounded" | "none" | "auto") {
-            return Ok(if lower == "auto" {
-                MemoryBudget::Auto
-            } else {
-                MemoryBudget::Unbounded
-            });
-        }
-        let strip = |suffixes: &[&str]| {
-            suffixes
-                .iter()
-                .find_map(|suf| lower.strip_suffix(suf))
-                .map(str::trim)
-        };
-        let (digits, multiplier) = if let Some(d) = strip(&["kib", "kb", "k"]) {
-            (d, 1u64 << 10)
-        } else if let Some(d) = strip(&["mib", "mb", "m"]) {
-            (d, 1u64 << 20)
-        } else if let Some(d) = strip(&["gib", "gb", "g"]) {
-            (d, 1u64 << 30)
-        } else if let Some(d) = strip(&["b"]) {
-            (d, 1u64)
-        } else {
-            (lower.as_str(), 1u64)
-        };
-        let value: u64 = digits
-            .parse()
-            .map_err(|_| format!("bad memory budget `{text}` (try 16MiB, 1G, or a byte count)"))?;
-        let bytes = value
-            .checked_mul(multiplier)
-            .ok_or_else(|| format!("memory budget `{text}` overflows"))?;
-        Ok(MemoryBudget::from_bytes(bytes))
-    }
-
-    /// The effective byte bound: `None` when unbounded. `Auto` consults
-    /// [`MEM_BUDGET_ENV`] (unparsable or empty values mean unbounded).
-    #[must_use]
-    pub fn resolve(self) -> Option<u64> {
-        match self {
-            MemoryBudget::Auto => match std::env::var(MEM_BUDGET_ENV) {
-                Ok(raw) => MemoryBudget::parse(&raw)
-                    .ok()
-                    .and_then(MemoryBudget::resolve),
-                Err(_) => None,
-            },
-            MemoryBudget::Unbounded => None,
-            MemoryBudget::Bytes(b) => Some(b),
-        }
-    }
-
-    /// Whether a resolved budget actually constrains anything.
-    #[must_use]
-    pub fn is_bounded(self) -> bool {
-        self.resolve().is_some()
-    }
-
-    /// The tile width in 64-vector blocks for a kernel whose working
-    /// set costs `words_per_block` 8-byte words per block: the largest
-    /// `T ≤ num_blocks` with `words_per_block × T × 8 ≤ budget`,
-    /// floored at 1 (a kernel always gets at least one block of
-    /// working set, even under an impossibly small budget).
-    #[must_use]
-    pub fn tile_width(self, words_per_block: usize, num_blocks: usize) -> usize {
-        let full = num_blocks.max(1);
-        match self.resolve() {
-            None => full,
-            Some(bytes) => {
-                let per_block = (words_per_block.max(1) as u64).saturating_mul(8);
-                usize::try_from(bytes / per_block)
-                    .unwrap_or(usize::MAX)
-                    .clamp(1, full)
-            }
-        }
-    }
-}
-
-impl fmt::Display for MemoryBudget {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MemoryBudget::Auto => write!(f, "auto"),
-            MemoryBudget::Unbounded => write!(f, "unbounded"),
-            MemoryBudget::Bytes(b) => {
-                if b % (1 << 30) == 0 {
-                    write!(f, "{}GiB", b >> 30)
-                } else if b % (1 << 20) == 0 {
-                    write!(f, "{}MiB", b >> 20)
-                } else if b % (1 << 10) == 0 {
-                    write!(f, "{}KiB", b >> 10)
-                } else {
-                    write!(f, "{b}B")
-                }
-            }
-        }
-    }
-}
 
 /// The cumulative data-plane allocation meter: every byte allocated
 /// through the sanctioned points below, exposed as
@@ -222,12 +67,12 @@ pub fn zeroed_counts(len: usize) -> Vec<u32> {
     vec![0u32; len]
 }
 
-/// Dense row-major `rows × width` word storage: the one tile layout
-/// under the good-value transpose, the per-edge `others` table, and the
+/// Dense row-major `rows × width` word storage: the one layout under
+/// the good-value transpose, the per-edge `others` table, and the
 /// per-worker faulty-row arena.
 ///
-/// `width` is a tile width in 64-vector blocks; row `r`'s words are
-/// contiguous, so kernels stream a node's values across the tile with
+/// `width` is a row width in 64-vector blocks; row `r`'s words are
+/// contiguous, so kernels stream a node's values across the row with
 /// unit stride.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RowMatrix {
@@ -247,33 +92,16 @@ impl RowMatrix {
         }
     }
 
-    /// A `0 × 0` matrix (the placeholder for tables a kernel mode does
-    /// not use — e.g. per-scratch tile tables in full-width mode).
-    #[must_use]
-    pub fn empty() -> Self {
-        RowMatrix {
-            words: Vec::new(),
-            rows: 0,
-            width: 0,
-        }
-    }
-
     /// Number of rows.
     #[must_use]
     pub fn num_rows(&self) -> usize {
         self.rows
     }
 
-    /// Row width in words (the tile width in blocks).
+    /// Row width in words (one per 64-vector block).
     #[must_use]
     pub fn width(&self) -> usize {
         self.width
-    }
-
-    /// Whether the matrix holds no words at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
     }
 
     /// Row `r` as a word slice.
@@ -680,66 +508,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn budget_parsing_accepts_human_forms() {
-        assert_eq!(MemoryBudget::parse("0").unwrap(), MemoryBudget::Unbounded);
-        assert_eq!(
-            MemoryBudget::parse("unbounded").unwrap(),
-            MemoryBudget::Unbounded
-        );
-        assert_eq!(MemoryBudget::parse("auto").unwrap(), MemoryBudget::Auto);
-        assert_eq!(
-            MemoryBudget::parse("65536").unwrap(),
-            MemoryBudget::Bytes(65536)
-        );
-        assert_eq!(
-            MemoryBudget::parse("16MiB").unwrap(),
-            MemoryBudget::Bytes(16 << 20)
-        );
-        assert_eq!(
-            MemoryBudget::parse("16mb").unwrap(),
-            MemoryBudget::Bytes(16 << 20)
-        );
-        assert_eq!(
-            MemoryBudget::parse("2k").unwrap(),
-            MemoryBudget::Bytes(2048)
-        );
-        assert_eq!(
-            MemoryBudget::parse("1G").unwrap(),
-            MemoryBudget::Bytes(1 << 30)
-        );
-        assert!(MemoryBudget::parse("zebra").is_err());
-        assert!(MemoryBudget::parse("12QiB").is_err());
-    }
-
-    #[test]
-    fn budget_display_round_trips() {
-        for b in [
-            MemoryBudget::Auto,
-            MemoryBudget::Unbounded,
-            MemoryBudget::Bytes(16 << 20),
-            MemoryBudget::Bytes(3 << 10),
-            MemoryBudget::Bytes(1 << 30),
-            MemoryBudget::Bytes(1234),
-        ] {
-            let text = b.to_string();
-            assert_eq!(MemoryBudget::parse(&text).unwrap(), b, "{text}");
-        }
-    }
-
-    #[test]
-    fn tile_width_fits_the_budget() {
-        // 100 words/block = 800 bytes/block; 4 KiB fits 5 blocks.
-        let b = MemoryBudget::Bytes(4096);
-        assert_eq!(b.tile_width(100, 64), 5);
-        // Never wider than the space, never narrower than 1.
-        assert_eq!(b.tile_width(100, 3), 3);
-        assert_eq!(MemoryBudget::Bytes(1).tile_width(100, 64), 1);
-        assert_eq!(MemoryBudget::Unbounded.tile_width(100, 64), 64);
-        // Zero blocks still yields a sane width.
-        assert_eq!(MemoryBudget::Unbounded.tile_width(100, 0), 1);
-    }
-
-    #[test]
     fn row_matrix_shapes_and_access() {
         let mut m = RowMatrix::zeroed(3, 4);
         assert_eq!((m.num_rows(), m.width()), (3, 4));
@@ -756,7 +524,6 @@ mod tests {
         assert_eq!(m.row(0), &[0, 7, 7, 0]);
         assert!(RowMatrix::from_words(2, 3, vec![0; 6]).is_some());
         assert!(RowMatrix::from_words(2, 3, vec![0; 5]).is_none());
-        assert!(RowMatrix::empty().is_empty());
     }
 
     #[test]
@@ -891,12 +658,5 @@ mod tests {
     fn zeroed_words_is_zeroed() {
         assert_eq!(zeroed_words(5), vec![0u64; 5]);
         assert!(zeroed_words(0).is_empty());
-    }
-
-    #[test]
-    fn env_resolution_prefers_explicit_budgets() {
-        // Explicit budgets never consult the environment.
-        assert_eq!(MemoryBudget::Bytes(10).resolve(), Some(10));
-        assert_eq!(MemoryBudget::Unbounded.resolve(), None);
     }
 }

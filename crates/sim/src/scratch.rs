@@ -11,16 +11,8 @@
 //! row accumulator, the detection row, and per-node frontier epoch
 //! stamps — lives here, so a worker allocates it **once** and then
 //! simulates any number of faults with zero further heap allocations.
-//!
-//! Under a [`crate::MemoryBudget`], rows are **tiles**: `width` is the
-//! tile width in blocks (≤ the space's block count), and the worker
-//! additionally owns per-tile copies of the good-value transpose and the
-//! per-edge `others` table ([`SimScratch::tile_good`] /
-//! [`SimScratch::tile_others`]), regathered only when the worker moves
-//! to a different tile ([`SimScratch::tile_start`] caches which one is
-//! loaded). In the unbounded case `width == num_blocks`, the tile tables
-//! stay empty, and the kernel reads the simulator's shared full-width
-//! tables — the zero-overhead fast path.
+//! Rows span every block of the space; the fault-free tables the kernel
+//! reads are the simulator's, shared by every worker.
 //!
 //! Epoch stamping replaces clearing: instead of zeroing `num_nodes`
 //! stamps between faults, [`SimScratch::begin_fault`] bumps a 64-bit
@@ -32,34 +24,27 @@
 
 use crate::rows::{zeroed_words, RowMatrix};
 
-/// Sentinel for [`SimScratch::tile_start`]: no tile gathered yet.
-pub const NO_TILE: usize = usize::MAX;
-
 /// Per-worker mutable state for the event-driven fault-propagation
 /// kernel: node-major faulty rows, the gate-evaluation accumulator, the
-/// detection row, frontier epoch stamps, and (in tiled mode) the
-/// worker's private tile of the good/others tables.
+/// detection row and frontier epoch stamps.
 ///
 /// The fields are public because the kernel that drives them lives in
 /// `ndetect-faults`; the invariants are simple and local:
 ///
 /// * `rows.row(i)` holds node `i`'s faulty words **only** when
 ///   `frontier[i] == epoch`; otherwise the fault-free words apply;
-/// * `acc` and `det` are per-fault working rows of `width` words (the
+/// * `acc` and `det` are per-fault working rows of `num_blocks` words (the
 ///   kernel overwrites/zeroes the ranges it uses);
-/// * `det_lo..det_hi` are **global** block coordinates (columns are
-///   `block - tile base`);
-/// * `tile_good`/`tile_others` describe tile `tile_start..` only when
-///   `tile_start != NO_TILE`, and are empty in full-width mode.
+/// * `det_lo..det_hi` are the blocks `det` is valid for.
 #[derive(Clone, Debug)]
 pub struct SimScratch {
-    /// Node-major faulty rows (`num_nodes × width`), row `i` valid only
+    /// Node-major faulty rows (`num_nodes × num_blocks`), row `i` valid only
     /// while `frontier[i] == epoch`.
     pub rows: RowMatrix,
-    /// Gate-evaluation accumulator row (`width` words).
+    /// Gate-evaluation accumulator row (`num_blocks` words).
     pub acc: Vec<u64>,
     /// Detection row: per block column, the OR of faulty-vs-good
-    /// differences over all observed nodes (`width` words).
+    /// differences over all observed nodes (`num_blocks` words).
     pub det: Vec<u64>,
     /// Epoch stamp marking node `i`'s row as part of the current
     /// fault's difference frontier.
@@ -68,28 +53,17 @@ pub struct SimScratch {
     /// array, so nothing is on the frontier before the first
     /// [`Self::begin_fault`]).
     pub epoch: u64,
-    /// Start of the **global** block range `det` is valid for in the
-    /// current fault (blocks outside `det_lo..det_hi` were never touched
-    /// and read as zero).
+    /// Start of the block range `det` is valid for in the current fault
+    /// (blocks outside `det_lo..det_hi` were never touched and read as
+    /// zero).
     pub det_lo: usize,
-    /// End of the valid `det` block range (exclusive, global).
+    /// End of the valid `det` block range (exclusive).
     pub det_hi: usize,
-    /// Tiled mode only: this worker's gathered slice of the good-value
-    /// transpose (`num_nodes × width`), for the tile starting at block
-    /// [`Self::tile_start`]. Empty in full-width mode.
-    pub tile_good: RowMatrix,
-    /// Tiled mode only: this worker's slice of the per-edge `others`
-    /// table (`num_other_rows × width`). Empty in full-width mode.
-    pub tile_others: RowMatrix,
-    /// First global block of the tile currently loaded into
-    /// `tile_good`/`tile_others`, or `NO_TILE` when none is.
-    pub tile_start: usize,
 }
 
 impl SimScratch {
-    /// Creates full-width scratch state for a circuit with `num_nodes`
-    /// nodes simulated over `num_blocks` 64-vector blocks (no tile
-    /// tables — the kernel reads the simulator's shared ones).
+    /// Creates scratch state for a circuit with `num_nodes` nodes
+    /// simulated over `num_blocks` 64-vector blocks.
     #[must_use]
     pub fn new(num_nodes: usize, num_blocks: usize) -> Self {
         SimScratch {
@@ -100,43 +74,7 @@ impl SimScratch {
             epoch: 0,
             det_lo: 0,
             det_hi: 0,
-            tile_good: RowMatrix::empty(),
-            tile_others: RowMatrix::empty(),
-            tile_start: NO_TILE,
         }
-    }
-
-    /// Creates tiled scratch state: rows are `width` blocks wide and the
-    /// worker owns private `num_nodes × width` good and
-    /// `num_other_rows × width` others tiles, gathered on demand by the
-    /// kernel.
-    #[must_use]
-    pub fn new_tiled(num_nodes: usize, width: usize, num_other_rows: usize) -> Self {
-        SimScratch {
-            rows: RowMatrix::zeroed(num_nodes, width),
-            acc: zeroed_words(width),
-            det: zeroed_words(width),
-            frontier: zeroed_words(num_nodes),
-            epoch: 0,
-            det_lo: 0,
-            det_hi: 0,
-            tile_good: RowMatrix::zeroed(num_nodes, width),
-            tile_others: RowMatrix::zeroed(num_other_rows, width),
-            tile_start: NO_TILE,
-        }
-    }
-
-    /// The row width in words — the tile width in blocks (equals the
-    /// space's block count in full-width mode).
-    #[must_use]
-    pub fn width(&self) -> usize {
-        self.acc.len()
-    }
-
-    /// Whether this scratch carries private tile tables (tiled mode).
-    #[must_use]
-    pub fn is_tiled(&self) -> bool {
-        !self.tile_good.is_empty()
     }
 
     /// Starts a new fault: advances the epoch so every frontier stamp
@@ -147,15 +85,15 @@ impl SimScratch {
         self.epoch += 1;
     }
 
-    /// Whether this scratch matches a circuit's dimensions for a given
-    /// row width (used by debug assertions in the kernel).
+    /// Whether this scratch matches a circuit's dimensions (used by
+    /// debug assertions in the kernel).
     #[must_use]
-    pub fn fits(&self, num_nodes: usize, width: usize) -> bool {
+    pub fn fits(&self, num_nodes: usize, num_blocks: usize) -> bool {
         self.frontier.len() == num_nodes
             && self.rows.num_rows() == num_nodes
-            && self.rows.width() == width
-            && self.acc.len() == width
-            && self.det.len() == width
+            && self.rows.width() == num_blocks
+            && self.acc.len() == num_blocks
+            && self.det.len() == num_blocks
     }
 }
 
@@ -169,8 +107,6 @@ mod tests {
         let mut s = SimScratch::new(4, 3);
         assert!(s.fits(4, 3));
         assert!(!s.fits(5, 3));
-        assert!(!s.is_tiled());
-        assert_eq!(s.width(), 3);
         // Before the first begin_fault nothing can match the epoch...
         s.begin_fault();
         // ...and after it, stale stamps (all zero) still don't.
@@ -185,17 +121,5 @@ mod tests {
         assert_eq!(s.frontier[0], s.epoch);
         s.begin_fault();
         assert_ne!(s.frontier[0], s.epoch);
-    }
-
-    #[test]
-    fn tiled_scratch_carries_tile_tables() {
-        let s = SimScratch::new_tiled(6, 2, 9);
-        assert!(s.is_tiled());
-        assert!(s.fits(6, 2));
-        assert_eq!(s.width(), 2);
-        assert_eq!(s.tile_good.num_rows(), 6);
-        assert_eq!(s.tile_good.width(), 2);
-        assert_eq!(s.tile_others.num_rows(), 9);
-        assert_eq!(s.tile_start, NO_TILE);
     }
 }

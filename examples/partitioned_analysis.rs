@@ -23,8 +23,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         adder.num_inputs()
     );
 
-    // But each output cone can (sum bit i depends on 2i+3 inputs).
-    let reports = analyze_output_cones(&adder, 16)?;
+    // But each output cone can (sum bit i depends on 2i+3 inputs); auto
+    // thread count, no on-disk store.
+    let reports = analyze_output_cones(&adder, 16, 0, None)?;
     println!(
         "{:<8} {:>6} {:>6} {:>8} {:>8} {:>8} {:>8} {:>8}",
         "output", "inputs", "gates", "targets", "bridges", "cov@1", "cov@10", "tail11"
