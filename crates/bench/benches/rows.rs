@@ -6,14 +6,18 @@
 //! `u64x4`, `u64x8` — the production [`ndetect_sim::rows::LANES`]) so
 //! the snapshot records what the fixed-lane chunking actually buys on
 //! this machine, and future `std::simd` ports have a trajectory to beat.
+//! The `*_lanes` bodies are the portable folds. The production
+//! `rows::popcount` and `rows::and_popcount` choose a POPCNT copy of the
+//! same body at run time when the CPU has the instruction, so they are
+//! timed too, as `kernel: "dispatched"` entries.
 //!
 //! Modes:
 //!
 //! * `cargo bench --bench rows` — criterion timings;
 //! * `cargo bench --bench rows -- --json [--quick] [--out PATH]` —
-//!   writes a `BENCH_PR6.json` snapshot (op, lanes, row words,
-//!   GiB/s) at the repository root; the CI `bench-smoke` job runs the
-//!   `--quick` variant.
+//!   writes a `BENCH_PR6.json` snapshot (op, kernel, lanes, row words,
+//!   GiB/s, and whether the CPU has POPCNT) at the repository root; the
+//!   CI `bench-smoke` job runs the `--quick` variant.
 
 use criterion::{criterion_group, Criterion};
 use ndetect_sim::rows;
@@ -85,6 +89,30 @@ const OPS: [&str; 5] = [
     "select_into",
 ];
 
+/// The ops whose production entry point dispatches at run time.
+const DISPATCHED_OPS: [&str; 2] = ["and_popcount", "popcount"];
+
+/// Runs the production (runtime-dispatched) entry point of `op`.
+fn run_dispatched(op: &str, a: &[u64], b: &[u64]) -> u64 {
+    match op {
+        "and_popcount" => rows::and_popcount(a, b),
+        "popcount" => rows::popcount(a),
+        _ => unreachable!("{op} has no dispatched entry point"),
+    }
+}
+
+/// Whether the dispatched entry points take their POPCNT path here.
+fn cpu_has_popcnt() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("popcnt")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
 fn bench_chunked_ops(c: &mut Criterion) {
     let a = pattern(ROW_WORDS, 0xDEAD);
     let b = pattern(ROW_WORDS, 0xBEEF);
@@ -101,6 +129,11 @@ fn bench_chunked_ops(c: &mut Criterion) {
             bch.iter(|| std::hint::black_box(run_op::<8>(op, &a, &b, &mut scratch)))
         });
     }
+    for op in DISPATCHED_OPS {
+        group.bench_function(format!("{op}/dispatched"), |bch| {
+            bch.iter(|| std::hint::black_box(run_dispatched(op, &a, &b)))
+        });
+    }
     group.finish();
 }
 
@@ -115,10 +148,27 @@ criterion_group! {
 /// One measured row of the snapshot.
 struct Row {
     op: &'static str,
+    /// `"lanes"` for a `*_lanes::<L>` body, `"dispatched"` for the
+    /// production entry point (which runs `L =` [`rows::LANES`]).
+    kernel: &'static str,
     lanes: usize,
     words: usize,
     ns_per_row: f64,
     gib_per_s: f64,
+}
+
+impl Row {
+    /// The row for one call of `op` taking `secs`.
+    fn timed(op: &'static str, kernel: &'static str, lanes: usize, secs: f64) -> Self {
+        Row {
+            op,
+            kernel,
+            lanes,
+            words: ROW_WORDS,
+            ns_per_row: secs * 1e9,
+            gib_per_s: bytes_per_call(op) as f64 / secs / (1u64 << 30) as f64,
+        }
+    }
 }
 
 /// Minimum wall-clock over `iters` timed batches of `reps` calls.
@@ -154,13 +204,14 @@ fn render_json(rows: &[Row], quick: bool) -> String {
     out.push_str(&format!("  \"quick\": {quick},\n"));
     out.push_str(&format!("  \"row_words\": {ROW_WORDS},\n"));
     out.push_str(&format!("  \"production_lanes\": {},\n", rows::LANES));
+    out.push_str(&format!("  \"cpu_popcnt\": {},\n", cpu_has_popcnt()));
     out.push_str("  \"entries\": [\n");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         out.push_str(&format!(
-            "    {{\"op\": \"{}\", \"lanes\": {}, \"words\": {}, \
+            "    {{\"op\": \"{}\", \"kernel\": \"{}\", \"lanes\": {}, \"words\": {}, \
              \"ns_per_row\": {:.1}, \"gib_per_s\": {:.2}}}{comma}\n",
-            r.op, r.lanes, r.words, r.ns_per_row, r.gib_per_s
+            r.op, r.kernel, r.lanes, r.words, r.ns_per_row, r.gib_per_s
         ));
     }
     out.push_str("  ]\n}\n");
@@ -198,13 +249,7 @@ fn json_main(args: &[String]) {
                 4 => time_best(iters, reps, || run_op::<4>(op, &a, &b, &mut scratch)),
                 _ => time_best(iters, reps, || run_op::<8>(op, &a, &b, &mut scratch)),
             };
-            out_rows.push(Row {
-                op,
-                lanes,
-                words: ROW_WORDS,
-                ns_per_row: secs * 1e9,
-                gib_per_s: bytes_per_call(op) as f64 / secs / (1u64 << 30) as f64,
-            });
+            out_rows.push(Row::timed(op, "lanes", lanes, secs));
         }
         let base = out_rows[out_rows.len() - 3].ns_per_row;
         let x8 = out_rows[out_rows.len() - 1].ns_per_row;
@@ -212,6 +257,17 @@ fn json_main(args: &[String]) {
             "# {op}: scalar {base:.0} ns/row, u64x8 {x8:.0} ns/row ({:.2}x)",
             base / x8
         );
+    }
+    for op in DISPATCHED_OPS {
+        let secs = time_best(iters, reps, || run_dispatched(op, &a, &b));
+        let row = Row::timed(op, "dispatched", rows::LANES, secs);
+        eprintln!(
+            "# {op}: dispatched {:.0} ns/row, {:.2} GiB/s (popcnt={})",
+            row.ns_per_row,
+            row.gib_per_s,
+            cpu_has_popcnt()
+        );
+        out_rows.push(row);
     }
 
     let json = render_json(&out_rows, quick);

@@ -21,7 +21,8 @@
 //! * [`rows`] — the row data plane: [`RowMatrix`] row storage and the
 //!   chunked SIMD word kernels (and/or/xor/andnot/popcount/select/diff)
 //!   every hot loop in the workspace — simulation, universe build, gain
-//!   pass, analysis — runs on.
+//!   pass, analysis — runs on. The popcounts use the CPU's POPCNT
+//!   instruction when it has one, chosen at run time.
 //! * [`parallel`] — a scoped-thread worker pool shared by every
 //!   data-parallel loop in the workspace (fault-tile and pattern-block
 //!   sharding, Procedure-1 test-set construction), with one `0 = auto`
@@ -53,7 +54,9 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+// Deny, not forbid: the runtime popcount dispatch in `rows` is the one
+// module that allows `unsafe` (calls into its POPCNT copies).
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;

@@ -19,6 +19,19 @@
 //!   scalar (`LANES = 1`) fallback. The `*_lanes` variants expose the
 //!   lane count for the `rows` micro-benchmark; production entry points
 //!   are pinned to [`LANES`].
+//! * The popcounts ([`popcount`], [`and_popcount`], [`andnot_popcount`])
+//!   — every row popcount in the workspace, `VectorSet::len` and
+//!   `intersection_count` (the paper's `M(g,f)`) among them. They pick
+//!   their kernel at run time. The baseline x86-64 target has no POPCNT
+//!   instruction, so on x86-64 they check the CPU
+//!   (`is_x86_feature_detected!`, a cached flag) and, when it has
+//!   POPCNT, run a copy of the same `*_lanes::<LANES>` body compiled
+//!   with `#[target_feature(enable = "popcnt")]`. Other CPUs and
+//!   architectures run the portable fold. The binary stays portable,
+//!   and no `-C target-cpu` setting is needed for hardware popcount.
+//!   The private `dispatch` module at the end of this file holds that
+//!   choice; it is the crate's only `unsafe` code (the crate root
+//!   denies `unsafe_code` and this one module allows it).
 //!
 //! When `std::simd` stabilizes, the `*_lanes` bodies are the single
 //! place to swap `[u64; L]` chunks for `Simd<u64, L>` — see
@@ -188,7 +201,9 @@ impl RowMatrix {
 // AVX-512 / unrolled AVX2), then finishes the remainder with a scalar
 // tail. `L = 1` is the pure-scalar fallback. Production entry points pin
 // `L =` [`LANES`]; the `*_lanes` variants exist for the `rows`
-// micro-benchmark and for targets where a narrower width wins.
+// micro-benchmark and for targets where a narrower width wins. The three
+// popcount bodies are `#[inline(always)]`: the POPCNT copies in
+// `dispatch` only get the instruction if the body is compiled inside them.
 // ---------------------------------------------------------------------
 
 /// `dst[i] = f(dst[i], src[i])` in `L`-lane chunks.
@@ -233,7 +248,7 @@ pub fn andnot_into_lanes<const L: usize>(dst: &mut [u64], src: &[u64]) {
 }
 
 /// Lane-parameterized popcount over a word row.
-#[inline]
+#[inline(always)]
 #[must_use]
 pub fn popcount_lanes<const L: usize>(row: &[u64]) -> u64 {
     let split = row.len() - row.len() % L;
@@ -253,7 +268,7 @@ pub fn popcount_lanes<const L: usize>(row: &[u64]) -> u64 {
 
 /// Lane-parameterized `popcount(a & b)` (the paper's `M(g,f)` inner
 /// loop).
-#[inline]
+#[inline(always)]
 #[must_use]
 pub fn and_popcount_lanes<const L: usize>(a: &[u64], b: &[u64]) -> u64 {
     assert_eq!(a.len(), b.len(), "row length mismatch");
@@ -273,7 +288,7 @@ pub fn and_popcount_lanes<const L: usize>(a: &[u64], b: &[u64]) -> u64 {
 
 /// Lane-parameterized `popcount(a & !b)` (the gain pass's
 /// `|T(f) \ chosen|`).
-#[inline]
+#[inline(always)]
 #[must_use]
 pub fn andnot_popcount_lanes<const L: usize>(a: &[u64], b: &[u64]) -> u64 {
     assert_eq!(a.len(), b.len(), "row length mismatch");
@@ -407,25 +422,25 @@ pub fn not_in_place(row: &mut [u64]) {
     }
 }
 
-/// Popcount of a row.
+/// Popcount of a row (POPCNT when the CPU has it).
 #[inline]
 #[must_use]
 pub fn popcount(row: &[u64]) -> u64 {
-    popcount_lanes::<LANES>(row)
+    dispatch::popcount(row)
 }
 
-/// `popcount(a & b)`.
+/// `popcount(a & b)` (POPCNT when the CPU has it).
 #[inline]
 #[must_use]
 pub fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
-    and_popcount_lanes::<LANES>(a, b)
+    dispatch::and_popcount(a, b)
 }
 
-/// `popcount(a & !b)`.
+/// `popcount(a & !b)` (POPCNT when the CPU has it).
 #[inline]
 #[must_use]
 pub fn andnot_popcount(a: &[u64], b: &[u64]) -> u64 {
-    andnot_popcount_lanes::<LANES>(a, b)
+    dispatch::andnot_popcount(a, b)
 }
 
 /// Bitwise select (see [`select_into_lanes`]).
@@ -500,6 +515,170 @@ pub mod portable_simd {
     // Intentionally empty: `--cfg portable_simd` is reserved until
     // `std::simd` ships on stable. The chunked kernels above are the
     // stable-toolchain implementation of the same contract.
+}
+
+/// Runtime selection of the popcount kernels, and the crate's only
+/// `unsafe` code.
+///
+/// The baseline x86-64 target has no POPCNT instruction, so the
+/// portable folds compile `count_ones` to a shift-and-mask sequence.
+/// On x86-64 each entry point asks `is_x86_feature_detected!("popcnt")`
+/// (a cached flag after the first call) and, when the CPU has POPCNT,
+/// calls [`popcnt`]'s copy of the same `*_lanes::<LANES>` body compiled
+/// with `#[target_feature(enable = "popcnt")]`. Without POPCNT, and on
+/// every other architecture, it runs the portable fold. Both paths
+/// return the same count, so the choice never shows in any output.
+#[allow(unsafe_code)]
+mod dispatch {
+    use super::{and_popcount_lanes, andnot_popcount_lanes, popcount_lanes, LANES};
+
+    /// See [`super::popcount`].
+    #[inline]
+    pub(super) fn popcount(row: &[u64]) -> u64 {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("popcnt") {
+            // SAFETY: `is_x86_feature_detected!` just found POPCNT on
+            // this CPU, the one target feature the copy enables.
+            return unsafe { popcnt::popcount(row) };
+        }
+        popcount_lanes::<LANES>(row)
+    }
+
+    /// See [`super::and_popcount`].
+    #[inline]
+    pub(super) fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("popcnt") {
+            // SAFETY: `is_x86_feature_detected!` just found POPCNT on
+            // this CPU, the one target feature the copy enables.
+            return unsafe { popcnt::and_popcount(a, b) };
+        }
+        and_popcount_lanes::<LANES>(a, b)
+    }
+
+    /// See [`super::andnot_popcount`].
+    #[inline]
+    pub(super) fn andnot_popcount(a: &[u64], b: &[u64]) -> u64 {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("popcnt") {
+            // SAFETY: `is_x86_feature_detected!` just found POPCNT on
+            // this CPU, the one target feature the copy enables.
+            return unsafe { popcnt::andnot_popcount(a, b) };
+        }
+        andnot_popcount_lanes::<LANES>(a, b)
+    }
+
+    /// The POPCNT copies of the portable folds. Each compiles its
+    /// `#[inline(always)]` `*_lanes` body with POPCNT enabled; with a
+    /// plain `#[inline]` body a copy is only a jump to the portable fold.
+    ///
+    /// The copies are `unsafe fn` because a safe `#[target_feature]`
+    /// function needs Rust 1.86.
+    #[cfg(target_arch = "x86_64")]
+    mod popcnt {
+        use crate::rows::{and_popcount_lanes, andnot_popcount_lanes, popcount_lanes, LANES};
+
+        /// [`popcount_lanes`] with POPCNT.
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support POPCNT.
+        #[target_feature(enable = "popcnt")]
+        pub(super) unsafe fn popcount(row: &[u64]) -> u64 {
+            popcount_lanes::<LANES>(row)
+        }
+
+        /// [`and_popcount_lanes`] with POPCNT.
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support POPCNT.
+        #[target_feature(enable = "popcnt")]
+        pub(super) unsafe fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
+            and_popcount_lanes::<LANES>(a, b)
+        }
+
+        /// [`andnot_popcount_lanes`] with POPCNT.
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support POPCNT.
+        #[target_feature(enable = "popcnt")]
+        pub(super) unsafe fn andnot_popcount(a: &[u64], b: &[u64]) -> u64 {
+            andnot_popcount_lanes::<LANES>(a, b)
+        }
+    }
+
+    // Last in the module and in the file: the allocation scan of
+    // `tests/hot_path_lint.rs` reads a file only up to its first
+    // `#[cfg(test)]`.
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A row word of one of four shapes: dense, all ones, zero or
+        /// sparse.
+        fn word(x: u64, y: u64, shape: u8) -> u64 {
+            match shape {
+                0 => x,
+                1 => u64::MAX,
+                2 => 0,
+                _ => x & y & y.rotate_left(17),
+            }
+        }
+
+        proptest! {
+            /// Both sides of the dispatch against the portable folds and
+            /// a plain `count_ones` fold, on every prefix of up to
+            /// `2 * LANES + 1` words (the empty row, rows shorter than
+            /// `LANES`, every ragged tail) and on the whole row.
+            #[test]
+            fn dispatch_matches_the_portable_folds(
+                words in prop::collection::vec(
+                    (any::<u64>(), any::<u64>(), 0u8..4, 0u8..4),
+                    0..=300,
+                )
+            ) {
+                let a: Vec<u64> = words.iter().map(|&(x, y, s, _)| word(x, y, s)).collect();
+                let b: Vec<u64> = words.iter().map(|&(x, y, _, s)| word(y, x, s)).collect();
+                for len in (0..=a.len().min(2 * LANES + 1)).chain([a.len()]) {
+                    let (a, b) = (&a[..len], &b[..len]);
+                    let fold = |f: fn(u64, u64) -> u64| -> u64 {
+                        a.iter().zip(b).map(|(&x, &y)| u64::from(f(x, y).count_ones())).sum()
+                    };
+                    let expect = (fold(|x, _| x), fold(|x, y| x & y), fold(|x, y| x & !y));
+                    let dispatched = (popcount(a), and_popcount(a, b), andnot_popcount(a, b));
+                    let scalar = (
+                        popcount_lanes::<1>(a),
+                        and_popcount_lanes::<1>(a, b),
+                        andnot_popcount_lanes::<1>(a, b),
+                    );
+                    let portable = (
+                        popcount_lanes::<LANES>(a),
+                        and_popcount_lanes::<LANES>(a, b),
+                        andnot_popcount_lanes::<LANES>(a, b),
+                    );
+                    prop_assert_eq!(dispatched, expect, "dispatched, {} words", len);
+                    prop_assert_eq!(scalar, expect, "L = 1, {} words", len);
+                    prop_assert_eq!(portable, expect, "L = LANES, {} words", len);
+                    #[cfg(target_arch = "x86_64")]
+                    if std::arch::is_x86_feature_detected!("popcnt") {
+                        // SAFETY: `is_x86_feature_detected!` just found
+                        // POPCNT on this CPU.
+                        let copies = unsafe {
+                            (
+                                popcnt::popcount(a),
+                                popcnt::and_popcount(a, b),
+                                popcnt::andnot_popcount(a, b),
+                            )
+                        };
+                        prop_assert_eq!(copies, expect, "POPCNT copies, {} words", len);
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -8,8 +8,14 @@
 //! the `cargo test`-only backstop: it re-checks the same invariants by
 //! scanning the sources, so the gate cannot silently rot on machines
 //! (or CI legs) that never run clippy.
+//!
+//! It also gates the unsafe boundary. Every crate root keeps
+//! `#![forbid(unsafe_code)]` except `ndetect-sim`, whose only `unsafe`
+//! is the runtime popcount dispatch in `rows.rs`, and `ndetect-serve`,
+//! whose signal handler needs FFI. Every `unsafe {` outside test code
+//! carries a `// SAFETY:` comment directly above it.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// The hot data-plane modules: every repeat-form `vec![x; n]` in their
 /// non-test code must either go through `ndetect_sim::rows` (the
@@ -147,4 +153,118 @@ fn hot_module_list_matches_reality() {
             "{rel} vanished — update HOT_MODULES in tests/hot_path_lint.rs"
         );
     }
+}
+
+/// Crate roots that forbid unsafe code outright.
+const FORBID_ROOTS: &[&str] = &[
+    "src/lib.rs",
+    "crates/chaos/src/lib.rs",
+    "crates/circuits/src/lib.rs",
+    "crates/cli/src/lib.rs",
+    "crates/core/src/lib.rs",
+    "crates/faults/src/lib.rs",
+    "crates/fsm/src/lib.rs",
+    "crates/gen/src/lib.rs",
+    "crates/netlist/src/lib.rs",
+    "crates/obs/src/lib.rs",
+    "crates/seq/src/lib.rs",
+    "crates/store/src/lib.rs",
+    "crates/testutil/src/lib.rs",
+];
+
+/// Directories of non-test sources scanned for `unsafe` blocks.
+const SOURCE_DIRS: &[&str] = &["src", "crates", "examples", "perfbench/src"];
+
+/// Every `.rs` file under `dir`, skipping `tests/` directories (test
+/// code may use `unsafe` without the comment).
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let entries =
+        std::fs::read_dir(dir).unwrap_or_else(|e| panic!("cannot list {}: {e}", dir.display()));
+    for entry in entries {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            if path.file_name().is_some_and(|name| name != "tests") {
+                rust_files(&path, out);
+            }
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn crate_roots_keep_forbidding_unsafe_code() {
+    for rel in FORBID_ROOTS {
+        assert!(
+            read(rel).contains("#![forbid(unsafe_code)]"),
+            "{rel} lost its #![forbid(unsafe_code)]"
+        );
+    }
+}
+
+#[test]
+fn sim_allows_unsafe_code_only_in_the_popcount_dispatch() {
+    let root = read("crates/sim/src/lib.rs");
+    assert!(
+        root.contains("#![deny(unsafe_code)]") && !root.contains("#![forbid(unsafe_code)]"),
+        "ndetect-sim's root must deny (not forbid) unsafe code"
+    );
+    let mut files = Vec::new();
+    rust_files(&repo_root().join("crates/sim/src"), &mut files);
+    let mut allows = Vec::new();
+    for path in &files {
+        let source = std::fs::read_to_string(path).expect("readable source");
+        let lines: Vec<&str> = source.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            if line.trim() == "#[allow(unsafe_code)]" {
+                allows.push((path.clone(), lines.get(i + 1).map(|l| l.trim().to_owned())));
+            }
+        }
+    }
+    assert_eq!(
+        allows,
+        [(
+            repo_root().join("crates/sim/src/rows.rs"),
+            Some("mod dispatch {".to_owned())
+        )],
+        "ndetect-sim must carry exactly one #[allow(unsafe_code)], on rows.rs's dispatch module"
+    );
+}
+
+#[test]
+fn every_unsafe_block_has_a_safety_comment() {
+    let mut files = Vec::new();
+    for dir in SOURCE_DIRS {
+        rust_files(&repo_root().join(dir), &mut files);
+    }
+    let mut blocks = 0;
+    for path in &files {
+        let source = std::fs::read_to_string(path).expect("readable source");
+        let lines: Vec<&str> = non_test_source(&source).lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            let code = line.split("//").next().unwrap_or("");
+            if !code.contains("unsafe {") {
+                continue;
+            }
+            blocks += 1;
+            // The comment block directly above the line must contain a
+            // `// SAFETY:` line.
+            let justified = lines[..i]
+                .iter()
+                .rev()
+                .map(|l| l.trim())
+                .take_while(|l| l.starts_with("//"))
+                .any(|l| l.starts_with("// SAFETY:"));
+            assert!(
+                justified,
+                "{}:{}: `unsafe {{` without a `// SAFETY:` comment directly above it:\n  {}",
+                path.display(),
+                i + 1,
+                line.trim()
+            );
+        }
+    }
+    // Guard the guard: the scan must see the known blocks (the popcount
+    // dispatch, the serve signal handler and perfbench's wait4/kill).
+    assert!(blocks >= 6, "found only {blocks} unsafe blocks");
 }
