@@ -1,13 +1,16 @@
 //! The serving engine: one shared, thread-safe analysis core layered
 //! above `ndetect-store`.
 //!
-//! Request handling composes three layers, hottest first:
+//! Request handling composes four layers, hottest first:
 //!
-//! 1. the in-memory hot LRU ([`crate::hot::Lru`]) of deserialized
-//!    artifacts — repeated requests skip disk entirely;
-//! 2. single-flight dedup ([`crate::SingleFlight`]) — a thundering
+//! 1. the circuit memo — a registry name plus its `model=` is
+//!    synthesized once per engine and shared as an `Arc`;
+//! 2. the in-memory hot LRUs ([`crate::hot::Lru`]) of deserialized
+//!    artifacts — fault universes, worst-case results and generated
+//!    sets — so repeated requests skip disk entirely;
+//! 3. single-flight dedup ([`crate::SingleFlight`]) — a thundering
 //!    herd of identical requests triggers exactly one build;
-//! 3. the on-disk content-addressed store — cold artifacts are read
+//! 4. the on-disk content-addressed store — cold artifacts are read
 //!    through (or built and published) exactly as in one-shot mode.
 //!
 //! Build counters ([`Counters`]) count *actual* expensive builds (cache
@@ -18,13 +21,18 @@
 use crate::hot::Lru;
 use crate::render::UniverseProvider;
 use crate::SingleFlight;
+use ndetect_core::{WorstCaseAnalysis, KIND_WORST_CASE};
 use ndetect_faults::{
     explicit_universe_key, universe_key, ExplicitTargets, FaultUniverse, UniverseOptions,
+    KIND_UNIVERSE,
 };
-use ndetect_gen::{generated_key, GenOptions, GeneratedSet};
-use ndetect_netlist::Netlist;
+use ndetect_gen::{generated_key, GenOptions, GeneratedSet, KIND_GENERATED_SET};
+use ndetect_netlist::{Netlist, SeqNetlist};
 use ndetect_obs::{trace, Counter, Histogram, Registry};
-use ndetect_store::{ArtifactKey, Store};
+use ndetect_seq::FaultModel;
+use ndetect_store::{ArtifactKey, ArtifactKind, Store};
+use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::{Arc, Mutex};
 
 /// Monotonic build and traffic counters; the CI serve-smoke job asserts
@@ -81,23 +89,131 @@ impl Counters {
     }
 }
 
-/// The hot-cache key: the content key of the artifact plus its kind tag
-/// (a universe and a generated set can never collide anyway, but the
-/// tag keeps the two populations separate and greppable in debug
-/// output).
-type HotKey = (u8, ArtifactKey);
+/// The hot-cache key: the content key of the artifact plus its store
+/// kind (each family has its own LRU anyway, but the tag keeps the
+/// populations separate and greppable in debug output).
+type HotKey = (ArtifactKind, ArtifactKey);
 
-const HOT_UNIVERSE: u8 = 1;
-const HOT_GENERATED: u8 = 3;
+/// One artifact family's in-memory layers: a hot LRU of decoded
+/// artifacts in front of a single-flight map of running builds.
+struct HotLayer<V, E> {
+    kind: ArtifactKind,
+    /// Span around the single-flight wait and, for the leader, the
+    /// build.
+    span: &'static str,
+    lru: Mutex<Lru<HotKey, Arc<V>>>,
+    flights: SingleFlight<ArtifactKey, Result<Arc<V>, E>>,
+}
+
+impl<V, E: Clone> HotLayer<V, E> {
+    fn new(
+        kind: ArtifactKind,
+        span: &'static str,
+        capacity: usize,
+        poisoned: &Arc<Counter>,
+    ) -> Self {
+        HotLayer {
+            kind,
+            span,
+            lru: Mutex::new(Lru::new(capacity)),
+            // Every family ticks the same poisoning counter: what the
+            // metric answers is "how often did a crashed build cost a
+            // waiter a retry", not which artifact family it was.
+            flights: SingleFlight::with_poison_counter(Arc::clone(poisoned)),
+        }
+    }
+
+    fn cached(&self, key: ArtifactKey) -> Option<Arc<V>> {
+        self.lru.lock().expect("hot lru").get(&(self.kind, key))
+    }
+
+    /// The shared read path: the hot LRU, then single-flight around
+    /// `build` (which reads through the store). Hot hits, evictions and
+    /// joins onto a running build tick `counters`.
+    fn get(
+        &self,
+        key: ArtifactKey,
+        counters: &Counters,
+        build: impl FnOnce() -> Result<Arc<V>, E>,
+    ) -> Result<Arc<V>, E> {
+        if let Some(hit) = self.cached(key) {
+            counters.hot_hits.inc();
+            return Ok(hit);
+        }
+        let flight_span = trace::span(self.span);
+        let before = self.flights.coalesced();
+        let result = self.flights.run(key, || {
+            // Re-check the hot LRU inside the flight: a caller that
+            // lost the race to a just-finished leader must not build a
+            // second time.
+            if let Some(hit) = self.cached(key) {
+                counters.hot_hits.inc();
+                return Ok(hit);
+            }
+            let value = build()?;
+            if self
+                .lru
+                .lock()
+                .expect("hot lru")
+                .insert((self.kind, key), Arc::clone(&value))
+                .is_some()
+            {
+                counters.hot_evictions.inc();
+            }
+            Ok(value)
+        });
+        drop(flight_span);
+        counters.coalesced.add(self.flights.coalesced() - before);
+        result
+    }
+}
+
+/// A request's circuit, resolved against the combinational suite first
+/// and the sequential registry second. Clones share the netlist.
+#[derive(Clone)]
+pub(crate) enum Resolved {
+    /// A combinational suite circuit, analysed directly.
+    Comb(Arc<Netlist>),
+    /// A sequential circuit, analysed via two-frame broadside
+    /// expansion under the given fault model.
+    Seq(Arc<SeqNetlist>, FaultModel),
+}
+
+/// Synthesizes a registry circuit: combinational names keep their
+/// existing behaviour (`model=` is rejected there — it selects a
+/// sequential fault model); unknown combinational names fall through to
+/// the sequential registry.
+fn synthesize(circuit: &str, model: Option<FaultModel>) -> Result<Resolved, String> {
+    match ndetect_circuits::build(circuit) {
+        Ok(netlist) => {
+            if model.is_some() {
+                return Err(format!(
+                    "`model=` selects a sequential fault model; `{circuit}` is combinational"
+                ));
+            }
+            Ok(Resolved::Comb(Arc::new(netlist)))
+        }
+        Err(comb_error) => match ndetect_circuits::build_seq(circuit) {
+            Ok(seq) => Ok(Resolved::Seq(Arc::new(seq), model.unwrap_or_default())),
+            // Unknown everywhere: report the suite error (the message
+            // clients already match on).
+            Err(_) => Err(comb_error.to_string()),
+        },
+    }
+}
 
 /// The shared serving engine; see the module docs. One instance is
 /// shared (via `Arc`) by every connection thread.
 pub struct Engine {
     store: Option<Store>,
-    hot_universes: Mutex<Lru<HotKey, Arc<FaultUniverse>>>,
-    hot_sets: Mutex<Lru<HotKey, Arc<GeneratedSet>>>,
-    universe_flights: SingleFlight<ArtifactKey, Result<Arc<FaultUniverse>, String>>,
-    gen_flights: SingleFlight<ArtifactKey, Arc<GeneratedSet>>,
+    /// Registry circuits by (name, `model=`). Only successes land here,
+    /// so it holds at most a few entries per registry name.
+    circuits: Mutex<HashMap<(String, Option<FaultModel>), Resolved>>,
+    universes: HotLayer<FaultUniverse, String>,
+    /// Keyed by [`WorstCaseAnalysis::store_key`], so `threads=` (a
+    /// performance knob) shares one entry; sized like `universes`.
+    worst_cases: HotLayer<WorstCaseAnalysis, Infallible>,
+    sets: HotLayer<GeneratedSet, Infallible>,
     counters: Counters,
     registry: Registry,
     request_latency_us: Arc<Histogram>,
@@ -106,7 +222,7 @@ pub struct Engine {
 impl Engine {
     /// Creates an engine over an optional on-disk store with the given
     /// hot-cache capacities (entries, not bytes; zero disables a
-    /// layer).
+    /// layer). Worst-case results share the universe capacity.
     #[must_use]
     pub fn new(store: Option<Store>, hot_universes: usize, hot_sets: usize) -> Self {
         let counters = Counters::default();
@@ -116,18 +232,28 @@ impl Engine {
             store.register_metrics(&registry);
         }
         let request_latency_us = registry.histogram("request_latency_us");
-        // Both flight maps tick the same poisoning counter: what the
-        // metric answers is "how often did a crashed build cost a
-        // waiter a retry", not which artifact family it was.
-        let universe_flights =
-            SingleFlight::with_poison_counter(Arc::clone(&counters.flights_poisoned));
-        let gen_flights = SingleFlight::with_poison_counter(Arc::clone(&counters.flights_poisoned));
+        let poisoned = &counters.flights_poisoned;
         Engine {
             store,
-            hot_universes: Mutex::new(Lru::new(hot_universes)),
-            hot_sets: Mutex::new(Lru::new(hot_sets)),
-            universe_flights,
-            gen_flights,
+            circuits: Mutex::new(HashMap::new()),
+            universes: HotLayer::new(
+                KIND_UNIVERSE,
+                "serve.flight.universe",
+                hot_universes,
+                poisoned,
+            ),
+            worst_cases: HotLayer::new(
+                KIND_WORST_CASE,
+                "serve.flight.worst",
+                hot_universes,
+                poisoned,
+            ),
+            sets: HotLayer::new(
+                KIND_GENERATED_SET,
+                "serve.flight.generated",
+                hot_sets,
+                poisoned,
+            ),
             counters,
             registry,
             request_latency_us,
@@ -163,50 +289,47 @@ impl Engine {
         out
     }
 
-    fn hot_universe_get(&self, key: ArtifactKey) -> Option<Arc<FaultUniverse>> {
-        self.hot_universes
+    /// Resolves a request's circuit name and `model=` token through the
+    /// circuit memo. The token is checked on every request, and errors
+    /// are never memoised.
+    pub(crate) fn resolve(&self, circuit: &str, model: Option<&str>) -> Result<Resolved, String> {
+        let model = model
+            .map(|m| {
+                FaultModel::parse(m).ok_or_else(|| {
+                    format!("unknown fault model `{m}` (expected transition or stuck-at)")
+                })
+            })
+            .transpose()?;
+        let key = (circuit.to_string(), model);
+        if let Some(hit) = self.circuits.lock().expect("circuit memo").get(&key) {
+            return Ok(hit.clone());
+        }
+        // Synthesize outside the lock. Racing first requests may both
+        // synthesize; the first insert wins, so all of them share it.
+        let resolved = synthesize(circuit, model)?;
+        Ok(self
+            .circuits
             .lock()
-            .expect("hot universe lru")
-            .get(&(HOT_UNIVERSE, key))
+            .expect("circuit memo")
+            .entry(key)
+            .or_insert(resolved)
+            .clone())
     }
 
-    fn hot_set_get(&self, key: ArtifactKey) -> Option<Arc<GeneratedSet>> {
-        self.hot_sets
-            .lock()
-            .expect("hot set lru")
-            .get(&(HOT_GENERATED, key))
-    }
-
-    /// The shared universe read path: hot LRU, then single-flight
-    /// around `build` (which reads through the store), counting an
-    /// actual build only on a store miss. Both the enumerated and the
-    /// explicit-target (time-frame-expanded) universes go through here;
-    /// they differ only in `key` and `build`.
+    /// The shared universe read path, counting an actual build only on
+    /// a store miss. Both the enumerated and the explicit-target
+    /// (time-frame-expanded) universes go through here; they differ
+    /// only in `key` and `build`.
     fn universe_through_layers(
         &self,
         key: ArtifactKey,
-        build: &(dyn Fn(Option<&Store>) -> Result<FaultUniverse, String> + Sync),
+        build: impl FnOnce(Option<&Store>) -> Result<FaultUniverse, String>,
     ) -> Result<Arc<FaultUniverse>, String> {
-        if let Some(hit) = self.hot_universe_get(key) {
-            self.counters.hot_hits.inc();
-            return Ok(hit);
-        }
-        // Covers the single-flight wait (followers block here on the
-        // leader's build) and, for the leader, the build itself.
-        let flight_span = trace::span("serve.flight.universe");
-        let before = self.universe_flights.coalesced();
-        let result = self.universe_flights.run(key, || {
+        self.universes.get(key, &self.counters, || {
             // Chaos hook inside the flight, so an injected failure (or
             // panic) exercises the leader-death → waiter-retry path.
             if ndetect_chaos::failpoint!("engine.universe.build").is_some() {
                 return Err("failpoint `engine.universe.build`: injected error".to_string());
-            }
-            // Re-check the hot LRU inside the flight: a caller that
-            // lost the race to a just-finished leader must not count a
-            // second build.
-            if let Some(hit) = self.hot_universe_get(key) {
-                self.counters.hot_hits.inc();
-                return Ok(hit);
             }
             let store = self.store.as_ref();
             let misses = store.map_or(0, Store::session_misses);
@@ -216,21 +339,8 @@ impl Engine {
             if store.is_none_or(|s| s.session_misses() > misses) {
                 self.counters.universe_builds.inc();
             }
-            if self
-                .hot_universes
-                .lock()
-                .expect("hot universe lru")
-                .insert((HOT_UNIVERSE, key), Arc::clone(&universe))
-                .is_some()
-            {
-                self.counters.hot_evictions.inc();
-            }
             Ok(universe)
-        });
-        drop(flight_span);
-        let joined = self.universe_flights.coalesced() - before;
-        self.counters.coalesced.add(joined);
-        result
+        })
     }
 }
 
@@ -241,7 +351,7 @@ impl UniverseProvider for Engine {
         options: UniverseOptions,
     ) -> Result<Arc<FaultUniverse>, String> {
         let key = universe_key(netlist, options);
-        self.universe_through_layers(key, &|store| {
+        self.universe_through_layers(key, |store| {
             FaultUniverse::build_stored(netlist, options, store).map_err(|e| e.to_string())
         })
     }
@@ -253,49 +363,39 @@ impl UniverseProvider for Engine {
         options: UniverseOptions,
     ) -> Result<Arc<FaultUniverse>, String> {
         let key = explicit_universe_key(&explicit.canonical, options);
-        self.universe_through_layers(key, &|store| {
+        self.universe_through_layers(key, |store| {
             FaultUniverse::build_stored_explicit(netlist, explicit, options, store)
                 .map_err(|e| e.to_string())
         })
     }
 
+    fn worst(&self, universe: &Arc<FaultUniverse>, threads: usize) -> Arc<WorstCaseAnalysis> {
+        let key = WorstCaseAnalysis::store_key(universe);
+        let Ok(wc) = self.worst_cases.get(key, &self.counters, || {
+            Ok(Arc::new(WorstCaseAnalysis::compute_stored(
+                universe,
+                threads,
+                self.store.as_ref(),
+            )))
+        });
+        wc
+    }
+
     fn generated(&self, universe: &Arc<FaultUniverse>, options: &GenOptions) -> Arc<GeneratedSet> {
         let key = generated_key(universe, options);
-        if let Some(hit) = self.hot_set_get(key) {
-            self.counters.hot_hits.inc();
-            return hit;
-        }
-        let flight_span = trace::span("serve.flight.generated");
-        let before = self.gen_flights.coalesced();
-        let set = self.gen_flights.run(key, || {
+        let Ok(set) = self.sets.get(key, &self.counters, || {
             // Chaos hook: generation is infallible, so only the
             // delay/panic actions are meaningful here (return-err and
             // torn-write pass through as no-ops).
             let _ = ndetect_chaos::failpoint!("engine.gen.build");
-            if let Some(hit) = self.hot_set_get(key) {
-                self.counters.hot_hits.inc();
-                return hit;
-            }
             let store = self.store.as_ref();
             let misses = store.map_or(0, Store::session_misses);
             let set = Arc::new(ndetect_gen::generate_stored(universe, options, store));
             if store.is_none_or(|s| s.session_misses() > misses) {
                 self.counters.gen_builds.inc();
             }
-            if self
-                .hot_sets
-                .lock()
-                .expect("hot set lru")
-                .insert((HOT_GENERATED, key), Arc::clone(&set))
-                .is_some()
-            {
-                self.counters.hot_evictions.inc();
-            }
-            set
+            Ok(set)
         });
-        drop(flight_span);
-        let joined = self.gen_flights.coalesced() - before;
-        self.counters.coalesced.add(joined);
         set
     }
 
@@ -363,6 +463,55 @@ mod tests {
         let b = engine.generated(&universe, &gen_options);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(engine.counters().gen_builds.get(), 1);
+    }
+
+    #[test]
+    fn worst_case_results_share_the_hot_layer_counters() {
+        let engine = Engine::new(None, 1, 1);
+        let figure1 = engine.universe(&figure1::netlist(), options()).unwrap();
+        let a = engine.worst(&figure1, 1);
+        let hits = engine.counters().hot_hits.get();
+        let b = engine.worst(&figure1, 2);
+        assert!(Arc::ptr_eq(&a, &b), "`threads` must not split the key");
+        assert_eq!(engine.counters().hot_hits.get(), hits + 1);
+        assert_eq!(
+            a.to_string(),
+            WorstCaseAnalysis::compute(&figure1).to_string()
+        );
+        // Capacity 1: the next circuit's result evicts figure1's.
+        let c17 = ndetect_circuits::build("c17").unwrap();
+        let c17 = engine.universe(&c17, options()).unwrap();
+        let evictions = engine.counters().hot_evictions.get();
+        engine.worst(&c17, 0);
+        assert_eq!(engine.counters().hot_evictions.get(), evictions + 1);
+    }
+
+    #[test]
+    fn the_circuit_memo_synthesizes_each_registry_name_once() {
+        let engine = Engine::new(None, 8, 8);
+        let entries = || engine.circuits.lock().unwrap().len();
+        let (Ok(Resolved::Comb(a)), Ok(Resolved::Comb(b))) =
+            (engine.resolve("s1a", None), engine.resolve("s1a", None))
+        else {
+            panic!("s1a is a combinational suite circuit");
+        };
+        assert!(Arc::ptr_eq(&a, &b), "the second request must share the Arc");
+        assert_eq!(entries(), 1);
+        for _ in 0..2 {
+            assert!(engine.resolve("not-a-circuit", None).is_err());
+            assert!(engine.resolve("s1a", Some("transition")).is_err());
+            assert!(engine.resolve("s27", Some("bogus")).is_err());
+        }
+        assert_eq!(entries(), 1, "errors are never memoised");
+        let Ok(Resolved::Seq(_, default)) = engine.resolve("s27", None) else {
+            panic!("s27 is sequential");
+        };
+        let Ok(Resolved::Seq(_, stuck_at)) = engine.resolve("s27", Some("stuck-at")) else {
+            panic!("s27 is sequential");
+        };
+        assert_eq!(default, FaultModel::Transition);
+        assert_eq!(stuck_at, FaultModel::StuckAt);
+        assert_eq!(entries(), 3, "`s27 model=stuck-at` is an entry of its own");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The in-memory hot layer above `ndetect-store`: a small LRU of
-//! deserialized artifacts (`Arc<FaultUniverse>`, `Arc<GeneratedSet>`)
-//! so repeated requests skip not just the fault simulation but also the
-//! disk read and decode.
+//! deserialized artifacts (`Arc<FaultUniverse>`,
+//! `Arc<WorstCaseAnalysis>`, `Arc<GeneratedSet>`) so repeated requests
+//! skip not just the fault simulation but also the disk read and
+//! decode.
 //!
 //! Entry count (not bytes) bounds the cache: universes for the suite
 //! circuits are a few hundred KiB each, so a few dozen entries is the

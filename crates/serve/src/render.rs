@@ -69,6 +69,11 @@ pub trait UniverseProvider: Sync {
         options: UniverseOptions,
     ) -> Result<Arc<FaultUniverse>, String>;
 
+    /// The worst-case `nmin` analysis of `universe` with up to
+    /// `threads` workers (`0` = auto); the result is the same for every
+    /// thread count.
+    fn worst(&self, universe: &Arc<FaultUniverse>, threads: usize) -> Arc<WorstCaseAnalysis>;
+
     /// A generated n-detection set for `universe` under `options`.
     fn generated(&self, universe: &Arc<FaultUniverse>, options: &GenOptions) -> Arc<GeneratedSet>;
 
@@ -111,6 +116,12 @@ impl UniverseProvider for StoreProvider<'_> {
         FaultUniverse::build_stored_explicit(netlist, explicit, options, self.store)
             .map(Arc::new)
             .map_err(|e| e.to_string())
+    }
+
+    fn worst(&self, universe: &Arc<FaultUniverse>, threads: usize) -> Arc<WorstCaseAnalysis> {
+        Arc::new(WorstCaseAnalysis::compute_stored(
+            universe, threads, self.store,
+        ))
     }
 
     fn generated(&self, universe: &Arc<FaultUniverse>, options: &GenOptions) -> Arc<GeneratedSet> {
@@ -226,7 +237,7 @@ fn worst_body(
     knobs: Knobs,
     provider: &dyn UniverseProvider,
 ) -> String {
-    let wc = WorstCaseAnalysis::compute_stored(universe, knobs.threads, provider.store());
+    let wc = provider.worst(universe, knobs.threads);
     let mut out = String::new();
     let _ = writeln!(out, "{universe}");
     let _ = writeln!(out, "{wc}");
@@ -597,7 +608,7 @@ fn corpus_row(
 
     if netlist.num_inputs() <= max_inputs {
         let universe = provider.universe(&netlist, knobs.universe_options())?;
-        let wc = WorstCaseAnalysis::compute_stored(&universe, knobs.threads, provider.store());
+        let wc = provider.worst(&universe, knobs.threads);
         // Compact generated-set sizes vs the exhaustive baseline |U|:
         // how much smaller than the whole space an n-detection set is.
         let gen_size = |n: u32| {
@@ -709,7 +720,7 @@ fn seq_corpus_row(
         &expanded.explicit_targets(),
         knobs.universe_options(),
     )?;
-    let wc = WorstCaseAnalysis::compute_stored(&universe, knobs.threads, provider.store());
+    let wc = provider.worst(&universe, knobs.threads);
     let gen_size = |n: u32| {
         let options = GenOptions {
             n,

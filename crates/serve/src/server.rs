@@ -1,37 +1,41 @@
 //! The TCP serving loop for `ndet serve`.
 //!
-//! One thread accepts connections (polling the shutdown flag between
-//! nonblocking `accept` attempts); each connection gets a thread that
-//! reads request lines and executes them through the shared
-//! [`Engine`]. Each request runs on its own job thread bounded by a
+//! One thread accepts connections with a blocking `accept`; each
+//! connection gets a thread that reads request lines and executes them
+//! through the shared [`Engine`]. Accepted sockets set `TCP_NODELAY`,
+//! so each reply frame leaves as soon as it is flushed instead of
+//! waiting on Nagle's algorithm and the peer's delayed ACK. Each
+//! request runs on its own job thread bounded by a
 //! deadline: a request that overruns gets an `err timeout` reply and
 //! its job thread is left to finish in the background (the engine's
 //! single-flight layer means a retry joins the still-running build
 //! rather than starting another).
 //!
 //! Shutdown (SIGINT/SIGTERM or [`crate::signal::request_shutdown`]) is
-//! a drain, not an abort: the accept loop stops taking new
+//! a drain, not an abort. A blocked `accept` cannot see the drain
+//! flags, so a small waker thread checks them every [`POLL_INTERVAL`]
+//! and, once a drain starts, wakes the accept with one loopback
+//! connect. The accept loop then stops taking new
 //! connections, in-progress connections finish their current request
 //! (new requests on them get `err shutdown`), and the server joins
 //! every connection thread plus any stragglers before returning — so a
 //! supervisor sending SIGTERM observes a clean exit 0 with no truncated
 //! replies.
 
-use crate::engine::Engine;
+use crate::engine::{Engine, Resolved};
 use crate::protocol::{self, ChaosCommand, ErrorReply, Request};
 use crate::render;
 use crate::signal;
 use ndetect_obs::trace;
-use ndetect_seq::FaultModel;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// How often blocked reads and the accept loop re-check the shutdown
-/// flag. Bounds shutdown latency, not correctness.
+/// How often blocked reads and the accept waker re-check the drain
+/// flags. Bounds shutdown latency, not correctness.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// Server configuration (`ndet serve` flags).
@@ -41,7 +45,8 @@ pub struct ServerConfig {
     pub addr: String,
     /// Per-request deadline; an overrunning job gets `err timeout`.
     pub request_timeout: Duration,
-    /// Hot-LRU capacity for fault universes (entries).
+    /// Hot-LRU capacity for fault universes, and separately for their
+    /// worst-case results (entries).
     pub hot_universes: usize,
     /// Hot-LRU capacity for generated sets (entries).
     pub hot_sets: usize,
@@ -147,7 +152,7 @@ impl Server {
     /// # Errors
     ///
     /// Propagates the socket's `local_addr` failure as a message.
-    pub fn local_addr(&self) -> Result<std::net::SocketAddr, String> {
+    pub fn local_addr(&self) -> Result<SocketAddr, String> {
         self.listener.local_addr().map_err(|e| e.to_string())
     }
 
@@ -165,14 +170,41 @@ impl Server {
     /// Returns a user-facing message on socket configuration failures;
     /// per-connection I/O errors only end that connection.
     pub fn run(self) -> Result<(), String> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("cannot set nonblocking accept: {e}"))?;
         let stragglers = Arc::new(WaitGroup::default());
         let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        let accepting = Arc::new(AtomicBool::new(true));
+        let waker = spawn_waker(
+            loopback(self.local_addr()?),
+            Arc::clone(&self.shutdown),
+            Arc::clone(&accepting),
+        );
+        let accepted = self.accept_loop(&mut connections, &stragglers);
+        accepting.store(false, Ordering::SeqCst);
+        waker.join().expect("the accept waker does not panic");
+        accepted?;
 
-        while !self.draining() {
-            match self.listener.accept() {
+        // Drain: connections notice the flag via their read timeouts
+        // and return after at most one in-flight request each.
+        for handle in connections {
+            let _ = handle.join();
+        }
+        stragglers.wait();
+        Ok(())
+    }
+
+    /// Accepts connections until a drain starts. The accept that
+    /// returns during a drain (normally the waker's) is dropped unserved.
+    fn accept_loop(
+        &self,
+        connections: &mut Vec<std::thread::JoinHandle<()>>,
+        stragglers: &Arc<WaitGroup>,
+    ) -> Result<(), String> {
+        loop {
+            let accepted = self.listener.accept();
+            if draining(&self.shutdown) {
+                return Ok(());
+            }
+            match accepted {
                 Ok((stream, _peer)) => {
                     // Reap before counting so finished connections do
                     // not hold slots against the cap.
@@ -194,15 +226,12 @@ impl Server {
                     }
                     let engine = Arc::clone(&self.engine);
                     let config = self.config.clone();
-                    let stragglers = Arc::clone(&stragglers);
+                    let stragglers = Arc::clone(stragglers);
                     let shutdown = Arc::clone(&self.shutdown);
                     connections.push(std::thread::spawn(move || {
                         // A broken peer only ends this connection.
                         let _ = serve_connection(&stream, &engine, &config, &stragglers, &shutdown);
                     }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_INTERVAL);
                 }
                 Err(e) => return Err(format!("accept failed: {e}")),
             }
@@ -210,19 +239,52 @@ impl Server {
             // does not accumulate handles.
             connections.retain(|h| !h.is_finished());
         }
+    }
+}
 
-        // Drain: connections notice the flag via their read timeouts
-        // and return after at most one in-flight request each.
-        for handle in connections {
-            let _ = handle.join();
+/// Whether a drain was requested, process-wide (a signal) or for this
+/// server.
+fn draining(shutdown: &AtomicBool) -> bool {
+    signal::requested() || shutdown.load(Ordering::SeqCst)
+}
+
+/// The address the waker connects to: the listener's own, with an
+/// unspecified (wildcard) IP replaced by loopback.
+fn loopback(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    addr
+}
+
+/// Spawns the thread that wakes the blocking `accept` once a drain
+/// starts: it checks the drain flags every [`POLL_INTERVAL`] and then
+/// connects to `addr` once. A failed connect is retried on the next
+/// tick; the thread also ends when `accepting` goes false.
+fn spawn_waker(
+    addr: SocketAddr,
+    shutdown: Arc<AtomicBool>,
+    accepting: Arc<AtomicBool>,
+) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        while accepting.load(Ordering::SeqCst) {
+            if draining(&shutdown) && TcpStream::connect_timeout(&addr, POLL_INTERVAL).is_ok() {
+                return;
+            }
+            std::thread::sleep(POLL_INTERVAL);
         }
-        stragglers.wait();
-        Ok(())
-    }
+    })
+}
 
-    fn draining(&self) -> bool {
-        signal::requested() || self.shutdown.load(Ordering::SeqCst)
-    }
+/// Per-connection socket set-up: `TCP_NODELAY`, so every flushed frame
+/// goes out at once, and a read timeout of [`POLL_INTERVAL`], which
+/// doubles as the drain poll of a connection blocked in `read_line`.
+fn configure_connection(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(POLL_INTERVAL))
 }
 
 /// Reads request lines off one connection until EOF or shutdown.
@@ -233,10 +295,7 @@ fn serve_connection(
     stragglers: &Arc<WaitGroup>,
     shutdown: &AtomicBool,
 ) -> io::Result<()> {
-    let draining = || signal::requested() || shutdown.load(Ordering::SeqCst);
-    // Short read timeouts double as the shutdown poll: a blocked
-    // `read_line` wakes every POLL_INTERVAL to check the flag.
-    stream.set_read_timeout(Some(POLL_INTERVAL))?;
+    configure_connection(stream)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream.try_clone()?);
     let mut line = String::new();
@@ -254,7 +313,7 @@ fn serve_connection(
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut =>
                 {
-                    if draining() {
+                    if draining(shutdown) {
                         return Ok(());
                     }
                 }
@@ -265,7 +324,7 @@ fn serve_connection(
         if line.trim().is_empty() {
             continue; // blank lines keep the connection alive
         }
-        if draining() {
+        if draining(shutdown) {
             protocol::write_err(
                 &mut writer,
                 &ErrorReply {
@@ -281,8 +340,10 @@ fn serve_connection(
 
 /// Parses and executes one request line, writing exactly one reply.
 /// Every request is traced (`serve.request` with `serve.parse` /
-/// `serve.execute` / `serve.write` children) and its wall time recorded
-/// into the engine's `request_latency_us` histogram.
+/// `serve.execute` / `serve.write` children) and its wall time up to the
+/// terminal frame recorded into the engine's `request_latency_us`
+/// histogram. The record comes before that frame is written, so a
+/// client holding the reply finds the request in its next `metrics`.
 fn execute_line(
     line: &str,
     engine: &Arc<Engine>,
@@ -292,13 +353,17 @@ fn execute_line(
 ) -> io::Result<()> {
     let started = std::time::Instant::now();
     let mut request_span = trace::span("serve.request");
-    let result = execute_line_traced(line, engine, config, stragglers, writer, &mut request_span);
-    drop(request_span);
+    let terminal = execute_line_traced(line, engine, config, stragglers, writer, &mut request_span);
     let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
     engine.record_request_latency_us(micros);
-    result
+    match terminal? {
+        Ok(payload) => write_ok_traced(writer, &payload),
+        Err(error) => protocol::write_err(writer, &error),
+    }
 }
 
+/// Executes one request line, streaming any `row` frames, and returns
+/// the terminal reply for the caller to write.
 fn execute_line_traced(
     line: &str,
     engine: &Arc<Engine>,
@@ -306,7 +371,7 @@ fn execute_line_traced(
     stragglers: &Arc<WaitGroup>,
     writer: &mut impl Write,
     request_span: &mut trace::Span,
-) -> io::Result<()> {
+) -> io::Result<Result<String, ErrorReply>> {
     engine.counters().requests.inc();
     let parsed = {
         let _parse_span = trace::span("serve.parse");
@@ -317,7 +382,7 @@ fn execute_line_traced(
         Err(error) => {
             request_span.field("outcome", "parse_error");
             engine.counters().errors.inc();
-            return protocol::write_err(writer, &error);
+            return Ok(Err(error));
         }
     };
     request_span.field("verb", line.split_whitespace().next().unwrap_or(""));
@@ -327,33 +392,29 @@ fn execute_line_traced(
     match request {
         Request::Ping => {
             request_span.field("outcome", "ok");
-            return write_ok_traced(writer, "pong\n");
+            return Ok(Ok("pong\n".to_string()));
         }
         Request::Metrics => {
             let payload = engine.render_metrics();
             request_span.field("outcome", "ok");
-            return write_ok_traced(writer, &payload);
+            return Ok(Ok(payload));
         }
         Request::Chaos(ref command) => {
             if !config.chaos {
                 request_span.field("outcome", "denied");
                 engine.counters().errors.inc();
-                return protocol::write_err(
-                    writer,
-                    &ErrorReply::denied("chaos verb disabled; start the server with --chaos"),
-                );
+                return Ok(Err(ErrorReply::denied(
+                    "chaos verb disabled; start the server with --chaos",
+                )));
             }
-            return match execute_chaos(command) {
-                Ok(payload) => {
-                    request_span.field("outcome", "ok");
-                    write_ok_traced(writer, &payload)
-                }
-                Err(error) => {
-                    request_span.field("outcome", "parse_error");
-                    engine.counters().errors.inc();
-                    protocol::write_err(writer, &error)
-                }
-            };
+            let reply = execute_chaos(command);
+            if reply.is_ok() {
+                request_span.field("outcome", "ok");
+            } else {
+                request_span.field("outcome", "parse_error");
+                engine.counters().errors.inc();
+            }
+            return Ok(reply);
         }
         _ => {}
     }
@@ -388,26 +449,23 @@ fn execute_line_traced(
             Ok(JobEvent::Row(chunk)) => write_row_traced(writer, &chunk)?,
             Ok(JobEvent::Done(Ok(payload))) => {
                 request_span.field("outcome", "ok");
-                return write_ok_traced(writer, &payload);
+                return Ok(Ok(payload));
             }
             Ok(JobEvent::Done(Err(error))) => {
                 request_span.field("outcome", error.code);
                 engine.counters().errors.inc();
-                return protocol::write_err(writer, &error);
+                return Ok(Err(error));
             }
             Err(_) => {
                 request_span.field("outcome", "timeout");
                 engine.counters().errors.inc();
-                return protocol::write_err(
-                    writer,
-                    &ErrorReply {
-                        code: "timeout",
-                        message: format!(
-                            "request exceeded {}ms (still building; retry joins it)",
-                            config.request_timeout.as_millis()
-                        ),
-                    },
-                );
+                return Ok(Err(ErrorReply {
+                    code: "timeout",
+                    message: format!(
+                        "request exceeded {}ms (still building; retry joins it)",
+                        config.request_timeout.as_millis()
+                    ),
+                }));
             }
         }
     }
@@ -512,46 +570,6 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// A request's circuit, resolved against the combinational suite first
-/// and the sequential registry second.
-enum Resolved {
-    /// A combinational suite circuit, analysed directly.
-    Comb(ndetect_netlist::Netlist),
-    /// A sequential circuit, analysed via two-frame broadside
-    /// expansion under the given fault model.
-    Seq(ndetect_netlist::SeqNetlist, FaultModel),
-}
-
-/// Resolves a circuit name (and optional `model=` token): combinational
-/// names keep their existing behaviour (`model=` is rejected there —
-/// it selects a sequential fault model); unknown combinational names
-/// fall through to the sequential registry.
-fn resolve_circuit(circuit: &str, model: Option<&str>) -> Result<Resolved, String> {
-    let model = model
-        .map(|m| {
-            FaultModel::parse(m).ok_or_else(|| {
-                format!("unknown fault model `{m}` (expected transition or stuck-at)")
-            })
-        })
-        .transpose()?;
-    match ndetect_circuits::build(circuit) {
-        Ok(netlist) => {
-            if model.is_some() {
-                return Err(format!(
-                    "`model=` selects a sequential fault model; `{circuit}` is combinational"
-                ));
-            }
-            Ok(Resolved::Comb(netlist))
-        }
-        Err(comb_error) => match ndetect_circuits::build_seq(circuit) {
-            Ok(seq) => Ok(Resolved::Seq(seq, model.unwrap_or_default())),
-            // Unknown everywhere: report the suite error (the message
-            // clients already match on).
-            Err(_) => Err(comb_error.to_string()),
-        },
-    }
-}
-
 /// Executes a parsed analysis request against the engine, returning the
 /// reply payload (byte-identical to the one-shot CLI's stdout).
 /// Incremental body chunks (corpus rows) go out through `emit`.
@@ -565,7 +583,7 @@ fn execute_request(
             circuit,
             model,
             knobs,
-        } => match resolve_circuit(circuit, model.as_deref())? {
+        } => match engine.resolve(circuit, model.as_deref())? {
             Resolved::Comb(netlist) => render::render_stats(&netlist, *knobs, engine.as_ref()),
             Resolved::Seq(seq, fm) => render::render_seq_stats(&seq, fm, *knobs, engine.as_ref()),
         },
@@ -574,7 +592,7 @@ fn execute_request(
             floor,
             model,
             knobs,
-        } => match resolve_circuit(circuit, model.as_deref())? {
+        } => match engine.resolve(circuit, model.as_deref())? {
             Resolved::Comb(netlist) => {
                 render::render_worst(&netlist, *floor, *knobs, engine.as_ref())
             }
@@ -589,7 +607,7 @@ fn execute_request(
             seed,
             model,
             knobs,
-        } => match resolve_circuit(circuit, model.as_deref())? {
+        } => match engine.resolve(circuit, model.as_deref())? {
             Resolved::Comb(netlist) => {
                 render::render_gen(&netlist, *n, *compact, *seed, *knobs, engine.as_ref())
             }
@@ -624,7 +642,7 @@ fn execute_request(
 mod tests {
     use super::*;
     use crate::protocol::{read_reply, Reply};
-    use std::net::TcpStream;
+    use ndetect_seq::FaultModel;
 
     type Running = (
         std::net::SocketAddr,
@@ -649,6 +667,24 @@ mod tests {
         writer.flush().unwrap();
         let mut reader = BufReader::new(stream);
         read_reply(&mut reader).unwrap()
+    }
+
+    #[test]
+    fn connection_setup_turns_off_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        configure_connection(&accepted).unwrap();
+        assert!(accepted.nodelay().unwrap());
+        assert_eq!(accepted.read_timeout().unwrap(), Some(POLL_INTERVAL));
+    }
+
+    #[test]
+    fn the_waker_dials_loopback_for_a_wildcard_bind() {
+        let addr = |s: &str| s.parse::<SocketAddr>().unwrap();
+        assert_eq!(loopback(addr("0.0.0.0:7433")), addr("127.0.0.1:7433"));
+        assert_eq!(loopback(addr("[::]:7433")), addr("[::1]:7433"));
+        assert_eq!(loopback(addr("10.0.0.5:7433")), addr("10.0.0.5:7433"));
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! through a raw `signal(2)` FFI declaration (libc's `signal` symbol is
 //! always present in the C runtime Rust links against on Unix). The
 //! handler does the only async-signal-safe thing possible: it flips one
-//! global `AtomicBool` that the accept loop polls between
-//! `accept(2)` attempts.
+//! global `AtomicBool`. The server's accept waker polls it and wakes
+//! the blocking `accept(2)` with one loopback connect; connection
+//! threads poll it between reads.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Set by the signal handler; polled by the accept loop.
+/// Set by the signal handler; polled by the accept waker and the
+/// connection threads.
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
 #[cfg(unix)]

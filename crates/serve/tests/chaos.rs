@@ -110,6 +110,10 @@ fn chaos_verb_round_trips_set_list_clear() {
 fn job_panic_yields_err_internal_and_the_server_keeps_serving() {
     let _chaos = exclusive();
     let (addr, engine, shutdown, handle) = start(chaos_config());
+    // Warm the circuit memo and the hot worst-case result first.
+    let Reply::Ok(warm) = request_line(addr, "worst figure1") else {
+        panic!("expected ok");
+    };
     let Reply::Ok(_) = request_line(addr, "chaos set serve.job=one-shot@1:panic") else {
         panic!("expected ok");
     };
@@ -122,11 +126,16 @@ fn job_panic_yields_err_internal_and_the_server_keeps_serving() {
     assert!(message.contains("retry is safe"), "{message}");
     assert_eq!(engine.counters().panics_caught.get(), 1);
 
-    // One-shot: the retry succeeds, on the same server.
+    // One-shot: the retry succeeds, on the same server, from the hot
+    // layers the panic left intact.
+    let hot_hits = engine.counters().hot_hits.get();
     let Reply::Ok(payload) = request_line(addr, "worst figure1") else {
         panic!("expected ok retry");
     };
     assert!(payload.contains("40.00% at n=1"), "{payload}");
+    assert_eq!(payload, warm);
+    assert_eq!(engine.counters().hot_hits.get(), hot_hits + 2);
+    assert_eq!(engine.counters().universe_builds.get(), 1);
     // And unrelated requests were never at risk.
     assert_eq!(request_line(addr, "ping"), Reply::Ok("pong\n".to_string()));
     shutdown.shutdown();

@@ -3,7 +3,9 @@
 //! replies, store-backed warm starts, and the drain path.
 
 use ndetect_serve::protocol::{read_reply, Reply};
-use ndetect_serve::{Engine, Server, ServerConfig, UniverseProvider};
+use ndetect_serve::{
+    render_worst, Engine, Knobs, Server, ServerConfig, StoreProvider, UniverseProvider,
+};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier};
@@ -92,44 +94,89 @@ fn warm_serve_requests_over_a_store_take_zero_store_misses() {
     let dir = std::env::temp_dir().join(format!("ndet-serve-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = ndetect_store::Store::open(&dir).expect("open store");
+    let lines = ["gen figure1 n=2 compact", "worst s1a"];
 
     // Cold pass warms the on-disk store.
     {
         let (addr, _engine, shutdown, handle) = start(Engine::new(Some(store), 8, 8));
-        let Reply::Ok(_) = request(addr, "gen figure1 n=2 compact") else {
-            panic!("cold gen failed");
-        };
+        for line in lines {
+            let Reply::Ok(_) = request(addr, line) else {
+                panic!("cold `{line}` failed");
+            };
+        }
         shutdown.shutdown();
         handle.join().unwrap().unwrap();
     }
 
     // Fresh engine, same store: everything loads from disk (store
-    // hits), and repeats inside the process touch nothing but the LRU.
+    // hits), and repeats inside the process touch nothing but memory.
     let store = ndetect_store::Store::open(&dir).expect("reopen store");
     let (addr, engine, shutdown, handle) = start(Engine::new(Some(store), 8, 8));
-    let Reply::Ok(first) = request(addr, "gen figure1 n=2 compact") else {
-        panic!("warm gen failed");
-    };
+    let store = engine.store().expect("the engine has a store");
+    let session = || (store.session_hits(), store.session_misses());
+    let mut hot = Vec::new();
+    for line in lines {
+        let Reply::Ok(first) = request(addr, line) else {
+            panic!("warm `{line}` failed");
+        };
+        assert_eq!(
+            engine.counters().universe_builds.get(),
+            0,
+            "a store hit is not a build"
+        );
+        let after_warm = session();
+        let Reply::Ok(second) = request(addr, line) else {
+            panic!("hot `{line}` failed");
+        };
+        assert_eq!(first, second);
+        assert_eq!(
+            session(),
+            after_warm,
+            "hot `{line}` must take zero store hits and zero store misses"
+        );
+        hot.push(second);
+    }
+    let s1a = ndetect_circuits::build("s1a").expect("s1a is in the suite");
+    let expected = render_worst(
+        &s1a,
+        100,
+        Knobs::default(),
+        &StoreProvider::new(Some(store)),
+    )
+    .expect("one-shot worst s1a");
+    assert_eq!(hot[1], expected, "the hot reply must match one-shot output");
+    shutdown.shutdown();
+    handle.join().unwrap().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_cold_worst_herd_misses_the_store_once_per_artifact() {
+    let dir = std::env::temp_dir().join(format!("ndet-serve-herd-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = ndetect_store::Store::open(&dir).expect("open store");
+    let (addr, engine, shutdown, handle) = start(Engine::new(Some(store), 8, 8));
+    let barrier = Barrier::new(8);
+    let replies: Vec<Reply> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    barrier.wait();
+                    request(addr, "worst s1a")
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert!(matches!(replies[0], Reply::Ok(_)), "{:?}", replies[0]);
+    for reply in &replies {
+        assert_eq!(reply, &replies[0], "all replies must be byte-identical");
+    }
     assert_eq!(
-        engine.counters().universe_builds.get(),
-        0,
-        "a store hit is not a build"
-    );
-    let store_misses_after_warm = engine
-        .store()
-        .map(ndetect_store::Store::session_misses)
-        .unwrap();
-    let Reply::Ok(second) = request(addr, "gen figure1 n=2 compact") else {
-        panic!("hot gen failed");
-    };
-    assert_eq!(first, second);
-    assert_eq!(
-        engine
-            .store()
-            .map(ndetect_store::Store::session_misses)
-            .unwrap(),
-        store_misses_after_warm,
-        "hot repeats must take zero store misses"
+        engine.store().map(ndetect_store::Store::session_misses),
+        Some(2),
+        "one universe and one nmin artifact"
     );
     shutdown.shutdown();
     handle.join().unwrap().unwrap();
