@@ -1,11 +1,10 @@
-//! Criterion benchmark comparing the event-driven fault-propagation
-//! kernel against the reference full-cone kernel, plus a
-//! machine-readable perf-snapshot mode.
+//! Criterion benchmark of the event-driven fault-propagation kernel,
+//! plus a machine-readable perf-snapshot mode.
 //!
-//! Both kernels compute every detection set (collapsed stuck-at targets
+//! The kernel computes every detection set (collapsed stuck-at targets
 //! plus the four-way bridging population) of a circuit through one
-//! shared simulator, so the comparison isolates the per-fault kernel —
-//! the dominant cost of a cold universe build.
+//! shared simulator, so the timing isolates the per-fault kernel — the
+//! dominant cost of a cold universe build.
 //!
 //! Modes:
 //!
@@ -86,24 +85,6 @@ impl Workload {
         );
         stuck.into_iter().sum::<usize>() + bridged.into_iter().sum::<usize>()
     }
-
-    /// Every detection set through the reference full-cone kernel.
-    fn run_full_cone(&self) -> usize {
-        let mut total = 0usize;
-        for &f in &self.targets {
-            total += self
-                .sim
-                .detection_set_stuck_full_cone(&self.netlist, f)
-                .len();
-        }
-        for fault in &self.bridges {
-            total += self
-                .sim
-                .detection_set_bridge_full_cone(&self.netlist, fault)
-                .len();
-        }
-        total
-    }
 }
 
 fn bench_kernels(c: &mut Criterion) {
@@ -113,9 +94,6 @@ fn bench_kernels(c: &mut Criterion) {
         let netlist = ndetect_circuits::build(name).expect("suite circuit builds");
         let w = Workload::new(name, netlist);
         group.bench_function(format!("{name}/event"), |b| b.iter(|| w.run_event(1)));
-        group.bench_function(format!("{name}/full_cone"), |b| {
-            b.iter(|| w.run_full_cone())
-        });
     }
     group.finish();
 }
@@ -239,36 +217,20 @@ fn json_main(args: &[String]) {
         let faults = w.num_faults().max(1);
         for threads in [1usize, 4] {
             let secs = time_best(iters, || w.run_event(threads));
+            let ns_per_fault = secs * 1e9 / faults as f64;
+            eprintln!(
+                "# {}: {faults} faults, {threads} threads, {ns_per_fault:.1} ns/fault",
+                w.name
+            );
             rows.push(Row {
                 circuit: w.name.clone(),
                 kernel: "event_driven",
                 threads,
                 faults,
-                ns_per_fault: secs * 1e9 / faults as f64,
+                ns_per_fault,
                 total_ms: secs * 1e3,
             });
         }
-        let secs = time_best(iters, || w.run_full_cone());
-        rows.push(Row {
-            circuit: w.name.clone(),
-            kernel: "full_cone",
-            threads: 1,
-            faults,
-            ns_per_fault: secs * 1e9 / faults as f64,
-            total_ms: secs * 1e3,
-        });
-        let event = rows
-            .iter()
-            .find(|r| r.circuit == w.name && r.kernel == "event_driven" && r.threads == 1)
-            .expect("just pushed");
-        eprintln!(
-            "# {}: {} faults, event {:.1} ns/fault, full-cone {:.1} ns/fault ({:.2}x)",
-            w.name,
-            faults,
-            event.ns_per_fault,
-            secs * 1e9 / faults as f64,
-            secs * 1e9 / faults as f64 / event.ns_per_fault
-        );
     }
 
     // Store-backed universe builds (the cached fast path of the new

@@ -1,18 +1,14 @@
-//! Criterion benchmarks for the multi-threaded fault-simulation engine.
-//!
-//! Two layers are timed separately on the widest suite circuits:
-//!
-//! * `universe_build` — [`FaultUniverse::build_with`] at 1 vs 4 worker
-//!   threads (fault-parallel tiling over the collapsed fault list);
-//! * `block_parallel_stuck` — [`FaultSimulator::detection_set_stuck_threaded`]
-//!   at 1 vs 4 workers (64-vector pattern blocks sharded per fault).
+//! Criterion benchmark for the multi-threaded fault-simulation engine:
+//! `universe_build` times [`FaultUniverse::build_with`] at 1 vs 4 worker
+//! threads (fault-parallel tiling over the collapsed fault list) on the
+//! widest suite circuits.
 //!
 //! Outputs are bit-identical across thread counts; only wall-clock
 //! should differ. On a single-core host the threaded variants measure
 //! pure scheduling overhead instead of speedup.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ndetect_faults::{all_stuck_at_faults, FaultSimulator, FaultUniverse, UniverseOptions};
+use ndetect_faults::{FaultUniverse, UniverseOptions};
 
 const THREAD_COUNTS: [usize; 2] = [1, 4];
 
@@ -39,33 +35,11 @@ fn bench_universe_build(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_block_parallel(c: &mut Criterion) {
-    let mut group = c.benchmark_group("block_parallel_stuck");
-    group.sample_size(3);
-    // rie has the widest pattern space of the suite (2^14 vectors =
-    // 256 blocks), the regime block sharding is built for.
-    let netlist = ndetect_circuits::build("rie").expect("suite circuit builds");
-    let sim = FaultSimulator::new(&netlist).expect("fits exhaustive sim");
-    let faults = all_stuck_at_faults(&netlist);
-    for threads in THREAD_COUNTS {
-        group.bench_function(format!("rie_first64/threads={threads}"), |b| {
-            b.iter(|| {
-                let mut total = 0usize;
-                for &f in faults.iter().take(64) {
-                    total += sim.detection_set_stuck_threaded(&netlist, f, threads).len();
-                }
-                total
-            });
-        });
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(3)
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(5));
-    targets = bench_universe_build, bench_block_parallel
+    targets = bench_universe_build
 }
 criterion_main!(benches);

@@ -89,6 +89,15 @@ impl WorstCaseAnalysis {
     /// entirely. Misses compute normally and populate the store (best
     /// effort); corrupt or inconsistent entries degrade to
     /// recomputation.
+    ///
+    /// A loaded entry is checked for meaning, not only shape: `nmin` and
+    /// witness are both present or both absent, every bridge of a class
+    /// carries its class's pair, and each witness `f` reproduces its
+    /// class's `nmin = N(f) − M(g,f) + 1` (one intersection per class).
+    /// Two corruptions still get through, because catching them means
+    /// redoing the pass: a witness and an `nmin` changed consistently
+    /// (another overlapping target and its own `nmin(g,f)`), and a whole
+    /// class turned into `None`/`None`.
     #[must_use]
     pub fn compute_stored(
         universe: &FaultUniverse,
@@ -122,16 +131,38 @@ impl WorstCaseAnalysis {
         ArtifactKey(h.finish())
     }
 
-    /// Shape validation against the universe a cached entry is being
-    /// loaded for — guards against key collisions and stale entries.
+    /// Validation against the universe a cached entry is being loaded
+    /// for (see [`Self::compute_stored`] for what it checks and what
+    /// gets through) — guards against key collisions, stale entries and
+    /// bytes that decode but mean something else.
     fn is_consistent_with(&self, universe: &FaultUniverse) -> bool {
-        self.nmin.len() == universe.bridges().len()
-            && self.witness.len() == self.nmin.len()
-            && self
-                .witness
-                .iter()
-                .flatten()
-                .all(|&fi| fi < universe.targets().len())
+        if self.nmin.len() != universe.bridges().len() || self.witness.len() != self.nmin.len() {
+            return false;
+        }
+        // The pair of each class's first bridge, checked once; every
+        // later member must repeat it.
+        let mut class_pair = vec![None; universe.bridge_classes().len()];
+        for (j, &c) in universe.bridge_class_of().iter().enumerate() {
+            let pair = (self.nmin[j], self.witness[j]);
+            match class_pair[c as usize] {
+                Some(first) if first != pair => return false,
+                Some(_) => {}
+                None => {
+                    let meaningful = match pair {
+                        (Some(n), Some(fi)) => {
+                            fi < universe.targets().len() && nmin_pair(universe, j, fi) == Some(n)
+                        }
+                        (None, None) => true,
+                        _ => false,
+                    };
+                    if !meaningful {
+                        return false;
+                    }
+                    class_pair[c as usize] = Some(pair);
+                }
+            }
+        }
+        true
     }
 
     /// `nmin(g)` for bridge index `j` (`None` = never guaranteed).

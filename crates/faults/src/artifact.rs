@@ -286,6 +286,7 @@ fn classes_in_first_occurrence_order(class_of: &[u32], num_classes: usize) -> bo
 mod tests {
     use super::*;
     use crate::universe::FaultUniverse;
+    use ndetect_circuits::figure1::netlist as figure1;
     use ndetect_netlist::NetlistBuilder;
     use ndetect_store::{decode_from_slice, encode_to_vec, Store};
 
@@ -354,21 +355,6 @@ mod tests {
         let back = decode_from_slice::<UniverseOptions>(&encode_to_vec(&o)).unwrap();
         // threads is normalized away by the codec.
         assert_eq!(back, UniverseOptions { threads: 0, ..o });
-    }
-
-    fn figure1() -> Netlist {
-        let mut b = NetlistBuilder::new("figure1");
-        let i1 = b.input("1");
-        let i2 = b.input("2");
-        let i3 = b.input("3");
-        let i4 = b.input("4");
-        let g9 = b.and("9", &[i1, i2]).unwrap();
-        let g10 = b.and("10", &[i2, i3]).unwrap();
-        let g11 = b.or("11", &[i3, i4]).unwrap();
-        b.output(g9);
-        b.output(g10);
-        b.output(g11);
-        b.build().unwrap()
     }
 
     fn encode_artifact(a: &UniverseArtifact) -> Vec<u8> {

@@ -211,22 +211,8 @@ pub fn enumerate_four_way(netlist: &Netlist, reach: &ReachabilityMatrix) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ndetect_circuits::figure1::netlist as figure1;
     use ndetect_netlist::NetlistBuilder;
-
-    fn figure1() -> Netlist {
-        let mut b = NetlistBuilder::new("figure1");
-        let i1 = b.input("1");
-        let i2 = b.input("2");
-        let i3 = b.input("3");
-        let i4 = b.input("4");
-        let g9 = b.and("9", &[i1, i2]).unwrap();
-        let g10 = b.and("10", &[i2, i3]).unwrap();
-        let g11 = b.or("11", &[i3, i4]).unwrap();
-        b.output(g9);
-        b.output(g10);
-        b.output(g11);
-        b.build().unwrap()
-    }
 
     #[test]
     fn figure1_enumeration_order_and_count() {

@@ -25,8 +25,12 @@
 //!
 //! The paper's Definition 2 asks whether the common bits of two tests
 //! already detect a target under three-valued simulation. [`TijKernel`]
-//! answers that for 64 test pairs per machine word; the scalar
-//! [`threeval_detects_stuck`] is its oracle.
+//! answers that for 64 test pairs per machine word.
+//!
+//! Every kernel here is checked against oracles that live outside the
+//! production crates, in `ndetect-testutil`: `DetectionOracle` computes
+//! `T(f)` and `T(g)` from the fault definitions, and
+//! `threeval::detects_stuck` is the scalar three-valued check.
 //!
 //! # Example
 //!
@@ -65,7 +69,7 @@ pub use bridging::{
 };
 pub use collapse::CollapsedFaults;
 pub use error::FaultError;
-pub use sim::{threeval_detects_stuck, FaultSimulator};
+pub use sim::FaultSimulator;
 pub use stuck_at::{all_stuck_at_faults, input_line_of_pin, StuckAtFault};
 pub use tij::TijKernel;
 pub use universe::{BridgeSets, BridgeSetsIter, ExplicitTargets, FaultUniverse, UniverseOptions};

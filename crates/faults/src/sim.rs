@@ -1,18 +1,15 @@
-//! Fault injection over bit-parallel exhaustive simulation, serial or
-//! sharded over 64-vector pattern blocks.
+//! Fault injection over bit-parallel exhaustive simulation.
 //!
-//! The default kernel is **event-driven**: instead of re-evaluating the
-//! entire fanout cone of the fault site on every block, it walks the
-//! site's precomputed CSR cone once per fault, evaluates a gate only
-//! when some fanin joined the **difference frontier** (its faulty words
-//! actually differ from the fault-free words), processes a gate's
-//! blocks as one contiguous node-major [`RowMatrix`] row (running the
-//! chunked SIMD kernels of [`ndetect_sim::rows`]), and restricts every
-//! row operation to the sub-range of blocks on which the fault is
-//! active at all. The pre-existing full-cone kernel survives as
-//! [`FaultSimulator::detection_set_stuck_full_cone`] /
-//! [`FaultSimulator::detection_set_bridge_full_cone`] — the
-//! differential-testing oracle and benchmark baseline.
+//! The kernel is **event-driven**: instead of re-evaluating the entire
+//! fanout cone of the fault site on every block, it walks the site's
+//! precomputed CSR cone once per fault, evaluates a gate only when some
+//! fanin joined the **difference frontier** (its faulty words actually
+//! differ from the fault-free words), processes a gate's blocks as one
+//! contiguous node-major [`RowMatrix`] row (running the chunked SIMD
+//! kernels of [`ndetect_sim::rows`]), and restricts every row operation
+//! to the sub-range of blocks on which the fault is active at all. Its
+//! differential-testing oracle is `ndetect_testutil::DetectionOracle`,
+//! an independent simulation written from the fault definitions.
 
 // Hot module: every word buffer comes from the `rows` data plane.
 #![deny(clippy::disallowed_methods)]
@@ -23,11 +20,7 @@ use ndetect_netlist::{GateKind, LineKind, Netlist, NodeId, ReachabilityMatrix, S
 use ndetect_obs::trace;
 use ndetect_sim::rows as rowops;
 use ndetect_sim::rows::{zeroed_words, RowMatrix};
-use ndetect_sim::{
-    eval_gate_trit, eval_gate_word_pin_override, eval_trits_all, parallel, GoodValues,
-    PartialVector, PatternSpace, SimScratch, Trit, VectorSet,
-};
-use std::ops::Range;
+use ndetect_sim::{GoodValues, PatternSpace, SimScratch, VectorSet};
 
 fn stuck_word(value: bool) -> u64 {
     if value {
@@ -185,7 +178,7 @@ fn fill_others(
 ///
 /// * the fault-free value of every node on every vector ([`GoodValues`]),
 ///   kept in **both** block-major and node-major (transposed) layouts —
-///   block-major for the full-cone oracle, node-major so the
+///   block-major as stored with a universe, node-major so the
 ///   event-driven kernel streams a node's words contiguously;
 /// * a flattened CSR cone arena (contiguous offset + index tables): for
 ///   every node, its strictly-downstream gates in topological order;
@@ -445,22 +438,16 @@ impl FaultSimulator {
     }
 
     /// The event-driven kernel: propagates the difference between the
-    /// root's faulty row (already written to `scratch.rows` over
-    /// `blocks` by the caller) and its fault-free row through the
-    /// root's cone, accumulating per-block detection words into the
-    /// scratch detection row.
+    /// root's faulty row (already written to `scratch.rows` by the
+    /// caller) and its fault-free row through the root's cone,
+    /// accumulating per-block detection words into the scratch
+    /// detection row.
     ///
     /// Gates are evaluated only while some fanin is on the difference
-    /// frontier, over only the sub-range of `blocks` on which the root
+    /// frontier, over only the sub-range of blocks on which the root
     /// differs at all; the walk degenerates to cheap frontier checks as
     /// soon as the frontier dies. Zero heap allocations.
-    fn propagate(
-        &self,
-        netlist: &Netlist,
-        root: NodeId,
-        blocks: Range<usize>,
-        scratch: &mut SimScratch,
-    ) {
+    fn propagate(&self, netlist: &Netlist, root: NodeId, scratch: &mut SimScratch) {
         debug_assert!(
             scratch.fits(self.num_nodes, self.num_blocks),
             "scratch shape"
@@ -481,23 +468,23 @@ impl FaultSimulator {
         // Tighten to the sub-range of blocks on which the root actually
         // changed: no node anywhere can differ outside it.
         let mut lo = usize::MAX;
-        let mut hi = blocks.start;
+        let mut hi = 0;
         {
-            let faulty = &rows.row(root.index())[blocks.clone()];
-            let good = &good_rows.row(root.index())[blocks.clone()];
+            let faulty = rows.row(root.index());
+            let good = good_rows.row(root.index());
             for (k, (&a, &b)) in faulty.iter().zip(good).enumerate() {
                 if a ^ b != 0 {
                     if lo == usize::MAX {
-                        lo = blocks.start + k;
+                        lo = k;
                     }
-                    hi = blocks.start + k + 1;
+                    hi = k + 1;
                 }
             }
         }
         if lo == usize::MAX {
-            // Fault inactive on this whole range: empty detection range.
-            *det_lo = blocks.start;
-            *det_hi = blocks.start;
+            // Fault inactive on every block: empty detection range.
+            *det_lo = 0;
+            *det_hi = 0;
             return;
         }
         *det_lo = lo;
@@ -595,15 +582,14 @@ impl FaultSimulator {
         }
     }
 
-    /// Detection words of a stuck-at fault over a contiguous block
-    /// range.
+    /// Detection words of a stuck-at fault over every block.
     fn stuck_words(
         &self,
         netlist: &Netlist,
         fault: StuckAtFault,
-        blocks: Range<usize>,
         scratch: &mut SimScratch,
     ) -> Vec<u64> {
+        let blocks = 0..self.num_blocks;
         let vword = stuck_word(fault.value);
         let line = netlist.lines().line(fault.line);
         // The kernel's root: the stem's node forced to the stuck value,
@@ -611,7 +597,7 @@ impl FaultSimulator {
         // operand (a constant row), all other operands fault-free.
         let root = match *line.kind() {
             LineKind::Stem { node } => {
-                scratch.rows.row_mut(node.index())[blocks.clone()].fill(vword);
+                scratch.rows.row_mut(node.index()).fill(vword);
                 node
             }
             LineKind::Branch {
@@ -620,21 +606,16 @@ impl FaultSimulator {
             } => {
                 let gnode = netlist.node(gate);
                 let SimScratch { rows, acc, .. } = scratch;
-                acc[..blocks.len()].fill(vword);
-                let acc_r: &[u64] = &acc[..blocks.len()];
+                acc.fill(vword);
+                let acc_r: &[u64] = acc;
                 let op = |i: usize, f: NodeId| -> &[u64] {
                     if i == pin {
                         acc_r
                     } else {
-                        &self.good_nm.row(f.index())[blocks.clone()]
+                        self.good_nm.row(f.index())
                     }
                 };
-                eval_gate_rows(
-                    gnode.kind(),
-                    gnode.fanins(),
-                    op,
-                    &mut rows.row_mut(gate.index())[blocks.clone()],
-                );
+                eval_gate_rows(gnode.kind(), gnode.fanins(), op, rows.row_mut(gate.index()));
                 gate
             }
             // Output-slot branch faults never touch the kernel at all:
@@ -649,7 +630,7 @@ impl FaultSimulator {
                     .collect();
             }
         };
-        self.propagate(netlist, root, blocks.clone(), scratch);
+        self.propagate(netlist, root, scratch);
         // The detection row as per-block words, masked to the space;
         // blocks outside the fault's active range read as zero.
         blocks
@@ -697,7 +678,7 @@ impl FaultSimulator {
     /// `netlist` is not the netlist this simulator was built for.
     #[must_use]
     pub fn detection_set_stuck(&self, netlist: &Netlist, fault: StuckAtFault) -> VectorSet {
-        self.detection_set_stuck_threaded(netlist, fault, 1)
+        self.detection_set_stuck_with(netlist, fault, &mut self.new_scratch())
     }
 
     /// Computes `T(f)` reusing a caller-owned [`SimScratch`] — the
@@ -717,34 +698,7 @@ impl FaultSimulator {
         scratch: &mut SimScratch,
     ) -> VectorSet {
         assert_eq!(netlist.num_nodes(), self.num_nodes, "wrong netlist");
-        let words = self.stuck_words(netlist, fault, 0..self.num_blocks, scratch);
-        VectorSet::from_block_words(self.space.num_patterns(), words)
-    }
-
-    /// Computes `T(f)` with the 64-vector pattern blocks sharded over up
-    /// to `num_threads` workers, each owning its own [`SimScratch`].
-    /// Every block is simulated independently, so the result is
-    /// bit-identical to the serial computation for any thread count;
-    /// worthwhile on wide pattern spaces (many blocks).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fault's line does not belong to `netlist`, or if
-    /// `netlist` is not the netlist this simulator was built for.
-    #[must_use]
-    pub fn detection_set_stuck_threaded(
-        &self,
-        netlist: &Netlist,
-        fault: StuckAtFault,
-        num_threads: usize,
-    ) -> VectorSet {
-        assert_eq!(netlist.num_nodes(), self.num_nodes, "wrong netlist");
-        let words = parallel::run_tiled_with(
-            num_threads,
-            self.num_blocks,
-            || self.new_scratch(),
-            |scratch, blocks| self.stuck_words(netlist, fault, blocks, scratch),
-        );
+        let words = self.stuck_words(netlist, fault, scratch);
         VectorSet::from_block_words(self.space.num_patterns(), words)
     }
 
@@ -758,7 +712,7 @@ impl FaultSimulator {
     /// `netlist` is not the netlist this simulator was built for.
     #[must_use]
     pub fn detection_set_bridge(&self, netlist: &Netlist, fault: &BridgingFault) -> VectorSet {
-        self.detection_set_bridge_threaded(netlist, fault, 1)
+        self.detection_set_bridge_with(netlist, fault, &mut self.new_scratch())
     }
 
     /// Computes `T(g)` reusing a caller-owned [`SimScratch`] (see
@@ -777,26 +731,6 @@ impl FaultSimulator {
     ) -> VectorSet {
         debug_assert_stems(netlist, fault);
         let victim = self.detection_set_stuck_with(netlist, fault.victim_fault(), scratch);
-        self.bridge_set_of_victim(netlist, fault, &victim)
-    }
-
-    /// Computes `T(g)` with the victim fault's pattern blocks sharded over
-    /// up to `num_threads` workers (see
-    /// [`Self::detection_set_stuck_threaded`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fault's lines are not stems of `netlist`, or if
-    /// `netlist` is not the netlist this simulator was built for.
-    #[must_use]
-    pub fn detection_set_bridge_threaded(
-        &self,
-        netlist: &Netlist,
-        fault: &BridgingFault,
-        num_threads: usize,
-    ) -> VectorSet {
-        debug_assert_stems(netlist, fault);
-        let victim = self.detection_set_stuck_threaded(netlist, fault.victim_fault(), num_threads);
         self.bridge_set_of_victim(netlist, fault, &victim)
     }
 }
@@ -829,419 +763,40 @@ pub(crate) fn intersect_activation(
     any != 0
 }
 
-/// The reference full-cone kernel, kept as the differential-testing
-/// oracle and benchmark baseline.
-impl FaultSimulator {
-    /// The primary-output nodes observing `root` or its cone.
-    fn observable_outputs_of(&self, netlist: &Netlist, root: NodeId) -> Vec<NodeId> {
-        netlist
-            .outputs()
-            .iter()
-            .copied()
-            .filter(|&po| po == root || self.reach.reaches(root, po))
-            .collect()
-    }
-
-    /// Per-fault buffers for a full-cone re-simulation rooted at `root`:
-    /// the observable outputs, the faulty-value buffer, and the
-    /// cone-membership mask. Allocated once per fault, reused across
-    /// blocks.
-    fn cone_buffers(&self, netlist: &Netlist, root: NodeId) -> (Vec<NodeId>, Vec<u64>, Vec<bool>) {
-        let outputs = self.observable_outputs_of(netlist, root);
-        // Reference oracle, off the row data plane by design.
-        #[allow(clippy::disallowed_methods)]
-        let mut in_cone = vec![false; self.num_nodes];
-        in_cone[root.index()] = true;
-        for &g in self.cone(root) {
-            in_cone[g.index()] = true;
-        }
-        (outputs, zeroed_words(self.num_nodes), in_cone)
-    }
-
-    /// Re-evaluates every gate of `root`'s cone for one block. `fv`
-    /// holds faulty words (valid only where `in_cone`); operands outside
-    /// the cone come from the good values. `fv[root]` must be set by the
-    /// caller.
-    fn eval_cone(
-        &self,
-        netlist: &Netlist,
-        block: usize,
-        root: NodeId,
-        fv: &mut [u64],
-        in_cone: &[bool],
-    ) {
-        let goodb = self.good.block(block);
-        for &g in self.cone(root) {
-            let node = netlist.node(g);
-            let kind = node.kind();
-            let fanins = node.fanins();
-            let operand = |f: NodeId| -> u64 {
-                if in_cone[f.index()] {
-                    fv[f.index()]
-                } else {
-                    goodb[f.index()]
-                }
-            };
-            let word = match kind {
-                GateKind::And | GateKind::Nand => {
-                    let acc = fanins.iter().fold(u64::MAX, |a, &f| a & operand(f));
-                    if kind == GateKind::Nand {
-                        !acc
-                    } else {
-                        acc
-                    }
-                }
-                GateKind::Or | GateKind::Nor => {
-                    let acc = fanins.iter().fold(0u64, |a, &f| a | operand(f));
-                    if kind == GateKind::Nor {
-                        !acc
-                    } else {
-                        acc
-                    }
-                }
-                GateKind::Xor | GateKind::Xnor => {
-                    let acc = fanins.iter().fold(0u64, |a, &f| a ^ operand(f));
-                    if kind == GateKind::Xnor {
-                        !acc
-                    } else {
-                        acc
-                    }
-                }
-                GateKind::Buf => operand(fanins[0]),
-                GateKind::Not => !operand(fanins[0]),
-                GateKind::Const0 => 0,
-                GateKind::Const1 => u64::MAX,
-                GateKind::Input => unreachable!("inputs are never in a cone"),
-            };
-            fv[g.index()] = word;
-        }
-    }
-
-    fn detection_word(&self, block: usize, outputs: &[NodeId], fv: &[u64]) -> u64 {
-        let goodb = self.good.block(block);
-        let mut det = 0u64;
-        for &po in outputs {
-            det |= fv[po.index()] ^ goodb[po.index()];
-        }
-        det & self.space.block_mask(block)
-    }
-
-    /// Computes `T(f)` with the reference full-cone kernel: every
-    /// downstream gate of the fault site is re-evaluated on every
-    /// block, whether or not the fault effect reaches it. Bit-identical
-    /// to [`Self::detection_set_stuck`]; kept as the
-    /// differential-testing oracle and the baseline of the
-    /// `event_driven` benchmark.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fault's line does not belong to `netlist`, or if
-    /// `netlist` is not the netlist this simulator was built for.
-    #[must_use]
-    pub fn detection_set_stuck_full_cone(
-        &self,
-        netlist: &Netlist,
-        fault: StuckAtFault,
-    ) -> VectorSet {
-        assert_eq!(netlist.num_nodes(), self.num_nodes, "wrong netlist");
-        let vword = stuck_word(fault.value);
-        let line = netlist.lines().line(fault.line);
-        let blocks = 0..self.num_blocks;
-
-        let words: Vec<u64> = match *line.kind() {
-            LineKind::Stem { node } => {
-                let (outputs, mut fv, in_cone) = self.cone_buffers(netlist, node);
-                blocks
-                    .map(|block| {
-                        fv[node.index()] = vword;
-                        self.eval_cone(netlist, block, node, &mut fv, &in_cone);
-                        self.detection_word(block, &outputs, &fv)
-                    })
-                    .collect()
-            }
-            LineKind::Branch { node, sink } => match sink {
-                Sink::GatePin { gate, pin } => {
-                    // Operand buffers hoisted out of the block loop: the
-                    // sink gate is evaluated through the pin-override
-                    // primitive, with no per-block allocations.
-                    let (outputs, mut fv, in_cone) = self.cone_buffers(netlist, gate);
-                    let gnode = netlist.node(gate);
-                    blocks
-                        .map(|block| {
-                            let goodb = self.good.block(block);
-                            fv[gate.index()] = eval_gate_word_pin_override(
-                                gnode.kind(),
-                                gnode.fanins(),
-                                goodb,
-                                pin,
-                                vword,
-                            );
-                            self.eval_cone(netlist, block, gate, &mut fv, &in_cone);
-                            self.detection_word(block, &outputs, &fv)
-                        })
-                        .collect()
-                }
-                Sink::OutputSlot { slot: _ } => blocks
-                    .map(|block| {
-                        let g = self.good.node_word(block, node);
-                        (g ^ vword) & self.space.block_mask(block)
-                    })
-                    .collect(),
-            },
-        };
-        VectorSet::from_block_words(self.space.num_patterns(), words)
-    }
-
-    /// Computes `T(g)` with the reference full-cone kernel (see
-    /// [`Self::detection_set_stuck_full_cone`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fault's lines are not stems of `netlist`, or if
-    /// `netlist` is not the netlist this simulator was built for.
-    #[must_use]
-    pub fn detection_set_bridge_full_cone(
-        &self,
-        netlist: &Netlist,
-        fault: &BridgingFault,
-    ) -> VectorSet {
-        assert_eq!(netlist.num_nodes(), self.num_nodes, "wrong netlist");
-        let victim = netlist.lines().line(fault.victim).driver();
-        let aggressor = netlist.lines().line(fault.aggressor).driver();
-        let (outputs, mut fv, in_cone) = self.cone_buffers(netlist, victim);
-
-        let words: Vec<u64> = (0..self.num_blocks)
-            .map(|block| {
-                let gv = self.good.node_word(block, victim);
-                let ga = self.good.node_word(block, aggressor);
-                let cond = (if fault.victim_value { gv } else { !gv })
-                    & (if fault.aggressor_value { ga } else { !ga })
-                    & self.space.block_mask(block);
-                if cond == 0 {
-                    return 0;
-                }
-                fv[victim.index()] = gv ^ cond;
-                self.eval_cone(netlist, block, victim, &mut fv, &in_cone);
-                self.detection_word(block, &outputs, &fv)
-            })
-            .collect();
-        VectorSet::from_block_words(self.space.num_patterns(), words)
-    }
-}
-
-/// Three-valued detection check for the paper's Definition 2.
-///
-/// Returns `true` iff the partially specified vector `tij` **definitely**
-/// detects the stuck-at fault: some primary output has definite and
-/// different values in the fault-free and faulty circuits under
-/// pessimistic three-valued simulation.
-///
-/// ```
-/// use ndetect_netlist::NetlistBuilder;
-/// use ndetect_sim::{PartialVector, PatternSpace};
-/// use ndetect_faults::{threeval_detects_stuck, StuckAtFault};
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut b = NetlistBuilder::new("and2");
-/// let a = b.input("a");
-/// let c = b.input("c");
-/// let g = b.and("g", &[a, c])?;
-/// b.output(g);
-/// let n = b.build()?;
-/// let space = PatternSpace::new(2)?;
-/// let fault = StuckAtFault::new(n.lines().stem(g), false);
-/// // 1X does not definitely detect g/0; 11 does.
-/// let t_1x = PartialVector::common_bits(&space, 2, 3);
-/// assert!(!threeval_detects_stuck(&n, fault, &t_1x));
-/// let t_11 = PartialVector::from_vector(&space, 3);
-/// assert!(threeval_detects_stuck(&n, fault, &t_11));
-/// # Ok(())
-/// # }
-/// ```
-#[must_use]
-pub fn threeval_detects_stuck(
-    netlist: &Netlist,
-    fault: StuckAtFault,
-    vector: &PartialVector,
-) -> bool {
-    let inputs = vector.trits();
-    let good = eval_trits_all(netlist, &inputs);
-
-    let line = netlist.lines().line(fault.line);
-    let fault_trit = Trit::from_bool(fault.value);
-
-    // Faulty levelized pass with injection (cold three-valued path,
-    // not a word buffer).
-    #[allow(clippy::disallowed_methods)]
-    let mut faulty = vec![Trit::X; netlist.num_nodes()];
-    for (&pi, &v) in netlist.inputs().iter().zip(&inputs) {
-        faulty[pi.index()] = v;
-    }
-    let (stem_forced, pin_override): (Option<NodeId>, Option<(NodeId, usize)>) = match *line.kind()
-    {
-        LineKind::Stem { node } => (Some(node), None),
-        LineKind::Branch { node: _, sink } => match sink {
-            Sink::GatePin { gate, pin } => (None, Some((gate, pin))),
-            Sink::OutputSlot { .. } => (None, None),
-        },
-    };
-    if let Some(node) = stem_forced {
-        faulty[node.index()] = fault_trit;
-    }
-    let mut operands: Vec<Trit> = Vec::new();
-    for &id in netlist.topo_order() {
-        let node = netlist.node(id);
-        if node.kind() == GateKind::Input {
-            continue;
-        }
-        if stem_forced == Some(id) {
-            continue; // value forced, no evaluation
-        }
-        operands.clear();
-        operands.extend(node.fanins().iter().map(|f| faulty[f.index()]));
-        if let Some((gate, pin)) = pin_override {
-            if gate == id {
-                operands[pin] = fault_trit;
-            }
-        }
-        faulty[id.index()] = eval_gate_trit(node.kind(), &operands);
-    }
-    if let Some(node) = stem_forced {
-        faulty[node.index()] = fault_trit;
-    }
-
-    // Observation: definite difference on some output slot.
-    let po_branch_slot = match *line.kind() {
-        LineKind::Branch {
-            sink: Sink::OutputSlot { slot },
-            ..
-        } => Some(slot),
-        _ => None,
-    };
-    for (slot, &po) in netlist.outputs().iter().enumerate() {
-        let g = good[po.index()];
-        let f = if po_branch_slot == Some(slot) {
-            fault_trit
-        } else {
-            faulty[po.index()]
-        };
-        if let (Some(gb), Some(fb)) = (g.to_option(), f.to_option()) {
-            if gb != fb {
-                return true;
-            }
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 #[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::stuck_at::all_stuck_at_faults;
+    use ndetect_circuits::figure1::netlist as figure1;
     use ndetect_netlist::NetlistBuilder;
-
-    fn figure1() -> Netlist {
-        let mut b = NetlistBuilder::new("figure1");
-        let i1 = b.input("1");
-        let i2 = b.input("2");
-        let i3 = b.input("3");
-        let i4 = b.input("4");
-        let g9 = b.and("9", &[i1, i2]).unwrap();
-        let g10 = b.and("10", &[i2, i3]).unwrap();
-        let g11 = b.or("11", &[i3, i4]).unwrap();
-        b.output(g9);
-        b.output(g10);
-        b.output(g11);
-        b.build().unwrap()
-    }
-
-    /// Oracle: detection set by brute-force scalar simulation with the
-    /// fault applied through explicit line semantics.
-    fn oracle_stuck(netlist: &Netlist, fault: StuckAtFault, space: &PatternSpace) -> Vec<usize> {
-        let mut detected = Vec::new();
-        for v in 0..space.num_patterns() {
-            let bits = space.vector_bits(v);
-            let good = netlist.eval_bool(&bits);
-            let faulty = oracle_eval_faulty(netlist, fault, &bits);
-            if good != faulty {
-                detected.push(v);
-            }
-        }
-        detected
-    }
-
-    fn oracle_eval_faulty(netlist: &Netlist, fault: StuckAtFault, bits: &[bool]) -> Vec<bool> {
-        let line = netlist.lines().line(fault.line);
-        let mut values = vec![false; netlist.num_nodes()];
-        for (pi, &v) in netlist.inputs().iter().zip(bits) {
-            values[pi.index()] = v;
-        }
-        let (stem_forced, pin_override) = match *line.kind() {
-            LineKind::Stem { node } => (Some(node), None),
-            LineKind::Branch { sink, .. } => match sink {
-                Sink::GatePin { gate, pin } => (None, Some((gate, pin))),
-                Sink::OutputSlot { .. } => (None, None),
-            },
-        };
-        for &id in netlist.topo_order() {
-            let node = netlist.node(id);
-            if node.kind() != GateKind::Input {
-                let mut ops: Vec<bool> = node.fanins().iter().map(|f| values[f.index()]).collect();
-                if let Some((g, p)) = pin_override {
-                    if g == id {
-                        ops[p] = fault.value;
-                    }
-                }
-                values[id.index()] = node.kind().eval_bool(&ops);
-            }
-            if stem_forced == Some(id) {
-                values[id.index()] = fault.value;
-            }
-        }
-        if let Some(node) = stem_forced {
-            values[node.index()] = fault.value;
-        }
-        let po_branch_slot = match *line.kind() {
-            LineKind::Branch {
-                sink: Sink::OutputSlot { slot },
-                ..
-            } => Some(slot),
-            _ => None,
-        };
-        netlist
-            .outputs()
-            .iter()
-            .enumerate()
-            .map(|(slot, &po)| {
-                if po_branch_slot == Some(slot) {
-                    fault.value
-                } else {
-                    values[po.index()]
-                }
-            })
-            .collect()
-    }
+    use ndetect_testutil::threeval::{detects_stuck, PartialVector};
+    use ndetect_testutil::DetectionOracle;
 
     #[test]
     fn stuck_detection_sets_match_oracle_on_figure1() {
         let n = figure1();
         let sim = FaultSimulator::new(&n).unwrap();
+        let oracle = DetectionOracle::new(&n);
         for fault in all_stuck_at_faults(&n) {
             let fast = sim.detection_set_stuck(&n, fault).to_vec();
-            let slow = oracle_stuck(&n, fault, sim.space());
+            let slow = oracle.stuck_set(fault.line, fault.value);
             assert_eq!(fast, slow, "fault {}", fault.name(&n));
         }
     }
 
+    /// The event-driven kernel through one shared scratch against the
+    /// oracle (the full-cone kernel this test was named after is gone).
     #[test]
     fn event_driven_equals_full_cone_on_figure1() {
         let n = figure1();
         let sim = FaultSimulator::new(&n).unwrap();
+        let oracle = DetectionOracle::new(&n);
         let mut scratch = sim.new_scratch();
         for fault in all_stuck_at_faults(&n) {
             let event = sim.detection_set_stuck_with(&n, fault, &mut scratch);
-            let oracle = sim.detection_set_stuck_full_cone(&n, fault);
-            assert_eq!(event, oracle, "fault {}", fault.name(&n));
+            let expected = oracle.stuck_set(fault.line, fault.value);
+            assert_eq!(event.to_vec(), expected, "fault {}", fault.name(&n));
         }
     }
 
@@ -1292,10 +847,6 @@ mod tests {
         // g0 = (9,0,10,1): T = {6,7}.
         let g0 = BridgingFault::new(stem("9"), false, stem("10"), true);
         assert_eq!(sim.detection_set_bridge(&n, &g0).to_vec(), vec![6, 7]);
-        assert_eq!(
-            sim.detection_set_bridge_full_cone(&n, &g0).to_vec(),
-            vec![6, 7]
-        );
         // g6 = (11,0,9,1): T = {12}.
         let g6 = BridgingFault::new(stem("11"), false, stem("9"), true);
         assert_eq!(sim.detection_set_bridge(&n, &g6).to_vec(), vec![12]);
@@ -1303,7 +854,9 @@ mod tests {
 
     #[test]
     fn bridge_oracle_cross_check() {
-        // Brute-force bridging oracle on a multi-level circuit.
+        // The bridge identity against the oracle's definition (flip the
+        // victim where victim = a1 and aggressor = a2) on a multi-level
+        // circuit.
         let mut b = NetlistBuilder::new("ml");
         let a = b.input("a");
         let c = b.input("c");
@@ -1316,37 +869,12 @@ mod tests {
         b.output(g2);
         let n = b.build().unwrap();
         let sim = FaultSimulator::new(&n).unwrap();
-        let space = sim.space();
+        let oracle = DetectionOracle::new(&n);
         // Bridge between g1 (victim) and g2 (aggressor): non-feedback.
         for (a1, a2) in [(false, true), (true, false)] {
             let fault = BridgingFault::new(n.lines().stem(g1), a1, n.lines().stem(g2), a2);
             let fast = sim.detection_set_bridge(&n, &fault).to_vec();
-            let mut slow = Vec::new();
-            for v in 0..space.num_patterns() {
-                let bits = space.vector_bits(v);
-                let all = n.eval_bool_all(&bits);
-                let gv = all[g1.index()];
-                let ga = all[g2.index()];
-                if gv != a1 || ga != a2 {
-                    continue; // not activated
-                }
-                // Victim flips; re-evaluate downstream by brute force.
-                let mut vals = all.clone();
-                vals[g1.index()] = !gv;
-                for &id in n.topo_order() {
-                    let node = n.node(id);
-                    if node.kind() == GateKind::Input || id == g1 {
-                        continue;
-                    }
-                    let ops: Vec<bool> = node.fanins().iter().map(|f| vals[f.index()]).collect();
-                    vals[id.index()] = node.kind().eval_bool(&ops);
-                }
-                let good_out: Vec<bool> = n.outputs().iter().map(|&po| all[po.index()]).collect();
-                let bad_out: Vec<bool> = n.outputs().iter().map(|&po| vals[po.index()]).collect();
-                if good_out != bad_out {
-                    slow.push(v);
-                }
-            }
+            let slow = oracle.bridge_set(fault.victim, a1, fault.aggressor, a2);
             assert_eq!(fast, slow, "bridge ({a1},{a2})");
         }
     }
@@ -1357,13 +885,12 @@ mod tests {
         // under 2-valued logic.
         let n = figure1();
         let sim = FaultSimulator::new(&n).unwrap();
-        let space = *sim.space();
         for fault in all_stuck_at_faults(&n) {
             let t = sim.detection_set_stuck(&n, fault);
             for ti in 0..16 {
                 for tj in 0..16 {
-                    let tij = PartialVector::common_bits(&space, ti, tj);
-                    if threeval_detects_stuck(&n, fault, &tij) {
+                    let tij = PartialVector::common_bits(4, ti, tj);
+                    if detects_stuck(&n, fault.line, fault.value, &tij) {
                         for v in 0..16 {
                             if tij.is_completion(v) {
                                 assert!(
@@ -1383,13 +910,12 @@ mod tests {
     fn threeval_on_full_vector_equals_two_valued_detection() {
         let n = figure1();
         let sim = FaultSimulator::new(&n).unwrap();
-        let space = *sim.space();
         for fault in all_stuck_at_faults(&n) {
             let t = sim.detection_set_stuck(&n, fault);
             for v in 0..16 {
-                let pv = PartialVector::from_vector(&space, v);
+                let pv = PartialVector::from_vector(4, v);
                 assert_eq!(
-                    threeval_detects_stuck(&n, fault, &pv),
+                    detects_stuck(&n, fault.line, fault.value, &pv),
                     t.contains(v),
                     "fault {} v={v}",
                     fault.name(&n)

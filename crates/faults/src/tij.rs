@@ -28,7 +28,7 @@ fn definite_difference(good: Rails, bad: Rails) -> u64 {
 }
 
 /// Evaluates one gate on two-rail operands read through `op(pin,
-/// fanin)`, following [`ndetect_sim::eval_gate_trit`] lane by lane.
+/// fanin)`, following the scalar three-valued rules lane by lane.
 fn eval_gate(kind: GateKind, fanins: &[NodeId], op: impl Fn(usize, NodeId) -> Rails) -> Rails {
     let operands = fanins.iter().enumerate().map(|(pin, &f)| op(pin, f));
     let swap = |(one, zero): Rails| (zero, one);
@@ -134,11 +134,11 @@ fn eval_good(good: &mut [u64], fanins: &[NodeId], gates: &[Gate]) {
 /// Every node carries two rails: bit `L` of its *one* rail is set iff
 /// the node is definitely 1 in lane `L`, bit `L` of its *zero* rail iff
 /// it is definitely 0, and neither bit means `X`. The gate rules are
-/// exactly the pessimistic ones of [`ndetect_sim::eval_gate_trit`]: a
-/// controlling operand decides an AND/OR-family gate, and any `X`
-/// operand makes an XOR-family gate `X`. [`crate::threeval_detects_stuck`]
-/// is the scalar oracle: bit `L` of a result equals
-/// `threeval_detects_stuck(common_bits(fixed, lanes[L]))`.
+/// the pessimistic ones of `ndetect_testutil::threeval::eval_gate_trit`:
+/// a controlling operand decides an AND/OR-family gate, and any `X`
+/// operand makes an XOR-family gate `X`. That module's `detects_stuck`
+/// is the scalar oracle (`tests/tij_oracle.rs`): bit `L` of a result
+/// equals `detects_stuck(common_bits(fixed, lanes[L]))`.
 ///
 /// Each batch runs the fault-free machine once. Each fault then
 /// re-evaluates only its site's fanout cone, taken from the CSR cone

@@ -1,36 +1,23 @@
 //! Differential test of the universe build. Every target set `T(f)` it
-//! reports must equal the full-cone oracle's. It never simulates a
-//! bridge: it masks the victim stem fault's detection set with the
-//! aggressor's fault-free row and stores each distinct result once. Every
-//! `T(g)` it reports must still equal the full-cone oracle's, the
-//! per-fault `detection_set_bridge*` calls must agree with it, and the
-//! classes must be non-empty, pairwise distinct and in first-occurrence
-//! order, at 1 and 4 threads.
+//! reports must equal `ndetect_testutil::DetectionOracle`'s. It never
+//! simulates a bridge: it masks the victim stem fault's detection set
+//! with the aggressor's fault-free row and stores each distinct result
+//! once. Every `T(g)` it reports must still equal the oracle's, which
+//! flips the victim by the bridge's definition, and the classes must be
+//! non-empty, pairwise distinct and in first-occurrence order, at 1 and
+//! 4 threads.
 
+use ndetect_circuits::figure1::netlist as figure1;
 use ndetect_faults::{enumerate_bridges_among, ExplicitTargets, FaultUniverse, UniverseOptions};
-use ndetect_netlist::{Netlist, NetlistBuilder};
+use ndetect_netlist::Netlist;
 use ndetect_seq::{expand, FaultModel};
-use ndetect_testutil::arb_netlist_sized;
+use ndetect_sim::VectorSet;
+use ndetect_testutil::{arb_netlist_sized, DetectionOracle};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
 /// The thread counts every universe is built at.
 const THREADS: [usize; 2] = [1, 4];
-
-fn figure1() -> Netlist {
-    let mut b = NetlistBuilder::new("figure1");
-    let i1 = b.input("1");
-    let i2 = b.input("2");
-    let i3 = b.input("3");
-    let i4 = b.input("4");
-    let g9 = b.and("9", &[i1, i2]).unwrap();
-    let g10 = b.and("10", &[i2, i3]).unwrap();
-    let g11 = b.or("11", &[i3, i4]).unwrap();
-    b.output(g9);
-    b.output(g10);
-    b.output(g11);
-    b.build().unwrap()
-}
 
 fn build(netlist: &Netlist, explicit: Option<&ExplicitTargets>, threads: usize) -> FaultUniverse {
     let options = UniverseOptions::with_threads(threads);
@@ -69,10 +56,11 @@ fn assert_bridge_sets_match_oracle(netlist: &Netlist, explicit: Option<&Explicit
     let label = netlist.name();
     let reference = build(netlist, explicit, THREADS[0]);
     let sim = reference.simulator();
+    let oracle = DetectionOracle::new(netlist);
     for (i, &fault) in reference.targets().iter().enumerate() {
         assert_eq!(
-            reference.target_set(i),
-            &sim.detection_set_stuck_full_cone(netlist, fault),
+            reference.target_set(i).to_vec(),
+            oracle.stuck_set(fault.line, fault.value),
             "{label} target {}",
             fault.name(netlist)
         );
@@ -90,34 +78,24 @@ fn assert_bridge_sets_match_oracle(netlist: &Netlist, explicit: Option<&Explicit
 
     // Every enumerated bridge: an empty oracle set is an undetectable
     // bridge, any other is the universe's next bridge with that set.
-    let mut scratch = sim.new_scratch();
     let mut j = 0;
-    for (k, fault) in enumerated.iter().enumerate() {
-        let oracle = sim.detection_set_bridge_full_cone(netlist, fault);
+    for fault in &enumerated {
+        let expected = VectorSet::from_vectors(
+            sim.space().num_patterns(),
+            oracle.bridge_set(
+                fault.victim,
+                fault.victim_value,
+                fault.aggressor,
+                fault.aggressor_value,
+            ),
+        );
         let name = fault.name(netlist);
-        if k % 5 == 0 {
-            assert_eq!(
-                sim.detection_set_bridge(netlist, fault),
-                oracle,
-                "{label} {name}"
-            );
-            assert_eq!(
-                sim.detection_set_bridge_with(netlist, fault, &mut scratch),
-                oracle,
-                "{label} {name}"
-            );
-            assert_eq!(
-                sim.detection_set_bridge_threaded(netlist, fault, 4),
-                oracle,
-                "{label} {name}"
-            );
-        }
-        if oracle.is_empty() {
+        if expected.is_empty() {
             continue;
         }
         assert_eq!(reference.bridges()[j], *fault, "{label}: bridge {j}");
-        assert_eq!(reference.bridge_set(j), &oracle, "{label} {name}");
-        assert_eq!(&reference.bridge_sets()[j], &oracle, "{label} {name}");
+        assert_eq!(reference.bridge_set(j), &expected, "{label} {name}");
+        assert_eq!(&reference.bridge_sets()[j], &expected, "{label} {name}");
         j += 1;
     }
     assert_eq!(j, reference.bridges().len(), "{label}: detectable bridges");
@@ -168,8 +146,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// Random netlists of 1 to 8 inputs and up to 20 gates: dense
-    /// single-block DAGs, and spaces of up to 4 blocks, which the 4-worker
-    /// block sharding of `detection_set_bridge_threaded` splits.
+    /// single-block DAGs, and spaces of up to 4 blocks.
     #[test]
     fn random_bridge_sets_match_the_oracle(netlist in arb_netlist_sized(8, 20)) {
         assert_bridge_sets_match_oracle(&netlist, None);

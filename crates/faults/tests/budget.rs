@@ -2,40 +2,41 @@
 //! netlists. The fault simulator has one kernel and takes no memory
 //! budget, so the worker count is the only knob a build has: at every
 //! worker count the universe must be bit-identical to the default build,
-//! which itself must match the reference full-cone kernel on every
+//! which itself must match `ndetect_testutil::DetectionOracle` on every
 //! stuck-at and bridging detection set.
 
 use ndetect_faults::{FaultUniverse, UniverseOptions};
 use ndetect_netlist::Netlist;
-use ndetect_testutil::arb_netlist_sized;
+use ndetect_testutil::{arb_netlist_sized, DetectionOracle};
 use proptest::prelude::*;
 
 /// The worker counts every universe is rebuilt at.
 const THREADS: [usize; 2] = [1, 4];
 
 /// Asserts that every worker count reproduces the default universe bit
-/// for bit, and that the default universe agrees with the full-cone
-/// oracle fault by fault.
+/// for bit, and that the default universe agrees with the oracle fault
+/// by fault.
 fn assert_budgets_agree(netlist: &Netlist) -> Result<(), TestCaseError> {
     let reference = FaultUniverse::build(netlist).expect("fits exhaustive sim");
     let sim = reference.simulator();
+    let oracle = DetectionOracle::new(netlist);
 
     // Oracle pass: the reference universe's sets are exactly what the
-    // full-cone kernel computes.
+    // definitions give.
     for (i, &fault) in reference.targets().iter().enumerate() {
         prop_assert_eq!(
             reference.target_set(i).to_vec(),
-            sim.detection_set_stuck_full_cone(netlist, fault).to_vec(),
-            "stuck fault {} vs full-cone oracle",
+            oracle.stuck_set(fault.line, fault.value),
+            "stuck fault {} vs oracle",
             fault.name(netlist)
         );
     }
-    for (j, bridge) in reference.bridges().iter().enumerate() {
+    for (j, b) in reference.bridges().iter().enumerate() {
         prop_assert_eq!(
             reference.bridge_set(j).to_vec(),
-            sim.detection_set_bridge_full_cone(netlist, bridge).to_vec(),
-            "bridge {} vs full-cone oracle",
-            bridge.name(netlist)
+            oracle.bridge_set(b.victim, b.victim_value, b.aggressor, b.aggressor_value),
+            "bridge {} vs oracle",
+            b.name(netlist)
         );
     }
 

@@ -1,55 +1,40 @@
 //! Differential suite for the event-driven fault-propagation kernel:
 //! on randomly generated netlists, every stuck-at and bridging
-//! detection set produced by the frontier-pruned kernel (serial, with a
-//! shared scratch, and block-sharded over 4 workers) must be
-//! bit-identical to the reference full-cone kernel — plus directed
-//! regression tests that the frontier early exit never skips an
-//! observable primary output.
+//! detection set produced by the frontier-pruned kernel through one
+//! shared scratch must equal the independent
+//! `ndetect_testutil::DetectionOracle` — plus
+//! directed regression tests that the frontier early exit never skips
+//! an observable primary output.
 
 use ndetect_faults::{
     all_stuck_at_faults, enumerate_bridges, BridgeModel, FaultSimulator, StuckAtFault,
 };
 use ndetect_netlist::{Netlist, NetlistBuilder};
-use ndetect_testutil::arb_netlist_sized;
+use ndetect_testutil::{arb_netlist_sized, DetectionOracle};
 use proptest::prelude::*;
 
-/// Asserts event-driven == full-cone for every fault of a netlist, at
-/// 1 and 4 worker threads.
+/// Asserts event-driven == oracle for every fault of a netlist, through
+/// one scratch shared across all of them.
 fn assert_kernels_agree(netlist: &Netlist) -> Result<(), TestCaseError> {
     let sim = FaultSimulator::new(netlist).expect("fits exhaustive sim");
+    let oracle = DetectionOracle::new(netlist);
     let mut scratch = sim.new_scratch();
     for fault in all_stuck_at_faults(netlist) {
-        let oracle = sim.detection_set_stuck_full_cone(netlist, fault);
-        let event = sim.detection_set_stuck_with(netlist, fault, &mut scratch);
         prop_assert_eq!(
-            event.to_vec(),
-            oracle.to_vec(),
-            "stuck fault {} (serial)",
-            fault.name(netlist)
-        );
-        let sharded = sim.detection_set_stuck_threaded(netlist, fault, 4);
-        prop_assert_eq!(
-            sharded.to_vec(),
-            oracle.to_vec(),
-            "stuck fault {} (4 workers)",
+            sim.detection_set_stuck_with(netlist, fault, &mut scratch)
+                .to_vec(),
+            oracle.stuck_set(fault.line, fault.value),
+            "stuck fault {}",
             fault.name(netlist)
         );
     }
-    for bridge in enumerate_bridges(netlist, sim.reachability(), BridgeModel::FourWay) {
-        let oracle = sim.detection_set_bridge_full_cone(netlist, &bridge);
-        let event = sim.detection_set_bridge_with(netlist, &bridge, &mut scratch);
+    for b in enumerate_bridges(netlist, sim.reachability(), BridgeModel::FourWay) {
         prop_assert_eq!(
-            event.to_vec(),
-            oracle.to_vec(),
-            "bridge {} (serial)",
-            bridge.name(netlist)
-        );
-        let sharded = sim.detection_set_bridge_threaded(netlist, &bridge, 4);
-        prop_assert_eq!(
-            sharded.to_vec(),
-            oracle.to_vec(),
-            "bridge {} (4 workers)",
-            bridge.name(netlist)
+            sim.detection_set_bridge_with(netlist, &b, &mut scratch)
+                .to_vec(),
+            oracle.bridge_set(b.victim, b.victim_value, b.aggressor, b.aggressor_value),
+            "bridge {}",
+            b.name(netlist)
         );
     }
     Ok(())
@@ -66,8 +51,7 @@ proptest! {
     }
 
     /// Wider spaces (up to 4 blocks): exercises the active-block-range
-    /// tightening and the 4-worker block sharding with a real tile
-    /// split.
+    /// tightening.
     #[test]
     fn kernels_agree_on_multi_block_netlists(netlist in arb_netlist_sized(8, 16)) {
         assert_kernels_agree(&netlist)?;
@@ -103,11 +87,12 @@ fn early_exit_keeps_masked_and_live_paths_apart() {
     let n = b.build().unwrap();
 
     let sim = FaultSimulator::new(&n).unwrap();
+    let oracle = DetectionOracle::new(&n);
     let mut scratch = sim.new_scratch();
     for fault in all_stuck_at_faults(&n) {
         let event = sim.detection_set_stuck_with(&n, fault, &mut scratch);
-        let oracle = sim.detection_set_stuck_full_cone(&n, fault);
-        assert_eq!(event, oracle, "fault {}", fault.name(&n));
+        let expected = oracle.stuck_set(fault.line, fault.value);
+        assert_eq!(event.to_vec(), expected, "fault {}", fault.name(&n));
     }
     // Sanity anchor: x stuck-at-0 is detected through the chain on the
     // vector where a = en = 1, despite the masked branch never showing
@@ -133,11 +118,12 @@ fn xor_reconvergence_cancels_without_losing_detection() {
     let n = b.build().unwrap();
 
     let sim = FaultSimulator::new(&n).unwrap();
+    let oracle = DetectionOracle::new(&n);
     let mut scratch = sim.new_scratch();
     for fault in all_stuck_at_faults(&n) {
         let event = sim.detection_set_stuck_with(&n, fault, &mut scratch);
-        let oracle = sim.detection_set_stuck_full_cone(&n, fault);
-        assert_eq!(event, oracle, "fault {}", fault.name(&n));
+        let expected = oracle.stuck_set(fault.line, fault.value);
+        assert_eq!(event.to_vec(), expected, "fault {}", fault.name(&n));
     }
     // x stuck-at-0: r never differs (cancellation) but p does on a=c=1.
     let x_sa0 = StuckAtFault::new(n.lines().stem(x), false);
@@ -146,7 +132,7 @@ fn xor_reconvergence_cancels_without_losing_detection() {
 
 /// A fault active only in the final 64-vector block: the active-range
 /// tightening must not clip the detection words of untouched blocks
-/// incorrectly, serial or sharded.
+/// incorrectly.
 #[test]
 fn fault_active_only_in_last_block() {
     let mut b = NetlistBuilder::new("tail_active");
@@ -160,14 +146,6 @@ fn fault_active_only_in_last_block() {
     // g stuck-at-0: activation (good = 1) exists only in the last block.
     let g_sa0 = StuckAtFault::new(n.lines().stem(g), false);
     assert_eq!(sim.detection_set_stuck(&n, g_sa0).to_vec(), vec![255]);
-    for threads in [1, 2, 4] {
-        assert_eq!(
-            sim.detection_set_stuck_threaded(&n, g_sa0, threads)
-                .to_vec(),
-            vec![255],
-            "threads={threads}"
-        );
-    }
     // g stuck-at-1: active everywhere except vector 255.
     let g_sa1 = StuckAtFault::new(n.lines().stem(g), true);
     assert_eq!(

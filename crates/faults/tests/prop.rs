@@ -1,141 +1,48 @@
-//! Property tests for the fault substrate: the cone-optimized
-//! bit-parallel fault simulator against brute-force scalar oracles.
+//! Property tests for the fault substrate: the event-driven
+//! bit-parallel fault simulator against `ndetect_testutil`'s oracles.
 
-use ndetect_faults::{all_stuck_at_faults, threeval_detects_stuck, FaultSimulator, StuckAtFault};
-use ndetect_netlist::{GateKind, LineKind, Netlist, NetlistBuilder, NodeId, Sink};
-use ndetect_sim::PartialVector;
+use ndetect_faults::{all_stuck_at_faults, FaultSimulator, StuckAtFault};
+use ndetect_netlist::LineKind;
+use ndetect_testutil::threeval::{detects_stuck, PartialVector};
+use ndetect_testutil::{arb_netlist_sized, DetectionOracle};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-/// Local random DAG generator (kept independent from ndetect-testutil to
-/// avoid a dependency cycle through the workspace dev-deps).
-fn random_netlist(seed: u64, num_inputs: usize, num_gates: usize) -> Netlist {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = NetlistBuilder::new(format!("r{seed}"));
-    let mut nodes: Vec<NodeId> = (0..num_inputs).map(|i| b.input(format!("i{i}"))).collect();
-    const KINDS: [GateKind; 8] = [
-        GateKind::And,
-        GateKind::Nand,
-        GateKind::Or,
-        GateKind::Nor,
-        GateKind::Xor,
-        GateKind::Xnor,
-        GateKind::Not,
-        GateKind::Buf,
-    ];
-    for g in 0..num_gates {
-        let kind = KINDS[rng.gen_range(0..KINDS.len())];
-        let arity = if matches!(kind, GateKind::Not | GateKind::Buf) {
-            1
-        } else {
-            rng.gen_range(2..=3)
-        };
-        let fanins: Vec<NodeId> = (0..arity)
-            .map(|_| nodes[rng.gen_range(0..nodes.len())])
-            .collect();
-        nodes.push(b.gate(kind, format!("g{g}"), &fanins).expect("valid"));
-    }
-    let outs = rng.gen_range(1..=2usize);
-    for k in 0..outs {
-        b.output(nodes[nodes.len() - 1 - k]);
-    }
-    b.build().expect("valid DAG")
-}
-
-/// Scalar oracle: evaluate the circuit with a stuck-at fault applied.
-fn oracle_faulty_outputs(netlist: &Netlist, fault: StuckAtFault, bits: &[bool]) -> Vec<bool> {
-    let line = netlist.lines().line(fault.line);
-    let mut values = vec![false; netlist.num_nodes()];
-    for (pi, &v) in netlist.inputs().iter().zip(bits) {
-        values[pi.index()] = v;
-    }
-    let (stem_forced, pin_override) = match *line.kind() {
-        LineKind::Stem { node } => (Some(node), None),
-        LineKind::Branch { sink, .. } => match sink {
-            Sink::GatePin { gate, pin } => (None, Some((gate, pin))),
-            Sink::OutputSlot { .. } => (None, None),
-        },
-    };
-    for &id in netlist.topo_order() {
-        let node = netlist.node(id);
-        if node.kind() != GateKind::Input {
-            let mut ops: Vec<bool> = node.fanins().iter().map(|f| values[f.index()]).collect();
-            if let Some((g, p)) = pin_override {
-                if g == id {
-                    ops[p] = fault.value;
-                }
-            }
-            values[id.index()] = node.kind().eval_bool(&ops);
-        }
-        if stem_forced == Some(id) {
-            values[id.index()] = fault.value;
-        }
-    }
-    let po_branch_slot = match *line.kind() {
-        LineKind::Branch {
-            sink: Sink::OutputSlot { slot },
-            ..
-        } => Some(slot),
-        _ => None,
-    };
-    netlist
-        .outputs()
-        .iter()
-        .enumerate()
-        .map(|(slot, &po)| {
-            if po_branch_slot == Some(slot) {
-                fault.value
-            } else {
-                values[po.index()]
-            }
-        })
-        .collect()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// The cone-optimized bit-parallel stuck-at simulation equals the
-    /// brute-force oracle for every fault and vector.
+    /// The event-driven bit-parallel stuck-at simulation equals the
+    /// oracle for every fault and vector.
     #[test]
-    fn stuck_detection_matches_oracle(seed in any::<u64>(), gates in 1usize..=16) {
-        let netlist = random_netlist(seed, 4, gates);
+    fn stuck_detection_matches_oracle(netlist in arb_netlist_sized(4, 16)) {
         let sim = FaultSimulator::new(&netlist).expect("small");
-        let space = *sim.space();
+        let oracle = DetectionOracle::new(&netlist);
         for fault in all_stuck_at_faults(&netlist) {
-            let fast = sim.detection_set_stuck(&netlist, fault);
-            for v in 0..space.num_patterns() {
-                let bits = space.vector_bits(v);
-                let good = netlist.eval_bool(&bits);
-                let bad = oracle_faulty_outputs(&netlist, fault, &bits);
-                prop_assert_eq!(
-                    fast.contains(v),
-                    good != bad,
-                    "fault {} vector {}", fault.name(&netlist), v
-                );
-            }
+            prop_assert_eq!(
+                sim.detection_set_stuck(&netlist, fault).to_vec(),
+                oracle.stuck_set(fault.line, fault.value),
+                "fault {}", fault.name(&netlist)
+            );
         }
     }
 
     /// Three-valued detection on a fully specified vector coincides with
     /// two-valued detection; on partial vectors it is conservative.
     #[test]
-    fn threeval_detection_is_conservative(seed in any::<u64>(), gates in 1usize..=10) {
-        let netlist = random_netlist(seed, 3, gates);
+    fn threeval_detection_is_conservative(netlist in arb_netlist_sized(3, 10)) {
         let sim = FaultSimulator::new(&netlist).expect("small");
         let space = *sim.space();
         let faults = all_stuck_at_faults(&netlist);
         for fault in faults.iter().step_by(3).copied() {
             let t = sim.detection_set_stuck(&netlist, fault);
+            let (line, value) = (fault.line, fault.value);
             for v in 0..space.num_patterns() {
-                let pv = PartialVector::from_vector(&space, v);
-                prop_assert_eq!(threeval_detects_stuck(&netlist, fault, &pv), t.contains(v));
+                let pv = PartialVector::from_vector(netlist.num_inputs(), v);
+                prop_assert_eq!(detects_stuck(&netlist, line, value, &pv), t.contains(v));
             }
             for ti in 0..space.num_patterns() {
                 for tj in (ti + 1)..space.num_patterns() {
-                    let tij = PartialVector::common_bits(&space, ti, tj);
-                    if threeval_detects_stuck(&netlist, fault, &tij) {
+                    let tij = PartialVector::common_bits(netlist.num_inputs(), ti, tj);
+                    if detects_stuck(&netlist, line, value, &tij) {
                         // Every completion must detect.
                         for v in 0..space.num_patterns() {
                             if tij.is_completion(v) {
@@ -155,8 +62,7 @@ proptest! {
     /// weaker structural invariant that holds universally: stem and
     /// branch faults on single-sink stems coincide.
     #[test]
-    fn single_sink_stem_equals_its_connection(seed in any::<u64>(), gates in 1usize..=12) {
-        let netlist = random_netlist(seed, 4, gates);
+    fn single_sink_stem_equals_its_connection(netlist in arb_netlist_sized(4, 12)) {
         let sim = FaultSimulator::new(&netlist).expect("small");
         for line in netlist.lines().lines() {
             if let LineKind::Stem { node } = *line.kind() {
@@ -181,8 +87,7 @@ proptest! {
     /// branch faults never detect outside the stem's activation set:
     /// activation (line value differs) is shared.
     #[test]
-    fn branch_faults_share_stem_activation(seed in any::<u64>(), gates in 2usize..=12) {
-        let netlist = random_netlist(seed, 4, gates);
+    fn branch_faults_share_stem_activation(netlist in arb_netlist_sized(4, 12)) {
         let sim = FaultSimulator::new(&netlist).expect("small");
         let space = *sim.space();
         for line in netlist.lines().lines() {

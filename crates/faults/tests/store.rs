@@ -3,12 +3,11 @@
 //! same detection sets, same good values — and corruption of any kind
 //! must degrade to a silent rebuild, never a panic or a wrong answer.
 
+use ndetect_circuits::figure1::netlist as figure1;
 use ndetect_faults::{universe_key, FaultUniverse, UniverseOptions, KIND_UNIVERSE};
-use ndetect_netlist::{Netlist, NetlistBuilder};
 use ndetect_store::Store;
+use ndetect_testutil::arb_netlist_sized;
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
 
 fn temp_store(tag: &str) -> (Store, PathBuf) {
@@ -28,21 +27,6 @@ fn sole_entry(dir: &std::path::Path) -> PathBuf {
         .collect();
     assert_eq!(files.len(), 1, "expected exactly one cache entry");
     files.pop().unwrap()
-}
-
-fn figure1() -> Netlist {
-    let mut b = NetlistBuilder::new("figure1");
-    let i1 = b.input("1");
-    let i2 = b.input("2");
-    let i3 = b.input("3");
-    let i4 = b.input("4");
-    let g9 = b.and("9", &[i1, i2]).unwrap();
-    let g10 = b.and("10", &[i2, i3]).unwrap();
-    let g11 = b.or("11", &[i3, i4]).unwrap();
-    b.output(g9);
-    b.output(g10);
-    b.output(g11);
-    b.build().unwrap()
 }
 
 /// Asserts every observable piece of two universes is identical.
@@ -179,51 +163,11 @@ fn every_corruption_mode_degrades_to_a_correct_rebuild() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Local random DAG generator (mirrors the other fault test suites;
-/// ndetect-testutil is not a dev-dependency here to keep the workspace
-/// dev-graph acyclic).
-fn random_netlist(seed: u64, num_inputs: usize, num_gates: usize) -> Netlist {
-    use ndetect_netlist::{GateKind, NodeId};
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = NetlistBuilder::new(format!("r{seed}"));
-    let mut nodes: Vec<NodeId> = (0..num_inputs).map(|i| b.input(format!("i{i}"))).collect();
-    const KINDS: [GateKind; 8] = [
-        GateKind::And,
-        GateKind::Nand,
-        GateKind::Or,
-        GateKind::Nor,
-        GateKind::Xor,
-        GateKind::Xnor,
-        GateKind::Not,
-        GateKind::Buf,
-    ];
-    for g in 0..num_gates {
-        let kind = KINDS[rng.gen_range(0..KINDS.len())];
-        let arity = if matches!(kind, GateKind::Not | GateKind::Buf) {
-            1
-        } else {
-            rng.gen_range(2..=3)
-        };
-        let fanins: Vec<NodeId> = (0..arity)
-            .map(|_| nodes[rng.gen_range(0..nodes.len())])
-            .collect();
-        nodes.push(b.gate(kind, format!("g{g}"), &fanins).expect("valid"));
-    }
-    let outs = rng.gen_range(1..=2usize);
-    for k in 0..outs {
-        b.output(nodes[nodes.len() - 1 - k]);
-    }
-    b.build().expect("valid DAG")
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
     #[test]
-    fn cold_warm_equivalence_on_random_circuits(seed in any::<u64>(),
-                                                inputs in 1usize..7,
-                                                gates in 1usize..16) {
-        let (store, dir) = temp_store(&format!("prop-{seed}-{inputs}-{gates}"));
-        let n = random_netlist(seed, inputs, gates);
+    fn cold_warm_equivalence_on_random_circuits(n in arb_netlist_sized(6, 15)) {
+        let (store, dir) = temp_store(&format!("prop-{}", n.name()));
         let options = UniverseOptions::default();
         let cold = FaultUniverse::build_stored(&n, options, Some(&store)).unwrap();
         let warm = FaultUniverse::build_stored(&n, options, Some(&store)).unwrap();

@@ -1,7 +1,8 @@
-//! Property suite for the n-detection generator, verified against the
-//! **full-cone oracle** (the retained reference kernel) rather than the
-//! event-driven detection sets the generator itself consumes — so a
-//! kernel bug and a generator bug cannot cancel out:
+//! Property suite for the n-detection generator, verified against
+//! `ndetect_testutil::DetectionOracle` (an independent simulation of the
+//! fault definitions) rather than the event-driven detection sets the
+//! generator itself consumes — so a kernel bug and a generator bug
+//! cannot cancel out:
 //!
 //! * for every suite circuit and `n ∈ {1, 3, 10}`, the generated set
 //!   detects each target fault `min(n, |T(f)|)` times;
@@ -18,7 +19,7 @@ use ndetect_faults::{FaultUniverse, UniverseOptions};
 use ndetect_gen::{compact, generate, GenOptions};
 use ndetect_netlist::{bench_format, Netlist};
 use ndetect_sim::VectorSet;
-use ndetect_testutil::arb_netlist_sized;
+use ndetect_testutil::{arb_netlist_sized, DetectionOracle};
 use proptest::prelude::*;
 use std::path::PathBuf;
 
@@ -35,17 +36,12 @@ fn targets_universe(netlist: &Netlist) -> FaultUniverse {
     .expect("circuit fits exhaustive simulation")
 }
 
-/// Recomputes every target detection set through the full-cone
-/// reference kernel.
-fn full_cone_oracle(netlist: &Netlist, universe: &FaultUniverse) -> Vec<VectorSet> {
-    universe
-        .targets()
-        .iter()
-        .map(|&f| {
-            universe
-                .simulator()
-                .detection_set_stuck_full_cone(netlist, f)
-        })
+/// Recomputes every target detection set through the oracle.
+fn oracle_sets(netlist: &Netlist, universe: &FaultUniverse) -> Vec<VectorSet> {
+    let oracle = DetectionOracle::new(netlist);
+    let num_patterns = universe.space().num_patterns();
+    (universe.targets().iter())
+        .map(|f| VectorSet::from_vectors(num_patterns, oracle.stuck_set(f.line, f.value)))
         .collect()
 }
 
@@ -73,7 +69,7 @@ fn every_suite_circuit_meets_the_oracle_requirement() {
     for spec in ndetect_circuits::suite() {
         let netlist = ndetect_circuits::build(spec.name()).expect("suite circuit builds");
         let universe = targets_universe(&netlist);
-        let oracle = full_cone_oracle(&netlist, &universe);
+        let oracle = oracle_sets(&netlist, &universe);
         for n in [1u32, 3, 10] {
             let raw = generate(&universe, &GenOptions::with_n(n));
             assert!(raw.satisfies(&universe), "{}: n={n}", spec.name());
@@ -164,7 +160,7 @@ fn corpus_one_detection_sets_beat_the_exhaustive_baseline() {
         };
         combinational += 1;
         let universe = targets_universe(&netlist);
-        let oracle = full_cone_oracle(&netlist, &universe);
+        let oracle = oracle_sets(&netlist, &universe);
         let set = generate(
             &universe,
             &GenOptions {
@@ -227,7 +223,7 @@ proptest! {
         // The vendored proptest has no Option strategy; derive one.
         let seed = (seed_raw % 2 == 1).then_some(seed_raw);
         let universe = targets_universe(&netlist);
-        let oracle = full_cone_oracle(&netlist, &universe);
+        let oracle = oracle_sets(&netlist, &universe);
         let options = GenOptions { n, seed, ..GenOptions::default() };
         let raw = generate(&universe, &options);
         prop_assert!(raw.satisfies(&universe));

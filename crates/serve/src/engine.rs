@@ -141,8 +141,7 @@ impl<V, E: Clone> HotLayer<V, E> {
             return Ok(hit);
         }
         let flight_span = trace::span(self.span);
-        let before = self.flights.coalesced();
-        let result = self.flights.run(key, || {
+        let (result, joined) = self.flights.run(key, || {
             // Re-check the hot LRU inside the flight: a caller that
             // lost the race to a just-finished leader must not build a
             // second time.
@@ -163,7 +162,9 @@ impl<V, E: Clone> HotLayer<V, E> {
             Ok(value)
         });
         drop(flight_span);
-        counters.coalesced.add(self.flights.coalesced() - before);
+        if joined {
+            counters.coalesced.inc();
+        }
         result
     }
 }
@@ -410,6 +411,7 @@ mod tests {
     use crate::render::Knobs;
     use ndetect_circuits::figure1;
     use std::sync::Barrier;
+    use std::time::{Duration, Instant};
 
     fn options() -> UniverseOptions {
         Knobs::default().universe_options()
@@ -512,6 +514,53 @@ mod tests {
         assert_eq!(default, FaultModel::Transition);
         assert_eq!(stuck_at, FaultModel::StuckAt);
         assert_eq!(entries(), 3, "`s27 model=stuck-at` is an entry of its own");
+    }
+
+    /// Releases every herd, `(key, callers)`, on one hot layer at once.
+    /// Each leader's build holds its flight open until every other
+    /// caller of every herd has joined, so the joins are deterministic.
+    /// Returns the engine counters and the number of builds.
+    fn release_herds(herds: &[(u64, usize)]) -> (Counters, u64) {
+        let poisoned = Arc::new(Counter::new());
+        let layer: HotLayer<u64, Infallible> =
+            HotLayer::new(KIND_UNIVERSE, "test.flight", 8, &poisoned);
+        let counters = Counters::default();
+        let callers: usize = herds.iter().map(|&(_, n)| n).sum();
+        let joiners = (callers - herds.len()) as u64;
+        let barrier = Barrier::new(callers);
+        std::thread::scope(|scope| {
+            for &(key, n) in herds {
+                for _ in 0..n {
+                    let (layer, counters, barrier) = (&layer, &counters, &barrier);
+                    scope.spawn(move || {
+                        barrier.wait();
+                        let value = layer.get(ArtifactKey(key), counters, || {
+                            let deadline = Instant::now() + Duration::from_secs(10);
+                            while layer.flights.coalesced() < joiners && Instant::now() < deadline {
+                                std::thread::sleep(Duration::from_millis(1));
+                            }
+                            Ok(Arc::new(key))
+                        });
+                        assert_eq!(value.map(|v| *v), Ok(key));
+                    });
+                }
+            }
+        });
+        (counters, layer.flights.executions())
+    }
+
+    #[test]
+    fn a_herd_counts_each_join_once() {
+        let (counters, builds) = release_herds(&[(7, 12)]);
+        assert_eq!(builds, 1);
+        assert_eq!(counters.coalesced.get(), 11, "one join per non-leader");
+    }
+
+    #[test]
+    fn herds_on_two_keys_of_one_layer_do_not_count_each_other() {
+        let (counters, builds) = release_herds(&[(1, 6), (2, 6)]);
+        assert_eq!(builds, 2);
+        assert_eq!(counters.coalesced.get(), 10, "5 joins per herd");
     }
 
     #[test]

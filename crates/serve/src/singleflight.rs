@@ -104,7 +104,10 @@ where
 
     /// Runs `build` for `key`, coalescing with any concurrent call for
     /// the same key: exactly one caller (the leader) executes `build`;
-    /// the rest block and receive a clone of the leader's result.
+    /// the rest block and receive a clone of the leader's result. The
+    /// flag says whether this call received another caller's result
+    /// (joined a flight) rather than building its own, so a caller can
+    /// count its own join exactly once.
     ///
     /// The flight is removed once the leader publishes, so a *later*
     /// call (no overlap) runs `build` again — layering a cache above
@@ -117,7 +120,7 @@ where
     /// coalesce onto it). The panic propagates only out of the leader's
     /// own call, so a `catch_unwind` around the leader contains the
     /// blast radius entirely.
-    pub fn run<F>(&self, key: K, build: F) -> V
+    pub fn run<F>(&self, key: K, build: F) -> (V, bool)
     where
         F: FnOnce() -> V,
     {
@@ -133,7 +136,7 @@ where
                         drop(map);
                         self.coalesced.fetch_add(1, Ordering::Relaxed);
                         match Self::wait(&flight) {
-                            Some(value) => return value,
+                            Some(value) => return (value, true),
                             None => {
                                 self.record_poisoned();
                                 continue;
@@ -186,7 +189,7 @@ where
             guard.published = true;
             flight.done.notify_all();
             drop(guard); // removes the flight from the map
-            return value;
+            return (value, false);
         }
     }
 
@@ -250,8 +253,8 @@ mod tests {
     #[test]
     fn serial_calls_each_execute() {
         let sf: SingleFlight<u64, u64> = SingleFlight::new();
-        assert_eq!(sf.run(1, || 10), 10);
-        assert_eq!(sf.run(1, || 20), 20); // no overlap: builds again
+        assert_eq!(sf.run(1, || 10), (10, false));
+        assert_eq!(sf.run(1, || 20), (20, false)); // no overlap: builds again
         assert_eq!(sf.executions(), 2);
         assert_eq!(sf.coalesced(), 0);
     }
@@ -261,7 +264,7 @@ mod tests {
         let sf: SingleFlight<u64, u64> = SingleFlight::new();
         let builds = AtomicUsize::new(0);
         let barrier = Barrier::new(8);
-        let results: Vec<u64> = std::thread::scope(|scope| {
+        let results: Vec<(u64, bool)> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
                     scope.spawn(|| {
@@ -278,10 +281,12 @@ mod tests {
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
-        assert!(results.iter().all(|&r| r == 7));
+        assert!(results.iter().all(|&(r, _)| r == 7));
         assert_eq!(builds.load(Ordering::Relaxed), 1, "single-flight");
         assert_eq!(sf.executions(), 1);
         assert_eq!(sf.coalesced(), 7);
+        // Each caller reports its own join: everyone but the leader.
+        assert_eq!(results.iter().filter(|&&(_, joined)| joined).count(), 7);
     }
 
     #[test]
@@ -294,7 +299,7 @@ mod tests {
                 let barrier = &barrier;
                 scope.spawn(move || {
                     barrier.wait();
-                    assert_eq!(sf.run(k, || k * 10), k * 10);
+                    assert_eq!(sf.run(k, || k * 10), (k * 10, false));
                 });
             }
         });
@@ -323,7 +328,7 @@ mod tests {
         let followers: Vec<_> = (0..4)
             .map(|i| {
                 let sf = Arc::clone(&sf);
-                std::thread::spawn(move || sf.run(9, move || 100 + i))
+                std::thread::spawn(move || sf.run(9, move || 100 + i).0)
             })
             .collect();
         leader.join().unwrap();
@@ -335,7 +340,7 @@ mod tests {
         }
         assert!(sf.poisoned() >= 1, "the poisoning was observed and counted");
         // The map is clean: a later call builds fresh.
-        assert_eq!(sf.run(9, || 5), 5);
+        assert_eq!(sf.run(9, || 5), (5, false));
     }
 
     #[test]
@@ -358,7 +363,7 @@ mod tests {
             })
         };
         inside_build.wait();
-        let value = sf.run(1, || 77);
+        let (value, _) = sf.run(1, || 77);
         leader.join().unwrap();
         assert_eq!(value, 77);
         assert_eq!(counter.get(), sf.poisoned());

@@ -27,10 +27,6 @@
 //!   data-parallel loop in the workspace (fault-tile and pattern-block
 //!   sharding, Procedure-1 test-set construction), with one `0 = auto`
 //!   thread-count convention (`NDETECT_THREADS`, then the machine).
-//! * [`Trit`] / [`PartialVector`] and three-valued evaluation — the
-//!   pessimistic 0/1/X logic needed by the paper's Definition 2 ("two tests
-//!   count as different detections only if their common bits do not already
-//!   detect the fault").
 //!
 //! # Example
 //!
@@ -66,7 +62,6 @@ pub mod rows;
 mod scratch;
 mod set;
 mod space;
-mod threeval;
 mod twoval;
 
 pub use error::SimError;
@@ -75,5 +70,4 @@ pub use rows::RowMatrix;
 pub use scratch::SimScratch;
 pub use set::VectorSet;
 pub use space::{PatternSpace, MAX_EXHAUSTIVE_INPUTS};
-pub use threeval::{eval_gate_trit, eval_trits_all, PartialVector, Trit};
-pub use twoval::{eval_gate_word, eval_gate_word_pin_override};
+pub use twoval::eval_gate_word;

@@ -33,10 +33,6 @@
 //!   choice; it is the crate's only `unsafe` code (the crate root
 //!   denies `unsafe_code` and this one module allows it).
 //!
-//! When `std::simd` stabilizes, the `*_lanes` bodies are the single
-//! place to swap `[u64; L]` chunks for `Simd<u64, L>` — see
-//! the `portable_simd` feature.
-//!
 //! Hot modules are forbidden (by the `hot_path_lint` gate and a
 //! `#![deny(clippy::disallowed_methods)]` opt-in) from allocating raw
 //! `Vec<u64>` word buffers; [`zeroed_words`] and [`RowMatrix`] are the
@@ -181,16 +177,6 @@ impl RowMatrix {
     pub fn words_mut(&mut self) -> &mut [u64] {
         &mut self.words
     }
-
-    /// Rebuilds a matrix from row-major backing words; `None` when the
-    /// word count is not exactly `rows × width`.
-    #[must_use]
-    pub fn from_words(rows: usize, width: usize, words: Vec<u64>) -> Option<Self> {
-        if rows.checked_mul(width)? != words.len() {
-            return None;
-        }
-        Some(RowMatrix { words, rows, width })
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -239,12 +225,6 @@ pub fn or_into_lanes<const L: usize>(dst: &mut [u64], src: &[u64]) {
 #[inline]
 pub fn xor_into_lanes<const L: usize>(dst: &mut [u64], src: &[u64]) {
     zip_with_lanes::<L>(dst, src, |a, b| a ^ b);
-}
-
-/// Lane-parameterized `dst &= !src`.
-#[inline]
-pub fn andnot_into_lanes<const L: usize>(dst: &mut [u64], src: &[u64]) {
-    zip_with_lanes::<L>(dst, src, |a, b| a & !b);
 }
 
 /// Lane-parameterized popcount over a word row.
@@ -408,20 +388,6 @@ pub fn xor_into(dst: &mut [u64], src: &[u64]) {
     xor_into_lanes::<LANES>(dst, src);
 }
 
-/// `dst &= !src`.
-#[inline]
-pub fn andnot_into(dst: &mut [u64], src: &[u64]) {
-    andnot_into_lanes::<LANES>(dst, src);
-}
-
-/// In-place complement of a row.
-#[inline]
-pub fn not_in_place(row: &mut [u64]) {
-    for w in row {
-        *w = !*w;
-    }
-}
-
 /// Popcount of a row (POPCNT when the CPU has it).
 #[inline]
 #[must_use]
@@ -496,25 +462,6 @@ pub fn fused_gate_update(
         }
     }
     any
-}
-
-/// Pairwise fold step over two rows: `dst[i] = f(dst[i], src[i])` —
-/// the generic building block of the `others`-table exclusive scans.
-#[inline]
-pub fn fold_into(dst: &mut [u64], src: &[u64], f: impl Fn(u64, u64) -> u64) {
-    zip_with_lanes::<LANES>(dst, src, f);
-}
-
-/// Hook for `std::simd`: when portable SIMD stabilizes, implementing
-/// this module (behind a `portable_simd` cfg) with `Simd<u64, L>`
-/// loads/stores replaces the `[u64; L]` chunk bodies above without
-/// touching any call site — the lane-parameterized API is already the
-/// shape `Simd` wants.
-#[cfg(portable_simd)]
-pub mod portable_simd {
-    // Intentionally empty: `--cfg portable_simd` is reserved until
-    // `std::simd` ships on stable. The chunked kernels above are the
-    // stable-toolchain implementation of the same contract.
 }
 
 /// Runtime selection of the popcount kernels, and the crate's only
@@ -701,8 +648,6 @@ mod tests {
         let (src, dst) = m.row_window_pair(2, 0, 0..4);
         dst.copy_from_slice(src);
         assert_eq!(m.row(0), &[0, 7, 7, 0]);
-        assert!(RowMatrix::from_words(2, 3, vec![0; 6]).is_some());
-        assert!(RowMatrix::from_words(2, 3, vec![0; 5]).is_none());
     }
 
     #[test]
@@ -745,7 +690,6 @@ mod tests {
         check_zip!(and_into_lanes, |x: u64, y: u64| x & y);
         check_zip!(or_into_lanes, |x: u64, y: u64| x | y);
         check_zip!(xor_into_lanes, |x: u64, y: u64| x ^ y);
-        check_zip!(andnot_into_lanes, |x: u64, y: u64| x & !y);
 
         let pop_ref: u64 = a.iter().map(|w| u64::from(w.count_ones())).sum();
         assert_eq!(popcount_lanes::<1>(&a), pop_ref);

@@ -150,16 +150,6 @@ impl VectorSet {
         rows::or_into(&mut self.words, &other.words);
     }
 
-    /// Removes every vector present in `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sets are over different spaces.
-    pub fn subtract(&mut self, other: &VectorSet) {
-        assert_eq!(self.num_patterns, other.num_patterns);
-        rows::andnot_into(&mut self.words, &other.words);
-    }
-
     /// Clears the set.
     pub fn clear(&mut self) {
         self.words.fill(0);
@@ -225,17 +215,6 @@ impl VectorSet {
     pub fn difference_count(&self, other: &VectorSet) -> usize {
         assert_eq!(self.num_patterns, other.num_patterns);
         rows::andnot_popcount(&self.words, &other.words) as usize
-    }
-
-    /// The vectors of `self` not present in `other`, ascending (the
-    /// paper's `T(f) − Tk`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sets are over different spaces.
-    #[must_use]
-    pub fn difference_vec(&self, other: &VectorSet) -> Vec<usize> {
-        self.iter_difference(other).collect()
     }
 
     /// Direct read access to the backing words (bit `v%64` of word `v/64`
@@ -403,7 +382,6 @@ mod tests {
     fn difference_vec_matches_manual() {
         let a = VectorSet::from_vectors(128, [1, 2, 3, 70, 90]);
         let b = VectorSet::from_vectors(128, [2, 70]);
-        assert_eq!(a.difference_vec(&b), vec![1, 3, 90]);
         assert_eq!(a.difference_count(&b), 3);
         assert_eq!(a.iter_difference(&b).collect::<Vec<_>>(), vec![1, 3, 90]);
         // Difference with self is empty; with the empty set, identity.
@@ -419,8 +397,8 @@ mod tests {
         let b = VectorSet::from_vectors(64, [2, 3]);
         a.union_with(&b);
         assert_eq!(a.to_vec(), vec![1, 2, 3]);
-        a.subtract(&b);
-        assert_eq!(a.to_vec(), vec![1]);
+        // Subtraction is the difference view.
+        assert_eq!(a.iter_difference(&b).collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]

@@ -41,54 +41,11 @@ pub fn eval_gate_word(kind: GateKind, fanins: &[NodeId], values: &[u64]) -> u64 
     }
 }
 
-/// Evaluates one gate over 64 vectors with the operand on pin `pin`
-/// replaced by `pin_word` — the injection primitive for branch (gate-pin)
-/// stuck-at faults, needing no temporary operand buffers.
-///
-/// All other operands are read from `values` as in [`eval_gate_word`].
-///
-/// # Panics
-///
-/// Panics (debug) if called for a source kind or with `pin` out of
-/// range.
-#[must_use]
-pub fn eval_gate_word_pin_override(
-    kind: GateKind,
-    fanins: &[NodeId],
-    values: &[u64],
-    pin: usize,
-    pin_word: u64,
-) -> u64 {
-    debug_assert!(pin < fanins.len(), "pin {pin} out of range");
-    let mut ops = fanins.iter().enumerate().map(|(i, f)| {
-        if i == pin {
-            pin_word
-        } else {
-            values[f.index()]
-        }
-    });
-    match kind {
-        GateKind::Input => {
-            debug_assert!(false, "inputs are filled by the pattern space");
-            0
-        }
-        GateKind::Const0 => 0,
-        GateKind::Const1 => u64::MAX,
-        GateKind::Buf => ops.next().unwrap_or(0),
-        GateKind::Not => !ops.next().unwrap_or(0),
-        GateKind::And => ops.fold(u64::MAX, |acc, w| acc & w),
-        GateKind::Nand => !ops.fold(u64::MAX, |acc, w| acc & w),
-        GateKind::Or => ops.fold(0, |acc, w| acc | w),
-        GateKind::Nor => !ops.fold(0, |acc, w| acc | w),
-        GateKind::Xor => ops.fold(0, |acc, w| acc ^ w),
-        GateKind::Xnor => !ops.fold(0, |acc, w| acc ^ w),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ndetect_netlist::GateKind;
+    use ndetect_netlist::{GateKind, NetlistBuilder};
+    use ndetect_testutil::{with_stuck_line, DetectionOracle};
 
     fn ids(n: usize) -> Vec<NodeId> {
         (0..n).map(NodeId::new).collect()
@@ -142,30 +99,41 @@ mod tests {
 
     #[test]
     fn pin_override_matches_buffer_substitution() {
-        // For every kind/arity/pin: overriding pin p must equal building
-        // the operand buffer by hand and calling eval_gate_word.
-        let values = [0b1100_1010u64, 0b1111_0000, 0b0101_0101];
+        // A gate-pin stuck-at, injected by the testutil oracle as an
+        // operand override, must equal the circuit whose pin is cut and
+        // fed from a constant gate. Every input also drives an output,
+        // so every gate pin is a branch line of its own.
         for &kind in GateKind::all() {
             if kind.is_source() {
                 continue;
             }
-            let max_arity = if matches!(kind, GateKind::Buf | GateKind::Not) {
-                1
-            } else {
-                3
-            };
-            for arity in 1..=max_arity {
-                for pin in 0..arity {
-                    for word in [0u64, u64::MAX, 0xDEAD_BEEF] {
-                        let fanins = ids(arity);
-                        let fast = eval_gate_word_pin_override(kind, &fanins, &values, pin, word);
-                        let mut patched = values.to_vec();
-                        // Route the overridden pin to a fresh slot.
-                        patched.push(word);
-                        let mut alt = fanins.clone();
-                        alt[pin] = NodeId::new(patched.len() - 1);
-                        let slow = eval_gate_word(kind, &alt, &patched);
-                        assert_eq!(fast, slow, "{kind} arity={arity} pin={pin}");
+            for arity in 1..=kind.arity().1.min(3) {
+                let mut b = NetlistBuilder::new("pin");
+                let inputs: Vec<NodeId> = (0..arity).map(|i| b.input(format!("i{i}"))).collect();
+                let g = b.gate(kind, "g", &inputs).unwrap();
+                b.output(g);
+                for &i in &inputs {
+                    b.output(i);
+                }
+                let n = b.build().unwrap();
+                let oracle = DetectionOracle::new(&n);
+                for (pin, &input) in inputs.iter().enumerate() {
+                    // Sink order puts the gate pin before the output slot.
+                    let branch = n.lines().branches(input)[0];
+                    for value in [false, true] {
+                        let cut = with_stuck_line(&n, branch, value);
+                        let space = crate::PatternSpace::new(arity).unwrap();
+                        let substituted: Vec<usize> = (0..space.num_patterns())
+                            .filter(|&v| {
+                                n.eval_bool(&space.vector_bits(v))
+                                    != cut.eval_bool(&space.vector_bits(v))
+                            })
+                            .collect();
+                        assert_eq!(
+                            oracle.stuck_set(branch, value),
+                            substituted,
+                            "{kind} arity={arity} pin={pin} value={value}"
+                        );
                     }
                 }
             }

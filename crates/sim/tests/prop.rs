@@ -1,8 +1,7 @@
 //! Property tests for the simulation substrate: `VectorSet` against a
-//! `BTreeSet` model, pattern-word consistency, and three-valued
-//! pessimism.
+//! `BTreeSet` model and pattern-word consistency.
 
-use ndetect_sim::{eval_gate_trit, PartialVector, PatternSpace, Trit, VectorSet};
+use ndetect_sim::{PatternSpace, VectorSet};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -41,7 +40,7 @@ proptest! {
         prop_assert_eq!(sa.intersection_count(&sb), expect);
         prop_assert_eq!(sa.intersects(&sb), expect > 0);
         let diff: Vec<usize> = a.difference(&b).copied().collect();
-        prop_assert_eq!(sa.difference_vec(&sb), diff);
+        prop_assert_eq!(sa.iter_difference(&sb).collect::<Vec<_>>(), diff);
     }
 
     /// `input_word` and `input_value` agree on every (vector, input).
@@ -66,74 +65,5 @@ proptest! {
         let space = PatternSpace::new(num_inputs).expect("small");
         let v = (seed as usize) % space.num_patterns();
         prop_assert_eq!(space.vector_from_bits(&space.vector_bits(v)), v);
-    }
-
-    /// Three-valued gate evaluation is the pessimistic abstraction of
-    /// two-valued evaluation: whenever the trit result is definite, every
-    /// completion of the X inputs agrees with it; whenever all inputs are
-    /// definite, the results coincide.
-    #[test]
-    fn threeval_is_a_sound_abstraction(
-        kind_idx in 0usize..8,
-        trits in prop::collection::vec(0u8..3, 1..=4),
-    ) {
-        use ndetect_netlist::GateKind;
-        const KINDS: [GateKind; 8] = [
-            GateKind::And, GateKind::Nand, GateKind::Or, GateKind::Nor,
-            GateKind::Xor, GateKind::Xnor, GateKind::Buf, GateKind::Not,
-        ];
-        let kind = KINDS[kind_idx];
-        let trits: Vec<Trit> = if matches!(kind, GateKind::Buf | GateKind::Not) {
-            vec![match trits[0] { 0 => Trit::Zero, 1 => Trit::One, _ => Trit::X }]
-        } else if trits.len() < 2 {
-            return Ok(());
-        } else {
-            trits.iter().map(|&t| match t { 0 => Trit::Zero, 1 => Trit::One, _ => Trit::X }).collect()
-        };
-        let out = eval_gate_trit(kind, &trits);
-        // Enumerate all completions.
-        let x_positions: Vec<usize> = trits.iter().enumerate()
-            .filter(|(_, t)| **t == Trit::X).map(|(i, _)| i).collect();
-        let mut seen = Vec::new();
-        for combo in 0..(1u32 << x_positions.len()) {
-            let mut bools: Vec<bool> = trits.iter().map(|t| *t == Trit::One).collect();
-            for (k, &pos) in x_positions.iter().enumerate() {
-                bools[pos] = (combo >> k) & 1 == 1;
-            }
-            seen.push(kind.eval_bool(&bools));
-        }
-        match out.to_option() {
-            Some(v) => prop_assert!(seen.iter().all(|&s| s == v), "{kind:?} {trits:?}"),
-            None => {
-                // Pessimism may report X even when completions agree (for
-                // XOR-family gates it never does, but AND/OR masking can);
-                // X is always *allowed*.
-            }
-        }
-    }
-
-    /// Common-bits vectors are exactly the specified-where-agreeing
-    /// partial vectors, and both endpoints complete them.
-    #[test]
-    fn common_bits_properties(num_inputs in 1usize..=10, a in any::<u64>(), b in any::<u64>()) {
-        let space = PatternSpace::new(num_inputs).expect("small");
-        let ti = (a as usize) % space.num_patterns();
-        let tj = (b as usize) % space.num_patterns();
-        let tij = PartialVector::common_bits(&space, ti, tj);
-        prop_assert!(tij.is_completion(ti));
-        prop_assert!(tij.is_completion(tj));
-        for i in 0..num_inputs {
-            let vi = space.input_value(ti, i);
-            let vj = space.input_value(tj, i);
-            match tij.trit(i) {
-                Trit::X => prop_assert_ne!(vi, vj),
-                t => {
-                    prop_assert_eq!(vi, vj);
-                    prop_assert_eq!(t, Trit::from_bool(vi));
-                }
-            }
-        }
-        // Symmetry.
-        prop_assert_eq!(tij, PartialVector::common_bits(&space, tj, ti));
     }
 }

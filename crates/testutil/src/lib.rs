@@ -1,9 +1,19 @@
 //! Internal test utilities shared across the workspace's test suites:
-//! seeded random netlist generation and the matching proptest strategy.
+//! seeded random netlist generation, the matching proptest strategies,
+//! and the reference oracles the fault-simulation kernels are checked
+//! against ([`DetectionOracle`] for `T(f)` and `T(g)`, [`threeval`] for
+//! the paper's Definition 2).
 //!
-//! Not part of the public API surface of the project; `publish = false`.
+//! The oracles depend on `ndetect-netlist` alone, so they share no code
+//! with the kernels they check. Not part of the public API surface of
+//! the project; `publish = false`.
 
 #![forbid(unsafe_code)]
+
+mod oracle;
+pub mod threeval;
+
+pub use oracle::{with_stuck_line, DetectionOracle};
 
 use ndetect_netlist::{GateKind, Netlist, NetlistBuilder, NodeId};
 use proptest::prelude::*;

@@ -1,14 +1,10 @@
-//! Three-valued (0/1/X) logic for partially specified vectors.
-//!
-//! The paper's Definition 2 asks whether the *common bits* of two tests
-//! already detect a fault: the partial vector `tij` is specified where
-//! `ti` and `tj` agree and unknown elsewhere, and is simulated with
-//! pessimistic three-valued logic. This module supplies the value domain
-//! ([`Trit`]), partial-vector construction ([`PartialVector`]), and
-//! levelized evaluation ([`eval_trits_all`]).
+//! Pessimistic three-valued (0/1/X) simulation of partially specified
+//! vectors: the oracle for the paper's Definition 2, which asks whether
+//! the *common bits* `tij` of two tests (specified where `ti` and `tj`
+//! agree, unknown elsewhere) already detect a fault. [`detects_stuck`]
+//! answers that for one fault and one [`PartialVector`] at a time.
 
-use crate::space::PatternSpace;
-use ndetect_netlist::{GateKind, Netlist};
+use ndetect_netlist::{GateKind, LineId, LineKind, Netlist, Sink};
 use std::fmt;
 
 /// A three-valued logic value: 0, 1, or unknown.
@@ -44,12 +40,6 @@ impl Trit {
         }
     }
 
-    /// Returns `true` if the value is `0` or `1`.
-    #[must_use]
-    pub fn is_definite(self) -> bool {
-        self != Trit::X
-    }
-
     /// Three-valued complement (`X` maps to `X`). An inherent method
     /// rather than `std::ops::Not` so call sites need no trait import.
     #[must_use]
@@ -63,27 +53,11 @@ impl Trit {
     }
 }
 
-impl From<bool> for Trit {
-    fn from(b: bool) -> Self {
-        Trit::from_bool(b)
-    }
-}
-
-impl fmt::Display for Trit {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Trit::Zero => "0",
-            Trit::One => "1",
-            Trit::X => "X",
-        })
-    }
-}
-
 /// Evaluates one gate in pessimistic three-valued logic.
 ///
 /// ```
 /// use ndetect_netlist::GateKind;
-/// use ndetect_sim::{eval_gate_trit, Trit};
+/// use ndetect_testutil::threeval::{eval_gate_trit, Trit};
 /// // A controlling 0 forces an AND output even with an X present.
 /// assert_eq!(eval_gate_trit(GateKind::And, &[Trit::Zero, Trit::X]), Trit::Zero);
 /// assert_eq!(eval_gate_trit(GateKind::And, &[Trit::One, Trit::X]), Trit::X);
@@ -91,69 +65,29 @@ impl fmt::Display for Trit {
 /// ```
 #[must_use]
 pub fn eval_gate_trit(kind: GateKind, operands: &[Trit]) -> Trit {
-    match kind {
-        GateKind::Input => Trit::X,
+    let any = |t: Trit| operands.contains(&t);
+    let out = match kind {
+        GateKind::Input => return Trit::X,
         GateKind::Const0 => Trit::Zero,
         GateKind::Const1 => Trit::One,
-        GateKind::Buf => operands[0],
-        GateKind::Not => operands[0].not(),
-        GateKind::And | GateKind::Nand => {
-            let mut out = Trit::One;
-            for &v in operands {
-                match v {
-                    Trit::Zero => {
-                        out = Trit::Zero;
-                        break;
-                    }
-                    Trit::X => out = Trit::X,
-                    Trit::One => {}
-                }
-            }
-            if kind == GateKind::Nand {
-                out.not()
-            } else {
-                out
-            }
-        }
-        GateKind::Or | GateKind::Nor => {
-            let mut out = Trit::Zero;
-            for &v in operands {
-                match v {
-                    Trit::One => {
-                        out = Trit::One;
-                        break;
-                    }
-                    Trit::X => out = Trit::X,
-                    Trit::Zero => {}
-                }
-            }
-            if kind == GateKind::Nor {
-                out.not()
-            } else {
-                out
-            }
-        }
+        GateKind::Buf | GateKind::Not => operands[0],
+        // A controlling operand decides; otherwise any X leaves X.
+        GateKind::And | GateKind::Nand if any(Trit::Zero) => Trit::Zero,
+        GateKind::Or | GateKind::Nor if any(Trit::One) => Trit::One,
+        _ if any(Trit::X) => Trit::X,
+        GateKind::And | GateKind::Nand => Trit::One,
+        GateKind::Or | GateKind::Nor => Trit::Zero,
         GateKind::Xor | GateKind::Xnor => {
-            let mut parity = false;
-            let mut any_x = false;
-            for &v in operands {
-                match v {
-                    Trit::X => any_x = true,
-                    Trit::One => parity = !parity,
-                    Trit::Zero => {}
-                }
-            }
-            if any_x {
-                Trit::X
-            } else {
-                let out = Trit::from_bool(parity);
-                if kind == GateKind::Xnor {
-                    out.not()
-                } else {
-                    out
-                }
-            }
+            Trit::from_bool(operands.iter().filter(|&&t| t == Trit::One).count() % 2 == 1)
         }
+    };
+    if matches!(
+        kind,
+        GateKind::Not | GateKind::Nand | GateKind::Nor | GateKind::Xnor
+    ) {
+        out.not()
+    } else {
+        out
     }
 }
 
@@ -166,7 +100,16 @@ pub fn eval_gate_trit(kind: GateKind, operands: &[Trit]) -> Trit {
 /// Panics if `inputs.len() != netlist.num_inputs()`.
 #[must_use]
 pub fn eval_trits_all(netlist: &Netlist, inputs: &[Trit]) -> Vec<Trit> {
+    eval_with_fault(netlist, inputs, None)
+}
+
+/// [`eval_trits_all`] with `fault = (line, value)` injected: a stem
+/// forces its node, a gate-pin branch overrides that one operand (an
+/// output-slot branch changes no node).
+fn eval_with_fault(netlist: &Netlist, inputs: &[Trit], fault: Option<(LineId, bool)>) -> Vec<Trit> {
     assert_eq!(inputs.len(), netlist.num_inputs());
+    let site =
+        fault.map(|(line, value)| (*netlist.lines().line(line).kind(), Trit::from_bool(value)));
     let mut values = vec![Trit::X; netlist.num_nodes()];
     for (&pi, &v) in netlist.inputs().iter().zip(inputs) {
         values[pi.index()] = v;
@@ -174,33 +117,96 @@ pub fn eval_trits_all(netlist: &Netlist, inputs: &[Trit]) -> Vec<Trit> {
     let mut operands: Vec<Trit> = Vec::new();
     for &id in netlist.topo_order() {
         let node = netlist.node(id);
-        if node.kind() == GateKind::Input {
-            continue;
+        if node.kind() != GateKind::Input {
+            operands.clear();
+            operands.extend(node.fanins().iter().map(|f| values[f.index()]));
+            if let Some((
+                LineKind::Branch {
+                    sink: Sink::GatePin { gate, pin },
+                    ..
+                },
+                v,
+            )) = site
+            {
+                if gate == id {
+                    operands[pin] = v;
+                }
+            }
+            values[id.index()] = eval_gate_trit(node.kind(), &operands);
         }
-        operands.clear();
-        operands.extend(node.fanins().iter().map(|f| values[f.index()]));
-        values[id.index()] = eval_gate_trit(node.kind(), &operands);
+        if let Some((LineKind::Stem { node }, v)) = site {
+            if node == id {
+                values[id.index()] = v;
+            }
+        }
     }
     values
 }
 
-/// A partially specified input vector: each input is 0, 1, or unspecified.
-///
-/// The backing encoding follows the vector-integer convention of
-/// [`PatternSpace`]: input `i`'s bit is bit `I-1-i`, so a fully specified
-/// partial vector's `values` equal the vector index.
+/// Whether the partial vector **definitely** detects `line` stuck at
+/// `value`: some primary output slot is definite in both the fault-free
+/// and the faulty circuit, and the two differ, under pessimistic
+/// three-valued simulation.
 ///
 /// ```
-/// use ndetect_sim::{PartialVector, PatternSpace, Trit};
-/// let space = PatternSpace::new(4)?;
+/// use ndetect_netlist::NetlistBuilder;
+/// use ndetect_testutil::threeval::{detects_stuck, PartialVector};
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut b = NetlistBuilder::new("and2");
+/// let a = b.input("a");
+/// let c = b.input("c");
+/// let g = b.and("g", &[a, c])?;
+/// b.output(g);
+/// let n = b.build()?;
+/// let g_stem = n.lines().stem(g);
+/// // 1X does not definitely detect g/0; 11 does.
+/// assert!(!detects_stuck(&n, g_stem, false, &PartialVector::common_bits(2, 2, 3)));
+/// assert!(detects_stuck(&n, g_stem, false, &PartialVector::from_vector(2, 3)));
+/// # Ok(())
+/// # }
+/// ```
+///
+/// # Panics
+///
+/// Panics if `line` is not a line of `netlist` or the vector's input
+/// count differs from the netlist's.
+#[must_use]
+pub fn detects_stuck(netlist: &Netlist, line: LineId, value: bool, vector: &PartialVector) -> bool {
+    let inputs = vector.trits();
+    let good = eval_trits_all(netlist, &inputs);
+    let faulty = eval_with_fault(netlist, &inputs, Some((line, value)));
+    let slot_fault = match *netlist.lines().line(line).kind() {
+        LineKind::Branch {
+            sink: Sink::OutputSlot { slot },
+            ..
+        } => Some(slot),
+        _ => None,
+    };
+    netlist.outputs().iter().enumerate().any(|(slot, &po)| {
+        let f = if slot_fault == Some(slot) {
+            Trit::from_bool(value)
+        } else {
+            faulty[po.index()]
+        };
+        matches!((good[po.index()].to_option(), f.to_option()), (Some(g), Some(f)) if g != f)
+    })
+}
+
+/// A partially specified input vector: each input is 0, 1, or
+/// unspecified.
+///
+/// Input `i`'s bit is bit `I-1-i` of the encoding, so a fully specified
+/// partial vector's values equal the vector index.
+///
+/// ```
+/// use ndetect_testutil::threeval::{PartialVector, Trit};
 /// // Common bits of vectors 6 (0110) and 7 (0111): 011X.
-/// let tij = PartialVector::common_bits(&space, 6, 7);
+/// let tij = PartialVector::common_bits(4, 6, 7);
 /// assert_eq!(tij.trit(0), Trit::Zero);
 /// assert_eq!(tij.trit(1), Trit::One);
 /// assert_eq!(tij.trit(2), Trit::One);
 /// assert_eq!(tij.trit(3), Trit::X);
-/// assert_eq!(tij.num_specified(), 3);
-/// # Ok::<(), ndetect_sim::SimError>(())
+/// assert_eq!(tij.to_string(), "011X");
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PartialVector {
@@ -212,34 +218,14 @@ pub struct PartialVector {
 }
 
 impl PartialVector {
-    /// The fully unspecified vector (all X).
-    #[must_use]
-    pub fn all_x(space: &PatternSpace) -> Self {
-        PartialVector {
-            num_inputs: space.num_inputs(),
-            cares: 0,
-            values: 0,
-        }
-    }
-
     /// A fully specified partial vector equal to `vector`.
     ///
     /// # Panics
     ///
-    /// Panics if `vector` is outside the space.
+    /// Panics if `vector` is outside the space of `num_inputs` inputs.
     #[must_use]
-    pub fn from_vector(space: &PatternSpace, vector: usize) -> Self {
-        space.check_vector(vector).expect("vector out of range");
-        let mask = if space.num_inputs() == 64 {
-            u64::MAX
-        } else {
-            (1u64 << space.num_inputs()) - 1
-        };
-        PartialVector {
-            num_inputs: space.num_inputs(),
-            cares: mask,
-            values: vector as u64,
-        }
+    pub fn from_vector(num_inputs: usize, vector: usize) -> Self {
+        Self::common_bits(num_inputs, vector, vector)
     }
 
     /// The paper's `tij`: specified where `ti` and `tj` agree (with their
@@ -247,45 +233,34 @@ impl PartialVector {
     ///
     /// # Panics
     ///
-    /// Panics if either vector is outside the space.
+    /// Panics if either vector is outside the space of `num_inputs`
+    /// inputs.
     #[must_use]
-    pub fn common_bits(space: &PatternSpace, ti: usize, tj: usize) -> Self {
-        space.check_vector(ti).expect("ti out of range");
-        space.check_vector(tj).expect("tj out of range");
-        let mask = if space.num_inputs() == 64 {
-            u64::MAX
-        } else {
-            (1u64 << space.num_inputs()) - 1
-        };
+    pub fn common_bits(num_inputs: usize, ti: usize, tj: usize) -> Self {
+        assert!(num_inputs < 64, "at most 63 inputs");
+        let mask = (1u64 << num_inputs) - 1;
+        assert!((ti as u64 | tj as u64) & !mask == 0, "vector out of range");
         let agree = !((ti ^ tj) as u64) & mask;
         PartialVector {
-            num_inputs: space.num_inputs(),
+            num_inputs,
             cares: agree,
             values: ti as u64 & agree,
         }
     }
 
-    /// Number of inputs of the underlying space.
-    #[must_use]
-    pub fn num_inputs(&self) -> usize {
-        self.num_inputs
-    }
-
-    /// The trit assigned to input `i`.
+    /// The trit assigned to input `input`.
     ///
     /// # Panics
     ///
-    /// Panics if `i >= num_inputs`.
+    /// Panics if `input` is not below the input count.
     #[must_use]
     pub fn trit(&self, input: usize) -> Trit {
         assert!(input < self.num_inputs);
         let bit = self.num_inputs - 1 - input;
         if (self.cares >> bit) & 1 == 0 {
             Trit::X
-        } else if (self.values >> bit) & 1 == 1 {
-            Trit::One
         } else {
-            Trit::Zero
+            Trit::from_bool((self.values >> bit) & 1 == 1)
         }
     }
 
@@ -293,12 +268,6 @@ impl PartialVector {
     #[must_use]
     pub fn trits(&self) -> Vec<Trit> {
         (0..self.num_inputs).map(|i| self.trit(i)).collect()
-    }
-
-    /// Number of specified (non-X) inputs.
-    #[must_use]
-    pub fn num_specified(&self) -> usize {
-        self.cares.count_ones() as usize
     }
 
     /// Returns `true` if `vector` is consistent with every specified bit
@@ -311,8 +280,8 @@ impl PartialVector {
 
 impl fmt::Display for PartialVector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for i in 0..self.num_inputs {
-            write!(f, "{}", self.trit(i))?;
+        for t in self.trits() {
+            f.write_str(t.to_option().map_or("X", |b| if b { "1" } else { "0" }))?;
         }
         Ok(())
     }
@@ -329,8 +298,7 @@ mod tests {
         assert_eq!(Trit::One.not(), Trit::Zero);
         assert_eq!(Trit::X.not(), Trit::X);
         assert_eq!(Trit::X.to_option(), None);
-        assert!(Trit::Zero.is_definite());
-        assert!(!Trit::X.is_definite());
+        assert_eq!(Trit::Zero.to_option(), Some(false));
         assert_eq!(Trit::default(), Trit::X);
     }
 
@@ -340,11 +308,7 @@ mod tests {
             if kind.is_source() {
                 continue;
             }
-            let arity = if matches!(kind, GateKind::Buf | GateKind::Not) {
-                1
-            } else {
-                3
-            };
+            let arity = kind.arity().1.min(3);
             for assign in 0..(1 << arity) {
                 let bools: Vec<bool> = (0..arity).map(|j| (assign >> j) & 1 == 1).collect();
                 let trits: Vec<Trit> = bools.iter().map(|&b| Trit::from_bool(b)).collect();
@@ -381,9 +345,8 @@ mod tests {
 
     #[test]
     fn common_bits_matches_paper_convention() {
-        let space = PatternSpace::new(4).unwrap();
         // 6 = 0110, 12 = 1100 agree on inputs 1 (=1) and 3 (=0).
-        let tij = PartialVector::common_bits(&space, 6, 12);
+        let tij = PartialVector::common_bits(4, 6, 12);
         assert_eq!(tij.trit(0), Trit::X);
         assert_eq!(tij.trit(1), Trit::One);
         assert_eq!(tij.trit(2), Trit::X);
@@ -396,13 +359,11 @@ mod tests {
 
     #[test]
     fn full_vector_is_fully_specified() {
-        let space = PatternSpace::new(5).unwrap();
-        let pv = PartialVector::from_vector(&space, 19);
-        assert_eq!(pv.num_specified(), 5);
+        let pv = PartialVector::from_vector(5, 19);
+        assert!(pv.trits().iter().all(|t| t.to_option().is_some()));
         assert!(pv.is_completion(19));
         assert!(!pv.is_completion(18));
-        let space4 = PatternSpace::new(4).unwrap();
-        let pv = PartialVector::from_vector(&space4, 6);
+        let pv = PartialVector::from_vector(4, 6);
         assert_eq!(
             pv.trits(),
             vec![Trit::Zero, Trit::One, Trit::One, Trit::Zero]

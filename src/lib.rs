@@ -8,7 +8,7 @@
 //! | module | contents |
 //! |--------|----------|
 //! | [`netlist`] | gate-level circuits, `.bench` I/O, structural analysis |
-//! | [`sim`] | bit-parallel two-valued and three-valued simulation |
+//! | [`sim`] | bit-parallel exhaustive simulation and the row data plane |
 //! | [`faults`] | stuck-at + four-way bridging fault models, fault simulation |
 //! | [`seq`] | sequential circuits: FF-boundary extraction, two-frame time-frame expansion, transition faults |
 //! | [`fsm`] | KISS2 parsing, state encoding, two-level synthesis |

@@ -9,7 +9,11 @@
 //! scanning the sources, so the gate cannot silently rot on machines
 //! (or CI legs) that never run clippy.
 //!
-//! It also gates the unsafe boundary. Every crate root keeps
+//! It also keeps test-only oracles out of production code: no non-test
+//! source outside `ndetect-testutil` may define an item named like one
+//! (`*full_cone*`, `threeval*`, `*_threaded`, `Trit`, `PartialVector`).
+//!
+//! And it gates the unsafe boundary. Every crate root keeps
 //! `#![forbid(unsafe_code)]` except `ndetect-sim`, whose only `unsafe`
 //! is the runtime popcount dispatch in `rows.rs`, and `ndetect-serve`,
 //! whose signal handler needs FFI. Every `unsafe {` outside test code
@@ -267,4 +271,57 @@ fn every_unsafe_block_has_a_safety_comment() {
     // Guard the guard: the scan must see the known blocks (the popcount
     // dispatch, the serve signal handler and perfbench's wait4/kill).
     assert!(blocks >= 6, "found only {blocks} unsafe blocks");
+}
+
+/// The names a line of code defines: the identifier after each item
+/// keyword. Comments, doc comments included, define nothing.
+fn defined_names(line: &str) -> Vec<&str> {
+    const ITEM_KEYWORDS: &[&str] = &[
+        "fn", "struct", "enum", "union", "mod", "type", "trait", "const", "static",
+    ];
+    let code = line.split("//").next().unwrap_or("");
+    let words: Vec<&str> = code
+        .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|w| !w.is_empty())
+        .collect();
+    words
+        .windows(2)
+        .filter(|pair| ITEM_KEYWORDS.contains(&pair[0]))
+        .map(|pair| pair[1])
+        .collect()
+}
+
+#[test]
+fn test_only_oracle_names_stay_out_of_production() {
+    let mut files = Vec::new();
+    rust_files(&repo_root().join("src"), &mut files);
+    let crates = std::fs::read_dir(repo_root().join("crates")).expect("crates/ is listable");
+    for entry in crates {
+        let src = entry.expect("directory entry").path().join("src");
+        if src.is_dir() && !src.starts_with(repo_root().join("crates/testutil")) {
+            rust_files(&src, &mut files);
+        }
+    }
+    // Guard the guard: the scan must see the production crates.
+    assert!(files.len() >= 60, "scanned only {} files", files.len());
+    for path in &files {
+        let source = std::fs::read_to_string(path).expect("readable source");
+        for (i, line) in non_test_source(&source).lines().enumerate() {
+            for name in defined_names(line) {
+                // The full-cone kernel, three-valued simulation and the
+                // block-sharded per-fault entry points.
+                let test_only = name.contains("full_cone")
+                    || name.starts_with("threeval")
+                    || name.ends_with("_threaded")
+                    || matches!(name, "Trit" | "PartialVector");
+                assert!(
+                    !test_only,
+                    "{}:{}: `{name}` is a test-only oracle name; oracles live in \
+                     crates/testutil",
+                    path.display(),
+                    i + 1
+                );
+            }
+        }
+    }
 }

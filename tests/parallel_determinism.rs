@@ -1,11 +1,12 @@
 //! Determinism of the multi-threaded fault-simulation engine: every
-//! parallel path (fault-parallel universe builds, block-parallel
-//! per-fault detection sets, threaded nmin analysis) must produce
-//! results bit-identical to the 1-thread run.
+//! parallel path (fault-parallel universe builds, threaded nmin
+//! analysis) must produce results bit-identical to the 1-thread run,
+//! and the serial per-fault entry points must reproduce the threaded
+//! universe.
 
 use ndetect::analysis::WorstCaseAnalysis;
 use ndetect::faults::{FaultUniverse, UniverseOptions};
-use ndetect_testutil::arb_netlist;
+use ndetect_testutil::{arb_netlist, DetectionOracle};
 use proptest::prelude::*;
 
 fn universe_with_threads(netlist: &ndetect::netlist::Netlist, threads: usize) -> FaultUniverse {
@@ -53,20 +54,19 @@ fn universe_build_is_thread_count_invariant_on_suite_circuits() {
     }
 }
 
+/// The per-fault entry points, one fresh scratch per call, against the
+/// fault-parallel 4-thread universe.
 #[test]
 fn block_parallel_detection_sets_match_serial() {
     let netlist = ndetect::circuits::build("keyb").expect("suite circuit builds");
-    let universe = universe_with_threads(&netlist, 1);
+    let universe = universe_with_threads(&netlist, 4);
     let sim = universe.simulator();
-    for &fault in universe.targets().iter().take(40) {
+    for (i, &fault) in universe.targets().iter().enumerate().take(40) {
         let serial = sim.detection_set_stuck(&netlist, fault);
-        let sharded = sim.detection_set_stuck_threaded(&netlist, fault, 4);
-        assert_eq!(serial, sharded, "stuck fault {}", fault.name(&netlist));
+        assert_eq!(&serial, universe.target_set(i), "stuck fault {i}");
     }
     for (j, fault) in universe.bridges().iter().enumerate().take(40) {
         let serial = sim.detection_set_bridge(&netlist, fault);
-        let sharded = sim.detection_set_bridge_threaded(&netlist, fault, 4);
-        assert_eq!(serial, sharded, "bridge {j}");
         assert_eq!(&serial, universe.bridge_set(j), "bridge {j} vs universe");
     }
 }
@@ -89,23 +89,26 @@ proptest! {
         prop_assert_eq!(wc1.nmin_values(), wc3.nmin_values());
     }
 
-    /// Block-parallel per-fault detection sets equal the serial ones on
-    /// random netlists, for stuck-at and bridging faults alike.
+    /// The per-fault entry points equal the 4-thread universe on random
+    /// netlists, for stuck-at and bridging faults alike, and both equal
+    /// the oracle.
     #[test]
     fn block_parallel_matches_serial_on_random_netlists(
         netlist in arb_netlist(7),
     ) {
-        let universe = universe_with_threads(&netlist, 1);
+        let universe = universe_with_threads(&netlist, 4);
         let sim = universe.simulator();
-        for &fault in universe.targets() {
+        let oracle = DetectionOracle::new(&netlist);
+        for (i, &fault) in universe.targets().iter().enumerate() {
             let serial = sim.detection_set_stuck(&netlist, fault);
-            let sharded = sim.detection_set_stuck_threaded(&netlist, fault, 2);
-            prop_assert_eq!(serial, sharded, "stuck fault {}", fault.name(&netlist));
+            prop_assert_eq!(&serial, universe.target_set(i), "stuck fault {}", fault.name(&netlist));
+            prop_assert_eq!(serial.to_vec(), oracle.stuck_set(fault.line, fault.value));
         }
-        for fault in universe.bridges() {
-            let serial = sim.detection_set_bridge(&netlist, fault);
-            let sharded = sim.detection_set_bridge_threaded(&netlist, fault, 3);
-            prop_assert_eq!(serial, sharded);
+        for (j, b) in universe.bridges().iter().enumerate() {
+            let serial = sim.detection_set_bridge(&netlist, b);
+            prop_assert_eq!(&serial, universe.bridge_set(j));
+            let expected = oracle.bridge_set(b.victim, b.victim_value, b.aggressor, b.aggressor_value);
+            prop_assert_eq!(serial.to_vec(), expected);
         }
     }
 }

@@ -5,12 +5,13 @@
 //! numbers.
 
 use ndetect::analysis::{
-    estimate_detection_probabilities_stored, Procedure1Config, WorstCaseAnalysis,
+    estimate_detection_probabilities_stored, nmin_pair, Procedure1Config, WorstCaseAnalysis,
+    KIND_WORST_CASE,
 };
 use ndetect::circuits::figure1;
 use ndetect::faults::{FaultUniverse, UniverseOptions};
 use ndetect::gen::{generate_stored, GenOptions};
-use ndetect::store::Store;
+use ndetect::store::{encode_to_vec, Store};
 use std::path::PathBuf;
 
 fn temp_store(tag: &str) -> (Store, PathBuf) {
@@ -128,5 +129,69 @@ fn suite_circuit_round_trips_through_the_store() {
     let stats = store.stats().unwrap();
     assert_eq!(stats.entries, 1);
     assert!(stats.total_bytes > 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A worst-case entry whose bytes decode but mean something else never
+/// reaches the caller. Each mutation goes through `Store::save`, so its
+/// checksum is valid, and must reload as a fresh computation.
+#[test]
+fn mutated_worst_case_entries_reload_as_a_fresh_compute() {
+    let (store, dir) = temp_store("worst-mutations");
+    let circuit = ndetect::circuits::build("c17").unwrap();
+    let universe = FaultUniverse::build(&circuit).unwrap();
+    let fresh = WorstCaseAnalysis::compute_with(&universe, 1);
+    let nmin = fresh.nmin_values().to_vec();
+    let witness: Vec<Option<usize>> = (0..fresh.len()).map(|j| fresh.witness(j)).collect();
+
+    // A class of two or more bridges with a witness, its members, and
+    // a target that is not the witness but overlaps `T(g)`.
+    let class_of = universe.bridge_class_of();
+    let members_of = |j: usize| -> Vec<usize> {
+        (0..class_of.len())
+            .filter(|&k| class_of[k] == class_of[j])
+            .collect()
+    };
+    let j = (0..nmin.len())
+        .find(|&j| witness[j].is_some() && members_of(j).len() >= 2)
+        .expect("c17 has a multi-bridge class with a witness");
+    let members = members_of(j);
+    let (n, w) = (nmin[j].unwrap(), witness[j].unwrap());
+    let other = (0..universe.targets().len())
+        .find(|&f| f != w && nmin_pair(&universe, j, f).is_some_and(|m| m != n))
+        .expect("a second overlapping target with another nmin(g,f)");
+
+    let class_wide = |pair: (Option<u32>, Option<usize>)| {
+        let (mut nmin, mut witness) = (nmin.clone(), witness.clone());
+        for &k in &members {
+            (nmin[k], witness[k]) = pair;
+        }
+        (nmin, witness)
+    };
+    let mut disagreeing = (nmin.clone(), witness.clone());
+    let last = *members.last().unwrap();
+    (disagreeing.0[last], disagreeing.1[last]) = (nmin_pair(&universe, j, other), Some(other));
+    let mutations = [
+        ("bumped nmin", class_wide((Some(n + 1), Some(w)))),
+        ("dropped witness", class_wide((Some(n), None))),
+        ("moved witness", class_wide((Some(n), Some(other)))),
+        ("disagreeing class members", disagreeing),
+    ];
+
+    // Save through the store (a valid checksum), then load.
+    let key = WorstCaseAnalysis::store_key(&universe);
+    let reload = |entry: &(Vec<Option<u32>>, Vec<Option<usize>>)| {
+        let bytes = encode_to_vec(entry);
+        store.save(key, KIND_WORST_CASE, &bytes).unwrap();
+        let wc = WorstCaseAnalysis::compute_stored(&universe, 1, Some(&store));
+        let witness: Vec<Option<usize>> = (0..wc.len()).map(|k| wc.witness(k)).collect();
+        (wc.nmin_values().to_vec(), witness)
+    };
+    for (label, entry) in &mutations {
+        assert_eq!(reload(entry), (nmin.clone(), witness.clone()), "{label}");
+    }
+    // Control: a class turned into `None`/`None` is a documented residual
+    // and is served as stored, so the saves above did reach the loader.
+    assert_eq!(reload(&class_wide((None, None))).0[j], None);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,19 +1,18 @@
 //! The 64-lane Definition-2 kernel against its scalar oracle: for every
 //! fault and every lane of a batch, bit `L` of `TijKernel::detects` and
-//! of `TijKernel::detects_batch` must equal `threeval_detects_stuck` on
-//! `tij(fixed, lanes[L])`.
+//! of `TijKernel::detects_batch` must equal
+//! `ndetect_testutil::threeval::detects_stuck` on `tij(fixed, lanes[L])`.
 //!
 //! One kernel serves every batch of a netlist, so state left over from
 //! an earlier batch or fault would show up as a mismatch.
 
 use ndetect::faults::{
-    all_stuck_at_faults, threeval_detects_stuck, FaultSimulator, FaultUniverse, StuckAtFault,
-    TijKernel, UniverseOptions,
+    all_stuck_at_faults, FaultSimulator, FaultUniverse, StuckAtFault, TijKernel, UniverseOptions,
 };
 use ndetect::netlist::{GateKind, Netlist, NetlistBuilder};
 use ndetect::seq::{expand, FaultModel};
-use ndetect::sim::PartialVector;
 use ndetect_testutil::arb_netlist_sized;
+use ndetect_testutil::threeval::{detects_stuck, PartialVector};
 use proptest::prelude::*;
 
 /// Loads one batch and compares every fault in `faults` with the
@@ -52,8 +51,8 @@ fn check_batch(
             return Err(format!("{}: bits beyond the batch", fault.name(netlist)));
         }
         for (lane, &t) in lanes.iter().enumerate() {
-            let tij = PartialVector::common_bits(sim.space(), fixed as usize, t as usize);
-            let want = threeval_detects_stuck(netlist, fault, &tij);
+            let tij = PartialVector::common_bits(netlist.num_inputs(), fixed as usize, t as usize);
+            let want = detects_stuck(netlist, fault.line, fault.value, &tij);
             if (shared >> lane & 1 == 1) != want {
                 return Err(format!(
                     "{}: tij({fixed}, {t}) = {tij}: kernel {}, oracle {want}",
