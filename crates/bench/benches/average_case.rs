@@ -1,6 +1,8 @@
 //! Criterion benchmarks for Procedure 1: Definition 1 vs Definition 2
 //! construction cost — the efficiency side of the paper's Section-4
-//! ablation.
+//! ablation. `cse` is the circuit of perfbench's `average-def12`
+//! workload; its Definition-2 sets cost milliseconds each, so its series
+//! builds `K = 2`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ndetect_core::estimate_detection_probabilities;
@@ -11,7 +13,7 @@ use ndetect_faults::FaultUniverse;
 
 fn bench_average_case(c: &mut Criterion) {
     let mut group = c.benchmark_group("average_case");
-    for name in ["bbara", "opus"] {
+    for (name, series_k) in [("bbara", 10), ("opus", 10), ("cse", 2)] {
         let netlist = ndetect_circuits::build(name).expect("suite circuit builds");
         let universe = FaultUniverse::build(&netlist).expect("fits");
 
@@ -21,7 +23,7 @@ fn bench_average_case(c: &mut Criterion) {
         ] {
             let config = Procedure1Config {
                 nmax: 10,
-                num_test_sets: 10,
+                num_test_sets: series_k,
                 definition,
                 ..Default::default()
             };

@@ -5,7 +5,9 @@
 //! tail faults with `p(10, gj) ≥ 1.0, 0.9, …, 0.0` is tabulated.
 //!
 //! The paper uses K = 10000; the default here is 1000 for a quick run —
-//! pass `--k 10000` for the paper's setting.
+//! pass `--k 10000` for the paper's setting. On a shared 2-core machine
+//! the default run over the suite takes about 1.7 s, and `--k 10000`
+//! about 10 s.
 //!
 //! Usage: `table5 [--circuits a,b,c] [--k 1000] [--nmax 10] [--seed ...]`.
 

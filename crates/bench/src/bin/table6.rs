@@ -6,9 +6,9 @@
 //! The paper uses K = 1000; the default here is 200 for a quick run —
 //! pass `--k 1000` for the paper's setting. Definition 2 construction
 //! costs more than Definition 1 (three-valued similarity checks, 64 per
-//! kernel pass): the default run over the whole suite takes about two
-//! minutes on a 2-core machine, nearly all of it Definition 2 on the
-//! 13- and 14-input circuits.
+//! kernel pass): the default run over the whole suite takes about 45 s
+//! on a shared 2-core machine, nearly all of it Definition 2 on the 13-
+//! and 14-input circuits.
 //!
 //! Usage: `table6 [--circuits a,b,c] [--k 200] [--nmax 10] [--seed ...]`.
 

@@ -238,9 +238,9 @@ fn dispatch_command(
         }
         "average" => {
             let k = flag_value(&rest, "--k")?.unwrap_or(200);
-            let nmax = flag_value(&rest, "--nmax")?.unwrap_or(10);
-            let def = flag_value(&rest, "--def")?.unwrap_or(1) as u32;
-            let tail = flag_value(&rest, "--tail")?.unwrap_or(nmax + 1);
+            let nmax: u32 = flag_value(&rest, "--nmax")?.unwrap_or(10);
+            let def: u32 = flag_value(&rest, "--def")?.unwrap_or(1);
+            let tail = flag_value(&rest, "--tail")?.unwrap_or(nmax.saturating_add(1));
             let store = open_store_degraded(&rest)?;
             let provider = StoreProvider::new(store.as_ref());
             with_any_circuit(&rest, |name, kind| {
@@ -250,28 +250,18 @@ fn dispatch_command(
                         ndetect_serve::render::seq_universe(&s, m, knobs, &provider)?.1
                     }
                 };
-                average(
-                    name,
-                    &universe,
-                    k,
-                    nmax as u32,
-                    def,
-                    tail as u32,
-                    knobs,
-                    store.as_ref(),
-                )
+                average(name, &universe, k, nmax, def, tail, knobs, store.as_ref())
             })
         }
         "gen" => {
-            let n_det = flag_value(&rest, "--n")?.unwrap_or(10);
+            let n_det: u32 = flag_value(&rest, "--n")?.unwrap_or(10);
             let do_compact = flag_present(&rest, "--compact");
-            let seed = flag_value(&rest, "--seed")?.map(|s| s as u64);
+            let seed: Option<u64> = flag_value(&rest, "--seed")?;
             if n_det == 0 {
                 return Err(Failure::Error("--n must be at least 1".into()));
             }
             let store = open_store_degraded(&rest)?;
             let provider = StoreProvider::new(store.as_ref());
-            let n_det = n_det as u32;
             with_any_circuit(&rest, |_, kind| match kind {
                 CircuitKind::Comb(n) => {
                     ndetect_serve::render_gen(&n, n_det, do_compact, seed, knobs, &provider)
@@ -320,7 +310,10 @@ fn trace_cmd(rest: &[&String]) -> Result<String, String> {
     }
 }
 
-fn flag_value(rest: &[&String], flag: &str) -> Result<Option<usize>, String> {
+/// The value of `flag`, parsed at the width it is used at, so an
+/// out-of-range number fails with `bad value for FLAG` instead of
+/// wrapping in a later cast.
+fn flag_value<T: std::str::FromStr>(rest: &[&String], flag: &str) -> Result<Option<T>, String> {
     match flag_str(rest, flag)? {
         None => Ok(None),
         Some(v) => v
@@ -731,8 +724,8 @@ fn cache(rest: &[&String], store: Option<&Store>, out: &mut String) -> Result<()
             Ok(())
         }
         "gc" => {
-            let max_bytes = flag_value(rest, "--max-bytes")?.unwrap_or(256 * 1024 * 1024);
-            let report = store.gc(max_bytes as u64).map_err(|e| e.to_string())?;
+            let max_bytes: u64 = flag_value(rest, "--max-bytes")?.unwrap_or(256 * 1024 * 1024);
+            let report = store.gc(max_bytes).map_err(|e| e.to_string())?;
             let _ = writeln!(
                 out,
                 "gc to {max_bytes} bytes: evicted {} entries ({} bytes), kept {} ({} bytes)",
@@ -819,11 +812,28 @@ mod tests {
         assert!(run(&["average", "figure1", "--def", "7"]).is_err());
         assert!(run(&["average", "figure1", "--k"]).is_err());
         assert!(run(&["average", "figure1", "--k", "zebra"]).is_err());
+        // Numbers past u32 fail to parse instead of wrapping into range.
+        let bad = |flag: &str, value: &str| {
+            let args = ["average", "figure1", "--k", "5", flag, value];
+            match run(&args) {
+                Err(Failure::Error(message)) => message,
+                other => panic!("{args:?}: {other:?}"),
+            }
+        };
+        for flag in ["--def", "--tail", "--nmax"] {
+            for value in ["4294967296", "4294967297"] {
+                assert_eq!(bad(flag, value), format!("bad value for {flag}: `{value}`"));
+            }
+        }
     }
 
     #[test]
     fn greedy_synth_dot_cones() {
         assert!(run(&["gen", "figure1", "--n", "2"]).is_ok());
+        assert!(matches!(
+            run(&["gen", "figure1", "--n", "4294967297"]),
+            Err(Failure::Error(message)) if message == "bad value for --n: `4294967297`"
+        ));
         assert!(run(&["synth", "figure1"]).is_ok());
         assert!(run(&["dot", "c17"]).is_ok());
         assert!(run(&["cones", "c17"]).is_ok());

@@ -19,7 +19,7 @@ pub fn serve(rest: &[&String], store: Option<Store>, stdout: &mut dyn Write) -> 
             .unwrap_or("127.0.0.1:0")
             .to_string(),
         request_timeout: Duration::from_millis(
-            flag_value(rest, "--request-timeout-ms")?.unwrap_or(60_000) as u64,
+            flag_value(rest, "--request-timeout-ms")?.unwrap_or(60_000),
         ),
         hot_universes: flag_value(rest, "--hot-universes")?.unwrap_or(32),
         hot_sets: flag_value(rest, "--hot-sets")?.unwrap_or(32),
@@ -78,8 +78,7 @@ pub fn request(rest: &[&String]) -> Result<String, String> {
         return Err("missing request (e.g. `ndet request 127.0.0.1:PORT worst figure1`)".into());
     }
     let line = pos[1..].join(" ");
-    let timeout =
-        Duration::from_millis(flag_value(rest, "--timeout-ms")?.unwrap_or(120_000) as u64);
+    let timeout = Duration::from_millis(flag_value(rest, "--timeout-ms")?.unwrap_or(120_000));
     let retries = flag_value(rest, "--retry")?.unwrap_or(0);
     let retry_on = parse_retry_on(flag_str(rest, "--retry-on")?)?;
 

@@ -4,7 +4,8 @@
 use crate::definition::{Def2Checks, DetectionDefinition};
 use crate::error::CoreError;
 use crate::test_set::TestSet;
-use ndetect_faults::FaultUniverse;
+use ndetect_faults::{FaultUniverse, StuckAtFault};
+use ndetect_sim::VectorSet;
 use ndetect_store::{
     decode_from_slice, encode_to_vec, ArtifactKey, ArtifactKind, CodecError, Decode, Decoder,
     Encode, Encoder, Fnv64, Store, CODEC_VERSION,
@@ -61,198 +62,12 @@ impl Procedure1Config {
         Ok(())
     }
 
-    /// One worker's Definition-2 checks; `None` under Definition 1, so
-    /// the kernel is built only when Definition 2 runs.
-    fn def2_checks<'u>(&self, universe: &'u FaultUniverse) -> Option<Def2Checks<'u>> {
-        (self.definition == DetectionDefinition::SufficientlyDifferent)
-            .then(|| Def2Checks::new(universe))
-    }
-
     fn rng_for_set(&self, k: usize) -> StdRng {
         // Distinct, well-separated stream per test set.
         let stream = (k as u64)
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(0x7F4A_7C15_9E37_79B9);
         StdRng::seed_from_u64(self.seed ^ stream)
-    }
-}
-
-/// Shared read-only indices for fast Procedure-1 bookkeeping.
-struct TargetIndex {
-    /// Per target: `T(f)` as a sorted vector (for uniform sampling).
-    vectors: Vec<Vec<u32>>,
-    /// Per input vector: indices of targets it detects.
-    targets_of_vector: Vec<Vec<u32>>,
-}
-
-impl TargetIndex {
-    fn build(universe: &FaultUniverse) -> Self {
-        let num_patterns = universe.space().num_patterns();
-        let mut vectors = Vec::with_capacity(universe.targets().len());
-        let mut targets_of_vector: Vec<Vec<u32>> = vec![Vec::new(); num_patterns];
-        for (fi, set) in universe.target_sets().iter().enumerate() {
-            let vs: Vec<u32> = set.iter().map(|v| v as u32).collect();
-            for &v in &vs {
-                targets_of_vector[v as usize].push(fi as u32);
-            }
-            vectors.push(vs);
-        }
-        TargetIndex {
-            vectors,
-            targets_of_vector,
-        }
-    }
-}
-
-/// Per-test-set evolving state.
-struct RunState {
-    set: TestSet,
-    def1_counts: Vec<u32>,
-    /// Definition-2 greedy state: `def2_counted[f]` holds the set
-    /// positions of the tests counted as different detections of `f`,
-    /// ascending (insertion order). Empty under Definition 1.
-    def2_counted: Vec<Vec<u32>>,
-}
-
-/// Runs Procedure 1 for one test set `k`, invoking `on_add(n, t)` for
-/// every test added during iteration `n` and `on_iteration(n, set)` after
-/// each iteration completes. `def2` carries the worker's Definition-2
-/// checks, and is `None` under Definition 1.
-fn run_single(
-    universe: &FaultUniverse,
-    index: &TargetIndex,
-    config: &Procedure1Config,
-    k: usize,
-    mut def2: Option<&mut Def2Checks<'_>>,
-    mut on_add: impl FnMut(u32, u32),
-    mut on_iteration: impl FnMut(u32, &TestSet),
-) {
-    let num_targets = universe.targets().len();
-    let mut rng = config.rng_for_set(k);
-
-    let mut state = RunState {
-        set: TestSet::new(universe.space().num_patterns()),
-        def1_counts: vec![0; num_targets],
-        def2_counted: if def2.is_some() {
-            vec![Vec::new(); num_targets]
-        } else {
-            Vec::new()
-        },
-    };
-    let mut candidates: Vec<u32> = Vec::new();
-    let mut pass: Vec<bool> = Vec::new();
-
-    for n in 1..=config.nmax {
-        for fi in 0..num_targets {
-            let t_f = &index.vectors[fi];
-            if t_f.is_empty() {
-                continue; // undetectable target: never adds tests
-            }
-            let chosen: Option<u32> = match def2.as_deref_mut() {
-                Some(_) if state.def2_counted[fi].len() >= n as usize => None,
-                Some(checks) => {
-                    // Candidates not yet in the set, each with its
-                    // verdict: sufficiently different from every counted
-                    // test. Drawn in random order, the first that passes
-                    // wins; if none does, fall back to Definition 1.
-                    candidates.clear();
-                    candidates.extend(
-                        t_f.iter()
-                            .copied()
-                            .filter(|&v| !state.set.contains(v as usize)),
-                    );
-                    let vectors = state.set.vectors();
-                    checks.pass_mask(
-                        universe.targets()[fi],
-                        state.def2_counted[fi].iter().map(|&p| vectors[p as usize]),
-                        &candidates,
-                        &mut pass,
-                    );
-                    let mut pick = None;
-                    // Incremental Fisher-Yates: draw without full shuffle.
-                    let len = candidates.len();
-                    for i in 0..len {
-                        let j = rng.gen_range(i..len);
-                        candidates.swap(i, j);
-                        pass.swap(i, j);
-                        if pass[i] {
-                            pick = Some(candidates[i]);
-                            break;
-                        }
-                    }
-                    match pick {
-                        Some(t) => Some(t),
-                        None if state.def1_counts[fi] < n && !candidates.is_empty() => {
-                            Some(candidates[rng.gen_range(0..candidates.len())])
-                        }
-                        None => None,
-                    }
-                }
-                None if state.def1_counts[fi] >= n => None,
-                None => sample_not_in_set(t_f, &state.set, &mut rng),
-            };
-
-            if let Some(t) = chosen {
-                add_test(universe, index, &mut state, t, def2.as_deref_mut());
-                on_add(n, t);
-            }
-        }
-        on_iteration(n, &state.set);
-    }
-}
-
-/// Uniformly samples an element of `t_f` not yet in `set` (rejection
-/// sampling with a bounded retry count, then exact fallback).
-fn sample_not_in_set(t_f: &[u32], set: &TestSet, rng: &mut StdRng) -> Option<u32> {
-    for _ in 0..8 {
-        let v = t_f[rng.gen_range(0..t_f.len())];
-        if !set.contains(v as usize) {
-            return Some(v);
-        }
-    }
-    let remaining: Vec<u32> = t_f
-        .iter()
-        .copied()
-        .filter(|&v| !set.contains(v as usize))
-        .collect();
-    if remaining.is_empty() {
-        None
-    } else {
-        Some(remaining[rng.gen_range(0..remaining.len())])
-    }
-}
-
-/// Adds `t` to the evolving set, updating Definition-1 counts for every
-/// target detecting `t` and, given `def2`, the greedy Definition-2 state.
-fn add_test(
-    universe: &FaultUniverse,
-    index: &TargetIndex,
-    state: &mut RunState,
-    t: u32,
-    def2: Option<&mut Def2Checks<'_>>,
-) {
-    if !state.set.push(t as usize) {
-        return;
-    }
-    let targets = &index.targets_of_vector[t as usize];
-    for &f in targets {
-        state.def1_counts[f as usize] += 1;
-    }
-    if let Some(checks) = def2 {
-        let vectors = state.set.vectors();
-        let pos = vectors.len() - 1;
-        let fresh = checks.new_detections(
-            universe.targets(),
-            t,
-            &vectors[..pos],
-            targets,
-            &state.def2_counted,
-        );
-        for (&f, &new) in targets.iter().zip(fresh) {
-            if new {
-                state.def2_counted[f as usize].push(pos as u32);
-            }
-        }
     }
 }
 
@@ -279,14 +94,10 @@ pub fn construct_test_set_series(
     config.validate()?;
     let index = TargetIndex::build(universe);
     let mut sets: Vec<Vec<TestSet>> = vec![Vec::new(); config.nmax as usize];
-    let mut def2 = config.def2_checks(universe);
+    let mut worker = Worker::new(universe, &index, config);
     for k in 0..config.num_test_sets {
-        run_single(
-            universe,
-            &index,
-            config,
+        worker.run(
             k,
-            def2.as_mut(),
             |_, _| {},
             |n, set| sets[(n - 1) as usize].push(set.clone()),
         );
@@ -399,78 +210,58 @@ pub fn estimate_detection_probabilities(
         }
     }
     let index = TargetIndex::build(universe);
-
-    // Inverted index over the tracked bridges: which tracked positions
-    // does each input vector detect?
-    let num_patterns = universe.space().num_patterns();
-    let mut tracked_of_vector: Vec<Vec<u32>> = vec![Vec::new(); num_patterns];
-    for (pos, &j) in tracked.iter().enumerate() {
-        for v in universe.bridge_set(j).iter() {
-            tracked_of_vector[v].push(pos as u32);
-        }
-    }
-
+    let rows = TrackedRows::build(universe, tracked);
     let nmax = config.nmax as usize;
+    let num_tracked = tracked.len();
     let num_threads = ndetect_sim::parallel::resolve_threads(config.threads)
         .min(config.num_test_sets)
         .max(1);
 
-    let totals: Vec<Vec<u32>> = std::thread::scope(|scope| {
+    let d: Vec<u32> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(num_threads);
         for w in 0..num_threads {
             let index = &index;
-            let tracked_of_vector = &tracked_of_vector;
-            let num_tracked = tracked.len();
+            let rows = &rows;
             handles.push(scope.spawn(move || {
-                let mut local: Vec<Vec<u32>> = vec![vec![0; num_tracked]; nmax];
-                let mut def2 = config.def2_checks(universe);
-                let mut detected_at: Vec<u32> = vec![0; num_tracked];
+                let mut worker = Worker::new(universe, index, config);
+                // `first[(n - 1) * num_tracked + pos]`: the sets whose
+                // iteration `n` first detects tracked fault `pos`.
+                let mut first = vec![0u32; nmax * num_tracked];
+                let mut detected = vec![0u64; num_tracked.div_ceil(64)];
                 for k in (w..config.num_test_sets).step_by(num_threads) {
-                    detected_at.fill(0);
-                    run_single(
-                        universe,
-                        index,
-                        config,
+                    detected.fill(0);
+                    worker.run(
                         k,
-                        def2.as_mut(),
                         |n, t| {
-                            for &pos in &tracked_of_vector[t as usize] {
-                                let p = pos as usize;
-                                if detected_at[p] == 0 {
-                                    detected_at[p] = n;
-                                }
-                            }
+                            let tallies = &mut first[(n - 1) as usize * num_tracked..];
+                            rows.tally_new(t, &mut detected, tallies);
                         },
                         |_, _| {},
                     );
-                    for (p, &at) in detected_at.iter().enumerate() {
-                        if at > 0 {
-                            for n in at..=config.nmax {
-                                local[(n - 1) as usize][p] += 1;
-                            }
-                        }
-                    }
                 }
-                local
+                // d(n, g) counts the sets that detect g by iteration n.
+                for i in num_tracked..first.len() {
+                    first[i] += first[i - num_tracked];
+                }
+                first
             }));
         }
-        let mut total: Vec<Vec<u32>> = vec![vec![0; tracked.len()]; nmax];
+        let mut total = vec![0u32; nmax * num_tracked];
         for h in handles {
             let local = h.join().expect("procedure-1 worker panicked");
-            for (trow, lrow) in total.iter_mut().zip(local) {
-                for (t, l) in trow.iter_mut().zip(lrow) {
-                    *t += l;
-                }
+            for (t, l) in total.iter_mut().zip(local) {
+                *t += l;
             }
         }
         total
     });
-
     Ok(DetectionProbabilities {
         nmax: config.nmax,
         num_test_sets: config.num_test_sets,
         tracked: tracked.to_vec(),
-        d: totals,
+        d: (0..nmax)
+            .map(|n| d[n * num_tracked..(n + 1) * num_tracked].to_vec())
+            .collect(),
     })
 }
 
@@ -609,11 +400,871 @@ pub fn estimate_detection_probabilities_stored(
     Ok(probs)
 }
 
+/// Read-only indices over the targets, shared by every worker.
+struct TargetIndex {
+    /// Every `T(f)`, ascending, concatenated in target order: target `f`
+    /// owns `vectors[start[f]..start[f + 1]]`.
+    vectors: Vec<u32>,
+    start: Vec<usize>,
+    /// One bit per target for every input vector: `row(t)`, the targets
+    /// `t` detects, is `rows[t * words..(t + 1) * words]`.
+    rows: Vec<u64>,
+    /// Words per target row: `⌈targets / 64⌉`.
+    words: usize,
+    /// The targets with a nonempty `T(f)`; the others never add tests.
+    detectable: Vec<u64>,
+}
+
+impl TargetIndex {
+    fn build(universe: &FaultUniverse) -> Self {
+        let sets = universe.target_sets();
+        let words = sets.len().div_ceil(64);
+        let mut vectors = Vec::with_capacity(sets.iter().map(VectorSet::len).sum());
+        let mut start = Vec::with_capacity(sets.len() + 1);
+        let mut rows = vec![0; universe.space().num_patterns() * words];
+        let mut detectable = vec![0; words];
+        start.push(0);
+        for (f, set) in sets.iter().enumerate() {
+            let bit = 1u64 << (f % 64);
+            for v in set.iter() {
+                vectors.push(v as u32);
+                rows[v * words + f / 64] |= bit;
+            }
+            if !set.is_empty() {
+                detectable[f / 64] |= bit;
+            }
+            start.push(vectors.len());
+        }
+        TargetIndex {
+            vectors,
+            start,
+            rows,
+            words,
+            detectable,
+        }
+    }
+
+    fn t_f(&self, f: usize) -> &[u32] {
+        &self.vectors[self.start[f]..self.start[f + 1]]
+    }
+
+    fn row(&self, t: u32) -> &[u64] {
+        let t = t as usize;
+        &self.rows[t * self.words..(t + 1) * self.words]
+    }
+}
+
+fn bit_is_set(words: &[u64], i: usize) -> bool {
+    words[i / 64] >> (i % 64) & 1 == 1
+}
+
+/// One worker's Procedure-1 state, allocated once and reset for each
+/// test set.
+///
+/// Iteration `n` visits, in target order, the targets that still need a
+/// detection, and adds one test for each. The need set starts as a
+/// compare of the counts against `n` and only shrinks within the
+/// iteration: an added test `t` clears `row(t)` under Definition 1, and
+/// under Definition 2 the targets that reach `n` counted tests. So one
+/// visit loop serves both definitions.
+///
+/// Clearing `row(t)` is exact. After iteration `n − 1` every target has
+/// at least `min(n − 1, |T(f)|)` detections, so a needy target holds
+/// exactly `n − 1` tests of `T(f)`, or all of a `T(f)` smaller than `n`
+/// (it is exhausted). A new test lifts the former to `n` and cannot
+/// detect the latter.
+struct Worker<'u> {
+    universe: &'u FaultUniverse,
+    index: &'u TargetIndex,
+    config: &'u Procedure1Config,
+    set: TestSet,
+    /// Bits per count: `⌈log2 nmax⌉ + 1`.
+    planes: usize,
+    /// Bit-sliced Definition-1 counts: bit `b` of target `f`'s count is
+    /// bit `f % 64` of `counts[(f / 64) * planes + b]`. The top plane is
+    /// sticky: once set, the count is at least `2^(planes − 1) ≥ nmax`
+    /// and only that matters, so the low planes may wrap beneath it.
+    counts: Vec<u64>,
+    /// During iteration `n`: the targets with fewer than `n`
+    /// Definition-1 detections.
+    need: Vec<u64>,
+    /// `None` under Definition 1.
+    def2: Option<Def2State<'u>>,
+}
+
+/// The greedy Definition-2 bookkeeping of one worker.
+struct Def2State<'u> {
+    checks: Def2Checks<'u>,
+    /// `counted[f]`: the set positions of the tests counted as different
+    /// detections of `f`, ascending (insertion order).
+    counted: Vec<Vec<u32>>,
+    /// During iteration `n`: the targets with fewer than `n` counted
+    /// tests.
+    need: Vec<u64>,
+    /// The survivor memo. Counted tests only grow and candidates only
+    /// shrink within a set, so a candidate that fails against a counted
+    /// test fails for the rest of the set. `checked[f]` counted tests of
+    /// `f` have been checked against its candidates; `failed` holds one
+    /// bit per position of [`TargetIndex::vectors`], set when that
+    /// vector failed against one of them.
+    checked: Vec<u32>,
+    failed: Vec<u64>,
+    /// Scan scratch: the candidates of one target in `T(f)` order, their
+    /// positions in [`TargetIndex::vectors`] and their verdicts.
+    candidates: Vec<u32>,
+    positions: Vec<usize>,
+    pass: Vec<bool>,
+    /// The targets of an added test that can still count it.
+    targets: Vec<u32>,
+}
+
+impl<'u> Worker<'u> {
+    fn new(
+        universe: &'u FaultUniverse,
+        index: &'u TargetIndex,
+        config: &'u Procedure1Config,
+    ) -> Self {
+        let planes = (u32::BITS - (config.nmax - 1).leading_zeros()) as usize + 1;
+        let num_targets = universe.targets().len();
+        Worker {
+            universe,
+            index,
+            config,
+            set: TestSet::new(universe.space().num_patterns()),
+            planes,
+            counts: vec![0; index.words * planes],
+            need: vec![0; index.words],
+            def2: (config.definition == DetectionDefinition::SufficientlyDifferent).then(|| {
+                Def2State {
+                    checks: Def2Checks::new(universe),
+                    counted: vec![Vec::new(); num_targets],
+                    need: vec![0; index.words],
+                    checked: vec![0; num_targets],
+                    failed: vec![0; index.vectors.len().div_ceil(64)],
+                    candidates: Vec::new(),
+                    positions: Vec::new(),
+                    pass: Vec::new(),
+                    targets: Vec::new(),
+                }
+            }),
+        }
+    }
+
+    /// Builds test set `k`, calling `on_add(n, t)` for every test added
+    /// during iteration `n` and `on_iteration(n, set)` after each
+    /// iteration completes.
+    fn run(
+        &mut self,
+        k: usize,
+        mut on_add: impl FnMut(u32, u32),
+        mut on_iteration: impl FnMut(u32, &TestSet),
+    ) {
+        let index = self.index;
+        self.reset();
+        let mut rng = self.config.rng_for_set(k);
+        for n in 1..=self.config.nmax {
+            self.start_iteration(n);
+            for w in 0..index.words {
+                let mut from = 0;
+                while from < 64 {
+                    // Re-read the word: the last add may have cleared
+                    // later targets in it.
+                    let need = self.def2.as_ref().map_or(&self.need, |d| &d.need);
+                    let visit = need[w] & (u64::MAX << from);
+                    if visit == 0 {
+                        break;
+                    }
+                    let bit = visit.trailing_zeros();
+                    let f = 64 * w + bit as usize;
+                    let chosen = match &mut self.def2 {
+                        None => sample_not_in_set(index.t_f(f), &self.set, n, &mut rng),
+                        Some(def2) => def2.choose(
+                            self.universe.targets()[f],
+                            f,
+                            index,
+                            &self.set,
+                            bit_is_set(&self.need, f),
+                            &mut rng,
+                        ),
+                    };
+                    if let Some(t) = chosen {
+                        self.add(t, n);
+                        on_add(n, t);
+                    }
+                    from = bit + 1;
+                }
+            }
+            on_iteration(n, &self.set);
+        }
+    }
+
+    fn reset(&mut self) {
+        self.set.clear();
+        self.counts.fill(0);
+        if let Some(def2) = &mut self.def2 {
+            for counted in &mut def2.counted {
+                counted.clear();
+            }
+            def2.checked.fill(0);
+            def2.failed.fill(0);
+        }
+    }
+
+    /// Sets the need masks of iteration `n`.
+    fn start_iteration(&mut self, n: u32) {
+        let index = self.index;
+        for (w, need) in self.need.iter_mut().enumerate() {
+            // count < n, compared from the most significant plane down.
+            let (mut below, mut equal) = (0u64, u64::MAX);
+            let lanes = &self.counts[w * self.planes..(w + 1) * self.planes];
+            for (b, &lane) in lanes.iter().enumerate().rev() {
+                if n >> b & 1 == 1 {
+                    below |= equal & !lane;
+                    equal &= lane;
+                } else {
+                    equal &= !lane;
+                }
+            }
+            *need = below & index.detectable[w];
+        }
+        if let Some(def2) = &mut self.def2 {
+            def2.need.copy_from_slice(&index.detectable);
+            for (f, counted) in def2.counted.iter().enumerate() {
+                if counted.len() >= n as usize {
+                    def2.need[f / 64] &= !(1 << (f % 64));
+                }
+            }
+        }
+    }
+
+    /// Adds `t`, which is not in the set yet, during iteration `n`.
+    fn add(&mut self, t: u32, n: u32) {
+        if !self.set.push(t as usize) {
+            return;
+        }
+        let row = self.index.row(t);
+        for (w, &bits) in row.iter().enumerate() {
+            if bits == 0 {
+                continue;
+            }
+            self.need[w] &= !bits;
+            // Ripple-carry add of one to every count in `bits`; the top
+            // plane only ever collects carries, so it saturates.
+            let lanes = &mut self.counts[w * self.planes..(w + 1) * self.planes];
+            let (top, low) = lanes.split_last_mut().expect("at least one plane");
+            let mut carry = bits;
+            for lane in low {
+                let next = *lane & carry;
+                *lane ^= carry;
+                carry = next;
+            }
+            *top |= carry;
+        }
+        if let Some(def2) = &mut self.def2 {
+            def2.count(
+                self.universe.targets(),
+                row,
+                t,
+                &self.set,
+                n,
+                self.config.nmax,
+            );
+        }
+    }
+}
+
+/// The tracked faults each input vector detects, as sparse 64-fault
+/// words: row `t` is entries `start[t]..start[t + 1]` of `word` (the
+/// word index, ascending) and `bits` (its nonzero bits).
+struct TrackedRows {
+    start: Vec<usize>,
+    word: Vec<u32>,
+    bits: Vec<u64>,
+}
+
+impl TrackedRows {
+    fn build(universe: &FaultUniverse, tracked: &[usize]) -> Self {
+        let num_patterns = universe.space().num_patterns();
+        let groups = tracked.len().div_ceil(64);
+        // Per vector, the bits of tracked faults `64 g..64 g + 64`.
+        let mut acc = vec![0u64; num_patterns];
+        let fill = |g: usize, acc: &mut [u64]| {
+            acc.fill(0);
+            for (i, &j) in tracked[64 * g..].iter().take(64).enumerate() {
+                for v in universe.bridge_set(j).iter() {
+                    acc[v] |= 1 << i;
+                }
+            }
+        };
+        // Two passes, counting then filling, so that no dense matrix
+        // is ever held.
+        let mut start = vec![0usize; num_patterns + 1];
+        for g in 0..groups {
+            fill(g, &mut acc);
+            for (v, &a) in acc.iter().enumerate() {
+                start[v + 1] += usize::from(a != 0);
+            }
+        }
+        for v in 0..num_patterns {
+            start[v + 1] += start[v];
+        }
+        let mut next = start.clone();
+        let mut word = vec![0u32; start[num_patterns]];
+        let mut bits = vec![0u64; start[num_patterns]];
+        for g in 0..groups {
+            fill(g, &mut acc);
+            for (v, &a) in acc.iter().enumerate() {
+                if a != 0 {
+                    word[next[v]] = g as u32;
+                    bits[next[v]] = a;
+                    next[v] += 1;
+                }
+            }
+        }
+        TrackedRows { start, word, bits }
+    }
+
+    /// Adds test `t` to a set whose tracked faults detected so far are
+    /// `detected`, and adds one to `tallies[pos]` for each tracked fault
+    /// `pos` that `t` detects first.
+    fn tally_new(&self, t: u32, detected: &mut [u64], tallies: &mut [u32]) {
+        let t = t as usize;
+        for e in self.start[t]..self.start[t + 1] {
+            let w = self.word[e] as usize;
+            let mut new = self.bits[e] & !detected[w];
+            if new != 0 {
+                detected[w] |= new;
+                while new != 0 {
+                    tallies[64 * w + new.trailing_zeros() as usize] += 1;
+                    new &= new - 1;
+                }
+            }
+        }
+    }
+}
+
+/// A uniform element of `t_f` not yet in `set`, for a target that needs
+/// a detection during iteration `n`: eight rejection draws, then one
+/// exact draw over the `|T(f)| − (n − 1)` vectors left. An exhausted
+/// target (`|T(f)| < n`) has none left and makes no exact draw.
+fn sample_not_in_set(t_f: &[u32], set: &TestSet, n: u32, rng: &mut StdRng) -> Option<u32> {
+    for _ in 0..8 {
+        let v = t_f[rng.gen_range(0..t_f.len())];
+        if !set.contains(v as usize) {
+            return Some(v);
+        }
+    }
+    let left = (t_f.len() + 1).checked_sub(n as usize).filter(|&r| r > 0)?;
+    let r = rng.gen_range(0..left);
+    t_f.iter()
+        .copied()
+        .filter(|&v| !set.contains(v as usize))
+        .nth(r)
+}
+
+impl Def2State<'_> {
+    /// Counts the new test `t`, at the last set position, for every
+    /// target in `row` it is sufficiently different from every counted
+    /// test of. A target with `nmax` counted tests is skipped: no
+    /// iteration reads its count again.
+    fn count(
+        &mut self,
+        faults: &[StuckAtFault],
+        row: &[u64],
+        t: u32,
+        set: &TestSet,
+        n: u32,
+        nmax: u32,
+    ) {
+        self.targets.clear();
+        for (w, &bits) in row.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let f = 64 * w + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if self.counted[f].len() < nmax as usize {
+                    self.targets.push(f as u32);
+                }
+            }
+        }
+        let vectors = set.vectors();
+        let pos = vectors.len() - 1;
+        let fresh =
+            self.checks
+                .new_detections(faults, t, &vectors[..pos], &self.targets, &self.counted);
+        for (&f, &new) in self.targets.iter().zip(fresh) {
+            if new {
+                let f = f as usize;
+                self.counted[f].push(pos as u32);
+                if self.counted[f].len() >= n as usize {
+                    self.need[f / 64] &= !(1 << (f % 64));
+                }
+            }
+        }
+    }
+
+    /// The test added for target `f`: a candidate (a vector of `T(f)`
+    /// not yet in the set) sufficiently different from every counted
+    /// test of `f`, drawn uniformly by an incremental Fisher–Yates
+    /// shuffle. If none is, and `f` still needs a Definition-1
+    /// detection (`def1_needs`), falls back to Definition 1: a uniform
+    /// candidate.
+    fn choose(
+        &mut self,
+        fault: StuckAtFault,
+        f: usize,
+        index: &TargetIndex,
+        set: &TestSet,
+        def1_needs: bool,
+        rng: &mut StdRng,
+    ) -> Option<u32> {
+        self.candidates.clear();
+        self.positions.clear();
+        self.pass.clear();
+        let lo = index.start[f];
+        for (i, &v) in index.t_f(f).iter().enumerate() {
+            if !set.contains(v as usize) {
+                self.candidates.push(v);
+                self.positions.push(lo + i);
+                self.pass.push(!bit_is_set(&self.failed, lo + i));
+            }
+        }
+        // Check the candidates that never failed against the tests
+        // counted since the last scan.
+        let counted = &self.counted[f];
+        let from = self.checked[f] as usize;
+        if from < counted.len() {
+            let vectors = set.vectors();
+            self.checks.refine(
+                fault,
+                counted[from..].iter().map(|&p| vectors[p as usize]),
+                &self.candidates,
+                &mut self.pass,
+            );
+            for (&p, &pass) in self.positions.iter().zip(&self.pass) {
+                if !pass {
+                    self.failed[p / 64] |= 1 << (p % 64);
+                }
+            }
+            self.checked[f] = counted.len() as u32;
+        }
+        // Test builds check the memo against the full scan. This stays
+        // last in the file's production code: the source scans of
+        // `tests/hot_path_lint.rs` read a file up to its first
+        // `#[cfg(test)]`.
+        #[cfg(test)]
+        tests::assert_memo_matches_full_scan(
+            &mut self.checks,
+            fault,
+            &self.counted[f],
+            set,
+            &self.candidates,
+            &self.pass,
+        );
+        // Incremental Fisher-Yates: draw without full shuffle.
+        let len = self.candidates.len();
+        for i in 0..len {
+            let j = rng.gen_range(i..len);
+            self.candidates.swap(i, j);
+            self.pass.swap(i, j);
+            if self.pass[i] {
+                return Some(self.candidates[i]);
+            }
+        }
+        (def1_needs && len > 0).then(|| self.candidates[rng.gen_range(0..len)])
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::worst_case::WorstCaseAnalysis;
     use ndetect_circuits::figure1;
+    use proptest::prelude::*;
+
+    /// Procedure 1 written out plainly, the differential oracle for
+    /// [`Worker`]: per-target `u32` counters checked for every target in
+    /// every iteration, a list index of the targets of each vector, an
+    /// allocating exact fallback, a per-set accumulation of `d` and the
+    /// full Definition-2 scan.
+    mod oracle {
+        use super::super::*;
+
+        struct Index {
+            /// Per target: `T(f)` as a sorted vector.
+            vectors: Vec<Vec<u32>>,
+            /// Per input vector: indices of targets it detects.
+            targets_of_vector: Vec<Vec<u32>>,
+        }
+
+        impl Index {
+            fn build(universe: &FaultUniverse) -> Self {
+                let num_patterns = universe.space().num_patterns();
+                let mut vectors = Vec::with_capacity(universe.targets().len());
+                let mut targets_of_vector: Vec<Vec<u32>> = vec![Vec::new(); num_patterns];
+                for (fi, set) in universe.target_sets().iter().enumerate() {
+                    let vs: Vec<u32> = set.iter().map(|v| v as u32).collect();
+                    for &v in &vs {
+                        targets_of_vector[v as usize].push(fi as u32);
+                    }
+                    vectors.push(vs);
+                }
+                Index {
+                    vectors,
+                    targets_of_vector,
+                }
+            }
+        }
+
+        struct RunState {
+            set: TestSet,
+            def1_counts: Vec<u32>,
+            def2_counted: Vec<Vec<u32>>,
+        }
+
+        fn run_single(
+            universe: &FaultUniverse,
+            index: &Index,
+            config: &Procedure1Config,
+            k: usize,
+            mut def2: Option<&mut Def2Checks<'_>>,
+            mut on_add: impl FnMut(u32, u32),
+            mut on_iteration: impl FnMut(u32, &TestSet),
+        ) {
+            let num_targets = universe.targets().len();
+            let mut rng = config.rng_for_set(k);
+            let mut state = RunState {
+                set: TestSet::new(universe.space().num_patterns()),
+                def1_counts: vec![0; num_targets],
+                def2_counted: vec![Vec::new(); num_targets],
+            };
+            let mut candidates: Vec<u32> = Vec::new();
+            for n in 1..=config.nmax {
+                for fi in 0..num_targets {
+                    let t_f = &index.vectors[fi];
+                    if t_f.is_empty() {
+                        continue;
+                    }
+                    let chosen: Option<u32> = match def2.as_deref_mut() {
+                        Some(_) if state.def2_counted[fi].len() >= n as usize => None,
+                        Some(checks) => {
+                            candidates.clear();
+                            candidates.extend(
+                                t_f.iter()
+                                    .copied()
+                                    .filter(|&v| !state.set.contains(v as usize)),
+                            );
+                            let vectors = state.set.vectors();
+                            let mut pass = vec![true; candidates.len()];
+                            checks.refine(
+                                universe.targets()[fi],
+                                state.def2_counted[fi].iter().map(|&p| vectors[p as usize]),
+                                &candidates,
+                                &mut pass,
+                            );
+                            let mut pick = None;
+                            let len = candidates.len();
+                            for i in 0..len {
+                                let j = rng.gen_range(i..len);
+                                candidates.swap(i, j);
+                                pass.swap(i, j);
+                                if pass[i] {
+                                    pick = Some(candidates[i]);
+                                    break;
+                                }
+                            }
+                            match pick {
+                                Some(t) => Some(t),
+                                None if state.def1_counts[fi] < n && !candidates.is_empty() => {
+                                    Some(candidates[rng.gen_range(0..candidates.len())])
+                                }
+                                None => None,
+                            }
+                        }
+                        None if state.def1_counts[fi] >= n => None,
+                        None => sample_not_in_set(t_f, &state.set, &mut rng),
+                    };
+                    if let Some(t) = chosen {
+                        add_test(universe, index, &mut state, t, def2.as_deref_mut());
+                        on_add(n, t);
+                    }
+                }
+                on_iteration(n, &state.set);
+            }
+        }
+
+        fn sample_not_in_set(t_f: &[u32], set: &TestSet, rng: &mut StdRng) -> Option<u32> {
+            for _ in 0..8 {
+                let v = t_f[rng.gen_range(0..t_f.len())];
+                if !set.contains(v as usize) {
+                    return Some(v);
+                }
+            }
+            let remaining: Vec<u32> = t_f
+                .iter()
+                .copied()
+                .filter(|&v| !set.contains(v as usize))
+                .collect();
+            if remaining.is_empty() {
+                None
+            } else {
+                Some(remaining[rng.gen_range(0..remaining.len())])
+            }
+        }
+
+        fn add_test(
+            universe: &FaultUniverse,
+            index: &Index,
+            state: &mut RunState,
+            t: u32,
+            def2: Option<&mut Def2Checks<'_>>,
+        ) {
+            if !state.set.push(t as usize) {
+                return;
+            }
+            let targets = &index.targets_of_vector[t as usize];
+            for &f in targets {
+                state.def1_counts[f as usize] += 1;
+            }
+            if let Some(checks) = def2 {
+                let vectors = state.set.vectors();
+                let pos = vectors.len() - 1;
+                let fresh = checks.new_detections(
+                    universe.targets(),
+                    t,
+                    &vectors[..pos],
+                    targets,
+                    &state.def2_counted,
+                );
+                for (&f, &new) in targets.iter().zip(fresh) {
+                    if new {
+                        state.def2_counted[f as usize].push(pos as u32);
+                    }
+                }
+            }
+        }
+
+        fn def2_checks<'u>(
+            universe: &'u FaultUniverse,
+            config: &Procedure1Config,
+        ) -> Option<Def2Checks<'u>> {
+            (config.definition == DetectionDefinition::SufficientlyDifferent)
+                .then(|| Def2Checks::new(universe))
+        }
+
+        /// `sets[n - 1][k]`, as [`construct_test_set_series`] returns them.
+        pub(super) fn series(
+            universe: &FaultUniverse,
+            config: &Procedure1Config,
+        ) -> Vec<Vec<TestSet>> {
+            let index = Index::build(universe);
+            let mut sets: Vec<Vec<TestSet>> = vec![Vec::new(); config.nmax as usize];
+            let mut def2 = def2_checks(universe, config);
+            for k in 0..config.num_test_sets {
+                run_single(
+                    universe,
+                    &index,
+                    config,
+                    k,
+                    def2.as_mut(),
+                    |_, _| {},
+                    |n, set| sets[(n - 1) as usize].push(set.clone()),
+                );
+            }
+            sets
+        }
+
+        /// `d[n - 1][pos]`, as [`estimate_detection_probabilities`]
+        /// computes it, on `config.threads` workers.
+        pub(super) fn estimate(
+            universe: &FaultUniverse,
+            tracked: &[usize],
+            config: &Procedure1Config,
+        ) -> Vec<Vec<u32>> {
+            let index = Index::build(universe);
+            let num_patterns = universe.space().num_patterns();
+            let mut tracked_of_vector: Vec<Vec<u32>> = vec![Vec::new(); num_patterns];
+            for (pos, &j) in tracked.iter().enumerate() {
+                for v in universe.bridge_set(j).iter() {
+                    tracked_of_vector[v].push(pos as u32);
+                }
+            }
+            let nmax = config.nmax as usize;
+            let num_threads = config.threads.min(config.num_test_sets).max(1);
+            std::thread::scope(|scope| {
+                let mut handles = Vec::with_capacity(num_threads);
+                for w in 0..num_threads {
+                    let index = &index;
+                    let tracked_of_vector = &tracked_of_vector;
+                    handles.push(scope.spawn(move || {
+                        let mut local: Vec<Vec<u32>> = vec![vec![0; tracked.len()]; nmax];
+                        let mut def2 = def2_checks(universe, config);
+                        let mut detected_at: Vec<u32> = vec![0; tracked.len()];
+                        for k in (w..config.num_test_sets).step_by(num_threads) {
+                            detected_at.fill(0);
+                            run_single(
+                                universe,
+                                index,
+                                config,
+                                k,
+                                def2.as_mut(),
+                                |n, t| {
+                                    for &pos in &tracked_of_vector[t as usize] {
+                                        let p = pos as usize;
+                                        if detected_at[p] == 0 {
+                                            detected_at[p] = n;
+                                        }
+                                    }
+                                },
+                                |_, _| {},
+                            );
+                            for (p, &at) in detected_at.iter().enumerate() {
+                                if at > 0 {
+                                    for n in at..=config.nmax {
+                                        local[(n - 1) as usize][p] += 1;
+                                    }
+                                }
+                            }
+                        }
+                        local
+                    }));
+                }
+                let mut total: Vec<Vec<u32>> = vec![vec![0; tracked.len()]; nmax];
+                for h in handles {
+                    let local = h.join().expect("oracle worker panicked");
+                    for (trow, lrow) in total.iter_mut().zip(local) {
+                        for (t, l) in trow.iter_mut().zip(lrow) {
+                            *t += l;
+                        }
+                    }
+                }
+                total
+            })
+        }
+    }
+
+    /// Called by every Definition-2 scan of a test build: the memoised
+    /// pass mask must equal the full scan's, which checks every
+    /// candidate against every counted test of the target.
+    pub(super) fn assert_memo_matches_full_scan(
+        checks: &mut Def2Checks<'_>,
+        fault: StuckAtFault,
+        counted: &[u32],
+        set: &TestSet,
+        candidates: &[u32],
+        pass: &[bool],
+    ) {
+        let mut full = vec![true; candidates.len()];
+        let vectors = set.vectors();
+        checks.refine(
+            fault,
+            counted.iter().map(|&p| vectors[p as usize]),
+            candidates,
+            &mut full,
+        );
+        assert_eq!(
+            pass,
+            full.as_slice(),
+            "memoised pass mask for {candidates:?}"
+        );
+    }
+
+    /// [`Worker`] against the oracle: identical series sets for every
+    /// `n` and `k`, and an identical `d` at 1 and 3 workers.
+    fn assert_matches_oracle(
+        universe: &FaultUniverse,
+        tracked: &[usize],
+        k: usize,
+        nmaxes: &[u32],
+    ) {
+        for definition in [
+            DetectionDefinition::Standard,
+            DetectionDefinition::SufficientlyDifferent,
+        ] {
+            for &nmax in nmaxes {
+                let config = Procedure1Config {
+                    nmax,
+                    num_test_sets: k,
+                    definition,
+                    ..Default::default()
+                };
+                let series = construct_test_set_series(universe, &config).unwrap();
+                assert!(
+                    series.sets == oracle::series(universe, &config),
+                    "{definition:?} nmax {nmax}: series differ"
+                );
+                for threads in [1, 3] {
+                    let config = Procedure1Config { threads, ..config };
+                    let probs =
+                        estimate_detection_probabilities(universe, tracked, &config).unwrap();
+                    assert!(
+                        probs.d == oracle::estimate(universe, tracked, &config),
+                        "{definition:?} nmax {nmax} threads {threads}: d differs"
+                    );
+                }
+            }
+        }
+    }
+
+    fn all_bridges(universe: &FaultUniverse) -> Vec<usize> {
+        (0..universe.bridges().len()).collect()
+    }
+
+    #[test]
+    fn procedure1_matches_the_oracle_on_small_circuits() {
+        for netlist in [figure1::netlist(), ndetect_circuits::build("c17").unwrap()] {
+            let u = FaultUniverse::build(&netlist).unwrap();
+            assert_matches_oracle(&u, &all_bridges(&u), 6, &[1, 3, 10, 30]);
+        }
+    }
+
+    #[test]
+    fn procedure1_matches_the_oracle_on_s27() {
+        let seq = ndetect_circuits::build_seq("s27").unwrap();
+        let expanded = ndetect_seq::expand(&seq, ndetect_seq::FaultModel::default()).unwrap();
+        let u = FaultUniverse::build_explicit(
+            expanded.netlist(),
+            &expanded.explicit_targets(),
+            ndetect_faults::UniverseOptions::default(),
+        )
+        .unwrap();
+        assert_matches_oracle(&u, &all_bridges(&u), 3, &[1, 3, 10, 30]);
+    }
+
+    #[test]
+    fn procedure1_matches_the_oracle_on_cse() {
+        let u = FaultUniverse::build(&ndetect_circuits::build("cse").unwrap()).unwrap();
+        let tracked = WorstCaseAnalysis::compute(&u).tail_indices(11);
+        assert_matches_oracle(&u, &tracked, 2, &[1, 3, 10]);
+        // nmax = 30 under Definition 1 only: a Definition-2 set at
+        // nmax = 30 costs seconds in a debug build.
+        let config = Procedure1Config {
+            nmax: 30,
+            num_test_sets: 3,
+            ..Default::default()
+        };
+        let series = construct_test_set_series(&u, &config).unwrap();
+        assert!(series.sets == oracle::series(&u, &config));
+        let config = Procedure1Config {
+            threads: 3,
+            ..config
+        };
+        let probs = estimate_detection_probabilities(&u, &tracked, &config).unwrap();
+        assert!(probs.d == oracle::estimate(&u, &tracked, &config));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn procedure1_matches_the_oracle_on_random_netlists(
+            netlist in ndetect_testutil::arb_netlist_sized(5, 24),
+            nmax in (0usize..4).prop_map(|i| [1u32, 3, 10, 30][i]),
+        ) {
+            let u = FaultUniverse::build(&netlist).unwrap();
+            assert_matches_oracle(&u, &all_bridges(&u), 3, &[nmax]);
+        }
+    }
 
     fn universe() -> FaultUniverse {
         FaultUniverse::build(&figure1::netlist()).unwrap()

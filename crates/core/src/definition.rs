@@ -44,21 +44,23 @@ impl<'u> Def2Checks<'u> {
         }
     }
 
-    /// Sets `pass[i]` iff `candidates[i]` is sufficiently different from
-    /// every `counted` test of `fault`: no common-bits vector of the two
-    /// detects it. Checks one counted test at a time, against only the
-    /// candidates that survived the earlier ones.
-    pub(crate) fn pass_mask(
+    /// Clears `pass[i]` for every passing `candidates[i]` that is not
+    /// sufficiently different from some `counted` test of `fault`: a
+    /// common-bits vector of the two detects it. Checks one counted test
+    /// at a time, against only the candidates that survived the earlier
+    /// ones. With `pass` all `true` and every counted test this is the
+    /// full Definition-2 scan; Procedure 1 passes the candidates that
+    /// never failed and only the tests counted since its last scan.
+    pub(crate) fn refine(
         &mut self,
         fault: StuckAtFault,
         counted: impl IntoIterator<Item = u32>,
         candidates: &[u32],
-        pass: &mut Vec<bool>,
+        pass: &mut [bool],
     ) {
-        pass.clear();
-        pass.resize(candidates.len(), true);
         self.survivors.clear();
-        self.survivors.extend(0..candidates.len() as u32);
+        self.survivors
+            .extend((0..candidates.len() as u32).filter(|&i| pass[i as usize]));
         for s in counted {
             if self.survivors.is_empty() {
                 break;
@@ -144,6 +146,18 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// The full Definition-2 scan: `refine` from an all-`true` mask.
+    fn pass_mask(
+        checks: &mut Def2Checks<'_>,
+        fault: StuckAtFault,
+        counted: &[u32],
+        candidates: &[u32],
+    ) -> Vec<bool> {
+        let mut pass = vec![true; candidates.len()];
+        checks.refine(fault, counted.iter().copied(), candidates, &mut pass);
+        pass
+    }
+
     #[test]
     fn similar_tests_do_not_count_twice() {
         // For g stuck-at-1 on AND(a,c): T = {00, 01, 10}. Tests 00 and 01
@@ -154,17 +168,18 @@ mod tests {
         let f_idx = u.find_target("g", true).unwrap();
         let fault = u.targets()[f_idx];
         let mut checks = Def2Checks::new(&u);
-        let mut pass = Vec::new();
-        checks.pass_mask(fault, [0], &[1, 2], &mut pass);
+        assert_eq!(pass_mask(&mut checks, fault, &[0], &[1, 2]), [false, false]);
         // Tests 01 and 10 share "--" (nothing specified): tij detects
         // nothing => they are sufficiently different; 00 and 10 share
         // "-0", which detects.
-        assert_eq!(pass, [false, false]);
-        checks.pass_mask(fault, [1], &[0, 2], &mut pass);
-        assert_eq!(pass, [false, true]);
+        assert_eq!(pass_mask(&mut checks, fault, &[1], &[0, 2]), [false, true]);
         // With nothing counted, every candidate passes.
-        checks.pass_mask(fault, [], &[0, 1, 2], &mut pass);
-        assert_eq!(pass, [true, true, true]);
+        assert_eq!(pass_mask(&mut checks, fault, &[], &[0, 1, 2]), [true; 3]);
+        // A candidate that already failed stays failed: 10 would pass
+        // against 01.
+        let mut pass = vec![true, false];
+        checks.refine(fault, [1], &[0, 2], &mut pass);
+        assert_eq!(pass, [false, false]);
         // The add_test shape agrees: 10 is new against counted 01 (set
         // position 1), not against counted 00 (position 0).
         let counted = |positions: &[u32]| {
@@ -190,15 +205,13 @@ mod tests {
         let n = and2();
         let u = FaultUniverse::build(&n).unwrap();
         let mut checks = Def2Checks::new(&u);
-        let mut ab = Vec::new();
-        let mut ba = Vec::new();
         for (fi, &fault) in u.targets().iter().enumerate() {
             let mut counted = vec![Vec::new(); u.targets().len()];
             counted[fi] = vec![0];
             for a in 0..4u32 {
                 for b in 0..4u32 {
-                    checks.pass_mask(fault, [b], &[a], &mut ab);
-                    checks.pass_mask(fault, [a], &[b], &mut ba);
+                    let ab = pass_mask(&mut checks, fault, &[b], &[a]);
+                    let ba = pass_mask(&mut checks, fault, &[a], &[b]);
                     assert_eq!(ab, ba, "target {fi}, tests {a} and {b}");
                     let fresh = checks.new_detections(u.targets(), a, &[b], &[fi as u32], &counted);
                     assert_eq!(fresh, ab.as_slice(), "target {fi}, tests {a} and {b}");

@@ -52,6 +52,12 @@ impl TestSet {
         true
     }
 
+    /// Removes every test, keeping the allocations.
+    pub(crate) fn clear(&mut self) {
+        self.order.clear();
+        self.members.clear();
+    }
+
     /// Membership test.
     #[must_use]
     pub fn contains(&self, vector: usize) -> bool {

@@ -13,9 +13,9 @@
 //!
 //! Shutdown (SIGINT/SIGTERM or [`crate::signal::request_shutdown`]) is
 //! a drain, not an abort. A blocked `accept` cannot see the drain
-//! flags, so a small waker thread checks them every [`POLL_INTERVAL`]
-//! and, once a drain starts, wakes the accept with one loopback
-//! connect. The accept loop then stops taking new
+//! flags, so a small waker thread checks them every 100 ms and, once a
+//! drain starts, wakes the accept with one loopback connect. The accept
+//! loop then stops taking new
 //! connections, in-progress connections finish their current request
 //! (new requests on them get `err shutdown`), and the server joins
 //! every connection thread plus any stragglers before returning — so a
