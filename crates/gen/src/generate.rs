@@ -189,22 +189,71 @@ fn mix(seed: u64, v: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The argmax of a non-empty gain row as `(vector, gain)`: the highest
-/// gain wins, ties go to the smallest index (`seed = None`) or the
-/// smallest seeded hash rank.
-fn pick_best(gain: &[u32], seed: Option<u64>) -> (usize, u32) {
-    let rank = |v: usize| seed.map_or(v as u64, |s| mix(s, v as u64));
-    let (mut best_v, mut best_gain, mut best_rank) = (0, gain[0], rank(0));
-    for (v, &g) in gain.iter().enumerate().skip(1) {
-        if g < best_gain {
-            continue;
-        }
-        let r = rank(v);
-        if g > best_gain || r < best_rank {
-            (best_v, best_gain, best_rank) = (v, g, r);
+/// The greedy argmax of [`generate`]: a cursor over the vectors in
+/// tie-break order, walked one gain level at a time.
+///
+/// The order is the identity without a seed, or the vectors sorted by
+/// their seeded [`mix`] rank (a bijection, so ranks are distinct). The
+/// cursor stands at position `pos` of that order on gain level `level`,
+/// which starts at the largest gain. Gains never grow, so no gain
+/// exceeds `level` and every vector the cursor has passed on this level
+/// stays below it: the first vector at or after `pos` whose gain equals
+/// `level` is the highest-gain vector with the smallest rank. A level
+/// with none left sends the cursor one level down and back to 0.
+struct RankCursor {
+    /// `None` stands for the identity order.
+    order: Option<Vec<u32>>,
+    pos: usize,
+    top: u32,
+    level: u32,
+}
+
+impl RankCursor {
+    fn new(gain: &[u32], num_patterns: usize, seed: Option<u64>) -> Self {
+        let order = seed.map(|s| {
+            let mut ranked: Vec<(u64, u32)> = (0..num_patterns as u32)
+                .map(|v| (mix(s, u64::from(v)), v))
+                .collect();
+            ranked.sort_unstable_by_key(|&(rank, _)| rank);
+            ranked.into_iter().map(|(_, v)| v).collect()
+        });
+        let top = gain.iter().copied().max().unwrap_or(0);
+        RankCursor {
+            order,
+            pos: 0,
+            top,
+            level: top,
         }
     }
-    (best_v, best_gain)
+
+    /// The vector with the highest gain and, among those, the smallest
+    /// rank; `None` once every gain is 0.
+    fn next(&mut self, gain: &[u32]) -> Option<usize> {
+        while self.level > 0 {
+            let level = self.level;
+            let found = match &self.order {
+                // Tail entries past |U| stay 0, below every level.
+                None => gain[self.pos..].iter().position(|&g| g == level),
+                Some(order) => order[self.pos..]
+                    .iter()
+                    .position(|&v| gain[v as usize] == level),
+            };
+            if let Some(offset) = found {
+                let pos = self.pos + offset;
+                self.pos = pos;
+                return Some(self.order.as_ref().map_or(pos, |o| o[pos] as usize));
+            }
+            self.level -= 1;
+            self.pos = 0;
+        }
+        None
+    }
+
+    /// The nonzero gain levels the cursor has stood on, from the top
+    /// one down to the current one.
+    fn levels(&self) -> u32 {
+        (self.top + 1).saturating_sub(self.level.max(1))
+    }
 }
 
 /// Counts, for every vector, the deficient targets that detect it: each
@@ -265,12 +314,17 @@ fn initial_gain(
 /// the row is maintained, not recomputed. Each round the highest-gain
 /// vector joins the set and its gain drops to zero, and every target
 /// that reaches its goal takes one unit of gain from each unchosen
-/// vector of its detection set. A round therefore costs one scan of
-/// `|U|` plus one pass over the active targets, and the gain work over
-/// the whole run is one walk of every `T(f)`.
+/// vector of its detection set. Gains therefore never grow, so the
+/// highest-gain vector is found by a cursor that walks the vectors in
+/// tie-break order one gain level at a time, from the largest gain
+/// down: every vector it has passed on the current level stays below
+/// that level, so the first one it reaches at the level is the pick.
+/// Over the whole run the argmax costs one walk of `|U|` per gain level
+/// plus one step per round, a round costs one pass over the active
+/// targets, and the gain work is one walk of every `T(f)`.
 ///
 /// The construction is deterministic for every thread count (partial
-/// rows are summed in chunk order and the argmax scan is serial): equal
+/// rows are summed in chunk order and the cursor is serial): equal
 /// gains go to the smallest vector index, or with [`GenOptions::seed`]
 /// to the smallest seeded hash rank, which yields deterministic
 /// *diverse* sets. With `options.compact` the reverse-order
@@ -312,14 +366,14 @@ pub fn generate(universe: &FaultUniverse, options: &GenOptions) -> GeneratedSet 
     gen_span.field("targets", targets.len());
 
     let mut gain = initial_gain(targets, &active, threads, universe.space().num_blocks());
+    let mut cursor = RankCursor::new(&gain, num_patterns, options.seed);
 
     while !active.is_empty() {
-        let (best, best_gain) = pick_best(&gain, options.seed);
-        if best_gain == 0 {
+        let Some(best) = cursor.next(&gain) else {
             // Defensively unreachable: a deficient target always has an
             // unchosen vector left in T(f).
             break;
-        }
+        };
         debug_assert!(!members.contains(best), "vector {best} chosen twice");
         gain[best] = 0;
         members.insert(best);
@@ -341,6 +395,7 @@ pub fn generate(universe: &FaultUniverse, options: &GenOptions) -> GeneratedSet 
         });
     }
     gen_span.field("vectors", vectors.len());
+    gen_span.field("levels", cursor.levels());
     drop(gen_span);
     // One round per chosen vector: the rounds are the uncompacted set size.
     ndetect_obs::global()
@@ -358,8 +413,8 @@ pub fn generate(universe: &FaultUniverse, options: &GenOptions) -> GeneratedSet 
     };
     set.recount(universe);
     if options.compact {
-        let _span = trace::span("gen.compact");
-        compact(&mut set, universe);
+        let mut span = trace::span("gen.compact");
+        span.field("removed", compact(&mut set, universe));
     }
     debug_assert!(set.satisfies(universe));
     set

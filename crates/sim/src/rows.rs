@@ -19,8 +19,8 @@
 //!   scalar (`LANES = 1`) fallback. The `*_lanes` variants expose the
 //!   lane count for the `rows` micro-benchmark; production entry points
 //!   are pinned to [`LANES`].
-//! * The popcounts ([`popcount`], [`and_popcount`], [`andnot_popcount`])
-//!   — every row popcount in the workspace, `VectorSet::len` and
+//! * The popcounts ([`popcount`], [`and_popcount`]) — every row
+//!   popcount in the workspace, `VectorSet::len` and
 //!   `intersection_count` (the paper's `M(g,f)`) among them. They pick
 //!   their kernel at run time. The baseline x86-64 target has no POPCNT
 //!   instruction, so on x86-64 they check the CPU
@@ -187,7 +187,7 @@ impl RowMatrix {
 // AVX-512 / unrolled AVX2), then finishes the remainder with a scalar
 // tail. `L = 1` is the pure-scalar fallback. Production entry points pin
 // `L =` [`LANES`]; the `*_lanes` variants exist for the `rows`
-// micro-benchmark and for targets where a narrower width wins. The three
+// micro-benchmark and for targets where a narrower width wins. The two
 // popcount bodies are `#[inline(always)]`: the POPCNT copies in
 // `dispatch` only get the instruction if the body is compiled inside them.
 // ---------------------------------------------------------------------
@@ -262,26 +262,6 @@ pub fn and_popcount_lanes<const L: usize>(a: &[u64], b: &[u64]) -> u64 {
     let mut sum: u64 = lanes.iter().sum();
     for (&x, &y) in a[split..].iter().zip(&b[split..]) {
         sum += u64::from((x & y).count_ones());
-    }
-    sum
-}
-
-/// Lane-parameterized `popcount(a & !b)` (the gain pass's
-/// `|T(f) \ chosen|`).
-#[inline(always)]
-#[must_use]
-pub fn andnot_popcount_lanes<const L: usize>(a: &[u64], b: &[u64]) -> u64 {
-    assert_eq!(a.len(), b.len(), "row length mismatch");
-    let split = a.len() - a.len() % L;
-    let mut lanes = [0u64; L];
-    for (ca, cb) in a[..split].chunks_exact(L).zip(b[..split].chunks_exact(L)) {
-        for ((acc, &x), &y) in lanes.iter_mut().zip(ca).zip(cb) {
-            *acc += u64::from((x & !y).count_ones());
-        }
-    }
-    let mut sum: u64 = lanes.iter().sum();
-    for (&x, &y) in a[split..].iter().zip(&b[split..]) {
-        sum += u64::from((x & !y).count_ones());
     }
     sum
 }
@@ -402,13 +382,6 @@ pub fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
     dispatch::and_popcount(a, b)
 }
 
-/// `popcount(a & !b)` (POPCNT when the CPU has it).
-#[inline]
-#[must_use]
-pub fn andnot_popcount(a: &[u64], b: &[u64]) -> u64 {
-    dispatch::andnot_popcount(a, b)
-}
-
 /// Bitwise select (see [`select_into_lanes`]).
 #[inline]
 pub fn select_into(dst: &mut [u64], mask: &[u64], a: &[u64], b: &[u64]) {
@@ -477,7 +450,7 @@ pub fn fused_gate_update(
 /// return the same count, so the choice never shows in any output.
 #[allow(unsafe_code)]
 mod dispatch {
-    use super::{and_popcount_lanes, andnot_popcount_lanes, popcount_lanes, LANES};
+    use super::{and_popcount_lanes, popcount_lanes, LANES};
 
     /// See [`super::popcount`].
     #[inline]
@@ -503,18 +476,6 @@ mod dispatch {
         and_popcount_lanes::<LANES>(a, b)
     }
 
-    /// See [`super::andnot_popcount`].
-    #[inline]
-    pub(super) fn andnot_popcount(a: &[u64], b: &[u64]) -> u64 {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("popcnt") {
-            // SAFETY: `is_x86_feature_detected!` just found POPCNT on
-            // this CPU, the one target feature the copy enables.
-            return unsafe { popcnt::andnot_popcount(a, b) };
-        }
-        andnot_popcount_lanes::<LANES>(a, b)
-    }
-
     /// The POPCNT copies of the portable folds. Each compiles its
     /// `#[inline(always)]` `*_lanes` body with POPCNT enabled; with a
     /// plain `#[inline]` body a copy is only a jump to the portable fold.
@@ -523,7 +484,7 @@ mod dispatch {
     /// function needs Rust 1.86.
     #[cfg(target_arch = "x86_64")]
     mod popcnt {
-        use crate::rows::{and_popcount_lanes, andnot_popcount_lanes, popcount_lanes, LANES};
+        use crate::rows::{and_popcount_lanes, popcount_lanes, LANES};
 
         /// [`popcount_lanes`] with POPCNT.
         ///
@@ -543,16 +504,6 @@ mod dispatch {
         #[target_feature(enable = "popcnt")]
         pub(super) unsafe fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
             and_popcount_lanes::<LANES>(a, b)
-        }
-
-        /// [`andnot_popcount_lanes`] with POPCNT.
-        ///
-        /// # Safety
-        ///
-        /// The CPU must support POPCNT.
-        #[target_feature(enable = "popcnt")]
-        pub(super) unsafe fn andnot_popcount(a: &[u64], b: &[u64]) -> u64 {
-            andnot_popcount_lanes::<LANES>(a, b)
         }
     }
 
@@ -594,18 +545,10 @@ mod dispatch {
                     let fold = |f: fn(u64, u64) -> u64| -> u64 {
                         a.iter().zip(b).map(|(&x, &y)| u64::from(f(x, y).count_ones())).sum()
                     };
-                    let expect = (fold(|x, _| x), fold(|x, y| x & y), fold(|x, y| x & !y));
-                    let dispatched = (popcount(a), and_popcount(a, b), andnot_popcount(a, b));
-                    let scalar = (
-                        popcount_lanes::<1>(a),
-                        and_popcount_lanes::<1>(a, b),
-                        andnot_popcount_lanes::<1>(a, b),
-                    );
-                    let portable = (
-                        popcount_lanes::<LANES>(a),
-                        and_popcount_lanes::<LANES>(a, b),
-                        andnot_popcount_lanes::<LANES>(a, b),
-                    );
+                    let expect = (fold(|x, _| x), fold(|x, y| x & y));
+                    let dispatched = (popcount(a), and_popcount(a, b));
+                    let scalar = (popcount_lanes::<1>(a), and_popcount_lanes::<1>(a, b));
+                    let portable = (popcount_lanes::<LANES>(a), and_popcount_lanes::<LANES>(a, b));
                     prop_assert_eq!(dispatched, expect, "dispatched, {} words", len);
                     prop_assert_eq!(scalar, expect, "L = 1, {} words", len);
                     prop_assert_eq!(portable, expect, "L = LANES, {} words", len);
@@ -613,13 +556,7 @@ mod dispatch {
                     if std::arch::is_x86_feature_detected!("popcnt") {
                         // SAFETY: `is_x86_feature_detected!` just found
                         // POPCNT on this CPU.
-                        let copies = unsafe {
-                            (
-                                popcnt::popcount(a),
-                                popcnt::and_popcount(a, b),
-                                popcnt::andnot_popcount(a, b),
-                            )
-                        };
+                        let copies = unsafe { (popcnt::popcount(a), popcnt::and_popcount(a, b)) };
                         prop_assert_eq!(copies, expect, "POPCNT copies, {} words", len);
                     }
                 }
@@ -704,15 +641,6 @@ mod tests {
         assert_eq!(and_popcount_lanes::<1>(&a, &b), andpop_ref);
         assert_eq!(and_popcount_lanes::<4>(&a, &b), andpop_ref);
         assert_eq!(and_popcount_lanes::<8>(&a, &b), andpop_ref);
-
-        let andnotpop_ref: u64 = a
-            .iter()
-            .zip(&b)
-            .map(|(&x, &y)| u64::from((x & !y).count_ones()))
-            .sum();
-        assert_eq!(andnot_popcount_lanes::<1>(&a, &b), andnotpop_ref);
-        assert_eq!(andnot_popcount_lanes::<4>(&a, &b), andnotpop_ref);
-        assert_eq!(andnot_popcount_lanes::<8>(&a, &b), andnotpop_ref);
 
         let sel_ref: Vec<u64> = (0..n).map(|i| (b[i] & a[i]) | (c[i] & !a[i])).collect();
         for lanes in [1usize, 4, 8] {

@@ -205,18 +205,6 @@ impl VectorSet {
             })
     }
 
-    /// `|self \ other|` — how many detections of `self` remain available
-    /// outside `other` (word-parallel popcount, no iteration).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sets are over different spaces.
-    #[must_use]
-    pub fn difference_count(&self, other: &VectorSet) -> usize {
-        assert_eq!(self.num_patterns, other.num_patterns);
-        rows::andnot_popcount(&self.words, &other.words) as usize
-    }
-
     /// Direct read access to the backing words (bit `v%64` of word `v/64`
     /// is vector `v`).
     #[must_use]
@@ -382,12 +370,10 @@ mod tests {
     fn difference_vec_matches_manual() {
         let a = VectorSet::from_vectors(128, [1, 2, 3, 70, 90]);
         let b = VectorSet::from_vectors(128, [2, 70]);
-        assert_eq!(a.difference_count(&b), 3);
         assert_eq!(a.iter_difference(&b).collect::<Vec<_>>(), vec![1, 3, 90]);
         // Difference with self is empty; with the empty set, identity.
-        assert_eq!(a.difference_count(&a), 0);
+        assert_eq!(a.iter_difference(&a).count(), 0);
         let empty = VectorSet::new(128);
-        assert_eq!(a.difference_count(&empty), a.len());
         assert_eq!(a.iter_difference(&empty).collect::<Vec<_>>(), a.to_vec());
     }
 

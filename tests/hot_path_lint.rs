@@ -268,9 +268,10 @@ fn every_unsafe_block_has_a_safety_comment() {
             );
         }
     }
-    // Guard the guard: the scan must see the known blocks (the popcount
-    // dispatch, the serve signal handler and perfbench's wait4/kill).
-    assert!(blocks >= 6, "found only {blocks} unsafe blocks");
+    // Guard the guard: the scan must see the known blocks (the two
+    // popcount dispatch arms, the serve signal handler and perfbench's
+    // wait4/kill).
+    assert!(blocks >= 5, "found only {blocks} unsafe blocks");
 }
 
 /// The names a line of code defines: the identifier after each item
