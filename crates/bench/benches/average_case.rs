@@ -2,7 +2,8 @@
 //! construction cost — the efficiency side of the paper's Section-4
 //! ablation. `cse` is the circuit of perfbench's `average-def12`
 //! workload; its Definition-2 sets cost milliseconds each, so its series
-//! builds `K = 2`.
+//! builds `K = 2`. On `cse` an estimate also tracks every bridge, where
+//! the first-detection tallies are widest.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ndetect_core::estimate_detection_probabilities;
@@ -43,6 +44,20 @@ fn bench_average_case(c: &mut Criterion) {
             };
             group.bench_function(format!("estimate_k50/{name}"), |b| {
                 b.iter(|| estimate_detection_probabilities(&universe, &tracked, &config));
+            });
+        }
+        // Every bridge tracked (19,701 in 1,638 classes on cse): the
+        // widest first-detection tallies.
+        if name == "cse" {
+            let every: Vec<usize> = (0..universe.bridges().len()).collect();
+            let config = Procedure1Config {
+                nmax: 10,
+                num_test_sets: 50,
+                threads: 1,
+                ..Default::default()
+            };
+            group.bench_function(format!("estimate_k50_every_bridge/{name}"), |b| {
+                b.iter(|| estimate_detection_probabilities(&universe, &every, &config));
             });
         }
     }

@@ -58,11 +58,6 @@ impl Ops {
     fn or_diff_into<const L: usize>(det: &mut [u64], a: &[u64], b: &[u64]) -> u64 {
         rows::or_diff_into_lanes::<L>(det, a, b)
     }
-
-    fn select_into<const L: usize>(dst: &mut [u64], mask: &[u64], a: &[u64], b: &[u64]) -> u64 {
-        rows::select_into_lanes::<L>(dst, mask, a, b);
-        dst[0]
-    }
 }
 
 /// Runs `op` at lane width `L` once over fresh-ish buffers; returns a
@@ -73,21 +68,11 @@ fn run_op<const L: usize>(op: &str, a: &[u64], b: &[u64], scratch: &mut [u64]) -
         "and_popcount" => Ops::and_popcount::<L>(a, b),
         "popcount" => Ops::popcount::<L>(a),
         "or_diff_into" => Ops::or_diff_into::<L>(&mut scratch[..a.len()], a, b),
-        "select_into" => {
-            let (dst, mask) = scratch.split_at_mut(a.len());
-            Ops::select_into::<L>(dst, &mask[..a.len()], a, b)
-        }
         _ => unreachable!("unknown op {op}"),
     }
 }
 
-const OPS: [&str; 5] = [
-    "and_into",
-    "and_popcount",
-    "popcount",
-    "or_diff_into",
-    "select_into",
-];
+const OPS: [&str; 4] = ["and_into", "and_popcount", "popcount", "or_diff_into"];
 
 /// The ops whose production entry point dispatches at run time.
 const DISPATCHED_OPS: [&str; 2] = ["and_popcount", "popcount"];
@@ -116,7 +101,7 @@ fn cpu_has_popcnt() -> bool {
 fn bench_chunked_ops(c: &mut Criterion) {
     let a = pattern(ROW_WORDS, 0xDEAD);
     let b = pattern(ROW_WORDS, 0xBEEF);
-    let mut scratch = pattern(2 * ROW_WORDS, 0x1234);
+    let mut scratch = pattern(ROW_WORDS, 0x1234);
     let mut group = c.benchmark_group("chunked_ops");
     for op in OPS {
         group.bench_function(format!("{op}/scalar"), |bch| {
@@ -226,7 +211,6 @@ fn bytes_per_call(op: &str) -> usize {
         "and_popcount" => 2 * row, // read a + b
         "popcount" => row,         // read a
         "or_diff_into" => 4 * row, // read det + a + b, write det
-        "select_into" => 4 * row,  // read mask + a + b, write dst
         _ => unreachable!(),
     }
 }
@@ -240,7 +224,7 @@ fn json_main(args: &[String]) {
 
     let a = pattern(ROW_WORDS, 0xDEAD);
     let b = pattern(ROW_WORDS, 0xBEEF);
-    let mut scratch = pattern(2 * ROW_WORDS, 0x1234);
+    let mut scratch = pattern(ROW_WORDS, 0x1234);
     let mut out_rows = Vec::new();
     for op in OPS {
         for lanes in [1usize, 4, 8] {

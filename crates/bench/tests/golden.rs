@@ -109,13 +109,13 @@ fn table6_matches_its_golden() {
     );
 }
 
-/// The FNV-1a digest of the store payload of `ndet average cse --k K
-/// --def D`: `nmax`, `K`, the tracked list and every `d(n,g)`, for all
-/// `n` and all tracked faults. The `average_cse_*` goldens print only
-/// the `n = nmax` histogram; this pins the whole matrix.
-fn cse_digest(k: usize, definition: DetectionDefinition) -> Vec<u8> {
-    let netlist = ndetect_circuits::build("cse").expect("cse builds");
-    let universe = FaultUniverse::build(&netlist).expect("cse fits");
+/// The FNV-1a digest of the store payload of `ndet average CIRCUIT --k
+/// K --def D`: `nmax`, `K`, the tracked list and every `d(n,g)`, for all
+/// `n` and all tracked faults. The `average_*` goldens print only the
+/// `n = nmax` histogram; this pins the whole matrix.
+fn procedure1_digest(circuit: &str, k: usize, definition: DetectionDefinition) -> Vec<u8> {
+    let netlist = ndetect_circuits::build(circuit).expect("suite circuit builds");
+    let universe = FaultUniverse::build(&netlist).expect("suite circuit fits");
     let tracked = WorstCaseAnalysis::compute(&universe).tail_indices(11);
     let config = Procedure1Config {
         num_test_sets: k,
@@ -130,10 +130,24 @@ fn cse_digest(k: usize, definition: DetectionDefinition) -> Vec<u8> {
 fn procedure1_d_matrices_match_their_digests() {
     assert_golden(
         "procedure1_cse_def1.fnv",
-        &cse_digest(200, DetectionDefinition::Standard),
+        &procedure1_digest("cse", 200, DetectionDefinition::Standard),
     );
     assert_golden(
         "procedure1_cse_def2.fnv",
-        &cse_digest(2, DetectionDefinition::SufficientlyDifferent),
+        &procedure1_digest("cse", 2, DetectionDefinition::SufficientlyDifferent),
+    );
+}
+
+/// s1a tracks 1,232 bridges in 309 distinct classes, so its per-class
+/// rows span several words.
+#[test]
+fn procedure1_s1a_d_matrices_match_their_digests() {
+    assert_golden(
+        "procedure1_s1a_def1.fnv",
+        &procedure1_digest("s1a", 100, DetectionDefinition::Standard),
+    );
+    assert_golden(
+        "procedure1_s1a_def2.fnv",
+        &procedure1_digest("s1a", 1, DetectionDefinition::SufficientlyDifferent),
     );
 }

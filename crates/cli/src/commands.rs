@@ -509,6 +509,15 @@ fn average(
         2 => DetectionDefinition::SufficientlyDifferent,
         other => return Err(format!("--def must be 1 or 2, got {other}")),
     };
+    // No fault has more tests than there are patterns, so a larger n
+    // changes no set; refuse it before Procedure 1 sizes its tallies by
+    // it.
+    let patterns = universe.space().num_patterns();
+    if nmax as usize > patterns {
+        return Err(format!(
+            "--nmax must be at most {patterns}, the pattern count of {name}; got {nmax}"
+        ));
+    }
     let wc = WorstCaseAnalysis::compute_stored(universe, knobs.threads, store);
     let tracked = wc.tail_indices(tail);
     if tracked.is_empty() {
@@ -824,6 +833,15 @@ mod tests {
             for value in ["4294967296", "4294967297"] {
                 assert_eq!(bad(flag, value), format!("bad value for {flag}: `{value}`"));
             }
+        }
+        // figure1 has 16 patterns: n = 16 is the largest that can
+        // change a set, and a larger one fails before any allocation.
+        assert!(run(&["average", "figure1", "--k", "2", "--nmax", "16"]).is_ok());
+        for value in ["17", "20", "4294967295"] {
+            assert_eq!(
+                bad("--nmax", value),
+                format!("--nmax must be at most 16, the pattern count of figure1; got {value}")
+            );
         }
     }
 

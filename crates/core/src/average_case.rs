@@ -5,7 +5,7 @@ use crate::definition::{Def2Checks, DetectionDefinition};
 use crate::error::CoreError;
 use crate::test_set::TestSet;
 use ndetect_faults::{FaultUniverse, StuckAtFault};
-use ndetect_sim::VectorSet;
+use ndetect_sim::{rows, VectorSet};
 use ndetect_store::{
     decode_from_slice, encode_to_vec, ArtifactKey, ArtifactKind, CodecError, Decode, Decoder,
     Encode, Encoder, Fnv64, Store, CODEC_VERSION,
@@ -96,11 +96,7 @@ pub fn construct_test_set_series(
     let mut sets: Vec<Vec<TestSet>> = vec![Vec::new(); config.nmax as usize];
     let mut worker = Worker::new(universe, &index, config);
     for k in 0..config.num_test_sets {
-        worker.run(
-            k,
-            |_, _| {},
-            |n, set| sets[(n - 1) as usize].push(set.clone()),
-        );
+        worker.run(k, |n, set| sets[(n - 1) as usize].push(set.clone()));
     }
     Ok(TestSetSeries { sets })
 }
@@ -210,9 +206,9 @@ pub fn estimate_detection_probabilities(
         }
     }
     let index = TargetIndex::build(universe);
-    let rows = TrackedRows::build(universe, tracked);
+    let classes = TrackedClasses::build(universe, tracked);
     let nmax = config.nmax as usize;
-    let num_tracked = tracked.len();
+    let num_classes = classes.len;
     let num_threads = ndetect_sim::parallel::resolve_threads(config.threads)
         .min(config.num_test_sets)
         .max(1);
@@ -221,32 +217,34 @@ pub fn estimate_detection_probabilities(
         let mut handles = Vec::with_capacity(num_threads);
         for w in 0..num_threads {
             let index = &index;
-            let rows = &rows;
+            let classes = &classes;
             handles.push(scope.spawn(move || {
                 let mut worker = Worker::new(universe, index, config);
-                // `first[(n - 1) * num_tracked + pos]`: the sets whose
-                // iteration `n` first detects tracked fault `pos`.
-                let mut first = vec![0u32; nmax * num_tracked];
-                let mut detected = vec![0u64; num_tracked.div_ceil(64)];
+                // `first[(n - 1) * num_classes + c]`: the sets whose
+                // iteration `n` first detects class `c`.
+                let mut first = vec![0u32; nmax * num_classes];
+                let mut detected = vec![0u64; classes.words];
+                let mut seen = vec![0u64; classes.words];
                 for k in (w..config.num_test_sets).step_by(num_threads) {
                     detected.fill(0);
-                    worker.run(
-                        k,
-                        |n, t| {
-                            let tallies = &mut first[(n - 1) as usize * num_tracked..];
-                            rows.tally_new(t, &mut detected, tallies);
-                        },
-                        |_, _| {},
-                    );
+                    seen.fill(0);
+                    let mut tallied = 0;
+                    worker.run(k, |n, set| {
+                        let tallies = &mut first[(n - 1) as usize * num_classes..];
+                        let tests = &set.vectors()[tallied..];
+                        classes.tally(tests, &mut detected, &mut seen, tallies);
+                        tallied = set.len();
+                    });
                 }
-                // d(n, g) counts the sets that detect g by iteration n.
-                for i in num_tracked..first.len() {
-                    first[i] += first[i - num_tracked];
+                // d(n, c) counts the sets that detect class c by
+                // iteration n.
+                for i in num_classes..first.len() {
+                    first[i] += first[i - num_classes];
                 }
                 first
             }));
         }
-        let mut total = vec![0u32; nmax * num_tracked];
+        let mut total = vec![0u32; nmax * num_classes];
         for h in handles {
             let local = h.join().expect("procedure-1 worker panicked");
             for (t, l) in total.iter_mut().zip(local) {
@@ -259,8 +257,13 @@ pub fn estimate_detection_probabilities(
         nmax: config.nmax,
         num_test_sets: config.num_test_sets,
         tracked: tracked.to_vec(),
+        // Bridges of one class share T(g): each tracked position takes
+        // its class's count.
         d: (0..nmax)
-            .map(|n| d[n * num_tracked..(n + 1) * num_tracked].to_vec())
+            .map(|n| {
+                let row = &d[n * num_classes..(n + 1) * num_classes];
+                classes.class_of.iter().map(|&c| row[c as usize]).collect()
+            })
             .collect(),
     })
 }
@@ -514,8 +517,10 @@ struct Def2State<'u> {
     candidates: Vec<u32>,
     positions: Vec<usize>,
     pass: Vec<bool>,
-    /// The targets of an added test that can still count it.
+    /// The targets of an added test that the memo leaves open, and per
+    /// target the first of its counted tests still to check.
     targets: Vec<u32>,
+    from: Vec<u32>,
 }
 
 impl<'u> Worker<'u> {
@@ -545,20 +550,15 @@ impl<'u> Worker<'u> {
                     positions: Vec::new(),
                     pass: Vec::new(),
                     targets: Vec::new(),
+                    from: Vec::new(),
                 }
             }),
         }
     }
 
-    /// Builds test set `k`, calling `on_add(n, t)` for every test added
-    /// during iteration `n` and `on_iteration(n, set)` after each
-    /// iteration completes.
-    fn run(
-        &mut self,
-        k: usize,
-        mut on_add: impl FnMut(u32, u32),
-        mut on_iteration: impl FnMut(u32, &TestSet),
-    ) {
+    /// Builds test set `k`, calling `on_iteration(n, set)` after each
+    /// iteration `n` completes.
+    fn run(&mut self, k: usize, mut on_iteration: impl FnMut(u32, &TestSet)) {
         let index = self.index;
         self.reset();
         let mut rng = self.config.rng_for_set(k);
@@ -589,7 +589,6 @@ impl<'u> Worker<'u> {
                     };
                     if let Some(t) = chosen {
                         self.add(t, n);
-                        on_add(n, t);
                     }
                     from = bit + 1;
                 }
@@ -663,7 +662,7 @@ impl<'u> Worker<'u> {
         if let Some(def2) = &mut self.def2 {
             def2.count(
                 self.universe.targets(),
-                row,
+                self.index,
                 t,
                 &self.set,
                 n,
@@ -673,71 +672,66 @@ impl<'u> Worker<'u> {
     }
 }
 
-/// The tracked faults each input vector detects, as sparse 64-fault
-/// words: row `t` is entries `start[t]..start[t + 1]` of `word` (the
-/// word index, ascending) and `bits` (its nonzero bits).
-struct TrackedRows {
-    start: Vec<usize>,
-    word: Vec<u32>,
-    bits: Vec<u64>,
+/// The distinct bridge classes among the tracked faults, transposed:
+/// one bit per class for every input vector. Bridges of one class share
+/// `T(g)`, so a test set detects all of them or none, and one tally per
+/// class serves every tracked position in it.
+struct TrackedClasses {
+    /// Per tracked position: its class, numbered by first occurrence.
+    class_of: Vec<u32>,
+    /// Number of distinct classes.
+    len: usize,
+    /// Row `t`, the classes `t` detects, is `rows[t * words..(t + 1) *
+    /// words]`.
+    rows: Vec<u64>,
+    /// Words per row: `⌈len / 64⌉`.
+    words: usize,
 }
 
-impl TrackedRows {
+impl TrackedClasses {
     fn build(universe: &FaultUniverse, tracked: &[usize]) -> Self {
-        let num_patterns = universe.space().num_patterns();
-        let groups = tracked.len().div_ceil(64);
-        // Per vector, the bits of tracked faults `64 g..64 g + 64`.
-        let mut acc = vec![0u64; num_patterns];
-        let fill = |g: usize, acc: &mut [u64]| {
-            acc.fill(0);
-            for (i, &j) in tracked[64 * g..].iter().take(64).enumerate() {
-                for v in universe.bridge_set(j).iter() {
-                    acc[v] |= 1 << i;
-                }
+        let universe_class_of = universe.bridge_class_of();
+        // Universe class index → class index here.
+        let mut local = vec![u32::MAX; universe.bridge_classes().len()];
+        let mut sets = Vec::new();
+        let mut class_of = Vec::with_capacity(tracked.len());
+        for &j in tracked {
+            let c = &mut local[universe_class_of[j] as usize];
+            if *c == u32::MAX {
+                *c = sets.len() as u32;
+                sets.push(universe.bridge_set(j));
             }
-        };
-        // Two passes, counting then filling, so that no dense matrix
-        // is ever held.
-        let mut start = vec![0usize; num_patterns + 1];
-        for g in 0..groups {
-            fill(g, &mut acc);
-            for (v, &a) in acc.iter().enumerate() {
-                start[v + 1] += usize::from(a != 0);
-            }
+            class_of.push(*c);
         }
-        for v in 0..num_patterns {
-            start[v + 1] += start[v];
-        }
-        let mut next = start.clone();
-        let mut word = vec![0u32; start[num_patterns]];
-        let mut bits = vec![0u64; start[num_patterns]];
-        for g in 0..groups {
-            fill(g, &mut acc);
-            for (v, &a) in acc.iter().enumerate() {
-                if a != 0 {
-                    word[next[v]] = g as u32;
-                    bits[next[v]] = a;
-                    next[v] += 1;
-                }
+        let words = sets.len().div_ceil(64);
+        let mut rows = vec![0; universe.space().num_patterns() * words];
+        for (c, set) in sets.iter().enumerate() {
+            for v in set.iter() {
+                rows[v * words + c / 64] |= 1 << (c % 64);
             }
         }
-        TrackedRows { start, word, bits }
+        TrackedClasses {
+            class_of,
+            len: sets.len(),
+            rows,
+            words,
+        }
     }
 
-    /// Adds test `t` to a set whose tracked faults detected so far are
-    /// `detected`, and adds one to `tallies[pos]` for each tracked fault
-    /// `pos` that `t` detects first.
-    fn tally_new(&self, t: u32, detected: &mut [u64], tallies: &mut [u32]) {
-        let t = t as usize;
-        for e in self.start[t]..self.start[t + 1] {
-            let w = self.word[e] as usize;
-            let mut new = self.bits[e] & !detected[w];
-            if new != 0 {
-                detected[w] |= new;
-                while new != 0 {
-                    tallies[64 * w + new.trailing_zeros() as usize] += 1;
-                    new &= new - 1;
-                }
+    /// Adds the tests of one iteration to a set whose earlier iterations
+    /// detect the classes in `seen`: ORs their rows into `detected`, and
+    /// adds one to `tallies[c]` for each class `c` they detect first.
+    fn tally(&self, tests: &[u32], detected: &mut [u64], seen: &mut [u64], tallies: &mut [u32]) {
+        for &t in tests {
+            let t = t as usize;
+            rows::or_into(detected, &self.rows[t * self.words..(t + 1) * self.words]);
+        }
+        for (w, (s, &d)) in seen.iter_mut().zip(detected.iter()).enumerate() {
+            let mut new = d & !*s;
+            *s = d;
+            while new != 0 {
+                tallies[64 * w + new.trailing_zeros() as usize] += 1;
+                new &= new - 1;
             }
         }
     }
@@ -763,46 +757,6 @@ fn sample_not_in_set(t_f: &[u32], set: &TestSet, n: u32, rng: &mut StdRng) -> Op
 }
 
 impl Def2State<'_> {
-    /// Counts the new test `t`, at the last set position, for every
-    /// target in `row` it is sufficiently different from every counted
-    /// test of. A target with `nmax` counted tests is skipped: no
-    /// iteration reads its count again.
-    fn count(
-        &mut self,
-        faults: &[StuckAtFault],
-        row: &[u64],
-        t: u32,
-        set: &TestSet,
-        n: u32,
-        nmax: u32,
-    ) {
-        self.targets.clear();
-        for (w, &bits) in row.iter().enumerate() {
-            let mut bits = bits;
-            while bits != 0 {
-                let f = 64 * w + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if self.counted[f].len() < nmax as usize {
-                    self.targets.push(f as u32);
-                }
-            }
-        }
-        let vectors = set.vectors();
-        let pos = vectors.len() - 1;
-        let fresh =
-            self.checks
-                .new_detections(faults, t, &vectors[..pos], &self.targets, &self.counted);
-        for (&f, &new) in self.targets.iter().zip(fresh) {
-            if new {
-                let f = f as usize;
-                self.counted[f].push(pos as u32);
-                if self.counted[f].len() >= n as usize {
-                    self.need[f / 64] &= !(1 << (f % 64));
-                }
-            }
-        }
-    }
-
     /// The test added for target `f`: a candidate (a vector of `T(f)`
     /// not yet in the set) sufficiently different from every counted
     /// test of `f`, drawn uniformly by an incremental Fisher–Yates
@@ -818,6 +772,100 @@ impl Def2State<'_> {
         def1_needs: bool,
         rng: &mut StdRng,
     ) -> Option<u32> {
+        self.scan(fault, f, index, set);
+        // Incremental Fisher-Yates: draw without full shuffle.
+        let len = self.candidates.len();
+        for i in 0..len {
+            let j = rng.gen_range(i..len);
+            self.candidates.swap(i, j);
+            self.pass.swap(i, j);
+            if self.pass[i] {
+                return Some(self.candidates[i]);
+            }
+        }
+        (def1_needs && len > 0).then(|| self.candidates[rng.gen_range(0..len)])
+    }
+
+    // `count` and `scan` stay last in the file's production code, each
+    // with its test-build check at its end: the source scans of
+    // `tests/hot_path_lint.rs` read a file up to its first
+    // `#[cfg(test)]`.
+
+    /// Counts the new test `t`, at the last set position, for every
+    /// target it detects and is sufficiently different from every
+    /// counted test of. A target with `nmax` counted tests is skipped:
+    /// no iteration reads its count again.
+    ///
+    /// The survivor memo settles most targets first. `t` was never in
+    /// the set, so it was a candidate at every scan of `f`: if it failed
+    /// at one, it is no new detection; if not, it passed the first
+    /// `checked[f]` counted tests, and only the later ones need a check.
+    /// For the target that drew `t` from its pass mask, none do.
+    fn count(
+        &mut self,
+        faults: &[StuckAtFault],
+        index: &TargetIndex,
+        t: u32,
+        set: &TestSet,
+        n: u32,
+        nmax: u32,
+    ) {
+        self.targets.clear();
+        self.from.clear();
+        for (w, &bits) in index.row(t).iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let f = 64 * w + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if self.counted[f].len() >= nmax as usize {
+                    continue;
+                }
+                let i = index
+                    .t_f(f)
+                    .binary_search(&t)
+                    .expect("row(t) lists only targets whose T(f) holds t");
+                if !bit_is_set(&self.failed, index.start[f] + i) {
+                    self.targets.push(f as u32);
+                    self.from.push(self.checked[f]);
+                }
+            }
+        }
+        let vectors = set.vectors();
+        let pos = vectors.len() - 1;
+        let fresh = self.checks.new_detections(
+            faults,
+            t,
+            &vectors[..pos],
+            &self.targets,
+            &self.from,
+            &self.counted,
+        );
+        for (&f, &new) in self.targets.iter().zip(fresh) {
+            if new {
+                let f = f as usize;
+                self.counted[f].push(pos as u32);
+                if self.counted[f].len() >= n as usize {
+                    self.need[f / 64] &= !(1 << (f % 64));
+                }
+            }
+        }
+        // Test builds check every verdict against the unmemoised check.
+        #[cfg(test)]
+        tests::assert_count_matches_full_check(
+            &mut self.checks,
+            faults,
+            index.row(t),
+            vectors,
+            &self.counted,
+            nmax,
+        );
+    }
+
+    /// Fills the scan scratch for target `f`: its candidates and their
+    /// verdicts against every counted test of `f`. Checks only the
+    /// candidates that never failed, against only the tests counted
+    /// since the last scan, and records the new failures in the memo.
+    fn scan(&mut self, fault: StuckAtFault, f: usize, index: &TargetIndex, set: &TestSet) {
         self.candidates.clear();
         self.positions.clear();
         self.pass.clear();
@@ -829,8 +877,6 @@ impl Def2State<'_> {
                 self.pass.push(!bit_is_set(&self.failed, lo + i));
             }
         }
-        // Check the candidates that never failed against the tests
-        // counted since the last scan.
         let counted = &self.counted[f];
         let from = self.checked[f] as usize;
         if from < counted.len() {
@@ -848,10 +894,7 @@ impl Def2State<'_> {
             }
             self.checked[f] = counted.len() as u32;
         }
-        // Test builds check the memo against the full scan. This stays
-        // last in the file's production code: the source scans of
-        // `tests/hot_path_lint.rs` read a file up to its first
-        // `#[cfg(test)]`.
+        // Test builds check the memo against the full scan.
         #[cfg(test)]
         tests::assert_memo_matches_full_scan(
             &mut self.checks,
@@ -861,17 +904,6 @@ impl Def2State<'_> {
             &self.candidates,
             &self.pass,
         );
-        // Incremental Fisher-Yates: draw without full shuffle.
-        let len = self.candidates.len();
-        for i in 0..len {
-            let j = rng.gen_range(i..len);
-            self.candidates.swap(i, j);
-            self.pass.swap(i, j);
-            if self.pass[i] {
-                return Some(self.candidates[i]);
-            }
-        }
-        (def1_needs && len > 0).then(|| self.candidates[rng.gen_range(0..len)])
     }
 }
 
@@ -1034,6 +1066,7 @@ mod tests {
                     t,
                     &vectors[..pos],
                     targets,
+                    &vec![0; targets.len()],
                     &state.def2_counted,
                 );
                 for (&f, &new) in targets.iter().zip(fresh) {
@@ -1140,6 +1173,37 @@ mod tests {
                 }
                 total
             })
+        }
+    }
+
+    /// Called at the end of every Definition-2 count of a test build,
+    /// with the new test last in `vectors`: every target of the test
+    /// that had fewer than `nmax` counted tests must have counted it
+    /// exactly when it is sufficiently different from all of them. The
+    /// new position lies outside the earlier tests, so the full check
+    /// reads the counted lists as they were.
+    pub(super) fn assert_count_matches_full_check(
+        checks: &mut Def2Checks<'_>,
+        faults: &[StuckAtFault],
+        row: &[u64],
+        vectors: &[u32],
+        counted: &[Vec<u32>],
+        nmax: u32,
+    ) {
+        let pos = vectors.len() - 1;
+        let t = vectors[pos];
+        for f in 0..counted.len() {
+            if !bit_is_set(row, f) {
+                continue;
+            }
+            let took = counted[f].last() == Some(&(pos as u32));
+            if counted[f].len() - usize::from(took) >= nmax as usize {
+                assert!(!took, "target {f} counted test {t} past nmax");
+                continue;
+            }
+            let full =
+                checks.new_detections(faults, t, &vectors[..pos], &[f as u32], &[0], counted)[0];
+            assert_eq!(took, full, "target {f}: memoised count of test {t}");
         }
     }
 
@@ -1251,6 +1315,39 @@ mod tests {
         };
         let probs = estimate_detection_probabilities(&u, &tracked, &config).unwrap();
         assert!(probs.d == oracle::estimate(&u, &tracked, &config));
+    }
+
+    /// The class tallies expand to tracked positions in any order, with
+    /// repeats: cse's tail, descending and each index listed twice, so
+    /// that many positions share a class.
+    #[test]
+    fn tracked_positions_sharing_a_class_match_the_oracle() {
+        let u = FaultUniverse::build(&ndetect_circuits::build("cse").unwrap()).unwrap();
+        let tracked: Vec<usize> = WorstCaseAnalysis::compute(&u)
+            .tail_indices(11)
+            .into_iter()
+            .rev()
+            .flat_map(|j| [j, j])
+            .collect();
+        let classes = TrackedClasses::build(&u, &tracked);
+        assert!(classes.len < tracked.len() / 4, "{} classes", classes.len);
+        for definition in [
+            DetectionDefinition::Standard,
+            DetectionDefinition::SufficientlyDifferent,
+        ] {
+            let config = Procedure1Config {
+                nmax: 3,
+                num_test_sets: 3,
+                definition,
+                threads: 2,
+                ..Default::default()
+            };
+            let probs = estimate_detection_probabilities(&u, &tracked, &config).unwrap();
+            assert!(
+                probs.d == oracle::estimate(&u, &tracked, &config),
+                "{definition:?}: d differs"
+            );
+        }
     }
 
     proptest! {

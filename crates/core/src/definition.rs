@@ -85,10 +85,11 @@ impl<'u> Def2Checks<'u> {
 
     /// Which of `targets` (all detected by the new test `t`) count `t`
     /// as a new Definition-2 detection: entry `i` is `true` iff `t` is
-    /// sufficiently different from every counted test of
-    /// `targets[i]`. `earlier` are the set's tests before `t`, and
-    /// `counted[f]` holds the ascending positions in `earlier` of the
-    /// tests counted for target `f`.
+    /// sufficiently different from every counted test of `targets[i]`
+    /// from index `from[i]` on. `earlier` are the set's tests before
+    /// `t`, and `counted[f]` holds the ascending positions in `earlier`
+    /// of the tests counted for target `f`; the caller vouches for the
+    /// ones before `from[i]`.
     ///
     /// One fault-free pass per 64 earlier tests serves every target;
     /// each target then re-evaluates only its own cone, masked to its
@@ -99,6 +100,7 @@ impl<'u> Def2Checks<'u> {
         t: u32,
         earlier: &[u32],
         targets: &[u32],
+        from: &[u32],
         counted: &[Vec<u32>],
     ) -> &[bool] {
         self.fresh.clear();
@@ -107,13 +109,13 @@ impl<'u> Def2Checks<'u> {
             let lo = (64 * b) as u32;
             let hi = lo + batch.len() as u32;
             let mut loaded = false;
-            for (fresh, &f) in self.fresh.iter_mut().zip(targets) {
+            for ((fresh, &f), &first) in self.fresh.iter_mut().zip(targets).zip(from) {
                 if !*fresh {
                     continue;
                 }
-                let positions = &counted[f as usize];
-                let from = positions.partition_point(|&p| p < lo);
-                let mask = positions[from..]
+                let positions = &counted[f as usize][first as usize..];
+                let start = positions.partition_point(|&p| p < lo);
+                let mask = positions[start..]
                     .iter()
                     .take_while(|&&p| p < hi)
                     .fold(0u64, |m, &p| m | 1 << (p - lo));
@@ -189,12 +191,22 @@ mod tests {
         };
         let f = f_idx as u32;
         assert_eq!(
-            checks.new_detections(u.targets(), 2, &[0, 1], &[f], &counted(&[1])),
+            checks.new_detections(u.targets(), 2, &[0, 1], &[f], &[0], &counted(&[1])),
             [true]
         );
         assert_eq!(
-            checks.new_detections(u.targets(), 2, &[0, 1], &[f], &counted(&[0, 1])),
+            checks.new_detections(u.targets(), 2, &[0, 1], &[f], &[0], &counted(&[0, 1])),
             [false]
+        );
+        // Starting past counted 00 leaves only 01 to check.
+        assert_eq!(
+            checks.new_detections(u.targets(), 2, &[0, 1], &[f], &[1], &counted(&[0, 1])),
+            [true]
+        );
+        // Starting past every counted test checks nothing.
+        assert_eq!(
+            checks.new_detections(u.targets(), 2, &[0, 1], &[f], &[2], &counted(&[0, 1])),
+            [true]
         );
     }
 
@@ -213,7 +225,8 @@ mod tests {
                     let ab = pass_mask(&mut checks, fault, &[b], &[a]);
                     let ba = pass_mask(&mut checks, fault, &[a], &[b]);
                     assert_eq!(ab, ba, "target {fi}, tests {a} and {b}");
-                    let fresh = checks.new_detections(u.targets(), a, &[b], &[fi as u32], &counted);
+                    let fresh =
+                        checks.new_detections(u.targets(), a, &[b], &[fi as u32], &[0], &counted);
                     assert_eq!(fresh, ab.as_slice(), "target {fi}, tests {a} and {b}");
                 }
             }

@@ -19,7 +19,7 @@
 //!   kernel in `ndetect-faults`, so hot simulation loops perform zero
 //!   heap allocations.
 //! * [`rows`] — the row data plane: [`RowMatrix`] row storage and the
-//!   chunked SIMD word kernels (and/or/xor/andnot/popcount/select/diff)
+//!   chunked SIMD word kernels (and/or/xor/popcount/diff)
 //!   every hot loop in the workspace — simulation, universe build, gain
 //!   pass, analysis — runs on. The popcounts use the CPU's POPCNT
 //!   instruction when it has one, chosen at run time.

@@ -266,36 +266,6 @@ pub fn and_popcount_lanes<const L: usize>(a: &[u64], b: &[u64]) -> u64 {
     sum
 }
 
-/// Lane-parameterized bitwise select: `dst[i] = (a[i] & mask[i]) |
-/// (b[i] & !mask[i])` — take `a` where the mask is set, else `b`.
-#[inline]
-pub fn select_into_lanes<const L: usize>(dst: &mut [u64], mask: &[u64], a: &[u64], b: &[u64]) {
-    assert!(
-        dst.len() == mask.len() && dst.len() == a.len() && dst.len() == b.len(),
-        "row length mismatch"
-    );
-    let split = dst.len() - dst.len() % L;
-    let (dh, dt) = dst.split_at_mut(split);
-    let chunks = dh
-        .chunks_exact_mut(L)
-        .zip(mask[..split].chunks_exact(L))
-        .zip(a[..split].chunks_exact(L))
-        .zip(b[..split].chunks_exact(L));
-    for (((dc, mc), ca), cb) in chunks {
-        for (((d, &m), &x), &y) in dc.iter_mut().zip(mc).zip(ca).zip(cb) {
-            *d = (x & m) | (y & !m);
-        }
-    }
-    let tail = dt
-        .iter_mut()
-        .zip(&mask[split..])
-        .zip(&a[split..])
-        .zip(&b[split..]);
-    for (((d, &m), &x), &y) in tail {
-        *d = (x & m) | (y & !m);
-    }
-}
-
 /// Lane-parameterized difference-accumulate: `det[i] |= a[i] ^ b[i]`,
 /// returning the OR-fold of all differences (zero ⇒ the rows are
 /// identical) — the detection/frontier primitive of the event kernel.
@@ -380,12 +350,6 @@ pub fn popcount(row: &[u64]) -> u64 {
 #[must_use]
 pub fn and_popcount(a: &[u64], b: &[u64]) -> u64 {
     dispatch::and_popcount(a, b)
-}
-
-/// Bitwise select (see [`select_into_lanes`]).
-#[inline]
-pub fn select_into(dst: &mut [u64], mask: &[u64], a: &[u64], b: &[u64]) {
-    select_into_lanes::<LANES>(dst, mask, a, b);
 }
 
 /// `det |= a ^ b`, returning the OR-fold of the differences.
@@ -641,17 +605,6 @@ mod tests {
         assert_eq!(and_popcount_lanes::<1>(&a, &b), andpop_ref);
         assert_eq!(and_popcount_lanes::<4>(&a, &b), andpop_ref);
         assert_eq!(and_popcount_lanes::<8>(&a, &b), andpop_ref);
-
-        let sel_ref: Vec<u64> = (0..n).map(|i| (b[i] & a[i]) | (c[i] & !a[i])).collect();
-        for lanes in [1usize, 4, 8] {
-            let mut d = zeroed_words(n);
-            match lanes {
-                1 => select_into_lanes::<1>(&mut d, &a, &b, &c),
-                4 => select_into_lanes::<4>(&mut d, &a, &b, &c),
-                _ => select_into_lanes::<8>(&mut d, &a, &b, &c),
-            }
-            assert_eq!(d, sel_ref, "select lanes={lanes}");
-        }
 
         let any_ref = a.iter().zip(&b).fold(0u64, |acc, (&x, &y)| acc | (x ^ y));
         assert_eq!(diff_any_lanes::<1>(&a, &b), any_ref);

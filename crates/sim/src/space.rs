@@ -134,19 +134,6 @@ impl PatternSpace {
             .collect()
     }
 
-    /// Encodes per-input values into a vector index (inverse of
-    /// [`Self::vector_bits`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits.len() != num_inputs`.
-    #[must_use]
-    pub fn vector_from_bits(&self, bits: &[bool]) -> usize {
-        assert_eq!(bits.len(), self.num_inputs);
-        bits.iter()
-            .fold(0usize, |acc, &b| (acc << 1) | usize::from(b))
-    }
-
     /// Validates that `vector` indexes a vector of this space.
     ///
     /// # Errors
@@ -222,9 +209,12 @@ mod tests {
 
     #[test]
     fn vector_bits_round_trip() {
+        // Read MSB first, the bits spell the vector index again.
         let s = PatternSpace::new(5).unwrap();
         for v in 0..s.num_patterns() {
-            assert_eq!(s.vector_from_bits(&s.vector_bits(v)), v);
+            let bits = s.vector_bits(v);
+            assert_eq!(bits.len(), 5);
+            assert_eq!(bits.iter().fold(0, |acc, &b| acc << 1 | usize::from(b)), v);
         }
     }
 

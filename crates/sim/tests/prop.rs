@@ -59,11 +59,14 @@ proptest! {
         }
     }
 
-    /// Vector encoding round-trips through bits.
+    /// Vector encoding round-trips through bits: one per input, and read
+    /// MSB first they spell the vector index again.
     #[test]
     fn vector_bits_round_trip(num_inputs in 1usize..=12, seed in any::<u64>()) {
         let space = PatternSpace::new(num_inputs).expect("small");
         let v = (seed as usize) % space.num_patterns();
-        prop_assert_eq!(space.vector_from_bits(&space.vector_bits(v)), v);
+        let bits = space.vector_bits(v);
+        prop_assert_eq!(bits.len(), num_inputs);
+        prop_assert_eq!(bits.iter().fold(0, |acc, &b| acc << 1 | usize::from(b)), v);
     }
 }
