@@ -14,9 +14,14 @@
 //!   [--cache-dir DIR]` — measures suite **and** corpus circuits at
 //!   n ∈ {1, 5, 10} and writes a `BENCH_PR5.json` snapshot (set sizes
 //!   vs the exhaustive baseline, wall-clock) at the repository root,
-//!   adding generation to the perf trajectory. With a cache directory
-//!   it also times `generate_stored` cold vs warm — a warm re-run must
-//!   be a pure disk hit (asserted by the CI `bench-smoke` job).
+//!   adding generation to the perf trajectory. Each entry's `index_ms`
+//!   is the circuit's one-time build of the universe's vector→target
+//!   index (`FaultUniverse::target_index`, timed on its first call);
+//!   `gen_ms` and `compact_ms` are best-of runs with that index already
+//!   built, so a one-shot `ndet gen` pays `index_ms` on top. With a
+//!   cache directory it also times `generate_stored` cold vs warm — a
+//!   warm re-run must be a pure disk hit (asserted by the CI
+//!   `bench-smoke` job).
 
 use criterion::{criterion_group, Criterion};
 use ndetect_faults::{FaultUniverse, UniverseOptions};
@@ -56,11 +61,7 @@ fn bench_generation(c: &mut Criterion) {
     for name in ["s1a", "rie"] {
         let netlist = ndetect_circuits::build(name).expect("suite circuit builds");
         let w = Workload::new(name, &netlist);
-        let raw = GenOptions {
-            n: 5,
-            threads: 1,
-            ..GenOptions::default()
-        };
+        let raw = GenOptions::with_n(5);
         let compacted = GenOptions {
             compact: true,
             ..raw
@@ -88,6 +89,7 @@ struct Row {
     circuit: String,
     n: u32,
     space: usize,
+    index_ms: f64,
     raw_size: usize,
     compact_size: usize,
     gen_ms: f64,
@@ -165,8 +167,9 @@ fn render_json(rows: &[Row], quick: bool, store_gen: &[(String, f64, f64)]) -> S
         let comma = if i + 1 < rows.len() { "," } else { "" };
         out.push_str(&format!(
             "    {{\"circuit\": \"{}\", \"n\": {}, \"space\": {}, \"raw_size\": {}, \
-             \"compact_size\": {}, \"gen_ms\": {:.3}, \"compact_ms\": {:.3}}}{comma}\n",
-            r.circuit, r.n, r.space, r.raw_size, r.compact_size, r.gen_ms, r.compact_ms
+             \"compact_size\": {}, \"index_ms\": {:.3}, \"gen_ms\": {:.3}, \
+             \"compact_ms\": {:.3}}}{comma}\n",
+            r.circuit, r.n, r.space, r.raw_size, r.compact_size, r.index_ms, r.gen_ms, r.compact_ms
         ));
     }
     out.push_str("  ],\n");
@@ -197,12 +200,13 @@ fn json_main(args: &[String]) {
     let mut rows = Vec::new();
     for w in &workloads {
         let space = w.universe.space().num_patterns();
+        // The first call builds the index; every generation below
+        // reuses it.
+        let t0 = Instant::now();
+        std::hint::black_box(w.universe.target_index());
+        let index_ms = t0.elapsed().as_secs_f64() * 1e3;
         for n in [1u32, 5, 10] {
-            let raw_options = GenOptions {
-                n,
-                threads: 1,
-                ..GenOptions::default()
-            };
+            let raw_options = GenOptions::with_n(n);
             let raw = generate(&w.universe, &raw_options);
             let gen_secs = time_best(iters, || generate(&w.universe, &raw_options).len());
             let compact_secs = time_best(iters, || {
@@ -216,6 +220,7 @@ fn json_main(args: &[String]) {
                 circuit: w.name.clone(),
                 n,
                 space,
+                index_ms,
                 raw_size: raw.len(),
                 compact_size: compacted.len(),
                 gen_ms: gen_secs * 1e3,
@@ -239,7 +244,6 @@ fn json_main(args: &[String]) {
             let options = GenOptions {
                 n: 5,
                 compact: true,
-                threads: 1,
                 ..GenOptions::default()
             };
             let t0 = Instant::now();

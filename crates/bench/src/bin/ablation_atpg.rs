@@ -7,6 +7,7 @@
 //! coverage, for n = 1..nmax.
 //!
 //! Usage: `ablation_atpg [--circuits a,b,c] [--nmax 10] [--k 100]`.
+//! An `--nmax` above a circuit's pattern count exits 1 with an error.
 
 use ndetect_bench::{build_universe_options, open_store, selected_circuits, Args};
 use ndetect_core::{bridge_coverage, construct_test_set_series, Procedure1Config};
@@ -29,6 +30,15 @@ fn main() {
     for name in selected_circuits(&args) {
         let (_netlist, universe) =
             build_universe_options(&name, args.universe_options(), store.as_ref());
+        // No fault has more tests than there are patterns; refuse a
+        // larger n before Procedure 1 sizes its test sets by it.
+        let patterns = universe.space().num_patterns();
+        if nmax as usize > patterns {
+            eprintln!(
+                "error: --nmax must be at most {patterns}, the pattern count of {name}; got {nmax}"
+            );
+            std::process::exit(1);
+        }
         let config = Procedure1Config {
             nmax,
             num_test_sets: k,
@@ -40,13 +50,7 @@ fn main() {
             if n > nmax {
                 continue;
             }
-            let greedy = generate(
-                &universe,
-                &GenOptions {
-                    threads,
-                    ..GenOptions::with_n(n)
-                },
-            );
+            let greedy = generate(&universe, &GenOptions::with_n(n));
             let gcov = bridge_coverage(&universe, greedy.as_vector_set());
             let rcov: f64 = series.sets[(n - 1) as usize]
                 .iter()

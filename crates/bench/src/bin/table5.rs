@@ -28,7 +28,9 @@ fn main() {
         let (_netlist, universe) =
             build_universe_options(&name, args.universe_options(), store.as_ref());
         let wc = WorstCaseAnalysis::compute_stored(&universe, threads, store.as_ref());
-        let tracked = wc.tail_indices(nmax + 1);
+        // No nmin exceeds |U|, so `--nmax u32::MAX` tracks nothing, as
+        // any `--nmax` of at least |U| does.
+        let tracked = wc.tail_indices(nmax.saturating_add(1));
         if tracked.is_empty() {
             continue; // the paper lists only circuits with tail faults
         }
@@ -52,7 +54,7 @@ fn main() {
     println!("Table 5: average-case probabilities of detection (K = {k}, n = {nmax})");
     println!(
         "(faults with nmin >= {}; count with p(n,gj) >= threshold)",
-        nmax + 1
+        nmax.saturating_add(1)
     );
     println!();
     print!("{}", render_table5(&rows));

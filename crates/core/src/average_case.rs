@@ -5,7 +5,8 @@ use crate::definition::{Def2Checks, DetectionDefinition};
 use crate::error::CoreError;
 use crate::test_set::TestSet;
 use ndetect_faults::{FaultUniverse, StuckAtFault};
-use ndetect_sim::{rows, VectorSet};
+use ndetect_sim::rows::{self, RowMatrix};
+use ndetect_sim::VectorSet;
 use ndetect_store::{
     decode_from_slice, encode_to_vec, ArtifactKey, ArtifactKind, CodecError, Decode, Decoder,
     Encode, Encoder, Fnv64, Store, CODEC_VERSION,
@@ -404,37 +405,31 @@ pub fn estimate_detection_probabilities_stored(
 }
 
 /// Read-only indices over the targets, shared by every worker.
-struct TargetIndex {
+struct TargetIndex<'u> {
     /// Every `T(f)`, ascending, concatenated in target order: target `f`
     /// owns `vectors[start[f]..start[f + 1]]`.
     vectors: Vec<u32>,
     start: Vec<usize>,
-    /// One bit per target for every input vector: `row(t)`, the targets
-    /// `t` detects, is `rows[t * words..(t + 1) * words]`.
-    rows: Vec<u64>,
-    /// Words per target row: `⌈targets / 64⌉`.
-    words: usize,
+    /// The universe's vector→target index
+    /// ([`FaultUniverse::target_index`]): `row(t)` holds the targets `t`
+    /// detects, in `⌈targets / 64⌉` words.
+    rows: &'u RowMatrix,
     /// The targets with a nonempty `T(f)`; the others never add tests.
     detectable: Vec<u64>,
 }
 
-impl TargetIndex {
-    fn build(universe: &FaultUniverse) -> Self {
+impl<'u> TargetIndex<'u> {
+    fn build(universe: &'u FaultUniverse) -> Self {
         let sets = universe.target_sets();
-        let words = sets.len().div_ceil(64);
+        let rows = universe.target_index();
         let mut vectors = Vec::with_capacity(sets.iter().map(VectorSet::len).sum());
         let mut start = Vec::with_capacity(sets.len() + 1);
-        let mut rows = vec![0; universe.space().num_patterns() * words];
-        let mut detectable = vec![0; words];
+        let mut detectable = vec![0; rows.width()];
         start.push(0);
         for (f, set) in sets.iter().enumerate() {
-            let bit = 1u64 << (f % 64);
-            for v in set.iter() {
-                vectors.push(v as u32);
-                rows[v * words + f / 64] |= bit;
-            }
+            vectors.extend(set.iter().map(|v| v as u32));
             if !set.is_empty() {
-                detectable[f / 64] |= bit;
+                detectable[f / 64] |= 1 << (f % 64);
             }
             start.push(vectors.len());
         }
@@ -442,7 +437,6 @@ impl TargetIndex {
             vectors,
             start,
             rows,
-            words,
             detectable,
         }
     }
@@ -452,8 +446,12 @@ impl TargetIndex {
     }
 
     fn row(&self, t: u32) -> &[u64] {
-        let t = t as usize;
-        &self.rows[t * self.words..(t + 1) * self.words]
+        self.rows.row(t as usize)
+    }
+
+    /// Words per target row.
+    fn words(&self) -> usize {
+        self.rows.width()
     }
 }
 
@@ -478,7 +476,7 @@ fn bit_is_set(words: &[u64], i: usize) -> bool {
 /// detect the latter.
 struct Worker<'u> {
     universe: &'u FaultUniverse,
-    index: &'u TargetIndex,
+    index: &'u TargetIndex<'u>,
     config: &'u Procedure1Config,
     set: TestSet,
     /// Bits per count: `⌈log2 nmax⌉ + 1`.
@@ -526,7 +524,7 @@ struct Def2State<'u> {
 impl<'u> Worker<'u> {
     fn new(
         universe: &'u FaultUniverse,
-        index: &'u TargetIndex,
+        index: &'u TargetIndex<'u>,
         config: &'u Procedure1Config,
     ) -> Self {
         let planes = (u32::BITS - (config.nmax - 1).leading_zeros()) as usize + 1;
@@ -537,13 +535,13 @@ impl<'u> Worker<'u> {
             config,
             set: TestSet::new(universe.space().num_patterns()),
             planes,
-            counts: vec![0; index.words * planes],
-            need: vec![0; index.words],
+            counts: vec![0; index.words() * planes],
+            need: vec![0; index.words()],
             def2: (config.definition == DetectionDefinition::SufficientlyDifferent).then(|| {
                 Def2State {
                     checks: Def2Checks::new(universe),
                     counted: vec![Vec::new(); num_targets],
-                    need: vec![0; index.words],
+                    need: vec![0; index.words()],
                     checked: vec![0; num_targets],
                     failed: vec![0; index.vectors.len().div_ceil(64)],
                     candidates: Vec::new(),
@@ -564,7 +562,7 @@ impl<'u> Worker<'u> {
         let mut rng = self.config.rng_for_set(k);
         for n in 1..=self.config.nmax {
             self.start_iteration(n);
-            for w in 0..index.words {
+            for w in 0..index.words() {
                 let mut from = 0;
                 while from < 64 {
                     // Re-read the word: the last add may have cleared

@@ -15,12 +15,13 @@ use crate::sim::{intersect_activation, FaultSimulator};
 use crate::stuck_at::{all_stuck_at_faults, StuckAtFault};
 use ndetect_netlist::{LineId, Netlist, NodeId};
 use ndetect_obs::trace;
-use ndetect_sim::rows::{zeroed_counts, zeroed_words};
+use ndetect_sim::rows::{zeroed_counts, zeroed_words, RowMatrix};
 use ndetect_sim::{parallel, PatternSpace, VectorSet};
 use ndetect_store::{decode_from_slice, encode_to_vec, ArtifactKey, Store};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Index;
+use std::sync::OnceLock;
 
 /// Configuration for [`FaultUniverse::build_with`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -117,6 +118,11 @@ pub struct ExplicitTargets {
 /// holds roughly `(|F| + |C|) * 2^I / 8` bytes plus 4 bytes per bridge —
 /// e.g. ~10 MB for `rie` (`I = 14`, 1,227 targets, 3,995 classes among
 /// 59,696 bridges). Keep `I ≤ 14` for large bridging populations.
+///
+/// Once generation or Procedure 1 asks for [`Self::target_index`], the
+/// universe also holds that transpose of the target sets:
+/// `|U| · ⌈|F| / 64⌉ · 8` bytes (2.5 MiB for `rie`, 0.6 MiB each for
+/// `s1a` and `log`). The worst-case analysis never builds it.
 pub struct FaultUniverse {
     netlist: Netlist,
     simulator: FaultSimulator,
@@ -135,6 +141,9 @@ pub struct FaultUniverse {
     /// so derived artifacts are keyed by the source model's canonical
     /// bytes, not the simulated netlist's.
     explicit_key: Option<ArtifactKey>,
+    /// [`Self::target_index`], built on first use. Derived from
+    /// `target_sets`, so it stays out of the artifact and the store key.
+    target_index: OnceLock<RowMatrix>,
 }
 
 impl FaultUniverse {
@@ -254,6 +263,7 @@ impl FaultUniverse {
             bridge_class_of: bridges.class_of,
             num_undetectable_bridges: bridges.num_undetectable,
             explicit_key: explicit.map(|x| explicit_universe_key(&x.canonical, options)),
+            target_index: OnceLock::new(),
         })
     }
 
@@ -388,6 +398,7 @@ impl FaultUniverse {
             bridge_class_of: artifact.bridge_class_of,
             num_undetectable_bridges: artifact.num_undetectable_bridges,
             explicit_key: None,
+            target_index: OnceLock::new(),
         })
     }
 
@@ -442,6 +453,21 @@ impl FaultUniverse {
     #[must_use]
     pub fn target_sets(&self) -> &[VectorSet] {
         &self.target_sets
+    }
+
+    /// The vector→target index, the transpose of [`Self::target_sets`]:
+    /// row `v` holds one bit per target, bit `f % 64` of word `f / 64`
+    /// set when `v ∈ T(f)`, in `⌈|F| / 64⌉` words. It lets the
+    /// generator and Procedure 1 read the targets of one vector without
+    /// probing every `T(f)`.
+    ///
+    /// The first call builds it, inside a `universe.target_index` trace
+    /// span; later calls, from any thread, return the same rows. See the
+    /// type's `# Memory` section for its size.
+    #[must_use]
+    pub fn target_index(&self) -> &RowMatrix {
+        self.target_index
+            .get_or_init(|| transpose_targets(&self.target_sets, self.space().num_patterns()))
     }
 
     /// Number of target faults with a non-empty detection set — the
@@ -816,6 +842,66 @@ fn word_hash(words: &[u64]) -> u64 {
         .iter()
         .chain(chunks.remainder())
         .fold(words.len() as u64, |h, &w| mix(h, w))
+}
+
+/// The vector→target index of [`FaultUniverse::target_index`]: a
+/// `num_patterns × ⌈|F| / 64⌉` word matrix with bit `f` of row `v` set
+/// when `v ∈ T(f)`. Each group of 64 targets and block of 64 vectors is
+/// one 64×64 bit-matrix transpose: word `b` of each target's set in,
+/// word `w` of each vector's row out.
+fn transpose_targets(sets: &[VectorSet], num_patterns: usize) -> RowMatrix {
+    let width = sets.len().div_ceil(64);
+    let mut span = trace::span("universe.target_index");
+    span.field("vectors", num_patterns);
+    span.field("words", width);
+    span.field("bytes", 8 * num_patterns * width);
+    let mut index = RowMatrix::zeroed(num_patterns, width);
+    let rows = index.words_mut();
+    let mut tile = [0u64; 64];
+    for (w, group) in sets.chunks(64).enumerate() {
+        for b in 0..num_patterns.div_ceil(64) {
+            tile.fill(0);
+            for (word, set) in tile.iter_mut().zip(group) {
+                *word = set.words()[b];
+            }
+            if tile.iter().all(|&word| word == 0) {
+                continue;
+            }
+            transpose64(&mut tile);
+            // Rows past |U| come from tail bits, which the VectorSet
+            // invariant keeps zero.
+            for (v, &word) in (64 * b..num_patterns).zip(&tile) {
+                rows[v * width + w] = word;
+            }
+        }
+    }
+    index
+}
+
+/// Transposes a 64×64 bit matrix in place: bit `j` of word `i` moves to
+/// bit `i` of word `j`. Six rounds swap ever smaller off-diagonal
+/// blocks, 32×32 first.
+fn transpose64(tile: &mut [u64; 64]) {
+    swap_blocks::<32>(tile, 0x0000_0000_FFFF_FFFF);
+    swap_blocks::<16>(tile, 0x0000_FFFF_0000_FFFF);
+    swap_blocks::<8>(tile, 0x00FF_00FF_00FF_00FF);
+    swap_blocks::<4>(tile, 0x0F0F_0F0F_0F0F_0F0F);
+    swap_blocks::<2>(tile, 0x3333_3333_3333_3333);
+    swap_blocks::<1>(tile, 0x5555_5555_5555_5555);
+}
+
+/// One round of [`transpose64`]: in every `2J × 2J` block, swaps the
+/// upper-right `J × J` quarter (high bits of the first `J` words) with
+/// the lower-left one (low bits of the last `J`). `low` selects the low
+/// `J` bits of every `2J`-bit group.
+fn swap_blocks<const J: usize>(tile: &mut [u64; 64], low: u64) {
+    for start in (0..64).step_by(2 * J) {
+        for i in start..start + J {
+            let t = ((tile[i] >> J) ^ tile[i + J]) & low;
+            tile[i] ^= t << J;
+            tile[i + J] ^= t;
+        }
+    }
 }
 
 /// Detection sets of stuck-at faults, in fault order: the target sweep

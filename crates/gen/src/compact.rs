@@ -3,6 +3,7 @@
 
 use crate::generate::GeneratedSet;
 use ndetect_faults::FaultUniverse;
+use ndetect_sim::rows;
 
 /// Eliminates redundant vectors from a generated set, preserving the
 /// n-detection property exactly.
@@ -17,11 +18,18 @@ use ndetect_faults::FaultUniverse;
 /// confirming pass runs anyway and the loop exits on the first sweep
 /// that removes nothing.
 ///
+/// The targets at their requirement are **tight**, one bit each. A
+/// vector must stay when its row of the universe's vector→target index
+/// ([`FaultUniverse::target_index`]) meets a tight target; a removal
+/// lowers the counts of the targets in its row and marks those that
+/// reach their requirement. So each vector costs one walk of its
+/// `⌈|F| / 64⌉`-word row, not a probe of every `T(f)`.
+///
 /// Returns the number of vectors removed. The set's per-target counts
-/// are recomputed from the membership bitset before returning, and the
-/// `compacted` flag is set.
+/// are kept up to date, and the `compacted` flag is set.
 pub fn compact(set: &mut GeneratedSet, universe: &FaultUniverse) -> usize {
     let targets = universe.target_sets();
+    let index = universe.target_index();
     let n = set.n as usize;
     // Per-target requirement and current detection counts.
     let goal: Vec<u32> = targets.iter().map(|t| n.min(t.len()) as u32).collect();
@@ -29,6 +37,12 @@ pub fn compact(set: &mut GeneratedSet, universe: &FaultUniverse) -> usize {
         .iter()
         .map(|t| t.intersection_count(&set.members) as u32)
         .collect();
+    let mut tight = rows::zeroed_words(index.width());
+    for (fi, (&count, &goal)) in counts.iter().zip(&goal).enumerate() {
+        if goal > 0 && count <= goal {
+            tight[fi / 64] |= 1 << (fi % 64);
+        }
+    }
 
     let mut removed_total = 0usize;
     loop {
@@ -37,16 +51,23 @@ pub fn compact(set: &mut GeneratedSet, universe: &FaultUniverse) -> usize {
             let v = set.vectors[idx] as usize;
             // v must stay if any target is exactly at its requirement
             // and counts v among its detections.
-            let blocked = targets
+            let row = index.row(v);
+            if row
                 .iter()
-                .enumerate()
-                .any(|(fi, t_f)| counts[fi] <= goal[fi] && goal[fi] > 0 && t_f.contains(v));
-            if blocked {
+                .zip(&tight)
+                .any(|(&detects, &t)| detects & t != 0)
+            {
                 continue;
             }
-            for (fi, t_f) in targets.iter().enumerate() {
-                if t_f.contains(v) {
+            for (w, &detects) in row.iter().enumerate() {
+                let mut bits = detects;
+                while bits != 0 {
+                    let fi = 64 * w + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
                     counts[fi] -= 1;
+                    if counts[fi] <= goal[fi] {
+                        tight[w] |= 1 << (fi % 64);
+                    }
                 }
             }
             set.members.remove(v);
@@ -60,7 +81,7 @@ pub fn compact(set: &mut GeneratedSet, universe: &FaultUniverse) -> usize {
     }
 
     set.compacted = true;
-    set.recount(universe);
+    set.target_counts = counts;
     debug_assert!(set.satisfies(universe));
     removed_total
 }

@@ -8,7 +8,7 @@ use crate::artifact::{generated_key, KIND_GENERATED_SET};
 use crate::compact::compact;
 use ndetect_faults::FaultUniverse;
 use ndetect_obs::trace;
-use ndetect_sim::{parallel, rows, VectorSet};
+use ndetect_sim::{rows, VectorSet};
 use ndetect_store::{decode_from_slice, encode_to_vec, Store};
 use std::fmt;
 
@@ -27,11 +27,11 @@ pub struct GenOptions {
     /// rank, giving a different (still deterministic) set per seed —
     /// useful for generating diverse sets of the same quality.
     pub seed: Option<u64>,
-    /// Worker threads for the initial gain pass; `0` means auto
-    /// (`NDETECT_THREADS`, then the machine's available parallelism).
-    /// Each worker holds one full-width partial gain row (4 bytes per
-    /// pattern) during that pass. Results are bit-identical for every
-    /// thread count, so it is excluded from the store key.
+    /// Generation no longer reads this: it is serial, and the worker
+    /// pass that counted the first gains is gone (they are popcounts of
+    /// [`FaultUniverse::target_index`] rows). The field stays only
+    /// because the `perfbench/` harness sets it. It is excluded from the
+    /// store key.
     pub threads: usize,
 }
 
@@ -209,9 +209,9 @@ struct RankCursor {
 }
 
 impl RankCursor {
-    fn new(gain: &[u32], num_patterns: usize, seed: Option<u64>) -> Self {
+    fn new(gain: &[u32], seed: Option<u64>) -> Self {
         let order = seed.map(|s| {
-            let mut ranked: Vec<(u64, u32)> = (0..num_patterns as u32)
+            let mut ranked: Vec<(u64, u32)> = (0..gain.len() as u32)
                 .map(|v| (mix(s, u64::from(v)), v))
                 .collect();
             ranked.sort_unstable_by_key(|&(rank, _)| rank);
@@ -232,7 +232,6 @@ impl RankCursor {
         while self.level > 0 {
             let level = self.level;
             let found = match &self.order {
-                // Tail entries past |U| stay 0, below every level.
                 None => gain[self.pos..].iter().position(|&g| g == level),
                 Some(order) => order[self.pos..]
                     .iter()
@@ -256,79 +255,33 @@ impl RankCursor {
     }
 }
 
-/// Counts, for every vector, the deficient targets that detect it: each
-/// worker chunk of the active fault list walks its targets' detection
-/// words into a full-width partial row (`num_blocks · 64` entries; tail
-/// entries past |U| stay 0). Per-fault cost is uniform (every set spans
-/// the same block count), so one static chunk per worker balances fine.
-/// Partial rows are summed in chunk order, so the totals are identical
-/// for any thread count.
-fn initial_gain(
-    targets: &[VectorSet],
-    active: &[u32],
-    threads: usize,
-    num_blocks: usize,
-) -> Vec<u32> {
-    let workers = threads.min(active.len()).max(1);
-    let chunk = active.len().div_ceil(workers);
-    let partials: Vec<Vec<u32>> = parallel::run_tiled(workers, workers, |chunks| {
-        chunks
-            .map(|w| {
-                let mut gain = rows::zeroed_counts(num_blocks * 64);
-                // Ceil chunking can leave trailing chunks empty
-                // (e.g. 5 faults over 4 workers): clamp both ends.
-                let start = (w * chunk).min(active.len());
-                let end = ((w + 1) * chunk).min(active.len());
-                for &fi in &active[start..end] {
-                    // Tail bits past |U| are zero by the VectorSet
-                    // invariant, so they never score.
-                    for (b, &word) in targets[fi as usize].words().iter().enumerate() {
-                        let mut word = word;
-                        while word != 0 {
-                            gain[b * 64 + word.trailing_zeros() as usize] += 1;
-                            word &= word - 1;
-                        }
-                    }
-                }
-                gain
-            })
-            .collect()
-    });
-    partials
-        .into_iter()
-        .reduce(|mut acc, part| {
-            for (a, p) in acc.iter_mut().zip(part) {
-                *a += p;
-            }
-            acc
-        })
-        .expect("at least one chunk")
-}
-
 /// Builds a compact n-detection test set for the universe's target
 /// faults by greedy set cover.
 ///
 /// The **gain** of a vector is the number of still-deficient targets it
-/// would push one detection closer to `min(n, |T(f)|)`. One pass over
-/// fault chunks on the shared worker pool fills the gain row; after that
-/// the row is maintained, not recomputed. Each round the highest-gain
-/// vector joins the set and its gain drops to zero, and every target
-/// that reaches its goal takes one unit of gain from each unchosen
-/// vector of its detection set. Gains therefore never grow, so the
-/// highest-gain vector is found by a cursor that walks the vectors in
-/// tie-break order one gain level at a time, from the largest gain
-/// down: every vector it has passed on the current level stays below
-/// that level, so the first one it reaches at the level is the pick.
-/// Over the whole run the argmax costs one walk of `|U|` per gain level
-/// plus one step per round, a round costs one pass over the active
-/// targets, and the gain work is one walk of every `T(f)`.
+/// would push one detection closer to `min(n, |T(f)|)`. Every detectable
+/// target starts deficient, so a vector's first gain is the popcount of
+/// its row in the universe's vector→target index
+/// ([`FaultUniverse::target_index`]); after that the row is maintained,
+/// not recomputed. Each round the highest-gain vector joins the set and
+/// its gain drops to zero, the round walks the targets of its index row
+/// that are still open (deficient), and every target that reaches its
+/// goal takes one unit of gain from each unchosen vector of its
+/// detection set. Gains therefore never grow, so the highest-gain vector
+/// is found by a cursor that walks the vectors in tie-break order one
+/// gain level at a time, from the largest gain down: every vector it has
+/// passed on the current level stays below that level, so the first one
+/// it reaches at the level is the pick. Over the whole run the argmax
+/// costs one walk of `|U|` per gain level plus one step per round, a
+/// round costs one walk of the chosen vector's `⌈|F| / 64⌉`-word row,
+/// and the gain work is one walk of every `T(f)`. The first call on a
+/// universe also builds its index, once.
 ///
-/// The construction is deterministic for every thread count (partial
-/// rows are summed in chunk order and the cursor is serial): equal
-/// gains go to the smallest vector index, or with [`GenOptions::seed`]
-/// to the smallest seeded hash rank, which yields deterministic
-/// *diverse* sets. With `options.compact` the reverse-order
-/// redundant-vector elimination passes run before returning.
+/// The construction is serial and deterministic: equal gains go to the
+/// smallest vector index, or with [`GenOptions::seed`] to the smallest
+/// seeded hash rank, which yields deterministic *diverse* sets. With
+/// `options.compact` the reverse-order redundant-vector elimination
+/// passes run before returning.
 ///
 /// Undetectable targets (empty `T(f)`) impose no requirement. The
 /// greedy invariant guarantees termination: while any target is
@@ -340,9 +293,9 @@ fn initial_gain(
 #[must_use]
 pub fn generate(universe: &FaultUniverse, options: &GenOptions) -> GeneratedSet {
     assert!(options.n >= 1, "n must be at least 1");
-    let threads = parallel::resolve_threads(options.threads);
     let targets = universe.target_sets();
     let num_patterns = universe.space().num_patterns();
+    let index = universe.target_index();
 
     // Outstanding detections per target: min(n, |T(f)|) minus the
     // detections already provided by the chosen set (0 at the start).
@@ -350,13 +303,13 @@ pub fn generate(universe: &FaultUniverse, options: &GenOptions) -> GeneratedSet 
         .iter()
         .map(|t| (options.n as usize).min(t.len()) as u32)
         .collect();
-    // Targets still short of their goal; shrinks every round.
-    let mut active: Vec<u32> = deficit
-        .iter()
-        .enumerate()
-        .filter(|&(_, &d)| d > 0)
-        .map(|(fi, _)| fi as u32)
-        .collect();
+    // One bit per target still short of its goal; only ever cleared.
+    let mut open = rows::zeroed_words(index.width());
+    let mut num_open = 0usize;
+    for (fi, _) in deficit.iter().enumerate().filter(|&(_, &d)| d > 0) {
+        open[fi / 64] |= 1 << (fi % 64);
+        num_open += 1;
+    }
 
     let mut members = VectorSet::new(num_patterns);
     let mut vectors: Vec<u32> = Vec::new();
@@ -365,10 +318,13 @@ pub fn generate(universe: &FaultUniverse, options: &GenOptions) -> GeneratedSet 
     gen_span.field("n", options.n);
     gen_span.field("targets", targets.len());
 
-    let mut gain = initial_gain(targets, &active, threads, universe.space().num_blocks());
-    let mut cursor = RankCursor::new(&gain, num_patterns, options.seed);
+    let mut gain = rows::zeroed_counts(num_patterns);
+    for (v, g) in gain.iter_mut().enumerate() {
+        *g = rows::popcount(index.row(v)) as u32;
+    }
+    let mut cursor = RankCursor::new(&gain, options.seed);
 
-    while !active.is_empty() {
+    while num_open > 0 {
         let Some(best) = cursor.next(&gain) else {
             // Defensively unreachable: a deficient target always has an
             // unchosen vector left in T(f).
@@ -378,21 +334,23 @@ pub fn generate(universe: &FaultUniverse, options: &GenOptions) -> GeneratedSet 
         gain[best] = 0;
         members.insert(best);
         vectors.push(best as u32);
-        active.retain(|&fi| {
-            let t_f = &targets[fi as usize];
-            let d = &mut deficit[fi as usize];
-            if t_f.contains(best) {
-                *d -= 1;
-                if *d == 0 {
+        for (w, (&detects, open)) in index.row(best).iter().zip(&mut open).enumerate() {
+            let mut hits = detects & *open;
+            while hits != 0 {
+                let fi = 64 * w + hits.trailing_zeros() as usize;
+                hits &= hits - 1;
+                deficit[fi] -= 1;
+                if deficit[fi] == 0 {
                     // Saturated: f no longer counts toward the gain of
                     // the unchosen vectors that detect it.
-                    for v in t_f.iter_difference(&members) {
+                    *open &= !(1 << (fi % 64));
+                    num_open -= 1;
+                    for v in targets[fi].iter_difference(&members) {
                         gain[v] -= 1;
                     }
                 }
             }
-            *d > 0
-        });
+        }
     }
     gen_span.field("vectors", vectors.len());
     gen_span.field("levels", cursor.levels());

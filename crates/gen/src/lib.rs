@@ -5,13 +5,14 @@
 //! *produces* them. [`generate`] runs a deterministic greedy set-cover
 //! construction over a [`ndetect_faults::FaultUniverse`]: each round it
 //! picks the input vector that advances the most still-deficient
-//! targets. One pass over fault tiles on the `ndetect_sim::parallel`
-//! worker pool counts every vector's gain; the rounds then maintain
-//! that row, taking one unit from each unchosen vector of a target's
-//! detection set when the target reaches its goal, word-parallel on the
-//! universe's detection bitsets. Optional [`compact`] passes then
-//! eliminate redundant vectors in reverse insertion order without ever
-//! breaking the n-detection property.
+//! targets. Both it and [`compact`] read the universe's vector→target
+//! index ([`ndetect_faults::FaultUniverse::target_index`], built once
+//! per universe): a vector's first gain is the popcount of its row, a
+//! round walks the chosen vector's row, and a target that reaches its
+//! goal takes one unit of gain from each unchosen vector of its
+//! detection set. Optional [`compact`] passes then eliminate redundant
+//! vectors in reverse insertion order without ever breaking the
+//! n-detection property.
 //!
 //! The result is a [`GeneratedSet`] — vectors in insertion order plus
 //! per-target detection counts and the options that produced it — which

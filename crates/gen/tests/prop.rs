@@ -6,7 +6,9 @@
 //!
 //! * for every suite circuit and `n ∈ {1, 3, 10}`, the generated set
 //!   detects each target fault `min(n, |T(f)|)` times;
-//! * compaction never breaks the property and never grows the set;
+//! * compaction never breaks the property and never grows the set, and
+//!   on every suite circuit it keeps exactly the vectors of the probing
+//!   oracle below;
 //! * `|T|` at `n = 1` stays at or below the exhaustive-space size on
 //!   all three corpus circuits;
 //! * the same properties hold on randomly generated netlists, seeded
@@ -14,7 +16,10 @@
 //! * the generator, which maintains its gain row across rounds and
 //!   finds each pick with a rank-order cursor, picks exactly the vectors
 //!   of a naive greedy that recounts every gain in every round, for
-//!   every thread count.
+//!   every thread count;
+//! * compaction, which reads each vector's row of the universe's
+//!   vector→target index, keeps exactly the vectors of a reverse pass
+//!   that probes every `T(f)` for every vector.
 
 use ndetect_faults::{FaultUniverse, UniverseOptions};
 use ndetect_gen::{compact, generate, GenOptions};
@@ -80,6 +85,12 @@ fn every_suite_circuit_meets_the_oracle_requirement() {
             let removed = compact(&mut compacted, &universe);
             assert_eq!(compacted.len() + removed, raw.len());
             assert!(compacted.satisfies(&universe), "{}: n={n}", spec.name());
+            assert_eq!(
+                compacted.vectors(),
+                probing_compaction(&universe, n, raw.vectors()),
+                "{}: n={n}",
+                spec.name()
+            );
             assert_oracle_property(
                 spec.name(),
                 n,
@@ -132,6 +143,44 @@ fn recounting_greedy(universe: &FaultUniverse, n: u32, seed: Option<u64>) -> Vec
         }
     }
     vectors
+}
+
+/// Reverse-order compaction written the slow way, as the differential
+/// oracle for [`compact`]: for each vector, last first, probe every
+/// `T(f)` for it; keep it if a target at its requirement detects it,
+/// otherwise drop it and lower the count of every target that does.
+/// Sweeps repeat until one removes nothing.
+fn probing_compaction(universe: &FaultUniverse, n: u32, vectors: &[u32]) -> Vec<u32> {
+    let targets = universe.target_sets();
+    let num_patterns = universe.space().num_patterns();
+    let members = VectorSet::from_vectors(num_patterns, vectors.iter().map(|&v| v as usize));
+    let goal: Vec<usize> = targets.iter().map(|t| t.len().min(n as usize)).collect();
+    let mut counts: Vec<usize> = targets
+        .iter()
+        .map(|t| t.intersection_count(&members))
+        .collect();
+    let mut kept = vectors.to_vec();
+    loop {
+        let before = kept.len();
+        for idx in (0..kept.len()).rev() {
+            let v = kept[idx] as usize;
+            let blocked = (0..targets.len())
+                .any(|fi| goal[fi] > 0 && counts[fi] <= goal[fi] && targets[fi].contains(v));
+            if blocked {
+                continue;
+            }
+            for (count, t_f) in counts.iter_mut().zip(targets) {
+                if t_f.contains(v) {
+                    *count -= 1;
+                }
+            }
+            kept.remove(idx);
+        }
+        if kept.len() == before {
+            break;
+        }
+    }
+    kept
 }
 
 fn corpus_dir() -> PathBuf {
@@ -214,6 +263,33 @@ proptest! {
                 n, seed, threads
             );
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn compaction_matches_the_probing_oracle(
+        // Greedy sets on netlists this small rarely hold a redundant
+        // vector; up to 12 inputs and 120 gates, about one case in six
+        // removes some.
+        netlist in arb_netlist_sized(12, 120),
+        n in 1u32..=16,
+        seed_raw in any::<u64>(),
+    ) {
+        let seed = (seed_raw % 2 == 1).then_some(seed_raw);
+        let universe = targets_universe(&netlist);
+        let options = GenOptions { n, seed, ..GenOptions::default() };
+        let raw = generate(&universe, &options);
+        let expected = probing_compaction(&universe, n, raw.vectors());
+        let mut compacted = raw.clone();
+        let removed = compact(&mut compacted, &universe);
+        prop_assert_eq!(compacted.vectors(), &expected[..], "n={} seed={:?}", n, seed);
+        prop_assert_eq!(removed + expected.len(), raw.len());
+        prop_assert!(compacted.satisfies(&universe));
+        let via_option = generate(&universe, &GenOptions { compact: true, ..options });
+        prop_assert_eq!(via_option, compacted);
     }
 }
 

@@ -294,7 +294,7 @@ pub fn render_gen(
         return Err("n must be at least 1".into());
     }
     let universe = provider.universe(netlist, knobs.universe_options())?;
-    Ok(gen_body(&universe, n, compact, seed, knobs, provider))
+    Ok(gen_body(&universe, n, compact, seed, provider))
 }
 
 /// `ndet gen --seq` / serve `gen` on a sequential circuit: broadside
@@ -319,7 +319,7 @@ pub fn render_seq_gen(
     let (expanded, universe) = seq_universe(seq, model, knobs, provider)?;
     Ok(format!(
         "{expanded}\n{}",
-        gen_body(&universe, n, compact, seed, knobs, provider)
+        gen_body(&universe, n, compact, seed, provider)
     ))
 }
 
@@ -330,14 +330,13 @@ fn gen_body(
     n: u32,
     compact: bool,
     seed: Option<u64>,
-    knobs: Knobs,
     provider: &dyn UniverseProvider,
 ) -> String {
     let options = GenOptions {
         n,
         compact,
         seed,
-        threads: knobs.threads,
+        ..GenOptions::default()
     };
     let set = provider.generated(universe, &options);
     let space = universe.space().num_patterns();
@@ -615,8 +614,7 @@ fn corpus_row(
             let options = GenOptions {
                 n,
                 compact: true,
-                seed: None,
-                threads: knobs.threads,
+                ..GenOptions::default()
             };
             Some(provider.generated(&universe, &options).len())
         };
@@ -725,8 +723,7 @@ fn seq_corpus_row(
         let options = GenOptions {
             n,
             compact: true,
-            seed: None,
-            threads: knobs.threads,
+            ..GenOptions::default()
         };
         Some(provider.generated(&universe, &options).len())
     };

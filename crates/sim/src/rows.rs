@@ -66,7 +66,7 @@ pub fn zeroed_words(len: usize) -> Vec<u64> {
 }
 
 /// Allocates a zeroed `u32` counter buffer — the sanctioned allocation
-/// point for per-vector counter rows (e.g. the generator's gain pass),
+/// point for per-vector counter rows (e.g. the generator's gain row),
 /// the data plane's other bulk buffer shape. Same rationale as
 /// [`zeroed_words`].
 #[must_use]

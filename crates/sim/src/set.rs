@@ -179,8 +179,8 @@ impl VectorSet {
 
     /// Iterates the vectors of `self` not present in `other`, ascending
     /// (the paper's `T(f) − Tk`), without allocating — the accounting
-    /// primitive of the set-cover test generator, whose gain pass walks
-    /// `T(f) \ chosen` for every still-deficient fault each round.
+    /// primitive of the set-cover test generator, which walks
+    /// `T(f) \ chosen` when target `f` reaches its goal.
     ///
     /// # Panics
     ///
