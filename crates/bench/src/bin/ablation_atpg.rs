@@ -9,7 +9,8 @@
 //! Usage: `ablation_atpg [--circuits a,b,c] [--nmax 10] [--k 100]`.
 //! An `--nmax` above a circuit's pattern count exits 1 with an error.
 
-use ndetect_bench::{build_universe_options, open_store, selected_circuits, Args};
+use ndetect_bench::tables::Context;
+use ndetect_bench::{selected_circuits, Args};
 use ndetect_core::{bridge_coverage, construct_test_set_series, Procedure1Config};
 use ndetect_gen::{generate, GenOptions};
 
@@ -26,10 +27,9 @@ fn main() {
         "circuit", "n", "|greedy|", "greedy%", "random%", "delta"
     );
     let threads = args.threads();
-    let store = open_store(&args);
+    let mut ctx = Context::new(&args);
     for name in selected_circuits(&args) {
-        let (_netlist, universe) =
-            build_universe_options(&name, args.universe_options(), store.as_ref());
+        let universe = ctx.universe(&name);
         // No fault has more tests than there are patterns; refuse a
         // larger n before Procedure 1 sizes its test sets by it.
         let patterns = universe.space().num_patterns();
@@ -45,16 +45,16 @@ fn main() {
             threads,
             ..Default::default()
         };
-        let series = construct_test_set_series(&universe, &config).expect("valid config");
+        let series = construct_test_set_series(universe, &config).expect("valid config");
         for n in [1, 2, 5, nmax] {
             if n > nmax {
                 continue;
             }
-            let greedy = generate(&universe, &GenOptions::with_n(n));
-            let gcov = bridge_coverage(&universe, greedy.as_vector_set());
+            let greedy = generate(universe, &GenOptions::with_n(n));
+            let gcov = bridge_coverage(universe, greedy.as_vector_set());
             let rcov: f64 = series.sets[(n - 1) as usize]
                 .iter()
-                .map(|s| bridge_coverage(&universe, s.as_vector_set()))
+                .map(|s| bridge_coverage(universe, s.as_vector_set()))
                 .sum::<f64>()
                 / k as f64;
             println!(

@@ -4,43 +4,16 @@
 //!
 //! Usage: `figure2 [--circuits dvram] [--floor 100]`.
 
-use ndetect_bench::{build_universe_options, open_store, Args};
-use ndetect_core::{NminDistribution, WorstCaseAnalysis};
+use ndetect_bench::tables::{self, Context};
+use ndetect_bench::Args;
 
 fn main() {
     let args = Args::parse();
     let name = args
         .circuits()
         .and_then(|c| c.first().cloned())
-        .unwrap_or_else(|| "dvram".to_string());
-    let floor: u32 = args.get_or("floor", 100);
-
-    let threads = args.threads();
-    let store = open_store(&args);
-    let (_netlist, universe) =
-        build_universe_options(&name, args.universe_options(), store.as_ref());
-    let wc = WorstCaseAnalysis::compute_stored(&universe, threads, store.as_ref());
-    let dist = NminDistribution::collect(&wc, floor);
-
-    println!("Figure 2: distribution of nmin(gj) for {name} (nmin >= {floor})");
-    println!();
-    if dist.is_empty() && dist.num_unbounded() == 0 {
-        let fallback = NminDistribution::collect(&wc, 11);
-        println!("(no faults with nmin >= {floor}; showing the nmin >= 11 tail instead)");
-        println!();
-        print!("{}", fallback.render_ascii(30));
-        println!(
-            "\ntail faults (nmin >= 11): {}; max finite nmin = {:?}",
-            wc.tail_count(11),
-            wc.max_finite()
-        );
-    } else {
-        print!("{}", dist.render_ascii(30));
-        println!(
-            "\nfaults plotted: {} (+ {} never guaranteed); max finite nmin = {:?}",
-            dist.total(),
-            dist.num_unbounded(),
-            wc.max_finite()
-        );
-    }
+        .unwrap_or_else(|| tables::FIGURE2_CIRCUIT.to_string());
+    let floor: u32 = args.get_or("floor", tables::FIGURE2_FLOOR);
+    let mut ctx = Context::new(&args);
+    print!("{}", tables::figure2(&mut ctx, &name, floor));
 }

@@ -5,59 +5,13 @@
 //! This table is reproduced **exactly** (same fault indices, same
 //! detection sets, same nmin values) — it is the ground truth that pins
 //! down the fault semantics of the whole reproduction.
-
 //!
 //! Usage: `table1 [--threads N] [--cache-dir DIR]`.
 
-use ndetect_bench::{open_store, Args};
-use ndetect_circuits::figure1;
-use ndetect_core::report;
-use ndetect_core::WorstCaseAnalysis;
-use ndetect_faults::FaultUniverse;
+use ndetect_bench::tables::{self, Context};
+use ndetect_bench::Args;
 
 fn main() {
     let args = Args::parse();
-    let store = open_store(&args);
-    let netlist = figure1::netlist();
-    let universe = FaultUniverse::build_stored(&netlist, args.universe_options(), store.as_ref())
-        .expect("figure1 fits exhaustive simulation");
-
-    let g0 = universe
-        .find_bridge("9", false, "10", true)
-        .expect("g0 is detectable");
-    let t_g0 = universe.bridge_set(g0).to_vec();
-
-    println!("Table 1: faults with test vectors that overlap with T(g0) = {t_g0:?}");
-    println!("(paper line labels; g0 = (9,0,10,1))");
-    println!();
-    println!("{:>3}  {:<6} {:<42} nmin(g0,f_i)", "i", "f_i", "T(f_i)");
-    for row in report::table1(&universe, g0) {
-        // Render with the paper's numeric line labels instead of our
-        // branch names.
-        let fault = universe.targets()[row.index];
-        let label = format!(
-            "{}/{}",
-            figure1::paper_line_label(fault.line),
-            u8::from(fault.value)
-        );
-        let ts = row
-            .t_set
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(" ");
-        println!("{:>3}  {:<6} {:<42} {}", row.index, label, ts, row.nmin);
-    }
-
-    let wc = WorstCaseAnalysis::compute_stored(&universe, args.threads(), store.as_ref());
-    println!();
-    println!("nmin(g0) = {}", wc.nmin(g0).expect("g0 has a bound"));
-    let g6 = universe
-        .find_bridge("11", false, "9", true)
-        .expect("g6 is detectable");
-    println!(
-        "g6 = (11,0,9,1): T(g6) = {:?}, nmin(g6) = {}",
-        universe.bridge_set(g6).to_vec(),
-        wc.nmin(g6).expect("g6 has a bound")
-    );
+    print!("{}", tables::table1(&mut Context::new(&args)));
 }

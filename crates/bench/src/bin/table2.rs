@@ -5,23 +5,11 @@
 //! Usage: `table2 [--circuits a,b,c]` (default: the full 35-circuit
 //! suite in paper order).
 
-use ndetect_bench::{build_universe_options, open_store, selected_circuits, Args};
-use ndetect_core::report::{render_table2, table2_row, Table2Row};
-use ndetect_core::WorstCaseAnalysis;
+use ndetect_bench::tables::{self, Context};
+use ndetect_bench::{selected_circuits, Args};
 
 fn main() {
     let args = Args::parse();
-    let mut rows: Vec<Table2Row> = Vec::new();
-    let threads = args.threads();
-    let store = open_store(&args);
-    for name in selected_circuits(&args) {
-        let (_netlist, universe) =
-            build_universe_options(&name, args.universe_options(), store.as_ref());
-        let wc = WorstCaseAnalysis::compute_stored(&universe, threads, store.as_ref());
-        rows.push(table2_row(&name, &wc));
-    }
-    println!("Table 2: worst-case percentages of detected faults (small n)");
-    println!("(percent of G with nmin(gj) <= n; blank after a column reaches 100%)");
-    println!();
-    print!("{}", render_table2(&rows));
+    let circuits = selected_circuits(&args);
+    print!("{}", tables::table2(&mut Context::new(&args), &circuits));
 }

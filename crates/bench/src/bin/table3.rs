@@ -5,26 +5,11 @@
 //!
 //! Usage: `table3 [--circuits a,b,c]`.
 
-use ndetect_bench::{build_universe_options, open_store, selected_circuits, Args};
-use ndetect_core::report::{render_table3, table3_row, Table3Row};
-use ndetect_core::WorstCaseAnalysis;
+use ndetect_bench::tables::{self, Context};
+use ndetect_bench::{selected_circuits, Args};
 
 fn main() {
     let args = Args::parse();
-    let mut rows: Vec<Table3Row> = Vec::new();
-    let threads = args.threads();
-    let store = open_store(&args);
-    for name in selected_circuits(&args) {
-        let (_netlist, universe) =
-            build_universe_options(&name, args.universe_options(), store.as_ref());
-        let wc = WorstCaseAnalysis::compute_stored(&universe, threads, store.as_ref());
-        if wc.tail_count(11) == 0 {
-            continue; // the paper lists only circuits with such faults
-        }
-        rows.push(table3_row(&name, &wc));
-    }
-    println!("Table 3: worst-case numbers of detected faults (large n)");
-    println!("(count (percent) of G with nmin(gj) >= n; includes faults never guaranteed)");
-    println!();
-    print!("{}", render_table3(&rows));
+    let circuits = selected_circuits(&args);
+    print!("{}", tables::table3(&mut Context::new(&args), &circuits));
 }

@@ -9,65 +9,12 @@
 //!
 //! Usage: `table4 [--k 10] [--seed 1] [--cache-dir DIR]`.
 
-use ndetect_bench::{open_store, Args};
-use ndetect_circuits::figure1;
-use ndetect_core::{construct_test_set_series, Procedure1Config};
-use ndetect_faults::FaultUniverse;
+use ndetect_bench::tables::{self, Context};
+use ndetect_bench::Args;
 
 fn main() {
     let args = Args::parse();
-    let k: usize = args.get_or("k", 10);
-    let seed: u64 = args.get_or("seed", 1);
-    let store = open_store(&args);
-
-    let netlist = figure1::netlist();
-    let universe = FaultUniverse::build_stored(&netlist, args.universe_options(), store.as_ref())
-        .expect("figure1 fits exhaustive simulation");
-    let config = Procedure1Config {
-        nmax: 2,
-        num_test_sets: k,
-        seed,
-        ..Default::default()
-    };
-    let series = construct_test_set_series(&universe, &config).expect("valid config");
-
-    println!("Table 4: test sets for example circuit (K = {k}, Procedure 1, Definition 1)");
-    println!();
-    println!("{:>2}  {:<28} n=2", "k", "n=1");
-    for ki in 0..k {
-        let t1: Vec<u32> = {
-            let mut v = series.sets[0][ki].vectors().to_vec();
-            v.sort_unstable();
-            v
-        };
-        let t2: Vec<u32> = {
-            let mut v = series.sets[1][ki].vectors().to_vec();
-            v.sort_unstable();
-            v
-        };
-        let fmt = |v: &[u32]| {
-            v.iter()
-                .map(ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
-        println!("{ki:>2}  {:<28} {}", fmt(&t1), fmt(&t2));
-    }
-
-    // The paper then computes d(n, g6) and p(n, g6) over these sets.
-    let g6 = universe
-        .find_bridge("11", false, "9", true)
-        .expect("g6 detectable");
-    let t_g6 = universe.bridge_set(g6);
-    for n in 1..=2u32 {
-        let d = series.sets[(n - 1) as usize]
-            .iter()
-            .filter(|s| s.detects(t_g6))
-            .count();
-        println!(
-            "\nd({n},g6) = {d}, p({n},g6) = {:.1}   (g6 = (11,0,9,1), T(g6) = {:?})",
-            d as f64 / k as f64,
-            t_g6.to_vec()
-        );
-    }
+    let k: usize = args.get_or("k", tables::TABLE4_K);
+    let seed: u64 = args.get_or("seed", tables::TABLE4_SEED);
+    print!("{}", tables::table4(&mut Context::new(&args), k, seed));
 }

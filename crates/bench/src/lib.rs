@@ -1,19 +1,18 @@
-//! Shared helpers for the benchmark harness binaries.
+//! The benchmark harness binaries and what they share.
 //!
-//! Every table and figure of the paper has a dedicated binary in
-//! `src/bin/` (`table1` … `table6`, `figure2`, `all_tables`), plus
-//! calibration (`suite_stats`) and ablation (`ablation_atpg`,
-//! `ablation_collapse`) tools. This library holds the tiny bits they
-//! share: argument parsing (including the common `--threads` and
-//! `--cache-dir` flags), timed universe construction, and an in-process
-//! per-(circuit, options) universe cache with an optional
-//! content-addressed on-disk fallthrough (`ndetect-store`).
+//! Every table and figure of the paper has a binary in `src/bin/`
+//! (`table1` … `table6`, `figure2`), and `all_tables` prints them all;
+//! each output has one implementation, in [`tables`]. Beside them sit
+//! calibration (`suite_stats`) and ablation (`ablation_*`) tools. This
+//! library holds argument parsing (including the common `--threads` and
+//! `--cache-dir` flags), the content-addressed on-disk store
+//! (`ndetect-store`) those flags open, and the [`tables`] module with
+//! its per-run [`tables::Context`].
 
-use ndetect_faults::{FaultUniverse, UniverseOptions};
-use ndetect_netlist::Netlist;
+pub mod tables;
+
+use ndetect_faults::UniverseOptions;
 use ndetect_store::Store;
-use std::collections::HashMap;
-use std::time::Instant;
 
 /// A parsed `--key value` command line.
 #[derive(Debug, Default)]
@@ -139,149 +138,6 @@ pub fn open_store(args: &Args) -> Option<Store> {
     })
 }
 
-/// Builds a suite circuit and its fault universe with the auto thread
-/// count, printing timing to stderr.
-///
-/// # Panics
-///
-/// Panics if the circuit name is unknown or the universe cannot be
-/// built (suite circuits always can).
-#[must_use]
-pub fn build_universe(name: &str) -> (Netlist, FaultUniverse) {
-    build_universe_with(name, 0)
-}
-
-/// Builds a suite circuit and its fault universe with up to `threads`
-/// workers (`0` = auto), printing timing to stderr.
-///
-/// # Panics
-///
-/// Panics if the circuit name is unknown or the universe cannot be
-/// built (suite circuits always can).
-#[must_use]
-pub fn build_universe_with(name: &str, threads: usize) -> (Netlist, FaultUniverse) {
-    build_universe_stored(name, threads, None)
-}
-
-/// Builds a suite circuit and its fault universe with up to `threads`
-/// workers (`0` = auto), consulting the on-disk artifact store first
-/// when one is given; prints timing to stderr.
-///
-/// # Panics
-///
-/// Panics if the circuit name is unknown or the universe cannot be
-/// built (suite circuits always can).
-#[must_use]
-pub fn build_universe_stored(
-    name: &str,
-    threads: usize,
-    store: Option<&Store>,
-) -> (Netlist, FaultUniverse) {
-    build_universe_options(name, UniverseOptions::with_threads(threads), store)
-}
-
-/// The fully general timed build: a suite circuit's universe under
-/// explicit options, consulting the store first when one is given.
-///
-/// # Panics
-///
-/// Panics if the circuit name is unknown or the universe cannot be
-/// built (suite circuits always can).
-#[must_use]
-pub fn build_universe_options(
-    name: &str,
-    options: UniverseOptions,
-    store: Option<&Store>,
-) -> (Netlist, FaultUniverse) {
-    let t0 = Instant::now();
-    let netlist = ndetect_circuits::build(name)
-        .unwrap_or_else(|e| panic!("cannot build circuit `{name}`: {e}"));
-    let universe = FaultUniverse::build_stored(&netlist, options, store)
-        .unwrap_or_else(|e| panic!("cannot build universe for `{name}`: {e}"));
-
-    eprintln!("# {name}: {} ({:.1?})", universe, t0.elapsed());
-    (netlist, universe)
-}
-
-/// An in-process cache of fault universes, keyed by **(circuit name,
-/// universe options)**, so a binary that regenerates several tables
-/// builds each distinct universe **once** and reuses it for every table
-/// — and differing bridging/collapse/thread options can never alias to
-/// the same cached universe. With [`UniverseCache::get_stored`] the
-/// in-process cache additionally falls through to the content-addressed
-/// on-disk store, making repeated invocations incremental across
-/// processes.
-#[derive(Default)]
-pub struct UniverseCache {
-    threads: usize,
-    entries: HashMap<(String, UniverseOptions), (Netlist, FaultUniverse)>,
-}
-
-impl UniverseCache {
-    /// Creates an empty cache whose universes are built with up to
-    /// `threads` workers (`0` = auto).
-    #[must_use]
-    pub fn new(threads: usize) -> Self {
-        UniverseCache {
-            threads,
-            entries: HashMap::new(),
-        }
-    }
-
-    /// The universe (and netlist) for `name` under the default options,
-    /// building it on first use and reusing it afterwards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit name is unknown or the universe cannot be
-    /// built (suite circuits always can).
-    pub fn get(&mut self, name: &str) -> &(Netlist, FaultUniverse) {
-        self.get_stored(name, None)
-    }
-
-    /// Like [`UniverseCache::get`], but a miss in the in-process map
-    /// falls through to the on-disk store before building from scratch
-    /// (and populates the store after a build).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit name is unknown or the universe cannot be
-    /// built (suite circuits always can).
-    pub fn get_stored(&mut self, name: &str, store: Option<&Store>) -> &(Netlist, FaultUniverse) {
-        self.get_with(name, UniverseOptions::with_threads(self.threads), store)
-    }
-
-    /// The fully general lookup: the universe for `name` built with
-    /// explicit `options`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit name is unknown or the universe cannot be
-    /// built (suite circuits always can).
-    pub fn get_with(
-        &mut self,
-        name: &str,
-        options: UniverseOptions,
-        store: Option<&Store>,
-    ) -> &(Netlist, FaultUniverse) {
-        // Key on the semantic options only: the thread count is a
-        // performance knob with bit-identical results, so it must not
-        // split the cache (matching the on-disk key derivation).
-        let key = (
-            name.to_string(),
-            UniverseOptions {
-                threads: 0,
-                ..options
-            },
-        );
-        if !self.entries.contains_key(&key) {
-            let built = build_universe_options(name, options, store);
-            self.entries.insert(key.clone(), built);
-        }
-        &self.entries[&key]
-    }
-}
-
 /// The circuits to process: the `--circuits` selection or the full
 /// suite, in table order.
 #[must_use]
@@ -326,22 +182,5 @@ mod tests {
     fn cache_dir_flag_wins_over_nothing() {
         let args = Args::from_vec(vec!["--cache-dir".into(), "/tmp/ndet-cache".into()]);
         assert_eq!(args.cache_dir().as_deref(), Some("/tmp/ndet-cache"));
-    }
-
-    #[test]
-    fn universe_cache_distinguishes_options() {
-        let mut cache = UniverseCache::new(1);
-        let defaults = UniverseOptions::with_threads(1);
-        let no_bridges = UniverseOptions {
-            include_bridges: false,
-            ..defaults
-        };
-        let (_, with_bridges) = cache.get_with("figure1", defaults, None);
-        assert!(!with_bridges.bridges().is_empty());
-        let (_, without) = cache.get_with("figure1", no_bridges, None);
-        assert!(without.bridges().is_empty());
-        // The first entry was not clobbered by the second.
-        let (_, again) = cache.get_with("figure1", defaults, None);
-        assert!(!again.bridges().is_empty());
     }
 }

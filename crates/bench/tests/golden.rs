@@ -1,6 +1,7 @@
 //! Byte-exact golden outputs of the `table*` binaries and digests of
 //! Procedure 1's full `d(n,g)` matrices, checked against the files in
-//! `tests/golden/` at the repository root.
+//! `tests/golden/` at the repository root, and `all_tables` checked
+//! against the single binaries it joins.
 //!
 //! Tables 1 and 4 reproduce exact numbers from the paper's running
 //! example: Table 1 lists every detection set `T(f)` and `nmin(g)` of
@@ -106,6 +107,40 @@ fn table6_matches_its_golden() {
             env!("CARGO_BIN_EXE_table6"),
             &["--circuits", "opus,cse", "--k", "4"],
         ),
+    );
+}
+
+/// `all_tables` prints each single binary's stdout, at that binary's
+/// defaults, in paper order with one blank line between sections;
+/// Figure 2 appears because `dvram` is selected.
+#[test]
+fn all_tables_joins_the_single_binaries() {
+    let sel = "opus,cse,dvram";
+    let runs: [(&str, &[&str]); 7] = [
+        (env!("CARGO_BIN_EXE_table1"), &[]),
+        (env!("CARGO_BIN_EXE_table2"), &["--circuits", sel]),
+        (env!("CARGO_BIN_EXE_table3"), &["--circuits", sel]),
+        (env!("CARGO_BIN_EXE_figure2"), &["--circuits", "dvram"]),
+        (env!("CARGO_BIN_EXE_table4"), &[]),
+        (
+            env!("CARGO_BIN_EXE_table5"),
+            &["--circuits", sel, "--k", "10"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_table6"),
+            &["--circuits", sel, "--k", "4"],
+        ),
+    ];
+    let joined = runs
+        .map(|(bin, args)| stdout_of(bin, args))
+        .join(&b"\n"[..]);
+    let all_args = ["--circuits", sel, "--k5", "10", "--k6", "4"];
+    let all = stdout_of(env!("CARGO_BIN_EXE_all_tables"), &all_args);
+    assert!(
+        all == joined,
+        "all_tables differs from the joined binaries\n--- joined\n{}\n--- all_tables\n{}",
+        String::from_utf8_lossy(&joined),
+        String::from_utf8_lossy(&all)
     );
 }
 

@@ -224,8 +224,8 @@ pub fn estimate_detection_probabilities(
                 // `first[(n - 1) * num_classes + c]`: the sets whose
                 // iteration `n` first detects class `c`.
                 let mut first = vec![0u32; nmax * num_classes];
-                let mut detected = vec![0u64; classes.words];
-                let mut seen = vec![0u64; classes.words];
+                let mut detected = vec![0u64; classes.rows.width()];
+                let mut seen = vec![0u64; classes.rows.width()];
                 for k in (w..config.num_test_sets).step_by(num_threads) {
                     detected.fill(0);
                     seen.fill(0);
@@ -679,11 +679,8 @@ struct TrackedClasses {
     class_of: Vec<u32>,
     /// Number of distinct classes.
     len: usize,
-    /// Row `t`, the classes `t` detects, is `rows[t * words..(t + 1) *
-    /// words]`.
-    rows: Vec<u64>,
-    /// Words per row: `⌈len / 64⌉`.
-    words: usize,
+    /// Row `t`: the classes `t` detects, `⌈len / 64⌉` words.
+    rows: RowMatrix,
 }
 
 impl TrackedClasses {
@@ -701,18 +698,10 @@ impl TrackedClasses {
             }
             class_of.push(*c);
         }
-        let words = sets.len().div_ceil(64);
-        let mut rows = vec![0; universe.space().num_patterns() * words];
-        for (c, set) in sets.iter().enumerate() {
-            for v in set.iter() {
-                rows[v * words + c / 64] |= 1 << (c % 64);
-            }
-        }
         TrackedClasses {
             class_of,
             len: sets.len(),
-            rows,
-            words,
+            rows: rows::transpose_sets(&sets, universe.space().num_patterns()),
         }
     }
 
@@ -721,8 +710,7 @@ impl TrackedClasses {
     /// adds one to `tallies[c]` for each class `c` they detect first.
     fn tally(&self, tests: &[u32], detected: &mut [u64], seen: &mut [u64], tallies: &mut [u32]) {
         for &t in tests {
-            let t = t as usize;
-            rows::or_into(detected, &self.rows[t * self.words..(t + 1) * self.words]);
+            rows::or_into(detected, self.rows.row(t as usize));
         }
         for (w, (s, &d)) in seen.iter_mut().zip(detected.iter()).enumerate() {
             let mut new = d & !*s;

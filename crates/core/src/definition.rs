@@ -167,7 +167,11 @@ mod tests {
         // faulty 1) => NOT sufficiently different.
         let n = and2();
         let u = FaultUniverse::build(&n).unwrap();
-        let f_idx = u.find_target("g", true).unwrap();
+        let f_idx = u
+            .targets()
+            .iter()
+            .position(|f| f.value && n.lines().line(f.line).name() == "g")
+            .unwrap();
         let fault = u.targets()[f_idx];
         let mut checks = Def2Checks::new(&u);
         assert_eq!(pass_mask(&mut checks, fault, &[0], &[1, 2]), [false, false]);

@@ -48,7 +48,6 @@ mod distribution;
 mod error;
 pub mod partition;
 pub mod report;
-mod summary;
 mod test_set;
 mod worst_case;
 
@@ -60,6 +59,5 @@ pub use average_case::{
 pub use definition::DetectionDefinition;
 pub use distribution::NminDistribution;
 pub use error::CoreError;
-pub use summary::{AnalysisConfig, CircuitAnalysis};
 pub use test_set::{bridge_coverage, bridges_detected, TestSet};
 pub use worst_case::{nmin_pair, overlapping_targets, WorstCaseAnalysis, KIND_WORST_CASE};

@@ -3,7 +3,8 @@
 //! Each function mirrors one table of the paper and produces the same
 //! rows/columns (with the paper's blank-suppression conventions), so the
 //! benchmark binaries can print output directly comparable to the
-//! published tables.
+//! published tables. Table 1 has rows only: `ndetect-bench` renders
+//! them with the paper's line labels of the Figure-1 circuit.
 
 use crate::average_case::DetectionProbabilities;
 use crate::worst_case::{overlapping_targets, WorstCaseAnalysis};
@@ -129,8 +130,6 @@ pub fn render_table3(rows: &[Table3Row]) -> String {
 pub struct Table1Row {
     /// The paper's fault index `i` (position in the collapsed list).
     pub index: usize,
-    /// The fault in `line/value` notation.
-    pub fault: String,
     /// `T(f_i)` as vector indices.
     pub t_set: Vec<usize>,
     /// `nmin(g, f_i)`.
@@ -145,36 +144,10 @@ pub fn table1(universe: &FaultUniverse, bridge: usize) -> Vec<Table1Row> {
         .into_iter()
         .map(|(fi, nmin)| Table1Row {
             index: fi,
-            fault: universe.targets()[fi].name(universe.netlist()),
             t_set: universe.target_set(fi).to_vec(),
             nmin,
         })
         .collect()
-}
-
-/// Renders Table 1 rows as aligned text.
-#[must_use]
-pub fn render_table1(rows: &[Table1Row], g_name: &str, t_g: &[usize]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "faults with test vectors that overlap with T({g_name}) = {t_g:?}"
-    );
-    let _ = writeln!(out, "{:>3}  {:<8} {:<42} nmin(g,f_i)", "i", "f_i", "T(f_i)");
-    for row in rows {
-        let ts = row
-            .t_set
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(" ");
-        let _ = writeln!(
-            out,
-            "{:>3}  {:<8} {:<42} {}",
-            row.index, row.fault, ts, row.nmin
-        );
-    }
-    out
 }
 
 /// One row of Table 5 (or half of a Table 6 row): the histogram of
@@ -324,18 +297,10 @@ mod tests {
         let (u, _) = setup();
         let g0 = u.find_bridge("9", false, "10", true).unwrap();
         let rows = table1(&u, g0);
-        let summary: Vec<(usize, &str, u32)> = rows
-            .iter()
-            .map(|r| (r.index, r.fault.as_str(), r.nmin))
-            .collect();
-        // Fault names use our line naming; indices and nmin match the paper.
-        let indices: Vec<usize> = summary.iter().map(|s| s.0).collect();
+        let indices: Vec<usize> = rows.iter().map(|r| r.index).collect();
         assert_eq!(indices, vec![0, 1, 3, 9, 11, 12, 14]);
-        let nmins: Vec<u32> = summary.iter().map(|s| s.2).collect();
+        let nmins: Vec<u32> = rows.iter().map(|r| r.nmin).collect();
         assert_eq!(nmins, vec![3, 5, 5, 4, 11, 3, 11]);
-        let text = render_table1(&rows, "(9,0,10,1)", &u.bridge_set(g0).to_vec());
-        assert!(text.contains("nmin"));
-        assert!(text.contains("11"));
     }
 
     #[test]
@@ -392,82 +357,5 @@ mod tests {
         let row6 = table6_row("figure1", &p1, &p2);
         let text = render_table6(&[row6]);
         assert!(text.lines().count() >= 3);
-    }
-}
-
-/// Renders Table 2 rows as CSV (`circuit,faults,cov1,...,cov10`; blank
-/// cells stay empty).
-#[must_use]
-pub fn table2_csv(rows: &[Table2Row]) -> String {
-    let mut out = String::from("circuit,faults,n<=1,n<=2,n<=3,n<=4,n<=5,n<=10\n");
-    for row in rows {
-        let _ = write!(out, "{},{}", row.circuit, row.num_faults);
-        for cell in &row.coverage {
-            match cell {
-                Some(pct) => {
-                    let _ = write!(out, ",{pct:.2}");
-                }
-                None => out.push(','),
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Renders Table 3 rows as CSV.
-#[must_use]
-pub fn table3_csv(rows: &[Table3Row]) -> String {
-    let mut out = String::from("circuit,faults,nmin>=100,nmin>=20,nmin>=11\n");
-    for row in rows {
-        let _ = write!(out, "{},{}", row.circuit, row.num_faults);
-        for &count in &row.tail {
-            let _ = write!(out, ",{count}");
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Renders Table 5 rows as CSV.
-#[must_use]
-pub fn table5_csv(rows: &[Table5Row]) -> String {
-    let mut out = String::from(
-        "circuit,faults,p>=1.0,p>=0.9,p>=0.8,p>=0.7,p>=0.6,p>=0.5,p>=0.4,p>=0.3,p>=0.2,p>=0.1,p>=0.0\n",
-    );
-    for row in rows {
-        let _ = write!(out, "{},{}", row.circuit, row.num_faults);
-        for cell in &row.counts {
-            match cell {
-                Some(c) => {
-                    let _ = write!(out, ",{c}");
-                }
-                None => out.push(','),
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
-#[cfg(test)]
-mod csv_tests {
-    use super::*;
-    use crate::worst_case::WorstCaseAnalysis;
-    use ndetect_circuits::figure1;
-
-    #[test]
-    fn csv_outputs_are_well_formed() {
-        let u = FaultUniverse::build(&figure1::netlist()).unwrap();
-        let wc = WorstCaseAnalysis::compute(&u);
-        let t2 = table2_csv(&[table2_row("figure1", &wc)]);
-        let mut lines = t2.lines();
-        let header_fields = lines.next().unwrap().split(',').count();
-        for line in lines {
-            assert_eq!(line.split(',').count(), header_fields, "{line}");
-        }
-        let t3 = table3_csv(&[table3_row("figure1", &wc)]);
-        assert!(t3.starts_with("circuit,faults"));
-        assert_eq!(t3.lines().count(), 2);
     }
 }

@@ -33,6 +33,11 @@ fn definition2_falls_back_to_definition1() {
         ..Default::default()
     };
     let series = construct_test_set_series(&u, &config).unwrap();
+    let g1 = u
+        .targets()
+        .iter()
+        .position(|f| f.value && n.lines().line(f.line).name() == "g")
+        .unwrap();
     for k in 0..16 {
         // The n = 3 stage: the Definition-1 requirement is still met
         // thanks to the fallback — every fault detected min(n, N(f))
@@ -42,7 +47,6 @@ fn definition2_falls_back_to_definition1() {
             assert!(set.detection_count(t_f) >= 3.min(t_f.len()), "set {k}");
         }
         // g/1 has only 3 tests; all of them must be present at n = 3.
-        let g1 = u.find_target("g", true).unwrap();
         assert_eq!(set.detection_count(u.target_set(g1)), 3);
     }
 }

@@ -100,9 +100,17 @@ impl Encode for StuckAtFault {
     }
 }
 
+/// A stored line id. An index past `u32` fits no netlist: it is a decode
+/// error, and so a miss, where `LineId::new` would panic.
+fn decode_line(d: &mut Decoder<'_>) -> Result<LineId, CodecError> {
+    let index = u32::try_from(d.get_u64()?)
+        .map_err(|_| CodecError::new("line index does not fit in u32"))?;
+    Ok(LineId::new(index as usize))
+}
+
 impl Decode for StuckAtFault {
     fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let line = LineId::new(d.get_usize()?);
+        let line = decode_line(d)?;
         let value = d.get_bool()?;
         Ok(StuckAtFault::new(line, value))
     }
@@ -119,9 +127,9 @@ impl Encode for BridgingFault {
 
 impl Decode for BridgingFault {
     fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
-        let victim = LineId::new(d.get_usize()?);
+        let victim = decode_line(d)?;
         let victim_value = d.get_bool()?;
-        let aggressor = LineId::new(d.get_usize()?);
+        let aggressor = decode_line(d)?;
         let aggressor_value = d.get_bool()?;
         Ok(BridgingFault::new(
             victim,
@@ -357,6 +365,19 @@ mod tests {
         assert_eq!(back, UniverseOptions { threads: 0, ..o });
     }
 
+    #[test]
+    fn fault_codecs_reject_line_indices_past_u32() {
+        let last = u64::from(u32::MAX).to_le_bytes();
+        let past = (1u64 << 32).to_le_bytes();
+        let stuck = |line: &[u8]| decode_from_slice::<StuckAtFault>(&[line, &[1]].concat());
+        assert!(stuck(&last).is_ok() && stuck(&past).is_err());
+        let bridge = |victim: &[u8], aggressor: &[u8]| {
+            decode_from_slice::<BridgingFault>(&[victim, &[0], aggressor, &[1]].concat())
+        };
+        assert!(bridge(&last, &last).is_ok());
+        assert!(bridge(&past, &last).is_err() && bridge(&last, &past).is_err());
+    }
+
     fn encode_artifact(a: &UniverseArtifact) -> Vec<u8> {
         encode_to_vec(&UniverseArtifactRef {
             num_inputs: a.num_inputs,
@@ -422,6 +443,35 @@ mod tests {
                 "{label}"
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_line_index_past_u32_is_a_miss_and_rebuilt() {
+        let n = figure1();
+        let options = UniverseOptions::default();
+        let fresh = FaultUniverse::build_with(&n, options).unwrap();
+        let expected = encode_to_vec(&fresh.artifact_ref());
+        // The first target's line follows the three shape fields, the
+        // options and the target count.
+        let at = 3 * 8 + encode_to_vec(&options).len() + 8;
+        let first = fresh.targets()[0].line.index() as u64;
+        assert_eq!(expected[at..at + 8], first.to_le_bytes());
+        let mut bytes = expected.clone();
+        bytes[at..at + 8].copy_from_slice(&(1u64 << 32).to_le_bytes());
+        assert!(decode_from_slice::<UniverseArtifact>(&bytes).is_err());
+
+        let dir = std::env::temp_dir().join(format!(
+            "ndetect-faults-artifact-line-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Store::open(&dir).unwrap();
+        let key = universe_key(&n, options);
+        store.save_best_effort(key, KIND_UNIVERSE, &bytes);
+        assert!(store.load(key, KIND_UNIVERSE).is_some());
+        let rebuilt = FaultUniverse::build_stored(&n, options, Some(&store)).unwrap();
+        assert!(encode_to_vec(&rebuilt.artifact_ref()) == expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -7,7 +7,7 @@
 use crate::sim::FaultSimulator;
 use crate::stuck_at::StuckAtFault;
 use ndetect_netlist::{GateKind, LineKind, Netlist, NodeId, Sink};
-use ndetect_sim::rows::zeroed_words;
+use ndetect_sim::rows::{transpose64, zeroed_words};
 
 /// The two rails of one node: (definitely 1, definitely 0), one bit per
 /// lane.
@@ -68,25 +68,6 @@ fn eval_gate(kind: GateKind, fanins: &[NodeId], op: impl Fn(usize, NodeId) -> Ra
         GateKind::Const0 => constant(false),
         GateKind::Const1 => constant(true),
         GateKind::Input => unreachable!("inputs take their rails from the batch"),
-    }
-}
-
-/// Transposes a 64×64 bit matrix in place: bit `c` of `rows[r]` moves to
-/// bit `r` of `rows[c]`. Each pass swaps the off-diagonal `j × j`
-/// blocks of every aligned `2j × 2j` tile, for `j` = 32, 16, …, 1.
-fn transpose64(rows: &mut [u64; 64]) {
-    let mut j = 32;
-    let mut m: u64 = 0x0000_0000_FFFF_FFFF;
-    while j != 0 {
-        let mut k = 0;
-        while k < 64 {
-            let t = ((rows[k] >> j) ^ rows[k + j]) & m;
-            rows[k] ^= t << j;
-            rows[k + j] ^= t;
-            k = (k + j + 1) & !j;
-        }
-        j >>= 1;
-        m ^= m << j;
     }
 }
 
@@ -466,25 +447,6 @@ mod tests {
         let g = b.and("g", &[a, c]).unwrap();
         b.output(g);
         b.build().unwrap()
-    }
-
-    #[test]
-    fn transpose64_moves_bit_c_of_row_r_to_bit_r_of_row_c() {
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let mut rows = [0u64; 64];
-        for row in &mut rows {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            *row = x;
-        }
-        let before = rows;
-        transpose64(&mut rows);
-        for (r, &row) in before.iter().enumerate() {
-            for (c, &col) in rows.iter().enumerate() {
-                assert_eq!(row >> c & 1, col >> r & 1, "row {r} column {c}");
-            }
-        }
     }
 
     #[test]

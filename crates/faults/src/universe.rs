@@ -15,7 +15,7 @@ use crate::sim::{intersect_activation, FaultSimulator};
 use crate::stuck_at::{all_stuck_at_faults, StuckAtFault};
 use ndetect_netlist::{LineId, Netlist, NodeId};
 use ndetect_obs::trace;
-use ndetect_sim::rows::{zeroed_counts, zeroed_words, RowMatrix};
+use ndetect_sim::rows::{transpose_sets, zeroed_counts, zeroed_words, RowMatrix};
 use ndetect_sim::{parallel, PatternSpace, VectorSet};
 use ndetect_store::{decode_from_slice, encode_to_vec, ArtifactKey, Store};
 use std::collections::HashMap;
@@ -347,13 +347,6 @@ impl FaultUniverse {
             .unwrap_or_else(|| universe_key(&self.netlist, self.options))
     }
 
-    /// `true` when this universe was built over an explicitly chosen
-    /// fault population ([`Self::build_explicit`]).
-    #[must_use]
-    pub fn is_explicit(&self) -> bool {
-        self.explicit_key.is_some()
-    }
-
     /// Borrowed serialization view — the save path encodes directly
     /// from the universe's own buffers, no clones.
     pub(crate) fn artifact_ref(&self) -> UniverseArtifactRef<'_> {
@@ -466,8 +459,14 @@ impl FaultUniverse {
     /// type's `# Memory` section for its size.
     #[must_use]
     pub fn target_index(&self) -> &RowMatrix {
-        self.target_index
-            .get_or_init(|| transpose_targets(&self.target_sets, self.space().num_patterns()))
+        self.target_index.get_or_init(|| {
+            let mut span = trace::span("universe.target_index");
+            let index = transpose_sets(&self.target_sets, self.space().num_patterns());
+            span.field("vectors", index.num_rows());
+            span.field("words", index.width());
+            span.field("bytes", 8 * index.words().len());
+            index
+        })
     }
 
     /// Number of target faults with a non-empty detection set — the
@@ -528,15 +527,6 @@ impl FaultUniverse {
     #[must_use]
     pub fn num_undetectable_bridges(&self) -> usize {
         self.num_undetectable_bridges
-    }
-
-    /// Finds a target fault index by the paper's `line/value` notation
-    /// (using netlist line names).
-    #[must_use]
-    pub fn find_target(&self, line_name: &str, value: bool) -> Option<usize> {
-        self.targets
-            .iter()
-            .position(|f| f.value == value && self.netlist.lines().line(f.line).name() == line_name)
     }
 
     /// Finds a bridging fault index by the paper's `(l1,a1,l2,a2)`
@@ -844,66 +834,6 @@ fn word_hash(words: &[u64]) -> u64 {
         .fold(words.len() as u64, |h, &w| mix(h, w))
 }
 
-/// The vector→target index of [`FaultUniverse::target_index`]: a
-/// `num_patterns × ⌈|F| / 64⌉` word matrix with bit `f` of row `v` set
-/// when `v ∈ T(f)`. Each group of 64 targets and block of 64 vectors is
-/// one 64×64 bit-matrix transpose: word `b` of each target's set in,
-/// word `w` of each vector's row out.
-fn transpose_targets(sets: &[VectorSet], num_patterns: usize) -> RowMatrix {
-    let width = sets.len().div_ceil(64);
-    let mut span = trace::span("universe.target_index");
-    span.field("vectors", num_patterns);
-    span.field("words", width);
-    span.field("bytes", 8 * num_patterns * width);
-    let mut index = RowMatrix::zeroed(num_patterns, width);
-    let rows = index.words_mut();
-    let mut tile = [0u64; 64];
-    for (w, group) in sets.chunks(64).enumerate() {
-        for b in 0..num_patterns.div_ceil(64) {
-            tile.fill(0);
-            for (word, set) in tile.iter_mut().zip(group) {
-                *word = set.words()[b];
-            }
-            if tile.iter().all(|&word| word == 0) {
-                continue;
-            }
-            transpose64(&mut tile);
-            // Rows past |U| come from tail bits, which the VectorSet
-            // invariant keeps zero.
-            for (v, &word) in (64 * b..num_patterns).zip(&tile) {
-                rows[v * width + w] = word;
-            }
-        }
-    }
-    index
-}
-
-/// Transposes a 64×64 bit matrix in place: bit `j` of word `i` moves to
-/// bit `i` of word `j`. Six rounds swap ever smaller off-diagonal
-/// blocks, 32×32 first.
-fn transpose64(tile: &mut [u64; 64]) {
-    swap_blocks::<32>(tile, 0x0000_0000_FFFF_FFFF);
-    swap_blocks::<16>(tile, 0x0000_FFFF_0000_FFFF);
-    swap_blocks::<8>(tile, 0x00FF_00FF_00FF_00FF);
-    swap_blocks::<4>(tile, 0x0F0F_0F0F_0F0F_0F0F);
-    swap_blocks::<2>(tile, 0x3333_3333_3333_3333);
-    swap_blocks::<1>(tile, 0x5555_5555_5555_5555);
-}
-
-/// One round of [`transpose64`]: in every `2J × 2J` block, swaps the
-/// upper-right `J × J` quarter (high bits of the first `J` words) with
-/// the lower-left one (low bits of the last `J`). `low` selects the low
-/// `J` bits of every `2J`-bit group.
-fn swap_blocks<const J: usize>(tile: &mut [u64; 64], low: u64) {
-    for start in (0..64).step_by(2 * J) {
-        for i in start..start + J {
-            let t = ((tile[i] >> J) ^ tile[i + J]) & low;
-            tile[i] ^= t << J;
-            tile[i + J] ^= t;
-        }
-    }
-}
-
 /// Detection sets of stuck-at faults, in fault order: the target sweep
 /// and the bridge sweep's victim pass. Each worker simulates a tile of
 /// the fault list against the shared read-only simulator, reusing one
@@ -967,9 +897,9 @@ mod tests {
         let u = FaultUniverse::build(&n).unwrap();
         assert_eq!(u.targets().len(), 16);
         // Paper's f0 = 1/1 has T = {4,5,6,7}.
-        let f0 = u.find_target("1", true).unwrap();
-        assert_eq!(f0, 0);
-        assert_eq!(u.target_set(f0).to_vec(), vec![4, 5, 6, 7]);
+        let f0 = u.targets()[0];
+        assert!(f0.value && n.lines().line(f0.line).name() == "1");
+        assert_eq!(u.target_set(0).to_vec(), vec![4, 5, 6, 7]);
         // g0 = (9,0,10,1) exists and T(g0) = {6,7}.
         let g0 = u.find_bridge("9", false, "10", true).unwrap();
         assert_eq!(u.bridge_set(g0).to_vec(), vec![6, 7]);
@@ -1038,7 +968,6 @@ mod tests {
             canonical: b"source-model-v1".to_vec(),
         };
         let u = FaultUniverse::build_explicit(&n, &explicit, UniverseOptions::default()).unwrap();
-        assert!(u.is_explicit());
         assert_eq!(u.targets(), &explicit.targets[..]);
         // Detection sets match what the default build computed for the
         // same faults.

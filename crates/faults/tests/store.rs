@@ -64,7 +64,11 @@ fn warm_load_is_bit_identical_to_cold_build() {
 
     // The warm universe still supports follow-up simulation (the
     // reconstructed simulator is fully functional).
-    let f0 = warm.find_target("1", true).unwrap();
+    let f0 = warm
+        .targets()
+        .iter()
+        .position(|f| f.value && n.lines().line(f.line).name() == "1")
+        .unwrap();
     assert_eq!(warm.target_set(f0).to_vec(), vec![4, 5, 6, 7]);
     let fresh = warm
         .simulator()

@@ -6,7 +6,7 @@
 //! explicit-target universe (s27 under the transition model) and on
 //! random netlists.
 
-use ndetect_faults::{FaultUniverse, UniverseOptions};
+use ndetect_faults::{explicit_universe_key, FaultUniverse, UniverseOptions};
 use ndetect_netlist::Netlist;
 use ndetect_seq::{expand, FaultModel};
 use ndetect_store::Store;
@@ -78,13 +78,13 @@ fn a_universe_loaded_from_the_store_indexes_its_target_sets() {
 fn an_explicit_target_universe_indexes_its_target_sets() {
     let seq = ndetect_circuits::build_seq("s27").expect("s27 builds");
     let model = expand(&seq, FaultModel::Transition).unwrap();
-    let universe = FaultUniverse::build_explicit(
-        model.netlist(),
-        &model.explicit_targets(),
-        UniverseOptions::default(),
-    )
-    .unwrap();
-    assert!(universe.is_explicit());
+    let explicit = model.explicit_targets();
+    let options = UniverseOptions::default();
+    let universe = FaultUniverse::build_explicit(model.netlist(), &explicit, options).unwrap();
+    assert_eq!(
+        universe.store_key(),
+        explicit_universe_key(&explicit.canonical, options)
+    );
     assert_index_is_the_transpose(&universe, "s27 transition");
 }
 

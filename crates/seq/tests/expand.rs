@@ -2,7 +2,7 @@
 //! semantics against hand-computed detection sets, artifact round
 //! trips, cross-thread determinism, and warm-store behaviour.
 
-use ndetect_faults::{FaultUniverse, UniverseOptions};
+use ndetect_faults::{explicit_universe_key, FaultUniverse, UniverseOptions};
 use ndetect_netlist::bench_format;
 use ndetect_netlist::SeqNetlist;
 use ndetect_seq::{
@@ -45,13 +45,13 @@ fn dff_buffer_transition_detection_sets_match_hand_analysis() {
             "po slow-to-fall",
         ]
     );
-    let universe = FaultUniverse::build_explicit(
-        model.netlist(),
-        &model.explicit_targets(),
-        UniverseOptions::default(),
-    )
-    .unwrap();
-    assert!(universe.is_explicit());
+    let explicit = model.explicit_targets();
+    let options = UniverseOptions::default();
+    let universe = FaultUniverse::build_explicit(model.netlist(), &explicit, options).unwrap();
+    assert_eq!(
+        universe.store_key(),
+        explicit_universe_key(&explicit.canonical, options)
+    );
     // Slow-to-rise at q needs launch a=1 with old state q.s1=0: only
     // vector 0b10 = 2. Slow-to-fall mirrors it at 0b01 = 1. The
     // buffer's faults are structurally equivalent to the FF's.

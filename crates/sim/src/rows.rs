@@ -19,6 +19,9 @@
 //!   scalar (`LANES = 1`) fallback. The `*_lanes` variants expose the
 //!   lane count for the `rows` micro-benchmark; production entry points
 //!   are pinned to [`LANES`].
+//! * The bit-matrix transposes ([`transpose64`], [`transpose_sets`]) —
+//!   a list of vector sets turned into one row per vector, so a loop
+//!   over a vector's sets reads one row instead of probing every set.
 //! * The popcounts ([`popcount`], [`and_popcount`]) — every row
 //!   popcount in the workspace, `VectorSet::len` and
 //!   `intersection_count` (the paper's `M(g,f)`) among them. They pick
@@ -38,6 +41,9 @@
 //! `Vec<u64>` word buffers; [`zeroed_words`] and [`RowMatrix`] are the
 //! sanctioned allocation points, so every word buffer in the system is
 //! accounted to this data plane.
+
+use crate::VectorSet;
+use std::borrow::Borrow;
 
 /// Lane count of the production chunked kernels (`u64x8` — one AVX-512
 /// register, two AVX2 registers, four NEON registers; LLVM splits the
@@ -401,6 +407,67 @@ pub fn fused_gate_update(
     any
 }
 
+/// The vector-major transpose of `sets`, each a set over `num_patterns`
+/// vectors: a `num_patterns × ⌈sets.len() / 64⌉` matrix whose row `v`
+/// has bit `i % 64` of word `i / 64` set when `v ∈ sets[i]`. Each group
+/// of 64 sets and block of 64 vectors is one [`transpose64`]: word `b`
+/// of each set in, word `w` of each vector's row out.
+///
+/// # Panics
+///
+/// Panics if a set covers fewer than `num_patterns` vectors.
+#[must_use]
+pub fn transpose_sets<S: Borrow<VectorSet>>(sets: &[S], num_patterns: usize) -> RowMatrix {
+    let width = sets.len().div_ceil(64);
+    let mut matrix = RowMatrix::zeroed(num_patterns, width);
+    let rows = matrix.words_mut();
+    let mut tile = [0u64; 64];
+    for (w, group) in sets.chunks(64).enumerate() {
+        for b in 0..num_patterns.div_ceil(64) {
+            tile.fill(0);
+            for (word, set) in tile.iter_mut().zip(group) {
+                *word = set.borrow().words()[b];
+            }
+            if tile.iter().all(|&word| word == 0) {
+                continue;
+            }
+            transpose64(&mut tile);
+            // Rows past `num_patterns` come from tail bits, which the
+            // VectorSet invariant keeps zero.
+            for (v, &word) in (64 * b..num_patterns).zip(&tile) {
+                rows[v * width + w] = word;
+            }
+        }
+    }
+    matrix
+}
+
+/// Transposes a 64×64 bit matrix in place: bit `j` of word `i` moves to
+/// bit `i` of word `j`. Six rounds swap ever smaller off-diagonal
+/// blocks, 32×32 first.
+pub fn transpose64(tile: &mut [u64; 64]) {
+    swap_blocks::<32>(tile, 0x0000_0000_FFFF_FFFF);
+    swap_blocks::<16>(tile, 0x0000_FFFF_0000_FFFF);
+    swap_blocks::<8>(tile, 0x00FF_00FF_00FF_00FF);
+    swap_blocks::<4>(tile, 0x0F0F_0F0F_0F0F_0F0F);
+    swap_blocks::<2>(tile, 0x3333_3333_3333_3333);
+    swap_blocks::<1>(tile, 0x5555_5555_5555_5555);
+}
+
+/// One round of [`transpose64`]: in every `2J × 2J` block, swaps the
+/// upper-right `J × J` quarter (high bits of the first `J` words) with
+/// the lower-left one (low bits of the last `J`). `low` selects the low
+/// `J` bits of every `2J`-bit group.
+fn swap_blocks<const J: usize>(tile: &mut [u64; 64], low: u64) {
+    for start in (0..64).step_by(2 * J) {
+        for i in start..start + J {
+            let t = ((tile[i] >> J) ^ tile[i + J]) & low;
+            tile[i] ^= t << J;
+            tile[i + J] ^= t;
+        }
+    }
+}
+
 /// Runtime selection of the popcount kernels, and the crate's only
 /// `unsafe` code.
 ///
@@ -556,6 +623,25 @@ mod tests {
     fn row_window_pair_rejects_aliasing() {
         let mut m = RowMatrix::zeroed(2, 2);
         let _ = m.row_window_pair(1, 1, 0..2);
+    }
+
+    #[test]
+    fn transpose64_moves_bit_c_of_row_r_to_bit_r_of_row_c() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rows = [0u64; 64];
+        for row in &mut rows {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            *row = x;
+        }
+        let before = rows;
+        transpose64(&mut rows);
+        for (r, &row) in before.iter().enumerate() {
+            for (c, &col) in rows.iter().enumerate() {
+                assert_eq!(row >> c & 1, col >> r & 1, "row {r} column {c}");
+            }
+        }
     }
 
     /// Every lane width must agree with the scalar reference on an

@@ -91,7 +91,12 @@ fn an_equal_candidate_tie_goes_to_the_smallest_n_then_the_lowest_index() {
     // in that order, the index order disagrees with the N(f) order.
     let netlist = ndetect::circuits::build("c17").expect("c17 builds");
     let all = all_targets(&netlist);
-    let fault = |line: &str| all.targets()[all.find_target(line, true).expect("target exists")];
+    let fault = |line: &str| {
+        *all.targets()
+            .iter()
+            .find(|f| f.value && netlist.lines().line(f.line).name() == line)
+            .expect("target exists")
+    };
     let explicit = ExplicitTargets {
         targets: vec![fault("1"), fault("11->19.0"), fault("11->16.1")],
         bridge_stems: netlist.multi_input_gate_stems(),
