@@ -3,9 +3,10 @@
 //! `figure2`) at that binary's defaults, one blank line apart; Figure 2
 //! appears when `dvram` is selected. `--circuits` selects the circuits of
 //! Tables 2, 3, 5 and 6, and `--k5` and `--k6` are the `--k` of Tables 5
-//! and 6. Each universe is built once per run, and with `--cache-dir`
-//! (or `NDETECT_CACHE_DIR`) a warm second run performs **zero** universe
-//! builds.
+//! and 6. Each worst-case pass runs once per run; at most one universe
+//! is in memory, so Tables 4–6 build theirs again (or, with
+//! `--cache-dir` or `NDETECT_CACHE_DIR`, read it from the store, where a
+//! warm second run performs **zero** universe builds).
 //!
 //! Usage: `all_tables [--k5 1000] [--k6 200] [--circuits a,b,c]
 //! [--threads N] [--cache-dir DIR]`.

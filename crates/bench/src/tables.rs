@@ -21,7 +21,6 @@ use ndetect_core::{
 };
 use ndetect_faults::{FaultUniverse, UniverseOptions};
 use ndetect_store::Store;
-use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -45,20 +44,19 @@ pub const FIGURE2_CIRCUIT: &str = "dvram";
 /// The `nmin` floor of Figure 2 (`--floor`), as in the paper.
 pub const FIGURE2_FLOOR: u32 = 100;
 
-/// The circuits of one run. Each circuit's fault universe is built once,
-/// on first use, and its worst-case analysis is computed once, when a
-/// table first asks for it; both go through the on-disk store when
+/// The circuits of one run. A circuit's worst-case analysis is
+/// computed once, when a table first asks for it, and kept for the run;
+/// its fault universe is built when a table needs it and stays resident
+/// only until a table asks for another circuit's, so at most one
+/// universe is in memory. Both go through the on-disk store when
 /// `--cache-dir` (or `NDETECT_CACHE_DIR`) is set, so a warm run builds
 /// no universe.
 pub struct Context {
     threads: usize,
     store: Option<Store>,
-    circuits: HashMap<String, Circuit>,
-}
-
-struct Circuit {
-    universe: FaultUniverse,
-    worst_case: OnceCell<WorstCaseAnalysis>,
+    /// The resident universe and its circuit's name.
+    universe: Option<(String, FaultUniverse)>,
+    worst_cases: HashMap<String, WorstCaseAnalysis>,
 }
 
 impl Context {
@@ -74,12 +72,13 @@ impl Context {
         Context {
             threads: args.threads(),
             store: open_store(args),
-            circuits: HashMap::new(),
+            universe: None,
+            worst_cases: HashMap::new(),
         }
     }
 
     /// The fault universe of the circuit `name` under the default
-    /// options. The first call builds it and prints `# <circuit>:
+    /// options. Each build (or store load) prints `# <circuit>:
     /// <universe> (<time>)` to stderr.
     ///
     /// # Panics
@@ -87,53 +86,65 @@ impl Context {
     /// Panics if the circuit name is unknown or the universe cannot be
     /// built (suite circuits always can).
     pub fn universe(&mut self, name: &str) -> &FaultUniverse {
-        &self.circuit(name).0.universe
+        self.load(name);
+        &self.universe.as_ref().expect("loaded").1
     }
 
-    /// The universe of the circuit `name` and its worst-case analysis,
-    /// computed on the first call for that circuit.
+    /// The worst-case analysis of the circuit `name`, computed on the
+    /// first call for that circuit.
     ///
     /// # Panics
     ///
     /// As [`Self::universe`].
-    pub fn worst_case(&mut self, name: &str) -> (&FaultUniverse, &WorstCaseAnalysis) {
-        let threads = self.threads;
-        let (circuit, store) = self.circuit(name);
-        let wc = circuit
-            .worst_case
-            .get_or_init(|| WorstCaseAnalysis::compute_stored(&circuit.universe, threads, store));
-        (&circuit.universe, wc)
+    pub fn worst_case(&mut self, name: &str) -> &WorstCaseAnalysis {
+        if !self.worst_cases.contains_key(name) {
+            self.load(name);
+            let universe = &self.universe.as_ref().expect("loaded").1;
+            let wc = WorstCaseAnalysis::compute_stored(universe, self.threads, self.store.as_ref());
+            self.worst_cases.insert(name.to_string(), wc);
+        }
+        &self.worst_cases[name]
     }
 
-    fn circuit(&mut self, name: &str) -> (&Circuit, Option<&Store>) {
-        let store = self.store.as_ref();
-        let circuit = self
-            .circuits
-            .entry(name.to_string())
-            .or_insert_with(|| Circuit::load(name, self.threads, store));
-        (circuit, store)
+    /// The universe of the circuit `name` and its worst-case analysis.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::universe`].
+    pub fn analysis(&mut self, name: &str) -> (&FaultUniverse, &WorstCaseAnalysis) {
+        self.worst_case(name);
+        self.load(name);
+        (
+            &self.universe.as_ref().expect("loaded").1,
+            &self.worst_cases[name],
+        )
     }
-}
 
-impl Circuit {
-    fn load(name: &str, threads: usize, store: Option<&Store>) -> Self {
+    /// Makes `name`'s universe the resident one.
+    fn load(&mut self, name: &str) {
+        if self
+            .universe
+            .as_ref()
+            .is_some_and(|(loaded, _)| loaded == name)
+        {
+            return;
+        }
+        // Drop the previous universe first, so two are never resident.
+        self.universe = None;
         let t0 = Instant::now();
         let netlist = ndetect_circuits::build(name)
             .unwrap_or_else(|e| panic!("cannot build circuit `{name}`: {e}"));
-        let options = UniverseOptions::with_threads(threads);
-        let universe = FaultUniverse::build_stored(&netlist, options, store)
+        let options = UniverseOptions::with_threads(self.threads);
+        let universe = FaultUniverse::build_stored(&netlist, options, self.store.as_ref())
             .unwrap_or_else(|e| panic!("cannot build universe for `{name}`: {e}"));
         eprintln!("# {name}: {universe} ({:.1?})", t0.elapsed());
-        Circuit {
-            universe,
-            worst_case: OnceCell::new(),
-        }
+        self.universe = Some((name.to_string(), universe));
     }
 }
 
 /// Table 1 on the Figure-1 circuit, in the paper's line labels.
 pub fn table1(ctx: &mut Context) -> String {
-    let (universe, wc) = ctx.worst_case("figure1");
+    let (universe, wc) = ctx.analysis("figure1");
     let g0 = universe
         .find_bridge("9", false, "10", true)
         .expect("g0 is detectable");
@@ -172,7 +183,7 @@ pub fn table1(ctx: &mut Context) -> String {
 pub fn table2(ctx: &mut Context, circuits: &[String]) -> String {
     let rows: Vec<_> = circuits
         .iter()
-        .map(|name| table2_row(name, ctx.worst_case(name).1))
+        .map(|name| table2_row(name, ctx.worst_case(name)))
         .collect();
     format!(
         "Table 2: worst-case percentages of detected faults (small n)\n\
@@ -186,7 +197,7 @@ pub fn table2(ctx: &mut Context, circuits: &[String]) -> String {
 pub fn table3(ctx: &mut Context, circuits: &[String]) -> String {
     let mut rows = Vec::new();
     for name in circuits {
-        let wc = ctx.worst_case(name).1;
+        let wc = ctx.worst_case(name);
         if wc.tail_count(11) > 0 {
             rows.push(table3_row(name, wc));
         }
@@ -253,7 +264,7 @@ pub fn table5(ctx: &mut Context, circuits: &[String], k: usize, nmax: u32, seed:
     };
     let mut rows = Vec::new();
     for name in circuits {
-        let (universe, wc) = ctx.worst_case(name);
+        let (universe, wc) = ctx.analysis(name);
         // No nmin exceeds |U|, so `nmax = u32::MAX` tracks nothing, as
         // any `nmax` of at least |U| does.
         let tracked = wc.tail_indices(nmax.saturating_add(1));
@@ -294,7 +305,7 @@ pub fn table6(ctx: &mut Context, circuits: &[String], k: usize, nmax: u32, seed:
     };
     let mut rows = Vec::new();
     for name in circuits {
-        let (universe, wc) = ctx.worst_case(name);
+        let (universe, wc) = ctx.analysis(name);
         let tracked = wc.tail_indices(nmax.saturating_add(1));
         if tracked.is_empty() {
             continue;
@@ -313,7 +324,7 @@ pub fn table6(ctx: &mut Context, circuits: &[String], k: usize, nmax: u32, seed:
 /// Figure 2: the distribution of `nmin(gj)` at or above `floor` on one
 /// circuit, or of the `nmin ≥ 11` tail when no fault reaches `floor`.
 pub fn figure2(ctx: &mut Context, name: &str, floor: u32) -> String {
-    let wc = ctx.worst_case(name).1;
+    let wc = ctx.worst_case(name);
     let dist = NminDistribution::collect(wc, floor);
     let mut out = format!("Figure 2: distribution of nmin(gj) for {name} (nmin >= {floor})\n\n");
     if dist.is_empty() && dist.num_unbounded() == 0 {

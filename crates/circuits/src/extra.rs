@@ -1,4 +1,5 @@
-//! Small combinational circuits for tests, examples, and ablations.
+//! Small combinational circuits: the ISCAS-85 `c17` benchmark and
+//! `n`-bit ripple-carry adders.
 
 use ndetect_netlist::{bench_format, Netlist, NetlistBuilder, NodeId};
 
@@ -61,66 +62,6 @@ pub fn ripple_adder(bits: usize) -> Netlist {
     b.build().expect("adder is a valid netlist")
 }
 
-/// An `n`-input odd-parity tree built from 2-input XORs.
-///
-/// # Panics
-///
-/// Panics if `inputs == 0`.
-#[must_use]
-pub fn parity_tree(inputs: usize) -> Netlist {
-    assert!(inputs > 0);
-    let mut b = NetlistBuilder::new(format!("parity{inputs}"));
-    let mut layer: Vec<NodeId> = (0..inputs).map(|i| b.input(format!("i{i}"))).collect();
-    while layer.len() > 1 {
-        let mut next = Vec::with_capacity(layer.len().div_ceil(2));
-        for pair in layer.chunks(2) {
-            if pair.len() == 2 {
-                let name = b.fresh_name("x");
-                next.push(b.xor(name, pair).expect("fresh"));
-            } else {
-                next.push(pair[0]);
-            }
-        }
-        layer = next;
-    }
-    b.output(layer[0]);
-    b.build().expect("parity tree is a valid netlist")
-}
-
-/// A `2^sel`-way multiplexer: select inputs `s0..`, data inputs `d0..`;
-/// one output. Two-level AND/OR structure with heavy inverter fanout.
-///
-/// # Panics
-///
-/// Panics if `sel == 0` or `sel > 4`.
-#[must_use]
-pub fn mux_tree(sel: usize) -> Netlist {
-    assert!(sel > 0 && sel <= 4);
-    let ways = 1usize << sel;
-    let mut b = NetlistBuilder::new(format!("mux{ways}"));
-    let sels: Vec<NodeId> = (0..sel).map(|i| b.input(format!("s{i}"))).collect();
-    let data: Vec<NodeId> = (0..ways).map(|i| b.input(format!("d{i}"))).collect();
-    let invs: Vec<NodeId> = (0..sel)
-        .map(|i| b.not(format!("ns{i}"), sels[i]).expect("fresh"))
-        .collect();
-    let mut terms = Vec::with_capacity(ways);
-    for (w, &d) in data.iter().enumerate() {
-        let mut fanins = vec![d];
-        for (i, (&s, &inv)) in sels.iter().zip(&invs).enumerate() {
-            // Select bit i is the MSB-first bit of w.
-            if (w >> (sel - 1 - i)) & 1 == 1 {
-                fanins.push(s);
-            } else {
-                fanins.push(inv);
-            }
-        }
-        terms.push(b.and(format!("t{w}"), &fanins).expect("fresh"));
-    }
-    let y = b.or("y", &terms).expect("fresh");
-    b.output(y);
-    b.build().expect("mux is a valid netlist")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,31 +91,6 @@ mod tests {
                 }
                 let cout = u32::from(outs[3]);
                 assert_eq!(a + bv + cin, sum + 8 * cout, "a={a} b={bv} cin={cin}");
-            }
-        }
-    }
-
-    #[test]
-    fn parity_is_odd_parity() {
-        let n = parity_tree(5);
-        for v in 0..32u32 {
-            let bits: Vec<bool> = (0..5).map(|i| (v >> i) & 1 == 1).collect();
-            assert_eq!(n.eval_bool(&bits)[0], v.count_ones() % 2 == 1);
-        }
-    }
-
-    #[test]
-    fn mux_selects() {
-        let n = mux_tree(2);
-        // Inputs: s0 s1 d0 d1 d2 d3.
-        for sel in 0..4usize {
-            for data in 0..16usize {
-                let mut bits = vec![sel >> 1 & 1 == 1, sel & 1 == 1];
-                for i in 0..4 {
-                    bits.push((data >> i) & 1 == 1);
-                }
-                let expect = (data >> sel) & 1 == 1;
-                assert_eq!(n.eval_bool(&bits)[0], expect, "sel={sel} data={data:04b}");
             }
         }
     }

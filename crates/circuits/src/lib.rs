@@ -11,8 +11,8 @@
 //!   `DESIGN.md` §3 for why this preserves the analysis behaviour).
 //! * [`generators`] — the structured FSM families (up/down counters,
 //!   cycle trackers, modulo counters).
-//! * [`extra`] — small combinational circuits (c17, adders, parity,
-//!   multiplexer trees) used by tests and examples.
+//! * [`extra`] — small combinational circuits (c17 and ripple-carry
+//!   adders) used by the registry, tests and examples.
 //! * [`sequential`] — bundled sequential circuits for time-frame
 //!   expansion: ISCAS-89 `s27` plus shift-register and counter
 //!   generators.

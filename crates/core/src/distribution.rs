@@ -2,7 +2,6 @@
 
 use crate::worst_case::WorstCaseAnalysis;
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// The distribution of finite `nmin(g)` values at or above a floor — the
 /// content of the paper's Figure 2 (which plots `#faults` against
@@ -35,21 +34,9 @@ impl NminDistribution {
         }
     }
 
-    /// The inclusive floor used for collection.
-    #[must_use]
-    pub fn floor(&self) -> u32 {
-        self.floor
-    }
-
     /// `(nmin, count)` pairs in ascending `nmin` order.
     pub fn entries(&self) -> impl Iterator<Item = (u32, usize)> + '_ {
         self.counts.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// Number of distinct `nmin` values at or above the floor.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.counts.len()
     }
 
     /// Returns `true` if no fault reaches the floor.
@@ -126,12 +113,6 @@ fn bucketize(entries: &[(u32, usize)], max_rows: usize) -> Vec<(u32, u32, usize)
         }
     }
     buckets
-}
-
-impl fmt::Display for NminDistribution {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render_ascii(24))
-    }
 }
 
 #[cfg(test)]

@@ -28,7 +28,9 @@ pub const KIND_WORST_CASE: ArtifactKind = 2;
 #[derive(Clone, Debug)]
 pub struct WorstCaseAnalysis {
     nmin: Vec<Option<u32>>,
-    witness: Vec<Option<usize>>,
+    /// Target indices, held as `u32` to halve the vector; stored entries
+    /// keep the `usize` encoding.
+    witness: Vec<Option<u32>>,
 }
 
 impl WorstCaseAnalysis {
@@ -76,7 +78,7 @@ impl WorstCaseAnalysis {
                 let best = per_class[c as usize];
                 (
                     best.map(|(b, _)| u32::try_from(b).expect("nmin fits u32")),
-                    best.map(|(_, fi)| fi),
+                    best.map(|(_, fi)| u32::try_from(fi).expect("target index fits u32")),
                 )
             })
             .unzip();
@@ -143,7 +145,7 @@ impl WorstCaseAnalysis {
         // later member must repeat it.
         let mut class_pair = vec![None; universe.bridge_classes().len()];
         for (j, &c) in universe.bridge_class_of().iter().enumerate() {
-            let pair = (self.nmin[j], self.witness[j]);
+            let pair = (self.nmin[j], self.witness(j));
             match class_pair[c as usize] {
                 Some(first) if first != pair => return false,
                 Some(_) => {}
@@ -188,7 +190,7 @@ impl WorstCaseAnalysis {
     /// Panics if `j` is out of range.
     #[must_use]
     pub fn witness(&self, j: usize) -> Option<usize> {
-        self.witness[j]
+        self.witness[j].map(|fi| fi as usize)
     }
 
     /// Number of analysed untargeted faults.
@@ -356,14 +358,19 @@ impl<'a> ScanOrder<'a> {
 impl Encode for WorstCaseAnalysis {
     fn encode(&self, e: &mut Encoder) {
         self.nmin.encode(e);
-        self.witness.encode(e);
+        let witness: Vec<Option<usize>> = (0..self.len()).map(|j| self.witness(j)).collect();
+        witness.encode(e);
     }
 }
 
 impl Decode for WorstCaseAnalysis {
     fn decode(d: &mut Decoder<'_>) -> Result<Self, CodecError> {
         let nmin = Vec::<Option<u32>>::decode(d)?;
-        let witness = Vec::<Option<usize>>::decode(d)?;
+        let witness = Vec::<Option<usize>>::decode(d)?
+            .into_iter()
+            .map(|fi| fi.map(u32::try_from).transpose())
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|_| CodecError::new("witness index does not fit in u32"))?;
         if nmin.len() != witness.len() {
             return Err(CodecError::new("nmin/witness length mismatch"));
         }
@@ -481,6 +488,25 @@ mod tests {
         // nmin(g,f) = |T(f) \ T(g)| + 1: 100,001 for f0, 50,001 for f1.
         let scan = ScanOrder::of(&targets);
         assert_eq!(scan.best(&t_g, &mut Vec::new()), Some((50_001, 1)));
+    }
+
+    #[test]
+    fn stored_witnesses_stay_usize_and_one_past_u32_is_rejected() {
+        let u = FaultUniverse::build(&figure1::netlist()).unwrap();
+        let wc = WorstCaseAnalysis::compute(&u);
+        let encode = |witness: &Vec<Option<usize>>| {
+            let mut e = Encoder::new();
+            wc.nmin_values().to_vec().encode(&mut e);
+            witness.encode(&mut e);
+            e.finish()
+        };
+        let mut witness: Vec<Option<usize>> = (0..wc.len()).map(|j| wc.witness(j)).collect();
+        assert_eq!(encode_to_vec(&wc), encode(&witness));
+        let back = decode_from_slice::<WorstCaseAnalysis>(&encode(&witness)).unwrap();
+        assert!((0..wc.len()).all(|j| back.witness(j) == witness[j]));
+        let j = witness.iter().position(Option::is_some).unwrap();
+        witness[j] = Some(1 << 32);
+        assert!(decode_from_slice::<WorstCaseAnalysis>(&encode(&witness)).is_err());
     }
 
     #[test]

@@ -14,14 +14,6 @@ pub enum OutputBit {
     DontCare,
 }
 
-impl OutputBit {
-    /// The concrete value used when no minimization freedom is exploited.
-    #[must_use]
-    pub fn as_bool_default_zero(self) -> bool {
-        self == OutputBit::One
-    }
-}
-
 impl fmt::Display for OutputBit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {

@@ -61,16 +61,6 @@ impl GateKind {
         }
     }
 
-    /// Returns `true` if the output function is the complement of the
-    /// same-family positive gate (`Nand`, `Nor`, `Not`, `Xnor`).
-    #[must_use]
-    pub fn is_inverting(self) -> bool {
-        matches!(
-            self,
-            GateKind::Nand | GateKind::Nor | GateKind::Not | GateKind::Xnor
-        )
-    }
-
     /// Evaluates the gate over Boolean operand values.
     ///
     /// For source kinds (`Input`) the result is meaningless and this

@@ -272,18 +272,6 @@ impl Registry {
         metrics.insert(name.to_string(), Metric::Counter(counter));
     }
 
-    /// Registers an existing gauge cell under `name`.
-    pub fn register_gauge(&self, name: &str, gauge: Arc<Gauge>) {
-        let mut metrics = self.metrics.lock().expect("metrics registry");
-        metrics.insert(name.to_string(), Metric::Gauge(gauge));
-    }
-
-    /// Registers an existing histogram cell under `name`.
-    pub fn register_histogram(&self, name: &str, histogram: Arc<Histogram>) {
-        let mut metrics = self.metrics.lock().expect("metrics registry");
-        metrics.insert(name.to_string(), Metric::Histogram(histogram));
-    }
-
     fn register(&self, name: &str, make: impl FnOnce() -> Metric) -> Metric {
         let mut metrics = self.metrics.lock().expect("metrics registry");
         metrics.entry(name.to_string()).or_insert_with(make).clone()

@@ -1,16 +1,17 @@
 //! The serving engine: one shared, thread-safe analysis core layered
 //! above `ndetect-store`.
 //!
-//! Request handling composes four layers, hottest first:
+//! Request handling composes three layers, hottest first:
 //!
 //! 1. the circuit memo — a registry name plus its `model=` is
 //!    synthesized once per engine and shared as an `Arc`;
-//! 2. the in-memory hot LRUs ([`crate::hot::Lru`]) of deserialized
-//!    artifacts — fault universes, worst-case results and generated
-//!    sets — so repeated requests skip disk entirely;
-//! 3. single-flight dedup ([`crate::SingleFlight`]) — a thundering
-//!    herd of identical requests triggers exactly one build;
-//! 4. the on-disk content-addressed store — cold artifacts are read
+//! 2. one keyed map per artifact family — fault universes, worst-case
+//!    results and generated sets. A key is either *resident*, a
+//!    deserialized artifact kept least-recently-used within the
+//!    family's capacity, so repeated requests skip disk entirely; or
+//!    *building*, so a thundering herd of identical requests joins one
+//!    leader's build;
+//! 3. the on-disk content-addressed store — cold artifacts are read
 //!    through (or built and published) exactly as in one-shot mode.
 //!
 //! Build counters ([`Counters`]) count *actual* expensive builds (cache
@@ -18,22 +19,20 @@
 //! the serve-smoke CI job asserts on: N identical concurrent requests
 //! must report exactly one build per distinct artifact.
 
-use crate::hot::Lru;
 use crate::render::UniverseProvider;
-use crate::SingleFlight;
-use ndetect_core::{WorstCaseAnalysis, KIND_WORST_CASE};
+use ndetect_core::WorstCaseAnalysis;
 use ndetect_faults::{
     explicit_universe_key, universe_key, ExplicitTargets, FaultUniverse, UniverseOptions,
-    KIND_UNIVERSE,
 };
-use ndetect_gen::{generated_key, GenOptions, GeneratedSet, KIND_GENERATED_SET};
+use ndetect_gen::{generated_key, GenOptions, GeneratedSet};
 use ndetect_netlist::{Netlist, SeqNetlist};
 use ndetect_obs::{trace, Counter, Histogram, Registry};
 use ndetect_seq::FaultModel;
-use ndetect_store::{ArtifactKey, ArtifactKind, Store};
+use ndetect_store::{ArtifactKey, Store};
 use std::collections::HashMap;
 use std::convert::Infallible;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Monotonic build and traffic counters; the CI serve-smoke job asserts
 /// through the `metrics` request that `universe_builds`/`gen_builds`
@@ -54,11 +53,12 @@ pub struct Counters {
     pub universe_builds: Arc<Counter>,
     /// Generated-set builds that actually ran.
     pub gen_builds: Arc<Counter>,
-    /// Lookups served from the in-memory hot LRU.
+    /// Lookups served from a resident artifact (the hot LRU).
     pub hot_hits: Arc<Counter>,
-    /// Entries the hot LRU evicted to stay within capacity.
+    /// Residents the hot LRU evicted to stay within capacity.
     pub hot_evictions: Arc<Counter>,
-    /// Calls coalesced onto another caller's in-flight build.
+    /// Calls that joined another caller's in-flight build (once per
+    /// call).
     pub coalesced: Arc<Counter>,
     /// Requests that failed (parse errors, analysis errors, timeouts).
     pub errors: Arc<Counter>,
@@ -67,8 +67,8 @@ pub struct Counters {
     /// Job panics caught and converted to `err internal` replies (the
     /// server survived every one of these).
     pub panics_caught: Arc<Counter>,
-    /// Single-flight waits that observed a poisoned (leader-panicked)
-    /// flight and fell through to a clean rebuild.
+    /// Waits on an in-flight build whose leader panicked; each fell
+    /// through to a clean rebuild.
     pub flights_poisoned: Arc<Counter>,
 }
 
@@ -89,83 +89,179 @@ impl Counters {
     }
 }
 
-/// The hot-cache key: the content key of the artifact plus its store
-/// kind (each family has its own LRU anyway, but the tag keeps the
-/// populations separate and greppable in debug output).
-type HotKey = (ArtifactKind, ArtifactKey);
-
-/// One artifact family's in-memory layers: a hot LRU of decoded
-/// artifacts in front of a single-flight map of running builds.
-struct HotLayer<V, E> {
-    kind: ArtifactKind,
-    /// Span around the single-flight wait and, for the leader, the
-    /// build.
+/// One artifact family's in-memory state: a map whose every key is
+/// being built or resident, so a lookup, a join, a publish and an
+/// eviction each take its one lock.
+struct Family<V, E> {
+    /// Span around a miss: the wait on a running build and, for the
+    /// leader, the build.
     span: &'static str,
-    lru: Mutex<Lru<HotKey, Arc<V>>>,
-    flights: SingleFlight<ArtifactKey, Result<Arc<V>, E>>,
+    /// Residents kept (entries, not bytes; zero keeps none).
+    capacity: usize,
+    slots: Mutex<HashMap<ArtifactKey, Slot<V, E>>>,
+    /// Use stamps, taken only under the lock (so `Relaxed` suffices);
+    /// the resident with the smallest is the least recently used.
+    clock: AtomicU64,
 }
 
-impl<V, E: Clone> HotLayer<V, E> {
-    fn new(
-        kind: ArtifactKind,
-        span: &'static str,
-        capacity: usize,
-        poisoned: &Arc<Counter>,
-    ) -> Self {
-        HotLayer {
-            kind,
+enum Slot<V, E> {
+    /// A leader is building the artifact; later callers join its flight.
+    Building(Arc<Flight<V, E>>),
+    /// A deserialized artifact and the stamp of its last use.
+    Resident { value: Arc<V>, used: u64 },
+}
+
+/// A running build. Its leader sets the outcome and wakes the waiters
+/// under the family lock, in the same step that makes the key resident
+/// or frees it.
+struct Flight<V, E> {
+    /// The leader's result, or `None` if its build panicked.
+    outcome: OnceLock<Option<Result<Arc<V>, E>>>,
+    done: Condvar,
+}
+
+impl<V, E> Family<V, E> {
+    fn new(span: &'static str, capacity: usize) -> Self {
+        Family {
             span,
-            lru: Mutex::new(Lru::new(capacity)),
-            // Every family ticks the same poisoning counter: what the
-            // metric answers is "how often did a crashed build cost a
-            // waiter a retry", not which artifact family it was.
-            flights: SingleFlight::with_poison_counter(Arc::clone(poisoned)),
+            capacity,
+            slots: Mutex::new(HashMap::new()),
+            clock: AtomicU64::new(0),
         }
     }
 
-    fn cached(&self, key: ArtifactKey) -> Option<Arc<V>> {
-        self.lru.lock().expect("hot lru").get(&(self.kind, key))
+    /// The family lock. Builds run outside it and nothing inside it
+    /// panics, so a poisoned lock still guards a consistent map.
+    fn lock(&self) -> MutexGuard<'_, HashMap<ArtifactKey, Slot<V, E>>> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The shared read path: the hot LRU, then single-flight around
-    /// `build` (which reads through the store). Hot hits, evictions and
-    /// joins onto a running build tick `counters`.
+    fn stamp(&self) -> u64 {
+        self.clock.fetch_add(1, Ordering::Relaxed)
+    }
+}
+
+impl<V, E: Clone> Family<V, E> {
+    /// The shared read path: a resident artifact, else the running
+    /// build of `key`, else `build` (which reads through the store).
+    /// Hot hits, joins, evictions and poisoned flights tick `counters`.
+    ///
+    /// A leader's error reaches its waiters and is never kept. If the
+    /// leader panics, the panic leaves only its own call; each waiter
+    /// counts the poisoned flight and retries, so one of them builds.
     fn get(
         &self,
         key: ArtifactKey,
         counters: &Counters,
         build: impl FnOnce() -> Result<Arc<V>, E>,
     ) -> Result<Arc<V>, E> {
-        if let Some(hit) = self.cached(key) {
-            counters.hot_hits.inc();
-            return Ok(hit);
+        let mut span = None;
+        let mut joined = false;
+        let mut slots = self.lock();
+        loop {
+            let flight = match slots.get_mut(&key) {
+                Some(Slot::Resident { value, used }) => {
+                    *used = self.stamp();
+                    counters.hot_hits.inc();
+                    return Ok(Arc::clone(value));
+                }
+                Some(Slot::Building(flight)) => Arc::clone(flight),
+                None => break,
+            };
+            span.get_or_insert_with(|| trace::span(self.span));
+            // A call that retries after a poisoned flight joins once.
+            if !joined {
+                joined = true;
+                counters.coalesced.inc();
+            }
+            let outcome = loop {
+                match flight.outcome.get() {
+                    Some(outcome) => break outcome,
+                    None => {
+                        slots = flight
+                            .done
+                            .wait(slots)
+                            .unwrap_or_else(PoisonError::into_inner);
+                    }
+                }
+            };
+            match outcome {
+                Some(result) => return result.clone(),
+                // The leader panicked and freed the key: look again.
+                None => counters.flights_poisoned.inc(),
+            }
         }
-        let flight_span = trace::span(self.span);
-        let (result, joined) = self.flights.run(key, || {
-            // Re-check the hot LRU inside the flight: a caller that
-            // lost the race to a just-finished leader must not build a
-            // second time.
-            if let Some(hit) = self.cached(key) {
-                counters.hot_hits.inc();
-                return Ok(hit);
-            }
-            let value = build()?;
-            if self
-                .lru
-                .lock()
-                .expect("hot lru")
-                .insert((self.kind, key), Arc::clone(&value))
-                .is_some()
-            {
-                counters.hot_evictions.inc();
-            }
-            Ok(value)
+        let _span = span.unwrap_or_else(|| trace::span(self.span));
+        let flight = Arc::new(Flight {
+            outcome: OnceLock::new(),
+            done: Condvar::new(),
         });
-        drop(flight_span);
-        if joined {
-            counters.coalesced.inc();
-        }
+        slots.insert(key, Slot::Building(Arc::clone(&flight)));
+        drop(slots);
+        let mut lead = Lead {
+            family: self,
+            key,
+            flight,
+            counters,
+            result: None,
+        };
+        let result = build();
+        lead.result = Some(result.clone());
         result
+    }
+}
+
+/// The leader's side of a flight. Dropping it publishes `result`, or
+/// poisons the flight if the build panicked before setting one. A value
+/// turns the key resident when the family keeps any (evicting the least
+/// recently used resident past capacity); otherwise the key is freed.
+/// Then the waiters wake.
+struct Lead<'a, V, E> {
+    family: &'a Family<V, E>,
+    key: ArtifactKey,
+    flight: Arc<Flight<V, E>>,
+    counters: &'a Counters,
+    result: Option<Result<Arc<V>, E>>,
+}
+
+impl<V, E> Drop for Lead<'_, V, E> {
+    fn drop(&mut self) {
+        let family = self.family;
+        let mut slots = family.lock();
+        match &self.result {
+            Some(Ok(value)) if family.capacity > 0 => {
+                let used = family.stamp();
+                let value = Arc::clone(value);
+                slots.insert(self.key, Slot::Resident { value, used });
+                if evict_lru(&mut slots, family.capacity) {
+                    self.counters.hot_evictions.inc();
+                }
+            }
+            _ => {
+                slots.remove(&self.key);
+            }
+        }
+        let _ = self.flight.outcome.set(self.result.take());
+        self.flight.done.notify_all();
+    }
+}
+
+/// Removes the least recently used resident if more than `capacity`
+/// are resident, by a scan over the map; returns whether it did.
+fn evict_lru<V, E>(slots: &mut HashMap<ArtifactKey, Slot<V, E>>, capacity: usize) -> bool {
+    let mut residents = 0;
+    let mut lru = None;
+    for (key, slot) in slots.iter() {
+        if let Slot::Resident { used, .. } = slot {
+            residents += 1;
+            if lru.is_none_or(|(oldest, _)| *used < oldest) {
+                lru = Some((*used, *key));
+            }
+        }
+    }
+    match lru {
+        Some((_, key)) if residents > capacity => slots.remove(&key).is_some(),
+        _ => false,
     }
 }
 
@@ -210,11 +306,11 @@ pub struct Engine {
     /// Registry circuits by (name, `model=`). Only successes land here,
     /// so it holds at most a few entries per registry name.
     circuits: Mutex<HashMap<(String, Option<FaultModel>), Resolved>>,
-    universes: HotLayer<FaultUniverse, String>,
+    universes: Family<FaultUniverse, String>,
     /// Keyed by [`WorstCaseAnalysis::store_key`], so `threads=` (a
     /// performance knob) shares one entry; sized like `universes`.
-    worst_cases: HotLayer<WorstCaseAnalysis, Infallible>,
-    sets: HotLayer<GeneratedSet, Infallible>,
+    worst_cases: Family<WorstCaseAnalysis, Infallible>,
+    sets: Family<GeneratedSet, Infallible>,
     counters: Counters,
     registry: Registry,
     request_latency_us: Arc<Histogram>,
@@ -222,8 +318,9 @@ pub struct Engine {
 
 impl Engine {
     /// Creates an engine over an optional on-disk store with the given
-    /// hot-cache capacities (entries, not bytes; zero disables a
-    /// layer). Worst-case results share the universe capacity.
+    /// hot-cache capacities (entries, not bytes; zero keeps no resident
+    /// but still joins identical in-flight builds). Worst-case results
+    /// share the universe capacity.
     #[must_use]
     pub fn new(store: Option<Store>, hot_universes: usize, hot_sets: usize) -> Self {
         let counters = Counters::default();
@@ -233,28 +330,12 @@ impl Engine {
             store.register_metrics(&registry);
         }
         let request_latency_us = registry.histogram("request_latency_us");
-        let poisoned = &counters.flights_poisoned;
         Engine {
             store,
             circuits: Mutex::new(HashMap::new()),
-            universes: HotLayer::new(
-                KIND_UNIVERSE,
-                "serve.flight.universe",
-                hot_universes,
-                poisoned,
-            ),
-            worst_cases: HotLayer::new(
-                KIND_WORST_CASE,
-                "serve.flight.worst",
-                hot_universes,
-                poisoned,
-            ),
-            sets: HotLayer::new(
-                KIND_GENERATED_SET,
-                "serve.flight.generated",
-                hot_sets,
-                poisoned,
-            ),
+            universes: Family::new("serve.flight.universe", hot_universes),
+            worst_cases: Family::new("serve.flight.worst", hot_universes),
+            sets: Family::new("serve.flight.generated", hot_sets),
             counters,
             registry,
             request_latency_us,
@@ -410,6 +491,7 @@ mod tests {
     use super::*;
     use crate::render::Knobs;
     use ndetect_circuits::figure1;
+    use std::panic::AssertUnwindSafe;
     use std::sync::Barrier;
     use std::time::{Duration, Instant};
 
@@ -516,55 +598,206 @@ mod tests {
         assert_eq!(entries(), 3, "`s27 model=stuck-at` is an entry of its own");
     }
 
-    /// Releases every herd, `(key, callers)`, on one hot layer at once.
-    /// Each leader's build holds its flight open until every other
-    /// caller of every herd has joined, so the joins are deterministic.
-    /// Returns the engine counters and the number of builds.
-    fn release_herds(herds: &[(u64, usize)]) -> (Counters, u64) {
-        let poisoned = Arc::new(Counter::new());
-        let layer: HotLayer<u64, Infallible> =
-            HotLayer::new(KIND_UNIVERSE, "test.flight", 8, &poisoned);
-        let counters = Counters::default();
+    /// Polls `done` until it holds, for at most 10 s.
+    fn wait_until(done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Releases every herd, `(key, callers)`, on `family` at once. Each
+    /// leader's build ticks `universe_builds` and holds its flight open
+    /// until every other caller of every herd has joined, so the joins
+    /// are deterministic; then it returns `outcome(key)`. Returns each
+    /// caller's key and result.
+    fn release_herds<E: Clone + Send + Sync>(
+        family: &Family<u64, E>,
+        counters: &Counters,
+        herds: &[(u64, usize)],
+        outcome: impl Fn(u64) -> Result<Arc<u64>, E> + Sync,
+    ) -> Vec<(u64, Result<Arc<u64>, E>)> {
         let callers: usize = herds.iter().map(|&(_, n)| n).sum();
         let joiners = (callers - herds.len()) as u64;
         let barrier = Barrier::new(callers);
+        let outcome = &outcome;
         std::thread::scope(|scope| {
-            for &(key, n) in herds {
-                for _ in 0..n {
-                    let (layer, counters, barrier) = (&layer, &counters, &barrier);
+            let handles: Vec<_> = herds
+                .iter()
+                .flat_map(|&(key, n)| std::iter::repeat_n(key, n))
+                .map(|key| {
+                    let barrier = &barrier;
                     scope.spawn(move || {
                         barrier.wait();
-                        let value = layer.get(ArtifactKey(key), counters, || {
-                            let deadline = Instant::now() + Duration::from_secs(10);
-                            while layer.flights.coalesced() < joiners && Instant::now() < deadline {
-                                std::thread::sleep(Duration::from_millis(1));
-                            }
-                            Ok(Arc::new(key))
+                        let result = family.get(ArtifactKey(key), counters, || {
+                            counters.universe_builds.inc();
+                            wait_until(|| counters.coalesced.get() >= joiners);
+                            outcome(key)
                         });
-                        assert_eq!(value.map(|v| *v), Ok(key));
-                    });
-                }
-            }
-        });
-        (counters, layer.flights.executions())
+                        (key, result)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    /// Runs a leader whose build panics once `waiters` callers have
+    /// joined its flight; waiter `i` rebuilds with `rebuild(i)`. Returns
+    /// the waiters' results.
+    fn herd_on_a_panicking_leader<V: Send + Sync, E: Clone + Send + Sync>(
+        family: &Family<V, E>,
+        counters: &Counters,
+        waiters: u64,
+        rebuild: impl Fn(u64) -> Result<Arc<V>, E> + Sync,
+    ) -> Vec<Result<Arc<V>, E>> {
+        let key = ArtifactKey(9);
+        let rebuild = &rebuild;
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(|| {
+                std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    family.get(key, counters, || {
+                        wait_until(|| counters.coalesced.get() == waiters);
+                        panic!("leader died");
+                    })
+                }))
+            });
+            wait_until(|| family.lock().contains_key(&key));
+            let handles: Vec<_> = (0..waiters)
+                .map(|i| scope.spawn(move || family.get(key, counters, || rebuild(i))))
+                .collect();
+            assert!(leader.join().unwrap().is_err(), "the leader still panics");
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("a waiter must not panic"))
+                .collect()
+        })
     }
 
     #[test]
     fn a_herd_counts_each_join_once() {
-        let (counters, builds) = release_herds(&[(7, 12)]);
-        assert_eq!(builds, 1);
+        let (family, counters) = (Family::new("test.flight", 8), Counters::default());
+        for (key, result) in release_herds(&family, &counters, &[(7, 12)], |k| Ok(Arc::new(k))) {
+            assert_eq!(result.map(|v| *v), Ok::<_, Infallible>(key));
+        }
+        assert_eq!(counters.universe_builds.get(), 1);
         assert_eq!(counters.coalesced.get(), 11, "one join per non-leader");
     }
 
     #[test]
     fn herds_on_two_keys_of_one_layer_do_not_count_each_other() {
-        let (counters, builds) = release_herds(&[(1, 6), (2, 6)]);
-        assert_eq!(builds, 2);
+        let (family, counters) = (Family::new("test.flight", 8), Counters::default());
+        let herds = [(1, 6), (2, 6)];
+        for (key, result) in release_herds(&family, &counters, &herds, |k| Ok(Arc::new(k))) {
+            assert_eq!(result.map(|v| *v), Ok::<_, Infallible>(key));
+        }
+        assert_eq!(counters.universe_builds.get(), 2);
         assert_eq!(counters.coalesced.get(), 10, "5 joins per herd");
     }
 
     #[test]
+    fn a_failed_build_reaches_every_joined_waiter_and_is_not_kept() {
+        let (family, counters) = (Family::new("test.flight", 8), Counters::default());
+        let failed = || Err("boom".to_string());
+        for (_, result) in release_herds(&family, &counters, &[(7, 6)], |_| failed()) {
+            assert_eq!(result, failed());
+        }
+        assert_eq!(counters.universe_builds.get(), 1);
+        assert_eq!(counters.coalesced.get(), 5);
+        assert!(family.lock().is_empty(), "an error is never resident");
+        // The next call builds again.
+        let value = family.get(ArtifactKey(7), &counters, || Ok(Arc::new(7)));
+        assert_eq!(value.map(|v| *v), Ok(7));
+        assert_eq!(counters.hot_hits.get(), 0);
+    }
+
+    #[test]
+    fn waiters_on_a_panicked_leader_rebuild_instead_of_panicking() {
+        let family: Family<u64, Infallible> = Family::new("test.flight", 8);
+        let counters = Counters::default();
+        let results = herd_on_a_panicking_leader(&family, &counters, 4, |i| Ok(Arc::new(100 + i)));
+        // Every waiter gets one rebuild's value; none sees the panic.
+        let values: Vec<u64> = results.into_iter().map(|r| *r.unwrap()).collect();
+        assert!((100..104).contains(&values[0]), "got {values:?}");
+        assert!(values.iter().all(|&v| v == values[0]), "got {values:?}");
+        assert_eq!(
+            counters.flights_poisoned.get(),
+            4,
+            "each waiter counts once"
+        );
+        // No building slot is left behind: the rebuild is resident.
+        let slots = family.lock();
+        assert_eq!(slots.len(), 1);
+        assert!(slots.values().all(|s| matches!(s, Slot::Resident { .. })));
+    }
+
+    #[test]
+    fn a_poisoned_flight_ticks_flights_poisoned_total() {
+        let engine = Engine::new(None, 1, 1);
+        let results = herd_on_a_panicking_leader(&engine.universes, &engine.counters, 1, |_| {
+            Err("rebuilt".to_string())
+        });
+        let errors: Vec<_> = results.into_iter().filter_map(Result::err).collect();
+        assert_eq!(errors, ["rebuilt"]);
+        assert_eq!(engine.counters().flights_poisoned.get(), 1);
+        assert!(engine
+            .render_metrics()
+            .contains("\nflights_poisoned_total 1\n"));
+        assert!(engine.universes.lock().is_empty());
+    }
+
+    #[test]
+    fn heavy_churn_tracks_exact_lru_order() {
+        // Cross-check the residents against a brute-force recency model
+        // under mixed hits and builds: a hit refreshes recency, and a
+        // build past capacity evicts the least recently used.
+        let family: Family<u64, Infallible> = Family::new("test.flight", 8);
+        let counters = Counters::default();
+        let mut model: Vec<u64> = Vec::new(); // most recent last
+        let mut state = 1u64;
+        for round in 0..4000 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let key = (state >> 33) % 12;
+            let builds = counters.universe_builds.get();
+            let value = family.get(ArtifactKey(key), &counters, || {
+                counters.universe_builds.inc();
+                Ok(Arc::new(key))
+            });
+            assert_eq!(value.map(|v| *v), Ok(key));
+            let hit = model.contains(&key);
+            assert_eq!(
+                counters.universe_builds.get() == builds,
+                hit,
+                "round {round}"
+            );
+            model.retain(|&k| k != key);
+            model.push(key);
+            if model.len() > 8 {
+                model.remove(0);
+            }
+            let mut resident: Vec<u64> = family.lock().keys().map(|k| k.0).collect();
+            resident.sort_unstable();
+            let mut expected = model.clone();
+            expected.sort_unstable();
+            assert_eq!(resident, expected, "round {round}");
+        }
+        let (hits, builds) = (counters.hot_hits.get(), counters.universe_builds.get());
+        assert!(hits > 1000 && builds > 1000, "{hits} hits, {builds} builds");
+        assert_eq!(counters.hot_evictions.get(), builds - 8);
+    }
+
+    #[test]
     fn zero_capacity_hot_cache_still_dedups_in_flight() {
+        let (family, counters) = (Family::new("test.flight", 0), Counters::default());
+        for (key, result) in release_herds(&family, &counters, &[(7, 12)], |k| Ok(Arc::new(k))) {
+            assert_eq!(result.map(|v| *v), Ok::<_, Infallible>(key));
+        }
+        assert_eq!(counters.universe_builds.get(), 1);
+        assert_eq!(counters.coalesced.get(), 11);
+        assert!(family.lock().is_empty(), "nothing is resident");
+
         let engine = Engine::new(None, 0, 0);
         let netlist = figure1::netlist();
         let a = engine.universe(&netlist, options()).unwrap();
@@ -573,5 +806,6 @@ mod tests {
         // results are still correct.
         assert_eq!(a.targets().len(), b.targets().len());
         assert_eq!(engine.counters().universe_builds.get(), 2);
+        assert_eq!(engine.counters().hot_evictions.get(), 0);
     }
 }

@@ -6,8 +6,8 @@
 //! the on-disk store. This crate keeps an analysis process resident:
 //! a TCP accept loop ([`server`]) speaks a newline-delimited request
 //! protocol ([`protocol`]) and executes requests through a shared
-//! [`Engine`] that layers an in-memory hot LRU ([`hot`]) and
-//! single-flight deduplication ([`singleflight`]) above the store — a
+//! [`Engine`] that keeps one keyed map per artifact family above the
+//! store, holding the resident artifacts and the running builds — a
 //! thundering herd of identical requests runs exactly one build, and a
 //! warm request touches neither disk nor simulator.
 //!
@@ -17,12 +17,10 @@
 //! ones get structured `err shutdown` replies, and the process exits 0.
 
 pub mod engine;
-pub mod hot;
 pub mod protocol;
 pub mod render;
 pub mod server;
 pub mod signal;
-pub mod singleflight;
 
 pub use engine::{Counters, Engine};
 pub use protocol::{read_reply, ChaosCommand, ErrorReply, Reply, Request};
@@ -32,4 +30,3 @@ pub use render::{
     StoreProvider, UniverseProvider,
 };
 pub use server::{Server, ServerConfig, ShutdownHandle};
-pub use singleflight::SingleFlight;

@@ -176,7 +176,7 @@ impl ErrorReply {
 
     /// An `internal` error: the job crashed (panicked) instead of
     /// failing cleanly. The server caught it, stayed up, and a retry is
-    /// safe — any poisoned single-flight is rebuilt fresh.
+    /// safe — a build whose leader panicked is rebuilt fresh.
     #[must_use]
     pub fn internal(message: impl Into<String>) -> Self {
         ErrorReply {

@@ -5,8 +5,8 @@
 //! request (the serve-smoke CI job diffs them), so the rendering lives
 //! here once and the callers differ only in how they obtain artifacts:
 //! the CLI builds straight through the on-disk store
-//! ([`StoreProvider`]), the server layers its hot LRU and single-flight
-//! dedup on top ([`crate::Engine`]).
+//! ([`StoreProvider`]), the server keeps resident artifacts and joins
+//! identical in-flight builds on top ([`crate::Engine`]).
 
 use ndetect_core::partition::analyze_output_cones;
 use ndetect_core::report::{render_table2, render_table3, table2_row, table3_row};
@@ -38,8 +38,8 @@ impl Knobs {
 }
 
 /// Where analyses get their expensive artifacts from. The one-shot CLI
-/// reads through the on-disk store; the server adds an in-memory LRU
-/// and single-flight dedup. Rendering code only sees this trait.
+/// reads through the on-disk store; the server adds resident artifacts
+/// and in-flight dedup. Rendering code only sees this trait.
 pub trait UniverseProvider: Sync {
     /// A fault universe for `netlist` under `options`.
     ///

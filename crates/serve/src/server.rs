@@ -7,9 +7,8 @@
 //! waiting on Nagle's algorithm and the peer's delayed ACK. Each
 //! request runs on its own job thread bounded by a
 //! deadline: a request that overruns gets an `err timeout` reply and
-//! its job thread is left to finish in the background (the engine's
-//! single-flight layer means a retry joins the still-running build
-//! rather than starting another).
+//! its job thread is left to finish in the background (a retry joins
+//! the engine's still-running build rather than starting another).
 //!
 //! Shutdown (SIGINT/SIGTERM or [`crate::signal::request_shutdown`]) is
 //! a drain, not an abort. A blocked `accept` cannot see the drain
@@ -432,7 +431,7 @@ fn execute_line_traced(
         let rows = sender.clone();
         let result = run_job(&request, &job_engine, &mut |chunk: &str| {
             // The receiver may have timed out; the job keeps going
-            // (single-flight waiters want the build to finish).
+            // (callers joined to its build want it to finish).
             let _ = rows.send(JobEvent::Row(chunk.to_string()));
         });
         drop(exec_span);
@@ -530,9 +529,9 @@ fn execute_chaos(command: &ChaosCommand) -> Result<String, ErrorReply> {
 /// bug, or an armed `panic` failpoint) is caught, counted
 /// (`panics_caught_total`), and converted to a structured `err
 /// internal` reply — the job thread, its connection, and the server all
-/// survive. The engine's single-flight layer guarantees any waiters on
-/// the panicked build observe the poisoning and rebuild fresh, so a
-/// client retry after `err internal` succeeds.
+/// survive. The engine guarantees that any waiters on the panicked
+/// build observe the poisoning and rebuild fresh, so a client retry
+/// after `err internal` succeeds.
 fn run_job(
     request: &Request,
     engine: &Arc<Engine>,

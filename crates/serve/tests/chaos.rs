@@ -1,6 +1,6 @@
 //! Fault-injection tests for the serve layer's isolation contract: a
 //! panicking job yields `err internal` (never a dropped connection or a
-//! dead server), single-flight waiters on a crashed leader rebuild
+//! dead server), waiters on a crashed build leader rebuild
 //! cleanly, and the `chaos` verb is gated behind `--chaos`.
 //!
 //! Failpoints are process-global, so these tests live in their own

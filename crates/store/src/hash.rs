@@ -79,15 +79,6 @@ impl ArtifactKey {
     pub fn to_hex(self) -> String {
         format!("{:016x}", self.0)
     }
-
-    /// Parses the 16-digit hex form produced by [`Self::to_hex`].
-    #[must_use]
-    pub fn from_hex(hex: &str) -> Option<Self> {
-        if hex.len() != 16 {
-            return None;
-        }
-        u64::from_str_radix(hex, 16).ok().map(ArtifactKey)
-    }
 }
 
 impl fmt::Display for ArtifactKey {
@@ -120,8 +111,7 @@ mod tests {
     fn hex_round_trips() {
         let key = ArtifactKey(0x0123_4567_89ab_cdef);
         assert_eq!(key.to_hex(), "0123456789abcdef");
-        assert_eq!(ArtifactKey::from_hex(&key.to_hex()), Some(key));
-        assert_eq!(ArtifactKey::from_hex("xyz"), None);
-        assert_eq!(ArtifactKey::from_hex("0123"), None);
+        assert_eq!(u64::from_str_radix(&key.to_hex(), 16), Ok(key.0));
+        assert_eq!(ArtifactKey(0xab).to_hex(), "00000000000000ab");
     }
 }

@@ -16,7 +16,7 @@
 //! | [`analysis`] | worst-case `nmin` and average-case (Procedure 1) analyses |
 //! | [`gen`] | greedy set-cover n-detection test-set generation + compaction |
 //! | [`store`] | content-addressed on-disk artifact cache (universes, nmin vectors, generated sets) |
-//! | [`serve`] | persistent analysis service: TCP line protocol, hot LRU, single-flight dedup |
+//! | [`serve`] | persistent analysis service: TCP line protocol, one keyed map per artifact family (hot LRU + in-flight dedup) |
 //! | [`chaos`] | deterministic fault-injection failpoints (`NDETECT_FAILPOINTS`) |
 //!
 //! # Quickstart
