@@ -92,7 +92,7 @@ impl Counters {
 /// One artifact family's in-memory state: a map whose every key is
 /// being built or resident, so a lookup, a join, a publish and an
 /// eviction each take its one lock.
-struct Family<V, E> {
+pub(crate) struct Family<V, E> {
     /// Span around a miss: the wait on a running build and, for the
     /// leader, the build.
     span: &'static str,
@@ -104,7 +104,7 @@ struct Family<V, E> {
     clock: AtomicU64,
 }
 
-enum Slot<V, E> {
+pub(crate) enum Slot<V, E> {
     /// A leader is building the artifact; later callers join its flight.
     Building(Arc<Flight<V, E>>),
     /// A deserialized artifact and the stamp of its last use.
@@ -114,14 +114,14 @@ enum Slot<V, E> {
 /// A running build. Its leader sets the outcome and wakes the waiters
 /// under the family lock, in the same step that makes the key resident
 /// or frees it.
-struct Flight<V, E> {
+pub(crate) struct Flight<V, E> {
     /// The leader's result, or `None` if its build panicked.
     outcome: OnceLock<Option<Result<Arc<V>, E>>>,
     done: Condvar,
 }
 
 impl<V, E> Family<V, E> {
-    fn new(span: &'static str, capacity: usize) -> Self {
+    pub(crate) fn new(span: &'static str, capacity: usize) -> Self {
         Family {
             span,
             capacity,
@@ -132,7 +132,7 @@ impl<V, E> Family<V, E> {
 
     /// The family lock. Builds run outside it and nothing inside it
     /// panics, so a poisoned lock still guards a consistent map.
-    fn lock(&self) -> MutexGuard<'_, HashMap<ArtifactKey, Slot<V, E>>> {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, HashMap<ArtifactKey, Slot<V, E>>> {
         self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -149,7 +149,7 @@ impl<V, E: Clone> Family<V, E> {
     /// A leader's error reaches its waiters and is never kept. If the
     /// leader panics, the panic leaves only its own call; each waiter
     /// counts the poisoned flight and retries, so one of them builds.
-    fn get(
+    pub(crate) fn get(
         &self,
         key: ArtifactKey,
         counters: &Counters,
@@ -487,7 +487,7 @@ impl UniverseProvider for Engine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::render::Knobs;
     use ndetect_circuits::figure1;
@@ -599,7 +599,7 @@ mod tests {
     }
 
     /// Polls `done` until it holds, for at most 10 s.
-    fn wait_until(done: impl Fn() -> bool) {
+    pub(crate) fn wait_until(done: impl Fn() -> bool) {
         let deadline = Instant::now() + Duration::from_secs(10);
         while !done() && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
@@ -645,7 +645,7 @@ mod tests {
     /// Runs a leader whose build panics once `waiters` callers have
     /// joined its flight; waiter `i` rebuilds with `rebuild(i)`. Returns
     /// the waiters' results.
-    fn herd_on_a_panicking_leader<V: Send + Sync, E: Clone + Send + Sync>(
+    pub(crate) fn herd_on_a_panicking_leader<V: Send + Sync, E: Clone + Send + Sync>(
         family: &Family<V, E>,
         counters: &Counters,
         waiters: u64,
@@ -712,26 +712,6 @@ mod tests {
     }
 
     #[test]
-    fn waiters_on_a_panicked_leader_rebuild_instead_of_panicking() {
-        let family: Family<u64, Infallible> = Family::new("test.flight", 8);
-        let counters = Counters::default();
-        let results = herd_on_a_panicking_leader(&family, &counters, 4, |i| Ok(Arc::new(100 + i)));
-        // Every waiter gets one rebuild's value; none sees the panic.
-        let values: Vec<u64> = results.into_iter().map(|r| *r.unwrap()).collect();
-        assert!((100..104).contains(&values[0]), "got {values:?}");
-        assert!(values.iter().all(|&v| v == values[0]), "got {values:?}");
-        assert_eq!(
-            counters.flights_poisoned.get(),
-            4,
-            "each waiter counts once"
-        );
-        // No building slot is left behind: the rebuild is resident.
-        let slots = family.lock();
-        assert_eq!(slots.len(), 1);
-        assert!(slots.values().all(|s| matches!(s, Slot::Resident { .. })));
-    }
-
-    #[test]
     fn a_poisoned_flight_ticks_flights_poisoned_total() {
         let engine = Engine::new(None, 1, 1);
         let results = herd_on_a_panicking_leader(&engine.universes, &engine.counters, 1, |_| {
@@ -744,48 +724,6 @@ mod tests {
             .render_metrics()
             .contains("\nflights_poisoned_total 1\n"));
         assert!(engine.universes.lock().is_empty());
-    }
-
-    #[test]
-    fn heavy_churn_tracks_exact_lru_order() {
-        // Cross-check the residents against a brute-force recency model
-        // under mixed hits and builds: a hit refreshes recency, and a
-        // build past capacity evicts the least recently used.
-        let family: Family<u64, Infallible> = Family::new("test.flight", 8);
-        let counters = Counters::default();
-        let mut model: Vec<u64> = Vec::new(); // most recent last
-        let mut state = 1u64;
-        for round in 0..4000 {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            let key = (state >> 33) % 12;
-            let builds = counters.universe_builds.get();
-            let value = family.get(ArtifactKey(key), &counters, || {
-                counters.universe_builds.inc();
-                Ok(Arc::new(key))
-            });
-            assert_eq!(value.map(|v| *v), Ok(key));
-            let hit = model.contains(&key);
-            assert_eq!(
-                counters.universe_builds.get() == builds,
-                hit,
-                "round {round}"
-            );
-            model.retain(|&k| k != key);
-            model.push(key);
-            if model.len() > 8 {
-                model.remove(0);
-            }
-            let mut resident: Vec<u64> = family.lock().keys().map(|k| k.0).collect();
-            resident.sort_unstable();
-            let mut expected = model.clone();
-            expected.sort_unstable();
-            assert_eq!(resident, expected, "round {round}");
-        }
-        let (hits, builds) = (counters.hot_hits.get(), counters.universe_builds.get());
-        assert!(hits > 1000 && builds > 1000, "{hits} hits, {builds} builds");
-        assert_eq!(counters.hot_evictions.get(), builds - 8);
     }
 
     #[test]
