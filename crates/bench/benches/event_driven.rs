@@ -239,8 +239,9 @@ fn json_main(args: &[String]) {
     if let Some(store) = &store {
         for w in &workloads {
             let t0 = Instant::now();
-            let universe = FaultUniverse::build_stored(
+            let (universe, _) = FaultUniverse::build_stored(
                 &w.netlist,
+                None,
                 UniverseOptions::with_threads(1),
                 Some(store),
             )

@@ -247,10 +247,10 @@ fn json_main(args: &[String]) {
                 ..GenOptions::default()
             };
             let t0 = Instant::now();
-            let cold = generate_stored(&w.universe, &options, Some(store));
+            let (cold, _) = generate_stored(&w.universe, &options, Some(store));
             let cold_ms = t0.elapsed().as_secs_f64() * 1e3;
             let t0 = Instant::now();
-            let warm = generate_stored(&w.universe, &options, Some(store));
+            let (warm, _) = generate_stored(&w.universe, &options, Some(store));
             let warm_ms = t0.elapsed().as_secs_f64() * 1e3;
             assert_eq!(cold, warm, "warm generation must be bit-identical");
             store_gen.push((w.name.clone(), cold_ms, warm_ms));

@@ -25,8 +25,9 @@ fn main() {
             ("wired-AND", BridgeModel::WiredAnd),
             ("wired-OR", BridgeModel::WiredOr),
         ] {
-            let universe = FaultUniverse::build_stored(
+            let (universe, _) = FaultUniverse::build_stored(
                 &netlist,
+                None,
                 UniverseOptions {
                     bridge_model: model,
                     ..args.universe_options()

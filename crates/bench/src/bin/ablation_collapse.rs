@@ -24,11 +24,12 @@ fn main() {
     );
     for name in selected_circuits(&args) {
         let netlist = ndetect_circuits::build(&name).expect("suite circuit builds");
-        let collapsed =
-            FaultUniverse::build_stored(&netlist, args.universe_options(), store.as_ref())
+        let (collapsed, _) =
+            FaultUniverse::build_stored(&netlist, None, args.universe_options(), store.as_ref())
                 .expect("fits exhaustive sim");
-        let full = FaultUniverse::build_stored(
+        let (full, _) = FaultUniverse::build_stored(
             &netlist,
+            None,
             UniverseOptions {
                 collapse_targets: false,
                 ..args.universe_options()

@@ -31,9 +31,13 @@ fn main() {
         ] {
             let netlist = synthesize(&fsm, &encoding, SynthOptions::default())
                 .expect("suite machines synthesize");
-            let universe =
-                FaultUniverse::build_stored(&netlist, args.universe_options(), store.as_ref())
-                    .expect("fits exhaustive sim");
+            let (universe, _) = FaultUniverse::build_stored(
+                &netlist,
+                None,
+                args.universe_options(),
+                store.as_ref(),
+            )
+            .expect("fits exhaustive sim");
             let wc = WorstCaseAnalysis::compute_stored(&universe, args.threads(), store.as_ref());
             println!(
                 "{:<10} {:<7} | {:>6} {:>8} {:>7.2}% {:>7.2}% {:>8}",

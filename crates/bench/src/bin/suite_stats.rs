@@ -17,8 +17,8 @@ fn main() {
     for spec in ndetect_circuits::suite() {
         let t0 = Instant::now();
         let netlist = spec.build().expect("suite circuits synthesize");
-        let universe =
-            FaultUniverse::build_stored(&netlist, args.universe_options(), store.as_ref())
+        let (universe, _) =
+            FaultUniverse::build_stored(&netlist, None, args.universe_options(), store.as_ref())
                 .expect("suite circuits fit exhaustive sim");
         let ms = t0.elapsed().as_millis();
         println!(

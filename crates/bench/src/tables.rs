@@ -135,8 +135,9 @@ impl Context {
         let netlist = ndetect_circuits::build(name)
             .unwrap_or_else(|e| panic!("cannot build circuit `{name}`: {e}"));
         let options = UniverseOptions::with_threads(self.threads);
-        let universe = FaultUniverse::build_stored(&netlist, options, self.store.as_ref())
-            .unwrap_or_else(|e| panic!("cannot build universe for `{name}`: {e}"));
+        let (universe, _) =
+            FaultUniverse::build_stored(&netlist, None, options, self.store.as_ref())
+                .unwrap_or_else(|e| panic!("cannot build universe for `{name}`: {e}"));
         eprintln!("# {name}: {universe} ({:.1?})", t0.elapsed());
         self.universe = Some((name.to_string(), universe));
     }

@@ -3,16 +3,17 @@
 use ndetect_core::partition::analyze_output_cones;
 use ndetect_core::{
     estimate_detection_probabilities_stored, DetectionDefinition, Procedure1Config,
-    WorstCaseAnalysis,
 };
 use ndetect_faults::FaultUniverse;
 use ndetect_netlist::{bench_format, Netlist, NetlistError, SeqNetlist};
 use ndetect_seq::FaultModel;
-use ndetect_serve::render::{CorpusRequest, Knobs, StoreProvider, UniverseProvider};
+use ndetect_serve::render::{CorpusRequest, Knobs};
+use ndetect_serve::Engine;
 use ndetect_store::Store;
 use std::fmt::{self, Write as _};
 use std::io::{self, Write};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 mod serve_cmd;
 
@@ -201,9 +202,10 @@ fn root_span(command: &str) -> Option<&'static str> {
 
 /// Runs one command, appending what it prints to `out`. Only `serve`,
 /// which prints while it runs, writes to `stdout` itself. The analysis
-/// verbs render through `ndetect_serve::render`, the layer `ndet serve`
-/// shares, which is what keeps a served reply byte-identical to the
-/// one-shot stdout.
+/// verbs render through `ndetect_serve::render` and an [`Engine`] that
+/// keeps nothing resident — the layer and the artifact path `ndet
+/// serve` shares, which is what keeps a served reply byte-identical to
+/// the one-shot stdout.
 fn dispatch_command(
     command: &str,
     rest: &[&String],
@@ -218,21 +220,19 @@ fn dispatch_command(
     let text = match command {
         "list" => Ok(list()),
         "stats" => {
-            let store = open_store_degraded(&rest)?;
-            let provider = StoreProvider::new(store.as_ref());
+            let engine = one_shot_engine(&rest)?;
             with_any_circuit(&rest, |_, kind| match kind {
-                CircuitKind::Comb(n) => ndetect_serve::render_stats(&n, knobs, &provider),
-                CircuitKind::Seq(s, m) => ndetect_serve::render_seq_stats(&s, m, knobs, &provider),
+                CircuitKind::Comb(n) => ndetect_serve::render_stats(&n, knobs, &engine),
+                CircuitKind::Seq(s, m) => ndetect_serve::render_seq_stats(&s, m, knobs, &engine),
             })
         }
         "worst" => {
             let floor = flag_value(&rest, "--floor")?.unwrap_or(100);
-            let store = open_store_degraded(&rest)?;
-            let provider = StoreProvider::new(store.as_ref());
+            let engine = one_shot_engine(&rest)?;
             with_any_circuit(&rest, |_, kind| match kind {
-                CircuitKind::Comb(n) => ndetect_serve::render_worst(&n, floor, knobs, &provider),
+                CircuitKind::Comb(n) => ndetect_serve::render_worst(&n, floor, knobs, &engine),
                 CircuitKind::Seq(s, m) => {
-                    ndetect_serve::render_seq_worst(&s, m, floor, knobs, &provider)
+                    ndetect_serve::render_seq_worst(&s, m, floor, knobs, &engine)
                 }
             })
         }
@@ -241,16 +241,15 @@ fn dispatch_command(
             let nmax: u32 = flag_value(&rest, "--nmax")?.unwrap_or(10);
             let def: u32 = flag_value(&rest, "--def")?.unwrap_or(1);
             let tail = flag_value(&rest, "--tail")?.unwrap_or(nmax.saturating_add(1));
-            let store = open_store_degraded(&rest)?;
-            let provider = StoreProvider::new(store.as_ref());
+            let engine = one_shot_engine(&rest)?;
             with_any_circuit(&rest, |name, kind| {
                 let universe = match kind {
-                    CircuitKind::Comb(n) => provider.universe(&n, knobs.universe_options())?,
+                    CircuitKind::Comb(n) => engine.universe(&n, None, knobs.universe_options())?,
                     CircuitKind::Seq(s, m) => {
-                        ndetect_serve::render::seq_universe(&s, m, knobs, &provider)?.1
+                        ndetect_serve::render::seq_universe(&s, m, knobs, &engine)?.1
                     }
                 };
-                average(name, &universe, k, nmax, def, tail, knobs, store.as_ref())
+                average(name, &universe, k, nmax, def, tail, knobs, &engine)
             })
         }
         "gen" => {
@@ -260,27 +259,26 @@ fn dispatch_command(
             if n_det == 0 {
                 return Err(Failure::Error("--n must be at least 1".into()));
             }
-            let store = open_store_degraded(&rest)?;
-            let provider = StoreProvider::new(store.as_ref());
+            let engine = one_shot_engine(&rest)?;
             with_any_circuit(&rest, |_, kind| match kind {
                 CircuitKind::Comb(n) => {
-                    ndetect_serve::render_gen(&n, n_det, do_compact, seed, knobs, &provider)
+                    ndetect_serve::render_gen(&n, n_det, do_compact, seed, knobs, &engine)
                 }
                 CircuitKind::Seq(s, m) => {
-                    ndetect_serve::render_seq_gen(&s, m, n_det, do_compact, seed, knobs, &provider)
+                    ndetect_serve::render_seq_gen(&s, m, n_det, do_compact, seed, knobs, &engine)
                 }
             })
         }
         "synth" => with_circuit(&rest, |_, n| Ok(bench_format::write(&n))),
-        "bench-file" => bench_file(&rest, knobs, open_store_degraded(&rest)?.as_ref()),
-        "pla-file" => pla_file(&rest, knobs, open_store_degraded(&rest)?.as_ref()),
+        "bench-file" => bench_file(&rest, knobs, &one_shot_engine(&rest)?),
+        "pla-file" => pla_file(&rest, knobs, &one_shot_engine(&rest)?),
         "dot" => with_circuit(&rest, |_, n| Ok(ndetect_netlist::dot::write(&n))),
         "cones" => {
             let max_inputs = flag_value(&rest, "--max-inputs")?.unwrap_or(14);
             let store = open_store_degraded(&rest)?;
             with_circuit(&rest, |_, n| cones(&n, max_inputs, knobs, store.as_ref()))
         }
-        "corpus" => corpus(&rest, knobs, open_store_degraded(&rest)?.as_ref()),
+        "corpus" => corpus(&rest, knobs, &one_shot_engine(&rest)?),
         "cache" => cache(&rest, open_store(&rest)?.as_ref(), out).map(|()| String::new()),
         "serve" => {
             serve_cmd::serve(&rest, open_store_degraded(&rest)?, stdout).map(|()| String::new())
@@ -384,6 +382,12 @@ fn open_store_degraded(rest: &[&String]) -> Result<Option<Store>, String> {
             }
         },
     }
+}
+
+/// The engine a one-shot analysis renders through: the configured store
+/// ([`open_store_degraded`]) and nothing resident.
+fn one_shot_engine(rest: &[&String]) -> Result<Engine, String> {
+    Ok(Engine::new(open_store_degraded(rest)?, 0, 0))
 }
 
 /// The positional arguments: every token that is neither a `--flag` nor
@@ -496,13 +500,13 @@ fn list() -> String {
 #[allow(clippy::too_many_arguments)]
 fn average(
     name: &str,
-    universe: &FaultUniverse,
+    universe: &Arc<FaultUniverse>,
     k: usize,
     nmax: u32,
     def: u32,
     tail: u32,
     knobs: Knobs,
-    store: Option<&Store>,
+    engine: &Engine,
 ) -> Result<String, String> {
     let definition = match def {
         1 => DetectionDefinition::Standard,
@@ -518,7 +522,7 @@ fn average(
             "--nmax must be at most {patterns}, the pattern count of {name}; got {nmax}"
         ));
     }
-    let wc = WorstCaseAnalysis::compute_stored(universe, knobs.threads, store);
+    let wc = engine.worst(universe, knobs.threads);
     let tracked = wc.tail_indices(tail);
     if tracked.is_empty() {
         return Ok(format!(
@@ -534,8 +538,9 @@ fn average(
     };
     // Procedure 1 is seeded, so the whole K-set construction is
     // cacheable: warm re-runs load the estimate from the store.
-    let probs = estimate_detection_probabilities_stored(universe, &tracked, &config, store)
-        .map_err(|e| e.to_string())?;
+    let probs =
+        estimate_detection_probabilities_stored(universe, &tracked, &config, engine.store())
+            .map_err(|e| e.to_string())?;
     let mut out = format!(
         "{name}: {} tracked faults (nmin >= {tail}), K = {k}, definition {def}\n",
         tracked.len()
@@ -561,7 +566,7 @@ fn average(
     Ok(out)
 }
 
-fn pla_file(rest: &[&String], knobs: Knobs, store: Option<&Store>) -> Result<String, String> {
+fn pla_file(rest: &[&String], knobs: Knobs, engine: &Engine) -> Result<String, String> {
     let pos = positionals(rest);
     let path = *pos.first().ok_or("missing .pla path")?;
     let sub = pos.get(1).copied().unwrap_or("stats");
@@ -572,16 +577,15 @@ fn pla_file(rest: &[&String], knobs: Knobs, store: Option<&Store>) -> Result<Str
         .unwrap_or("pla");
     let pla = ndetect_fsm::parse_pla(name, &text).map_err(|e| e.to_string())?;
     let netlist = pla.synthesize().map_err(|e| e.to_string())?;
-    let provider = StoreProvider::new(store);
     match sub {
-        "stats" => ndetect_serve::render_stats(&netlist, knobs, &provider),
-        "worst" => ndetect_serve::render_worst(&netlist, 100, knobs, &provider),
+        "stats" => ndetect_serve::render_stats(&netlist, knobs, engine),
+        "worst" => ndetect_serve::render_worst(&netlist, 100, knobs, engine),
         "synth" => Ok(bench_format::write(&netlist)),
         other => Err(format!("unknown pla-file subcommand `{other}`")),
     }
 }
 
-fn bench_file(rest: &[&String], knobs: Knobs, store: Option<&Store>) -> Result<String, String> {
+fn bench_file(rest: &[&String], knobs: Knobs, engine: &Engine) -> Result<String, String> {
     let pos = positionals(rest);
     let path = *pos.first().ok_or("missing .bench path")?;
     let sub = pos.get(1).copied().unwrap_or("stats");
@@ -603,7 +607,6 @@ fn bench_file(rest: &[&String], knobs: Knobs, store: Option<&Store>) -> Result<S
             Err(e) => return Err(e.to_string()),
         }
     };
-    let provider = StoreProvider::new(store);
     match netlist {
         Some(netlist) => {
             if let Some(m) = model {
@@ -613,9 +616,9 @@ fn bench_file(rest: &[&String], knobs: Knobs, store: Option<&Store>) -> Result<S
                 ));
             }
             match sub {
-                "stats" => ndetect_serve::render_stats(&netlist, knobs, &provider),
-                "worst" => ndetect_serve::render_worst(&netlist, 100, knobs, &provider),
-                "cones" => cones(&netlist, 14, knobs, store),
+                "stats" => ndetect_serve::render_stats(&netlist, knobs, engine),
+                "worst" => ndetect_serve::render_worst(&netlist, 100, knobs, engine),
+                "cones" => cones(&netlist, 14, knobs, engine.store()),
                 other => Err(format!("unknown bench-file subcommand `{other}`")),
             }
         }
@@ -623,8 +626,8 @@ fn bench_file(rest: &[&String], knobs: Knobs, store: Option<&Store>) -> Result<S
             let seq = bench_format::parse_seq(name, &text).map_err(|e| e.to_string())?;
             let model = model.unwrap_or_default();
             match sub {
-                "stats" => ndetect_serve::render_seq_stats(&seq, model, knobs, &provider),
-                "worst" => ndetect_serve::render_seq_worst(&seq, model, 100, knobs, &provider),
+                "stats" => ndetect_serve::render_seq_stats(&seq, model, knobs, engine),
+                "worst" => ndetect_serve::render_seq_worst(&seq, model, 100, knobs, engine),
                 other => Err(format!(
                     "unknown bench-file subcommand `{other}` for a sequential circuit (expected stats or worst)"
                 )),
@@ -754,7 +757,7 @@ fn cache(rest: &[&String], store: Option<&Store>, out: &mut String) -> Result<()
 /// exhaustive simulation), generates compact n-detection sets at
 /// n = 1, 5, 10 for exhaustively analysed circuits, and emits a
 /// machine-readable CSV or JSON summary on stdout.
-fn corpus(rest: &[&String], knobs: Knobs, store: Option<&Store>) -> Result<String, String> {
+fn corpus(rest: &[&String], knobs: Knobs, engine: &Engine) -> Result<String, String> {
     let dir = positionals(rest)
         .first()
         .copied()
@@ -769,8 +772,7 @@ fn corpus(rest: &[&String], knobs: Knobs, store: Option<&Store>) -> Result<Strin
         max_inputs: flag_value(rest, "--max-inputs")?.unwrap_or(14),
         recursive: flag_present(rest, "--recursive"),
     };
-    let provider = StoreProvider::new(store);
-    let output = ndetect_serve::render_corpus(&request, knobs, &provider)?;
+    let output = ndetect_serve::render_corpus(&request, knobs, engine)?;
     for message in &output.errors {
         eprintln!("# corpus error: {message}");
     }

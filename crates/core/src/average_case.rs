@@ -8,8 +8,8 @@ use ndetect_faults::{FaultUniverse, StuckAtFault};
 use ndetect_sim::rows::{self, RowMatrix};
 use ndetect_sim::VectorSet;
 use ndetect_store::{
-    decode_from_slice, encode_to_vec, ArtifactKey, ArtifactKind, CodecError, Decode, Decoder,
-    Encode, Encoder, Fnv64, Store, CODEC_VERSION,
+    decode_from_slice, encode_to_vec, read_through, ArtifactKey, ArtifactKind, CodecError, Decode,
+    Decoder, Encode, Encoder, Fnv64, Store, CODEC_VERSION,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -197,15 +197,7 @@ pub fn estimate_detection_probabilities(
     tracked: &[usize],
     config: &Procedure1Config,
 ) -> Result<DetectionProbabilities, CoreError> {
-    config.validate()?;
-    for &j in tracked {
-        if j >= universe.bridges().len() {
-            return Err(CoreError::FaultIndex {
-                index: j,
-                len: universe.bridges().len(),
-            });
-        }
-    }
+    check_inputs(universe, tracked, config)?;
     let index = TargetIndex::build(universe);
     let classes = TrackedClasses::build(universe, tracked);
     let nmax = config.nmax as usize;
@@ -377,31 +369,37 @@ pub fn estimate_detection_probabilities_stored(
     config: &Procedure1Config,
     store: Option<&Store>,
 ) -> Result<DetectionProbabilities, CoreError> {
-    let Some(store) = store else {
-        return estimate_detection_probabilities(universe, tracked, config);
-    };
     // Validate before consulting the store so error behaviour is
     // identical cold and warm.
+    check_inputs(universe, tracked, config)?;
+    read_through(
+        store,
+        procedure1_key(universe, tracked, config),
+        KIND_PROCEDURE1,
+        |payload| {
+            decode_from_slice::<DetectionProbabilities>(payload)
+                .ok()
+                .filter(|probs| probs.is_consistent_with(tracked, config))
+        },
+        || estimate_detection_probabilities(universe, tracked, config),
+        encode_to_vec,
+    )
+    .map(|(probs, _)| probs)
+}
+
+/// The checks both estimate entry points make first: a valid `config`
+/// and every tracked index inside the universe's bridges.
+fn check_inputs(
+    universe: &FaultUniverse,
+    tracked: &[usize],
+    config: &Procedure1Config,
+) -> Result<(), CoreError> {
     config.validate()?;
-    for &j in tracked {
-        if j >= universe.bridges().len() {
-            return Err(CoreError::FaultIndex {
-                index: j,
-                len: universe.bridges().len(),
-            });
-        }
+    let len = universe.bridges().len();
+    match tracked.iter().find(|&&j| j >= len) {
+        Some(&index) => Err(CoreError::FaultIndex { index, len }),
+        None => Ok(()),
     }
-    let key = procedure1_key(universe, tracked, config);
-    if let Some(payload) = store.load(key, KIND_PROCEDURE1) {
-        if let Ok(probs) = decode_from_slice::<DetectionProbabilities>(&payload) {
-            if probs.is_consistent_with(tracked, config) {
-                return Ok(probs);
-            }
-        }
-    }
-    let probs = estimate_detection_probabilities(universe, tracked, config)?;
-    store.save_best_effort(key, KIND_PROCEDURE1, &encode_to_vec(&probs));
-    Ok(probs)
 }
 
 /// Read-only indices over the targets, shared by every worker.

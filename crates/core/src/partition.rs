@@ -110,7 +110,7 @@ pub fn analyze_output_cones(
             continue;
         }
         let options = ndetect_faults::UniverseOptions::with_threads(num_threads);
-        let universe = FaultUniverse::build_stored(&cone, options, store)
+        let (universe, _) = FaultUniverse::build_stored(&cone, None, options, store)
             .map_err(|e| CoreError::Faults(e.to_string()))?;
         let wc = WorstCaseAnalysis::compute_stored(&universe, num_threads, store);
         reports.push(ConeReport {

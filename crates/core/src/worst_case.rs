@@ -3,9 +3,10 @@
 use ndetect_faults::FaultUniverse;
 use ndetect_sim::{parallel, rows, VectorSet};
 use ndetect_store::{
-    decode_from_slice, encode_to_vec, ArtifactKey, ArtifactKind, CodecError, Decode, Decoder,
-    Encode, Encoder, Fnv64, Store, CODEC_VERSION,
+    decode_from_slice, encode_to_vec, read_through, ArtifactKey, ArtifactKind, CodecError, Decode,
+    Decoder, Encode, Encoder, Fnv64, Store, CODEC_VERSION,
 };
+use std::convert::Infallible;
 use std::fmt;
 
 /// Store kind tag for serialized worst-case (`nmin` vector) analyses.
@@ -106,19 +107,18 @@ impl WorstCaseAnalysis {
         num_threads: usize,
         store: Option<&Store>,
     ) -> Self {
-        let Some(store) = store else {
-            return Self::compute_with(universe, num_threads);
-        };
-        let key = Self::store_key(universe);
-        if let Some(payload) = store.load(key, KIND_WORST_CASE) {
-            if let Ok(wc) = decode_from_slice::<WorstCaseAnalysis>(&payload) {
-                if wc.is_consistent_with(universe) {
-                    return wc;
-                }
-            }
-        }
-        let wc = Self::compute_with(universe, num_threads);
-        store.save_best_effort(key, KIND_WORST_CASE, &encode_to_vec(&wc));
+        let Ok((wc, _)) = read_through::<_, Infallible>(
+            store,
+            Self::store_key(universe),
+            KIND_WORST_CASE,
+            |payload| {
+                decode_from_slice::<WorstCaseAnalysis>(payload)
+                    .ok()
+                    .filter(|wc| wc.is_consistent_with(universe))
+            },
+            || Ok(Self::compute_with(universe, num_threads)),
+            encode_to_vec,
+        );
         wc
     }
 

@@ -296,7 +296,7 @@ mod tests {
     use crate::universe::FaultUniverse;
     use ndetect_circuits::figure1::netlist as figure1;
     use ndetect_netlist::NetlistBuilder;
-    use ndetect_store::{decode_from_slice, encode_to_vec, Store};
+    use ndetect_store::{decode_from_slice, encode_to_vec, Origin, Store};
 
     fn and2() -> Netlist {
         let mut b = NetlistBuilder::new("and2");
@@ -434,7 +434,9 @@ mod tests {
             assert!(!bad.is_consistent_with(&n, options), "{label}");
             store.save_best_effort(key, KIND_UNIVERSE, &encode_artifact(&bad));
             assert!(store.load(key, KIND_UNIVERSE).is_some(), "{label}");
-            let rebuilt = FaultUniverse::build_stored(&n, options, Some(&store)).unwrap();
+            let (rebuilt, origin) =
+                FaultUniverse::build_stored(&n, None, options, Some(&store)).unwrap();
+            assert_eq!(origin, Origin::Built, "{label}");
             assert_eq!(rebuilt.bridges(), fresh.bridges(), "{label}");
             assert_eq!(rebuilt.bridge_classes(), fresh.bridge_classes(), "{label}");
             assert_eq!(
@@ -470,7 +472,9 @@ mod tests {
         let key = universe_key(&n, options);
         store.save_best_effort(key, KIND_UNIVERSE, &bytes);
         assert!(store.load(key, KIND_UNIVERSE).is_some());
-        let rebuilt = FaultUniverse::build_stored(&n, options, Some(&store)).unwrap();
+        let (rebuilt, origin) =
+            FaultUniverse::build_stored(&n, None, options, Some(&store)).unwrap();
+        assert_eq!(origin, Origin::Built);
         assert!(encode_to_vec(&rebuilt.artifact_ref()) == expected);
         let _ = std::fs::remove_dir_all(&dir);
     }

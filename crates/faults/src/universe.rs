@@ -17,7 +17,7 @@ use ndetect_netlist::{LineId, Netlist, NodeId};
 use ndetect_obs::trace;
 use ndetect_sim::rows::{transpose_sets, zeroed_counts, zeroed_words, RowMatrix};
 use ndetect_sim::{parallel, PatternSpace, VectorSet};
-use ndetect_store::{decode_from_slice, encode_to_vec, ArtifactKey, Store};
+use ndetect_store::{decode_from_slice, encode_to_vec, read_through, ArtifactKey, Origin, Store};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Index;
@@ -267,11 +267,13 @@ impl FaultUniverse {
         })
     }
 
-    /// Builds the universe with a content-addressed on-disk store as a
-    /// fast path: a valid cache entry skips every fault simulation (only
-    /// cheap structural tables are recomputed); a miss builds normally
-    /// and then populates the store (best effort — a read-only cache
-    /// directory degrades to plain [`Self::build_with`]).
+    /// Builds the universe — over `explicit`'s population when given,
+    /// as [`Self::build_explicit`] does — with the content-addressed
+    /// on-disk store as a fast path ([`read_through`]): a valid cache
+    /// entry skips every fault simulation (only cheap structural tables
+    /// are recomputed); a miss builds and then populates the store best
+    /// effort. The key is [`universe_key`], or [`explicit_universe_key`]
+    /// of `explicit.canonical`. The [`Origin`] says which happened.
     ///
     /// Corrupt, truncated, or version-mismatched entries are silently
     /// treated as misses; loaded results are bit-identical to a fresh
@@ -281,59 +283,34 @@ impl FaultUniverse {
     ///
     /// Returns [`FaultError::Sim`] if the circuit has too many inputs
     /// for exhaustive simulation.
-    pub fn build_stored(
-        netlist: &Netlist,
-        options: UniverseOptions,
-        store: Option<&Store>,
-    ) -> Result<Self, FaultError> {
-        let Some(store) = store else {
-            return Self::build_with(netlist, options);
-        };
-        let key = universe_key(netlist, options);
-        if let Some(payload) = store.load(key, KIND_UNIVERSE) {
-            if let Some(universe) = Self::from_artifact_bytes(netlist, options, &payload) {
-                return Ok(universe);
-            }
-            // Decoded but inconsistent with this netlist (hash collision
-            // or stale shape): fall through to a fresh build.
-        }
-        let universe = Self::build_with(netlist, options)?;
-        store.save_best_effort(key, KIND_UNIVERSE, &encode_to_vec(&universe.artifact_ref()));
-        Ok(universe)
-    }
-
-    /// [`Self::build_explicit`] with the store fast path of
-    /// [`Self::build_stored`]: the cache key is
-    /// [`explicit_universe_key`]`(explicit.canonical, options)`, so warm
-    /// runs skip every fault simulation on the expanded netlist.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FaultError::Sim`] if the circuit has too many inputs for
-    /// exhaustive simulation.
     ///
     /// # Panics
     ///
     /// Panics if a target line or bridge stem does not belong to `netlist`.
-    pub fn build_stored_explicit(
+    pub fn build_stored(
         netlist: &Netlist,
-        explicit: &ExplicitTargets,
+        explicit: Option<&ExplicitTargets>,
         options: UniverseOptions,
         store: Option<&Store>,
-    ) -> Result<Self, FaultError> {
-        let Some(store) = store else {
-            return Self::build_explicit(netlist, explicit, options);
-        };
-        let key = explicit_universe_key(&explicit.canonical, options);
-        if let Some(payload) = store.load(key, KIND_UNIVERSE) {
-            if let Some(mut universe) = Self::from_artifact_bytes(netlist, options, &payload) {
-                universe.explicit_key = Some(key);
-                return Ok(universe);
-            }
-        }
-        let universe = Self::build_explicit(netlist, explicit, options)?;
-        store.save_best_effort(key, KIND_UNIVERSE, &encode_to_vec(&universe.artifact_ref()));
-        Ok(universe)
+    ) -> Result<(Self, Origin), FaultError> {
+        let key = explicit.map_or_else(
+            || universe_key(netlist, options),
+            |x| explicit_universe_key(&x.canonical, options),
+        );
+        read_through(
+            store,
+            key,
+            KIND_UNIVERSE,
+            |payload| {
+                // Decoded but inconsistent with this netlist (a hash
+                // collision or a stale shape) is a miss.
+                let mut universe = Self::from_artifact_bytes(netlist, options, payload)?;
+                universe.explicit_key = explicit.map(|_| key);
+                Some(universe)
+            },
+            || Self::build_inner(netlist, options, explicit),
+            |universe| encode_to_vec(&universe.artifact_ref()),
+        )
     }
 
     /// The content-addressed store key of this universe (canonical

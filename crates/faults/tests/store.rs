@@ -5,7 +5,7 @@
 
 use ndetect_circuits::figure1::netlist as figure1;
 use ndetect_faults::{universe_key, FaultUniverse, UniverseOptions, KIND_UNIVERSE};
-use ndetect_store::Store;
+use ndetect_store::{Origin, Store};
 use ndetect_testutil::arb_netlist_sized;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -54,12 +54,12 @@ fn warm_load_is_bit_identical_to_cold_build() {
     let n = figure1();
     let options = UniverseOptions::default();
 
-    let cold = FaultUniverse::build_stored(&n, options, Some(&store)).unwrap();
+    let (cold, origin) = FaultUniverse::build_stored(&n, None, options, Some(&store)).unwrap();
+    assert_eq!(origin, Origin::Built);
     assert_eq!(store.session_misses(), 1);
-    assert_eq!(store.session_hits(), 0);
 
-    let warm = FaultUniverse::build_stored(&n, options, Some(&store)).unwrap();
-    assert_eq!(store.session_hits(), 1);
+    let (warm, origin) = FaultUniverse::build_stored(&n, None, options, Some(&store)).unwrap();
+    assert_eq!(origin, Origin::Loaded);
     assert_universes_identical(&cold, &warm);
 
     // The warm universe still supports follow-up simulation (the
@@ -88,13 +88,18 @@ fn different_options_never_alias() {
         include_bridges: false,
         ..with_bridges
     };
-    let a = FaultUniverse::build_stored(&n, with_bridges, Some(&store)).unwrap();
-    let b = FaultUniverse::build_stored(&n, without, Some(&store)).unwrap();
+    let (a, _) = FaultUniverse::build_stored(&n, None, with_bridges, Some(&store)).unwrap();
+    let (b, origin) = FaultUniverse::build_stored(&n, None, without, Some(&store)).unwrap();
+    assert_eq!(
+        origin,
+        Origin::Built,
+        "the other options' entry must not load"
+    );
     assert!(!a.bridges().is_empty());
     assert!(b.bridges().is_empty());
     // Warm loads preserve the distinction.
-    let a2 = FaultUniverse::build_stored(&n, with_bridges, Some(&store)).unwrap();
-    let b2 = FaultUniverse::build_stored(&n, without, Some(&store)).unwrap();
+    let (a2, _) = FaultUniverse::build_stored(&n, None, with_bridges, Some(&store)).unwrap();
+    let (b2, _) = FaultUniverse::build_stored(&n, None, without, Some(&store)).unwrap();
     assert_universes_identical(&a, &a2);
     assert_universes_identical(&b, &b2);
     let _ = std::fs::remove_dir_all(&dir);
@@ -104,13 +109,20 @@ fn different_options_never_alias() {
 fn thread_count_shares_one_entry() {
     let (store, dir) = temp_store("threads");
     let n = figure1();
-    let one =
-        FaultUniverse::build_stored(&n, UniverseOptions::with_threads(1), Some(&store)).unwrap();
+    let build = |threads| {
+        FaultUniverse::build_stored(
+            &n,
+            None,
+            UniverseOptions::with_threads(threads),
+            Some(&store),
+        )
+        .unwrap()
+    };
+    let (one, _) = build(1);
     // A different worker count must *hit* the same entry (results are
     // bit-identical for every thread count).
-    let four =
-        FaultUniverse::build_stored(&n, UniverseOptions::with_threads(4), Some(&store)).unwrap();
-    assert_eq!(store.session_hits(), 1);
+    let (four, origin) = build(4);
+    assert_eq!(origin, Origin::Loaded);
     assert_universes_identical(&one, &four);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -149,7 +161,7 @@ fn every_corruption_mode_degrades_to_a_correct_rebuild() {
     ];
 
     for (label, corrupt) in corruptions {
-        let _ = FaultUniverse::build_stored(&n, options, Some(&store)).unwrap();
+        let _ = FaultUniverse::build_stored(&n, None, options, Some(&store)).unwrap();
         let path = sole_entry(&dir);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, corrupt(&bytes)).unwrap();
@@ -158,7 +170,9 @@ fn every_corruption_mode_degrades_to_a_correct_rebuild() {
             store.load(key, KIND_UNIVERSE).is_none(),
             "{label}: corrupt entry must be a miss"
         );
-        let rebuilt = FaultUniverse::build_stored(&n, options, Some(&store)).unwrap();
+        let (rebuilt, origin) =
+            FaultUniverse::build_stored(&n, None, options, Some(&store)).unwrap();
+        assert_eq!(origin, Origin::Built, "{label}");
         assert_universes_identical(&reference, &rebuilt);
         // The rebuild repopulated the store; remove so the next round
         // starts from a fresh valid entry.
@@ -173,9 +187,9 @@ proptest! {
     fn cold_warm_equivalence_on_random_circuits(n in arb_netlist_sized(6, 15)) {
         let (store, dir) = temp_store(&format!("prop-{}", n.name()));
         let options = UniverseOptions::default();
-        let cold = FaultUniverse::build_stored(&n, options, Some(&store)).unwrap();
-        let warm = FaultUniverse::build_stored(&n, options, Some(&store)).unwrap();
-        prop_assert_eq!(store.session_hits(), 1);
+        let (cold, _) = FaultUniverse::build_stored(&n, None, options, Some(&store)).unwrap();
+        let (warm, origin) = FaultUniverse::build_stored(&n, None, options, Some(&store)).unwrap();
+        prop_assert_eq!(origin, Origin::Loaded);
         assert_universes_identical(&cold, &warm);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -9,7 +9,7 @@
 use ndetect_faults::{explicit_universe_key, FaultUniverse, UniverseOptions};
 use ndetect_netlist::Netlist;
 use ndetect_seq::{expand, FaultModel};
-use ndetect_store::Store;
+use ndetect_store::{Origin, Store};
 use ndetect_testutil::arb_netlist_sized;
 use proptest::prelude::*;
 
@@ -65,9 +65,10 @@ fn a_universe_loaded_from_the_store_indexes_its_target_sets() {
     let _ = std::fs::remove_dir_all(&dir);
     let store = Store::open(&dir).unwrap();
     let netlist = cse();
-    let cold = FaultUniverse::build_stored(&netlist, targets_only(), Some(&store)).unwrap();
-    let warm = FaultUniverse::build_stored(&netlist, targets_only(), Some(&store)).unwrap();
-    assert_eq!(store.session_hits(), 1, "the second build loads the entry");
+    let build = || FaultUniverse::build_stored(&netlist, None, targets_only(), Some(&store));
+    let (cold, _) = build().unwrap();
+    let (warm, origin) = build().unwrap();
+    assert_eq!(origin, Origin::Loaded, "the second build loads the entry");
     assert_index_is_the_transpose(&warm, "cse from the store");
     assert_eq!(cold.target_index(), warm.target_index());
     drop(store);

@@ -9,7 +9,8 @@ use crate::compact::compact;
 use ndetect_faults::FaultUniverse;
 use ndetect_obs::trace;
 use ndetect_sim::{rows, VectorSet};
-use ndetect_store::{decode_from_slice, encode_to_vec, Store};
+use ndetect_store::{decode_from_slice, encode_to_vec, read_through, Origin, Store};
+use std::convert::Infallible;
 use std::fmt;
 
 /// Configuration for [`generate`].
@@ -379,10 +380,11 @@ pub fn generate(universe: &FaultUniverse, options: &GenOptions) -> GeneratedSet 
 }
 
 /// Like [`generate`], with the content-addressed on-disk store as a
-/// fast path: a valid cache entry (same universe, same semantic
-/// options) skips the construction entirely; a miss generates normally
-/// and populates the store best-effort. Corrupt, stale, or
-/// property-violating entries are silently treated as misses.
+/// fast path ([`read_through`]): a valid cache entry (same universe,
+/// same semantic options) skips the construction entirely; a miss
+/// generates normally and populates the store best-effort. Corrupt,
+/// stale, or property-violating entries are silently treated as misses.
+/// The [`Origin`] says whether the set was loaded or generated.
 ///
 /// # Panics
 ///
@@ -392,22 +394,21 @@ pub fn generate_stored(
     universe: &FaultUniverse,
     options: &GenOptions,
     store: Option<&Store>,
-) -> GeneratedSet {
+) -> (GeneratedSet, Origin) {
     assert!(options.n >= 1, "n must be at least 1");
-    let Some(store) = store else {
-        return generate(universe, options);
-    };
-    let key = generated_key(universe, options);
-    if let Some(payload) = store.load(key, KIND_GENERATED_SET) {
-        if let Ok(set) = decode_from_slice::<GeneratedSet>(&payload) {
-            if set.is_consistent_with(universe, options) {
-                return set;
-            }
-        }
-    }
-    let set = generate(universe, options);
-    store.save_best_effort(key, KIND_GENERATED_SET, &encode_to_vec(&set));
-    set
+    let Ok(generated) = read_through::<_, Infallible>(
+        store,
+        generated_key(universe, options),
+        KIND_GENERATED_SET,
+        |payload| {
+            decode_from_slice::<GeneratedSet>(payload)
+                .ok()
+                .filter(|set| set.is_consistent_with(universe, options))
+        },
+        || Ok(generate(universe, options)),
+        encode_to_vec,
+    );
+    generated
 }
 
 #[cfg(test)]

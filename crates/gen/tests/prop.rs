@@ -332,10 +332,10 @@ proptest! {
         let store = ndetect_store::Store::open(&dir).expect("temp store opens");
         let universe = targets_universe(&netlist);
         let options = GenOptions { n, compact: true, ..GenOptions::default() };
-        let cold = ndetect_gen::generate_stored(&universe, &options, Some(&store));
-        let warm = ndetect_gen::generate_stored(&universe, &options, Some(&store));
+        let (cold, _) = ndetect_gen::generate_stored(&universe, &options, Some(&store));
+        let (warm, origin) = ndetect_gen::generate_stored(&universe, &options, Some(&store));
         prop_assert_eq!(&cold, &warm);
-        prop_assert!(store.session_hits() >= 1);
+        prop_assert_eq!(origin, ndetect_store::Origin::Loaded);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -16,8 +16,8 @@ use crate::error::SeqError;
 use crate::expand::{canonical_for, expand, ExpandedModel, FaultModel, TransitionFault};
 use ndetect_netlist::{bench_format, LineId, SeqNetlist};
 use ndetect_store::{
-    decode_from_slice, encode_to_vec, ArtifactKey, ArtifactKind, CodecError, Decode, Decoder,
-    Encode, Encoder, Fnv64, Store, CODEC_VERSION,
+    decode_from_slice, encode_to_vec, read_through, ArtifactKey, ArtifactKind, CodecError, Decode,
+    Decoder, Encode, Encoder, Fnv64, Store, CODEC_VERSION,
 };
 
 /// Store kind tag for serialized expanded models.
@@ -167,8 +167,8 @@ pub fn decode_expanded(payload: &[u8], expected_canonical: &[u8]) -> Option<Expa
     ))
 }
 
-/// Expands `seq` with store-layer caching: a valid cached entry is
-/// decoded without re-running the expansion (the `seq_expansions_total`
+/// Expands `seq` with store-layer caching ([`read_through`]): a valid
+/// cached entry is decoded without re-running the expansion (the `seq_expansions_total`
 /// counter does not move on warm loads); a miss expands fresh and
 /// saves best-effort.
 ///
@@ -181,17 +181,13 @@ pub fn expand_stored(
     model: FaultModel,
     store: Option<&Store>,
 ) -> Result<ExpandedModel, SeqError> {
-    let Some(store) = store else {
-        return expand(seq, model);
-    };
-    let key = expanded_key(seq, model);
-    let expected = canonical_for(seq, model);
-    if let Some(payload) = store.load(key, KIND_EXPANDED) {
-        if let Some(model) = decode_expanded(&payload, &expected) {
-            return Ok(model);
-        }
-    }
-    let expanded = expand(seq, model)?;
-    store.save_best_effort(key, KIND_EXPANDED, &encode_expanded(&expanded));
-    Ok(expanded)
+    read_through(
+        store,
+        expanded_key(seq, model),
+        KIND_EXPANDED,
+        |payload| decode_expanded(payload, &canonical_for(seq, model)),
+        || expand(seq, model),
+        encode_expanded,
+    )
+    .map(|(expanded, _)| expanded)
 }

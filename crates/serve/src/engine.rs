@@ -1,5 +1,7 @@
-//! The serving engine: one shared, thread-safe analysis core layered
-//! above `ndetect-store`.
+//! The engine: one shared, thread-safe analysis core layered above
+//! `ndetect-store`. The server keeps one for its lifetime; each
+//! one-shot `ndet` command renders through `Engine::new(store, 0, 0)`,
+//! which keeps nothing resident.
 //!
 //! Request handling composes three layers, hottest first:
 //!
@@ -12,14 +14,14 @@
 //!    *building*, so a thundering herd of identical requests joins one
 //!    leader's build;
 //! 3. the on-disk content-addressed store — cold artifacts are read
-//!    through (or built and published) exactly as in one-shot mode.
+//!    through [`ndetect_store::read_through`] (or built and published).
 //!
-//! Build counters ([`Counters`]) count *actual* expensive builds (cache
-//! misses that ran the fault simulator or the generator), which is what
-//! the serve-smoke CI job asserts on: N identical concurrent requests
-//! must report exactly one build per distinct artifact.
+//! Build counters ([`Counters`]) count *actual* expensive builds: the
+//! calls whose read-through reports [`Origin::Built`], i.e. that ran
+//! the fault simulator or the generator. The serve-smoke CI job
+//! asserts on them: N identical concurrent requests must report
+//! exactly one build per distinct artifact.
 
-use crate::render::UniverseProvider;
 use ndetect_core::WorstCaseAnalysis;
 use ndetect_faults::{
     explicit_universe_key, universe_key, ExplicitTargets, FaultUniverse, UniverseOptions,
@@ -28,7 +30,7 @@ use ndetect_gen::{generated_key, GenOptions, GeneratedSet};
 use ndetect_netlist::{Netlist, SeqNetlist};
 use ndetect_obs::{trace, Counter, Histogram, Registry};
 use ndetect_seq::FaultModel;
-use ndetect_store::{ArtifactKey, Store};
+use ndetect_store::{ArtifactKey, Origin, Store};
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,7 +50,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 pub struct Counters {
     /// Requests accepted (parsed and executed, whatever the outcome).
     pub requests: Arc<Counter>,
-    /// Fault-universe builds that actually ran (hot-LRU and store
+    /// Fault-universe builds that actually ran (resident and store
     /// misses that executed the fault simulator).
     pub universe_builds: Arc<Counter>,
     /// Generated-set builds that actually ran.
@@ -398,60 +400,51 @@ impl Engine {
             .clone())
     }
 
-    /// The shared universe read path, counting an actual build only on
-    /// a store miss. Both the enumerated and the explicit-target
-    /// (time-frame-expanded) universes go through here; they differ
-    /// only in `key` and `build`.
-    fn universe_through_layers(
+    /// The on-disk store behind every artifact, if one is configured.
+    #[must_use]
+    pub fn store(&self) -> Option<&Store> {
+        self.store.as_ref()
+    }
+
+    /// The fault universe of `netlist` under `options` — over
+    /// `explicit`'s population (a time-frame expansion's lowered
+    /// faults, keyed by the source model) when given. Only a store miss
+    /// counts as a build.
+    ///
+    /// # Errors
+    ///
+    /// Returns a user-facing message when the circuit cannot be
+    /// simulated exhaustively (e.g. too many inputs).
+    pub fn universe(
         &self,
-        key: ArtifactKey,
-        build: impl FnOnce(Option<&Store>) -> Result<FaultUniverse, String>,
+        netlist: &Netlist,
+        explicit: Option<&ExplicitTargets>,
+        options: UniverseOptions,
     ) -> Result<Arc<FaultUniverse>, String> {
+        let key = explicit.map_or_else(
+            || universe_key(netlist, options),
+            |x| explicit_universe_key(&x.canonical, options),
+        );
         self.universes.get(key, &self.counters, || {
             // Chaos hook inside the flight, so an injected failure (or
             // panic) exercises the leader-death → waiter-retry path.
             if ndetect_chaos::failpoint!("engine.universe.build").is_some() {
                 return Err("failpoint `engine.universe.build`: injected error".to_string());
             }
-            let store = self.store.as_ref();
-            let misses = store.map_or(0, Store::session_misses);
-            let universe = Arc::new(build(store)?);
-            // A store hit deserializes instead of simulating; only a
-            // store miss (or no store at all) is an actual build.
-            if store.is_none_or(|s| s.session_misses() > misses) {
+            let (universe, origin) =
+                FaultUniverse::build_stored(netlist, explicit, options, self.store.as_ref())
+                    .map_err(|e| e.to_string())?;
+            if origin == Origin::Built {
                 self.counters.universe_builds.inc();
             }
-            Ok(universe)
-        })
-    }
-}
-
-impl UniverseProvider for Engine {
-    fn universe(
-        &self,
-        netlist: &Netlist,
-        options: UniverseOptions,
-    ) -> Result<Arc<FaultUniverse>, String> {
-        let key = universe_key(netlist, options);
-        self.universe_through_layers(key, |store| {
-            FaultUniverse::build_stored(netlist, options, store).map_err(|e| e.to_string())
+            Ok(Arc::new(universe))
         })
     }
 
-    fn universe_explicit(
-        &self,
-        netlist: &Netlist,
-        explicit: &ExplicitTargets,
-        options: UniverseOptions,
-    ) -> Result<Arc<FaultUniverse>, String> {
-        let key = explicit_universe_key(&explicit.canonical, options);
-        self.universe_through_layers(key, |store| {
-            FaultUniverse::build_stored_explicit(netlist, explicit, options, store)
-                .map_err(|e| e.to_string())
-        })
-    }
-
-    fn worst(&self, universe: &Arc<FaultUniverse>, threads: usize) -> Arc<WorstCaseAnalysis> {
+    /// The worst-case `nmin` analysis of `universe` with up to
+    /// `threads` workers (`0` = auto); the result is the same for every
+    /// thread count.
+    pub fn worst(&self, universe: &Arc<FaultUniverse>, threads: usize) -> Arc<WorstCaseAnalysis> {
         let key = WorstCaseAnalysis::store_key(universe);
         let Ok(wc) = self.worst_cases.get(key, &self.counters, || {
             Ok(Arc::new(WorstCaseAnalysis::compute_stored(
@@ -463,26 +456,27 @@ impl UniverseProvider for Engine {
         wc
     }
 
-    fn generated(&self, universe: &Arc<FaultUniverse>, options: &GenOptions) -> Arc<GeneratedSet> {
+    /// A generated n-detection set for `universe` under `options`. Only
+    /// a store miss counts as a build.
+    pub fn generated(
+        &self,
+        universe: &Arc<FaultUniverse>,
+        options: &GenOptions,
+    ) -> Arc<GeneratedSet> {
         let key = generated_key(universe, options);
         let Ok(set) = self.sets.get(key, &self.counters, || {
             // Chaos hook: generation is infallible, so only the
             // delay/panic actions are meaningful here (return-err and
             // torn-write pass through as no-ops).
             let _ = ndetect_chaos::failpoint!("engine.gen.build");
-            let store = self.store.as_ref();
-            let misses = store.map_or(0, Store::session_misses);
-            let set = Arc::new(ndetect_gen::generate_stored(universe, options, store));
-            if store.is_none_or(|s| s.session_misses() > misses) {
+            let (set, origin) =
+                ndetect_gen::generate_stored(universe, options, self.store.as_ref());
+            if origin == Origin::Built {
                 self.counters.gen_builds.inc();
             }
-            Ok(set)
+            Ok(Arc::new(set))
         });
         set
-    }
-
-    fn store(&self) -> Option<&Store> {
-        self.store.as_ref()
     }
 }
 
@@ -503,8 +497,8 @@ pub(crate) mod tests {
     fn repeated_requests_build_once_and_hit_the_hot_cache() {
         let engine = Engine::new(None, 8, 8);
         let netlist = figure1::netlist();
-        let a = engine.universe(&netlist, options()).unwrap();
-        let b = engine.universe(&netlist, options()).unwrap();
+        let a = engine.universe(&netlist, None, options()).unwrap();
+        let b = engine.universe(&netlist, None, options()).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second request must share the Arc");
         assert_eq!(engine.counters().universe_builds.get(), 1);
         assert_eq!(engine.counters().hot_hits.get(), 1);
@@ -522,7 +516,7 @@ pub(crate) mod tests {
                 let barrier = &barrier;
                 scope.spawn(move || {
                     barrier.wait();
-                    engine.universe(netlist, options()).unwrap();
+                    engine.universe(netlist, None, options()).unwrap();
                 });
             }
         });
@@ -537,7 +531,7 @@ pub(crate) mod tests {
     fn generated_sets_dedup_like_universes() {
         let engine = Engine::new(None, 8, 8);
         let netlist = figure1::netlist();
-        let universe = engine.universe(&netlist, options()).unwrap();
+        let universe = engine.universe(&netlist, None, options()).unwrap();
         let gen_options = GenOptions {
             n: 2,
             compact: true,
@@ -552,7 +546,9 @@ pub(crate) mod tests {
     #[test]
     fn worst_case_results_share_the_hot_layer_counters() {
         let engine = Engine::new(None, 1, 1);
-        let figure1 = engine.universe(&figure1::netlist(), options()).unwrap();
+        let figure1 = engine
+            .universe(&figure1::netlist(), None, options())
+            .unwrap();
         let a = engine.worst(&figure1, 1);
         let hits = engine.counters().hot_hits.get();
         let b = engine.worst(&figure1, 2);
@@ -564,10 +560,58 @@ pub(crate) mod tests {
         );
         // Capacity 1: the next circuit's result evicts figure1's.
         let c17 = ndetect_circuits::build("c17").unwrap();
-        let c17 = engine.universe(&c17, options()).unwrap();
+        let c17 = engine.universe(&c17, None, options()).unwrap();
         let evictions = engine.counters().hot_evictions.get();
         engine.worst(&c17, 0);
         assert_eq!(engine.counters().hot_evictions.get(), evictions + 1);
+    }
+
+    /// A store whose entry under `(key, kind)` has a valid checksum but
+    /// bytes no decoder accepts: loading it is a store hit, not a miss.
+    fn store_with_junk(tag: &str, key: ArtifactKey, kind: u16) -> Store {
+        let dir = std::env::temp_dir().join(format!("ndet-engine-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Store::open(&dir).unwrap();
+        store.save(key, kind, b"junk").unwrap();
+        store
+    }
+
+    #[test]
+    fn a_rejected_universe_entry_counts_as_a_build() {
+        let netlist = figure1::netlist();
+        let key = universe_key(&netlist, options());
+        let store = store_with_junk("universe", key, ndetect_faults::KIND_UNIVERSE);
+        let engine = Engine::new(Some(store), 8, 8);
+        let universe = engine.universe(&netlist, None, options()).unwrap();
+        let fresh = FaultUniverse::build_with(&netlist, options()).unwrap();
+        assert_eq!(universe.bridges(), fresh.bridges(), "the junk was rebuilt");
+        assert_eq!(engine.counters().universe_builds.get(), 1);
+        let store = engine.store().unwrap();
+        assert_eq!(
+            store.session_misses(),
+            0,
+            "the junk entry read as a store hit"
+        );
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn a_rejected_generated_set_entry_counts_as_a_build() {
+        let universe = Arc::new(FaultUniverse::build(&figure1::netlist()).unwrap());
+        let gen_options = GenOptions::with_n(2);
+        let key = generated_key(&universe, &gen_options);
+        let store = store_with_junk("generated", key, ndetect_gen::KIND_GENERATED_SET);
+        let engine = Engine::new(Some(store), 8, 8);
+        let set = engine.generated(&universe, &gen_options);
+        assert!(set.satisfies(&universe), "the junk was rebuilt");
+        assert_eq!(engine.counters().gen_builds.get(), 1);
+        let store = engine.store().unwrap();
+        assert_eq!(
+            store.session_misses(),
+            0,
+            "the junk entry read as a store hit"
+        );
+        let _ = std::fs::remove_dir_all(store.root());
     }
 
     #[test]
@@ -738,8 +782,8 @@ pub(crate) mod tests {
 
         let engine = Engine::new(None, 0, 0);
         let netlist = figure1::netlist();
-        let a = engine.universe(&netlist, options()).unwrap();
-        let b = engine.universe(&netlist, options()).unwrap();
+        let a = engine.universe(&netlist, None, options()).unwrap();
+        let b = engine.universe(&netlist, None, options()).unwrap();
         // No hot layer: serial requests rebuild (no store either), but
         // results are still correct.
         assert_eq!(a.targets().len(), b.targets().len());

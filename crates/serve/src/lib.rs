@@ -11,8 +11,10 @@
 //! thundering herd of identical requests runs exactly one build, and a
 //! warm request touches neither disk nor simulator.
 //!
-//! The rendering layer ([`render`]) is shared with the CLI, so a serve
-//! reply is byte-for-byte the stdout of the matching one-shot command.
+//! The rendering layer ([`render`]) is shared with the CLI, which
+//! renders through an [`Engine`] that keeps nothing resident, so a
+//! serve reply is byte-for-byte the stdout of the matching one-shot
+//! command.
 //! Shutdown ([`signal`]) is a drain: in-flight requests finish, new
 //! ones get structured `err shutdown` replies, and the process exits 0.
 
@@ -27,7 +29,6 @@ pub use protocol::{read_reply, ChaosCommand, ErrorReply, Reply, Request};
 pub use render::{
     render_corpus, render_corpus_stream, render_gen, render_seq_gen, render_seq_stats,
     render_seq_worst, render_stats, render_worst, CorpusOutput, CorpusRequest, CorpusTail, Knobs,
-    StoreProvider, UniverseProvider,
 };
 pub use server::{Server, ServerConfig, ShutdownHandle};
 

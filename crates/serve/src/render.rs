@@ -3,19 +3,19 @@
 //!
 //! Both paths must produce **byte-identical** output for the same
 //! request (the serve-smoke CI job diffs them), so the rendering lives
-//! here once and the callers differ only in how they obtain artifacts:
-//! the CLI builds straight through the on-disk store
-//! ([`StoreProvider`]), the server keeps resident artifacts and joins
-//! identical in-flight builds on top ([`crate::Engine`]).
+//! here once and reads every artifact through one [`Engine`]: the CLI
+//! renders through `Engine::new(store, 0, 0)`, which keeps nothing
+//! resident, and the server through its long-lived engine, which keeps
+//! hot artifacts and joins identical in-flight builds.
 
+use crate::Engine;
 use ndetect_core::partition::analyze_output_cones;
 use ndetect_core::report::{render_table2, render_table3, table2_row, table3_row};
-use ndetect_core::{bridges_detected, NminDistribution, WorstCaseAnalysis};
-use ndetect_faults::{ExplicitTargets, FaultUniverse, UniverseOptions};
-use ndetect_gen::{GenOptions, GeneratedSet};
+use ndetect_core::{bridges_detected, NminDistribution};
+use ndetect_faults::{FaultUniverse, UniverseOptions};
+use ndetect_gen::GenOptions;
 use ndetect_netlist::{bench_format, Netlist, NetlistError, NetlistStats, SeqNetlist};
 use ndetect_seq::{expand_stored, ExpandedModel, FaultModel};
-use ndetect_store::Store;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -37,113 +37,13 @@ impl Knobs {
     }
 }
 
-/// Where analyses get their expensive artifacts from. The one-shot CLI
-/// reads through the on-disk store; the server adds resident artifacts
-/// and in-flight dedup. Rendering code only sees this trait.
-pub trait UniverseProvider: Sync {
-    /// A fault universe for `netlist` under `options`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a user-facing message when the circuit cannot be
-    /// simulated exhaustively (e.g. too many inputs).
-    fn universe(
-        &self,
-        netlist: &Netlist,
-        options: UniverseOptions,
-    ) -> Result<Arc<FaultUniverse>, String>;
-
-    /// A fault universe over an explicitly lowered fault population
-    /// (time-frame-expanded transition faults); keyed by the *source*
-    /// model's canonical bytes via
-    /// [`ndetect_faults::explicit_universe_key`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a user-facing message when the expanded circuit cannot
-    /// be simulated exhaustively.
-    fn universe_explicit(
-        &self,
-        netlist: &Netlist,
-        explicit: &ExplicitTargets,
-        options: UniverseOptions,
-    ) -> Result<Arc<FaultUniverse>, String>;
-
-    /// The worst-case `nmin` analysis of `universe` with up to
-    /// `threads` workers (`0` = auto); the result is the same for every
-    /// thread count.
-    fn worst(&self, universe: &Arc<FaultUniverse>, threads: usize) -> Arc<WorstCaseAnalysis>;
-
-    /// A generated n-detection set for `universe` under `options`.
-    fn generated(&self, universe: &Arc<FaultUniverse>, options: &GenOptions) -> Arc<GeneratedSet>;
-
-    /// The on-disk store backing derived artifacts (nmin vectors,
-    /// Procedure-1 estimates), if one is configured.
-    fn store(&self) -> Option<&Store>;
-}
-
-/// The plain store-backed provider used by one-shot CLI invocations:
-/// no in-memory layer, every artifact read through `ndetect-store`.
-pub struct StoreProvider<'a> {
-    store: Option<&'a Store>,
-}
-
-impl<'a> StoreProvider<'a> {
-    /// Wraps an optional store handle.
-    #[must_use]
-    pub fn new(store: Option<&'a Store>) -> Self {
-        StoreProvider { store }
-    }
-}
-
-impl UniverseProvider for StoreProvider<'_> {
-    fn universe(
-        &self,
-        netlist: &Netlist,
-        options: UniverseOptions,
-    ) -> Result<Arc<FaultUniverse>, String> {
-        FaultUniverse::build_stored(netlist, options, self.store)
-            .map(Arc::new)
-            .map_err(|e| e.to_string())
-    }
-
-    fn universe_explicit(
-        &self,
-        netlist: &Netlist,
-        explicit: &ExplicitTargets,
-        options: UniverseOptions,
-    ) -> Result<Arc<FaultUniverse>, String> {
-        FaultUniverse::build_stored_explicit(netlist, explicit, options, self.store)
-            .map(Arc::new)
-            .map_err(|e| e.to_string())
-    }
-
-    fn worst(&self, universe: &Arc<FaultUniverse>, threads: usize) -> Arc<WorstCaseAnalysis> {
-        Arc::new(WorstCaseAnalysis::compute_stored(
-            universe, threads, self.store,
-        ))
-    }
-
-    fn generated(&self, universe: &Arc<FaultUniverse>, options: &GenOptions) -> Arc<GeneratedSet> {
-        Arc::new(ndetect_gen::generate_stored(universe, options, self.store))
-    }
-
-    fn store(&self) -> Option<&Store> {
-        self.store
-    }
-}
-
 /// `ndet stats` / serve `stats`: structure, fault population, kernel.
 ///
 /// # Errors
 ///
 /// Returns a user-facing message when the universe cannot be built.
-pub fn render_stats(
-    netlist: &Netlist,
-    knobs: Knobs,
-    provider: &dyn UniverseProvider,
-) -> Result<String, String> {
-    let universe = provider.universe(netlist, knobs.universe_options())?;
+pub fn render_stats(netlist: &Netlist, knobs: Knobs, engine: &Engine) -> Result<String, String> {
+    let universe = engine.universe(netlist, None, knobs.universe_options())?;
     Ok(stats_body(netlist, &universe))
 }
 
@@ -174,12 +74,12 @@ pub fn seq_universe(
     seq: &SeqNetlist,
     model: FaultModel,
     knobs: Knobs,
-    provider: &dyn UniverseProvider,
+    engine: &Engine,
 ) -> Result<(ExpandedModel, Arc<FaultUniverse>), String> {
-    let expanded = expand_stored(seq, model, provider.store()).map_err(|e| e.to_string())?;
-    let universe = provider.universe_explicit(
+    let expanded = expand_stored(seq, model, engine.store()).map_err(|e| e.to_string())?;
+    let universe = engine.universe(
         expanded.netlist(),
-        &expanded.explicit_targets(),
+        Some(&expanded.explicit_targets()),
         knobs.universe_options(),
     )?;
     Ok((expanded, universe))
@@ -197,9 +97,9 @@ pub fn render_seq_stats(
     seq: &SeqNetlist,
     model: FaultModel,
     knobs: Knobs,
-    provider: &dyn UniverseProvider,
+    engine: &Engine,
 ) -> Result<String, String> {
-    let (expanded, universe) = seq_universe(seq, model, knobs, provider)?;
+    let (expanded, universe) = seq_universe(seq, model, knobs, engine)?;
     Ok(format!(
         "{expanded}\n{}",
         stats_body(expanded.netlist(), &universe)
@@ -216,16 +116,10 @@ pub fn render_worst(
     netlist: &Netlist,
     floor: usize,
     knobs: Knobs,
-    provider: &dyn UniverseProvider,
+    engine: &Engine,
 ) -> Result<String, String> {
-    let universe = provider.universe(netlist, knobs.universe_options())?;
-    Ok(worst_body(
-        netlist.name(),
-        &universe,
-        floor,
-        knobs,
-        provider,
-    ))
+    let universe = engine.universe(netlist, None, knobs.universe_options())?;
+    Ok(worst_body(netlist.name(), &universe, floor, knobs, engine))
 }
 
 /// The shared `worst` body: analysis summary, Table 2/3 rows, and the
@@ -235,9 +129,9 @@ fn worst_body(
     universe: &Arc<FaultUniverse>,
     floor: usize,
     knobs: Knobs,
-    provider: &dyn UniverseProvider,
+    engine: &Engine,
 ) -> String {
-    let wc = provider.worst(universe, knobs.threads);
+    let wc = engine.worst(universe, knobs.threads);
     let mut out = String::new();
     let _ = writeln!(out, "{universe}");
     let _ = writeln!(out, "{wc}");
@@ -266,12 +160,12 @@ pub fn render_seq_worst(
     model: FaultModel,
     floor: usize,
     knobs: Knobs,
-    provider: &dyn UniverseProvider,
+    engine: &Engine,
 ) -> Result<String, String> {
-    let (expanded, universe) = seq_universe(seq, model, knobs, provider)?;
+    let (expanded, universe) = seq_universe(seq, model, knobs, engine)?;
     Ok(format!(
         "{expanded}\n{}",
-        worst_body(expanded.netlist().name(), &universe, floor, knobs, provider)
+        worst_body(expanded.netlist().name(), &universe, floor, knobs, engine)
     ))
 }
 
@@ -288,13 +182,13 @@ pub fn render_gen(
     compact: bool,
     seed: Option<u64>,
     knobs: Knobs,
-    provider: &dyn UniverseProvider,
+    engine: &Engine,
 ) -> Result<String, String> {
     if n == 0 {
         return Err("n must be at least 1".into());
     }
-    let universe = provider.universe(netlist, knobs.universe_options())?;
-    Ok(gen_body(&universe, n, compact, seed, provider))
+    let universe = engine.universe(netlist, None, knobs.universe_options())?;
+    Ok(gen_body(&universe, n, compact, seed, engine))
 }
 
 /// `ndet gen --seq` / serve `gen` on a sequential circuit: broadside
@@ -311,15 +205,15 @@ pub fn render_seq_gen(
     compact: bool,
     seed: Option<u64>,
     knobs: Knobs,
-    provider: &dyn UniverseProvider,
+    engine: &Engine,
 ) -> Result<String, String> {
     if n == 0 {
         return Err("n must be at least 1".into());
     }
-    let (expanded, universe) = seq_universe(seq, model, knobs, provider)?;
+    let (expanded, universe) = seq_universe(seq, model, knobs, engine)?;
     Ok(format!(
         "{expanded}\n{}",
-        gen_body(&universe, n, compact, seed, provider)
+        gen_body(&universe, n, compact, seed, engine)
     ))
 }
 
@@ -330,7 +224,7 @@ fn gen_body(
     n: u32,
     compact: bool,
     seed: Option<u64>,
-    provider: &dyn UniverseProvider,
+    engine: &Engine,
 ) -> String {
     let options = GenOptions {
         n,
@@ -338,7 +232,7 @@ fn gen_body(
         seed,
         ..GenOptions::default()
     };
-    let set = provider.generated(universe, &options);
+    let set = engine.generated(universe, &options);
     let space = universe.space().num_patterns();
     let mut out = String::new();
     let _ = writeln!(
@@ -481,7 +375,7 @@ fn collect_bench_files(dir: &Path, recursive: bool, out: &mut Vec<PathBuf>) -> R
 /// `ndet corpus` / serve `corpus`: walks a directory of ISCAS-style
 /// `.bench` files (sorted full path list, so results are
 /// deterministic), runs the stats/worst-case analysis per circuit
-/// through the provider (with the output-cone partitioned fallback for
+/// through the engine (with the output-cone partitioned fallback for
 /// circuits too wide for exhaustive simulation), generates compact
 /// n-detection sets at n = 1, 5, 10 for exhaustively analysed
 /// circuits, and emits a machine-readable CSV or JSON summary.
@@ -494,10 +388,10 @@ fn collect_bench_files(dir: &Path, recursive: bool, out: &mut Vec<PathBuf>) -> R
 pub fn render_corpus(
     request: &CorpusRequest,
     knobs: Knobs,
-    provider: &dyn UniverseProvider,
+    engine: &Engine,
 ) -> Result<CorpusOutput, String> {
     let mut body = String::new();
-    let tail = render_corpus_stream(request, knobs, provider, &mut |chunk| body.push_str(chunk))?;
+    let tail = render_corpus_stream(request, knobs, engine, &mut |chunk| body.push_str(chunk))?;
     body.push_str(&tail.trailer);
     Ok(CorpusOutput {
         body,
@@ -533,7 +427,7 @@ pub struct CorpusTail {
 pub fn render_corpus_stream(
     request: &CorpusRequest,
     knobs: Knobs,
-    provider: &dyn UniverseProvider,
+    engine: &Engine,
     sink: &mut dyn FnMut(&str),
 ) -> Result<CorpusTail, String> {
     let json = match request.format.as_str() {
@@ -553,7 +447,7 @@ pub fn render_corpus_stream(
     for (i, path) in paths.iter().enumerate() {
         // Per-file fault tolerance: one malformed file is reported as
         // an `error` row instead of aborting the whole corpus run.
-        let row = match corpus_row(path, request.max_inputs, knobs, provider) {
+        let row = match corpus_row(path, request.max_inputs, knobs, engine) {
             Ok(row) => row,
             Err(message) => {
                 errors.push(message);
@@ -587,7 +481,7 @@ fn corpus_row(
     path: &Path,
     max_inputs: usize,
     knobs: Knobs,
-    provider: &dyn UniverseProvider,
+    engine: &Engine,
 ) -> Result<CorpusRow, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
@@ -600,95 +494,57 @@ fn corpus_row(
             // expansion instead.
             let seq = bench_format::parse_seq(name, &text)
                 .map_err(|e| format!("{}: {e}", path.display()))?;
-            return seq_corpus_row(&seq, max_inputs, knobs, provider);
+            return seq_corpus_row(&seq, max_inputs, knobs, engine);
         }
         Err(e) => return Err(format!("{}: {e}", path.display())),
     };
 
+    let mut row = CorpusRow::empty(name, "full");
+    row.inputs = netlist.num_inputs();
+    row.outputs = netlist.num_outputs();
+    row.gates = netlist.num_gates();
     if netlist.num_inputs() <= max_inputs {
-        let universe = provider.universe(&netlist, knobs.universe_options())?;
-        let wc = provider.worst(&universe, knobs.threads);
-        // Compact generated-set sizes vs the exhaustive baseline |U|:
-        // how much smaller than the whole space an n-detection set is.
-        let gen_size = |n: u32| {
-            let options = GenOptions {
-                n,
-                compact: true,
-                ..GenOptions::default()
-            };
-            Some(provider.generated(&universe, &options).len())
-        };
-        Ok(CorpusRow {
-            circuit: name.to_string(),
-            mode: "full",
-            inputs: netlist.num_inputs(),
-            outputs: netlist.num_outputs(),
-            gates: netlist.num_gates(),
-            targets: universe.targets().len(),
-            bridges: universe.bridges().len(),
-            cov1: Some(wc.coverage_percent(1)),
-            cov10: Some(wc.coverage_percent(10)),
-            tail11: wc.tail_count(11),
-            max_nmin: wc.max_finite(),
-            space: Some(universe.space().num_patterns()),
-            gen1: gen_size(1),
-            gen5: gen_size(5),
-            gen10: gen_size(10),
-            peak_bytes: Some(universe.simulator().data_plane_bytes()),
-        })
-    } else {
-        let reports = analyze_output_cones(&netlist, max_inputs, knobs.threads, provider.store())
-            .map_err(|e| e.to_string())?;
-        if reports.is_empty() {
-            // Every cone was wider than max_inputs: nothing was
-            // simulated, so report no coverage rather than a vacuous
-            // 100%.
-            let mut row = CorpusRow::empty(name, "skipped");
-            row.inputs = netlist.num_inputs();
-            row.outputs = netlist.num_outputs();
-            row.gates = netlist.num_gates();
-            return Ok(row);
-        }
-        let total_bridges: usize = reports.iter().map(|r| r.num_bridges).sum();
-        // Bridge-weighted coverage across cones (conservative: each cone
-        // only observes its own output).
-        let weighted = |n: u32| -> f64 {
-            if total_bridges == 0 {
-                return 100.0;
-            }
-            reports
-                .iter()
-                .map(|r| {
-                    let cov = r
-                        .coverage
-                        .iter()
-                        .find(|(t, _)| *t == n)
-                        .map_or(100.0, |(_, pct)| *pct);
-                    cov * r.num_bridges as f64
-                })
-                .sum::<f64>()
-                / total_bridges as f64
-        };
-        Ok(CorpusRow {
-            circuit: name.to_string(),
-            mode: "cones",
-            inputs: netlist.num_inputs(),
-            outputs: netlist.num_outputs(),
-            gates: netlist.num_gates(),
-            targets: reports.iter().map(|r| r.num_targets).sum(),
-            bridges: total_bridges,
-            cov1: Some(weighted(1)),
-            cov10: Some(weighted(10)),
-            tail11: reports.iter().map(|r| r.tail_11).sum(),
-            max_nmin: None,
-            space: None,
-            gen1: None,
-            gen5: None,
-            gen10: None,
-            // Peak over cones: the widest cone dominates the data plane.
-            peak_bytes: reports.iter().map(|r| r.data_plane_bytes).max(),
-        })
+        let universe = engine.universe(&netlist, None, knobs.universe_options())?;
+        analysed_columns(&mut row, &universe, knobs, engine);
+        return Ok(row);
     }
+    let reports = analyze_output_cones(&netlist, max_inputs, knobs.threads, engine.store())
+        .map_err(|e| e.to_string())?;
+    if reports.is_empty() {
+        // Every cone was wider than max_inputs: nothing was simulated,
+        // so report no coverage rather than a vacuous 100%.
+        row.mode = "skipped";
+        return Ok(row);
+    }
+    let total_bridges: usize = reports.iter().map(|r| r.num_bridges).sum();
+    // Bridge-weighted coverage across cones (conservative: each cone
+    // only observes its own output).
+    let weighted = |n: u32| -> f64 {
+        if total_bridges == 0 {
+            return 100.0;
+        }
+        reports
+            .iter()
+            .map(|r| {
+                let cov = r
+                    .coverage
+                    .iter()
+                    .find(|(t, _)| *t == n)
+                    .map_or(100.0, |(_, pct)| *pct);
+                cov * r.num_bridges as f64
+            })
+            .sum::<f64>()
+            / total_bridges as f64
+    };
+    row.mode = "cones";
+    row.targets = reports.iter().map(|r| r.num_targets).sum();
+    row.bridges = total_bridges;
+    row.cov1 = Some(weighted(1));
+    row.cov10 = Some(weighted(10));
+    row.tail11 = reports.iter().map(|r| r.tail_11).sum();
+    // Peak over cones: the widest cone dominates the data plane.
+    row.peak_bytes = reports.iter().map(|r| r.data_plane_bytes).max();
+    Ok(row)
 }
 
 /// Analyses one sequential corpus circuit through its two-frame
@@ -699,10 +555,10 @@ fn seq_corpus_row(
     seq: &SeqNetlist,
     max_inputs: usize,
     knobs: Knobs,
-    provider: &dyn UniverseProvider,
+    engine: &Engine,
 ) -> Result<CorpusRow, String> {
     let expanded =
-        expand_stored(seq, FaultModel::Transition, provider.store()).map_err(|e| e.to_string())?;
+        expand_stored(seq, FaultModel::Transition, engine.store()).map_err(|e| e.to_string())?;
     let mut row = CorpusRow::empty(seq.name(), "seq");
     row.inputs = seq.num_true_inputs();
     row.outputs = seq.num_true_outputs();
@@ -713,19 +569,31 @@ fn seq_corpus_row(
         // coverage, like `skipped`.
         return Ok(row);
     }
-    let universe = provider.universe_explicit(
-        expanded.netlist(),
-        &expanded.explicit_targets(),
-        knobs.universe_options(),
-    )?;
-    let wc = provider.worst(&universe, knobs.threads);
+    let explicit = expanded.explicit_targets();
+    let options = knobs.universe_options();
+    let universe = engine.universe(expanded.netlist(), Some(&explicit), options)?;
+    analysed_columns(&mut row, &universe, knobs, engine);
+    Ok(row)
+}
+
+/// Fills the analysis columns of an exhaustively analysed row (`full`
+/// or `seq`): coverage and tail from the worst case, and compacted
+/// generated-set sizes at n = 1, 5, 10 against the exhaustive baseline
+/// |U| — how much smaller than the whole space an n-detection set is.
+fn analysed_columns(
+    row: &mut CorpusRow,
+    universe: &Arc<FaultUniverse>,
+    knobs: Knobs,
+    engine: &Engine,
+) {
+    let wc = engine.worst(universe, knobs.threads);
     let gen_size = |n: u32| {
         let options = GenOptions {
             n,
             compact: true,
             ..GenOptions::default()
         };
-        Some(provider.generated(&universe, &options).len())
+        Some(engine.generated(universe, &options).len())
     };
     row.targets = universe.targets().len();
     row.bridges = universe.bridges().len();
@@ -738,7 +606,6 @@ fn seq_corpus_row(
     row.gen5 = gen_size(5);
     row.gen10 = gen_size(10);
     row.peak_bytes = Some(universe.simulator().data_plane_bytes());
-    Ok(row)
 }
 
 const CORPUS_CSV_HEADER: &str = "circuit,mode,inputs,outputs,gates,targets,bridges,cov1_pct,cov10_pct,tail11,max_nmin,space,gen1,gen5,gen10,kernel,peak_bytes\n";
@@ -812,39 +679,39 @@ mod tests {
 
     #[test]
     fn stats_and_worst_render_the_paper_numbers() {
-        let provider = StoreProvider::new(None);
+        let engine = Engine::new(None, 0, 0);
         let netlist = figure1::netlist();
-        let stats = render_stats(&netlist, Knobs::default(), &provider).unwrap();
+        let stats = render_stats(&netlist, Knobs::default(), &engine).unwrap();
         assert!(stats.contains("figure1: 4 inputs, 3 outputs, 3 gates, 11 lines"));
         assert!(stats.contains("kernel: "));
-        let worst = render_worst(&netlist, 100, Knobs::default(), &provider).unwrap();
+        let worst = render_worst(&netlist, 100, Knobs::default(), &engine).unwrap();
         assert!(worst.contains("40.00% at n=1"), "{worst}");
     }
 
     #[test]
     fn gen_rejects_n_zero_and_renders_a_set() {
-        let provider = StoreProvider::new(None);
+        let engine = Engine::new(None, 0, 0);
         let netlist = figure1::netlist();
-        assert!(render_gen(&netlist, 0, false, None, Knobs::default(), &provider).is_err());
-        let out = render_gen(&netlist, 1, true, None, Knobs::default(), &provider).unwrap();
+        assert!(render_gen(&netlist, 0, false, None, Knobs::default(), &engine).is_err());
+        let out = render_gen(&netlist, 1, true, None, Knobs::default(), &engine).unwrap();
         assert!(out.contains("generated 1-detection set:"), "{out}");
         assert!(out.contains(", compacted"), "{out}");
     }
 
     #[test]
     fn corpus_rejects_unknown_formats_and_missing_dirs() {
-        let provider = StoreProvider::new(None);
+        let engine = Engine::new(None, 0, 0);
         let request = CorpusRequest {
             dir: PathBuf::from("/nonexistent-dir"),
             format: "yaml".into(),
             max_inputs: 14,
             recursive: false,
         };
-        assert!(render_corpus(&request, Knobs::default(), &provider).is_err());
+        assert!(render_corpus(&request, Knobs::default(), &engine).is_err());
         let request = CorpusRequest {
             format: "csv".into(),
             ..request
         };
-        assert!(render_corpus(&request, Knobs::default(), &provider).is_err());
+        assert!(render_corpus(&request, Knobs::default(), &engine).is_err());
     }
 }

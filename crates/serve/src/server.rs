@@ -783,7 +783,7 @@ mod tests {
             FaultModel::Transition,
             100,
             crate::render::Knobs::default(),
-            &crate::render::StoreProvider::new(None),
+            &Engine::new(None, 0, 0),
         )
         .unwrap();
         let Reply::Ok(payload) = request_line(addr, "worst s27") else {
@@ -848,7 +848,7 @@ mod tests {
                 recursive: false,
             },
             crate::render::Knobs::default(),
-            &crate::render::StoreProvider::new(None),
+            &Engine::new(None, 0, 0),
         )
         .unwrap();
         assert!(expected.errors.is_empty(), "{:?}", expected.errors);

@@ -3,9 +3,7 @@
 //! replies, store-backed warm starts, and the drain path.
 
 use ndetect_serve::protocol::{read_reply, Reply};
-use ndetect_serve::{
-    render_worst, Engine, Knobs, Server, ServerConfig, StoreProvider, UniverseProvider,
-};
+use ndetect_serve::{render_worst, Engine, Knobs, Server, ServerConfig};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier};
@@ -137,13 +135,12 @@ fn warm_serve_requests_over_a_store_take_zero_store_misses() {
         hot.push(second);
     }
     let s1a = ndetect_circuits::build("s1a").expect("s1a is in the suite");
-    let expected = render_worst(
-        &s1a,
-        100,
-        Knobs::default(),
-        &StoreProvider::new(Some(store)),
-    )
-    .expect("one-shot worst s1a");
+    let one_shot = Engine::new(
+        Some(ndetect_store::Store::open(&dir).expect("reopen")),
+        0,
+        0,
+    );
+    let expected = render_worst(&s1a, 100, Knobs::default(), &one_shot).expect("one-shot worst");
     assert_eq!(hot[1], expected, "the hot reply must match one-shot output");
     shutdown.shutdown();
     handle.join().unwrap().unwrap();

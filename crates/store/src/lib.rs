@@ -19,19 +19,28 @@
 //!   into place, so readers only ever see complete entries.
 //! * **Bounded size.** [`Store::gc`] evicts least-recently-used entries
 //!   (hits refresh mtime) down to a byte budget.
+//! * **One read-through.** Every stored artifact (universes, `nmin`
+//!   vectors, Procedure-1 estimates, generated sets, expanded models)
+//!   is read with [`read_through`]: an entry its `accept` check takes is
+//!   loaded, anything else is built and saved best effort, and the
+//!   caller learns which ([`Origin`]).
 //!
 //! # Example
 //!
 //! ```
-//! use ndetect_store::{decode_from_slice, encode_to_vec, fnv1a64, ArtifactKey, Store};
+//! use ndetect_store::{
+//!     decode_from_slice, encode_to_vec, fnv1a64, read_through, ArtifactKey, Origin, Store,
+//! };
 //!
 //! # fn main() -> std::io::Result<()> {
 //! let dir = std::env::temp_dir().join(format!("ndetect-store-doc-{}", std::process::id()));
 //! let store = Store::open(&dir)?;
 //! let key = ArtifactKey(fnv1a64(b"canonical inputs"));
-//! store.save(key, 1, &encode_to_vec(&vec![1u64, 2, 3]))?;
-//! let loaded: Vec<u64> = decode_from_slice(&store.load(key, 1).unwrap()).unwrap();
-//! assert_eq!(loaded, vec![1, 2, 3]);
+//! let accept = |payload: &[u8]| decode_from_slice::<Vec<u64>>(payload).ok();
+//! let build = || Ok::<_, std::io::Error>(vec![1u64, 2, 3]);
+//! let get = || read_through(Some(&store), key, 1, accept, build, encode_to_vec);
+//! assert_eq!(get()?, (vec![1, 2, 3], Origin::Built));
+//! assert_eq!(get()?, (vec![1, 2, 3], Origin::Loaded));
 //! # std::fs::remove_dir_all(&dir)?;
 //! # Ok(())
 //! # }
@@ -48,4 +57,6 @@ pub use codec::{
     decode_from_slice, encode_to_vec, CodecError, Decode, Decoder, Encode, Encoder, CODEC_VERSION,
 };
 pub use hash::{fnv1a64, ArtifactKey, Fnv64};
-pub use store::{ArtifactKind, GcReport, RepairReport, Store, StoreStats, VerifyReport};
+pub use store::{
+    read_through, ArtifactKind, GcReport, Origin, RepairReport, Store, StoreStats, VerifyReport,
+};

@@ -628,6 +628,44 @@ impl Drop for Store {
     }
 }
 
+/// Where [`read_through`] got its artifact.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Origin {
+    /// Decoded from a store entry that `accept` took.
+    Loaded,
+    /// Built: no store, no valid entry, or an entry `accept` rejected.
+    Built,
+}
+
+/// The store read-through every stored artifact goes through. A valid
+/// entry under `(key, kind)` that `accept` turns into a value is
+/// returned as [`Origin::Loaded`]. Anything else — no store, a missing
+/// or damaged entry, an entry `accept` rejects — is a miss: `build`
+/// runs, its value is saved best effort ([`Store::save_best_effort`])
+/// through `encode`, and it is returned as [`Origin::Built`].
+///
+/// # Errors
+///
+/// Returns `build`'s error; a failed build saves nothing.
+pub fn read_through<T, E>(
+    store: Option<&Store>,
+    key: ArtifactKey,
+    kind: ArtifactKind,
+    accept: impl FnOnce(&[u8]) -> Option<T>,
+    build: impl FnOnce() -> Result<T, E>,
+    encode: impl FnOnce(&T) -> Vec<u8>,
+) -> Result<(T, Origin), E> {
+    let payload = store.and_then(|store| store.load(key, kind));
+    if let Some(value) = payload.and_then(|payload| accept(&payload)) {
+        return Ok((value, Origin::Loaded));
+    }
+    let value = build()?;
+    if let Some(store) = store {
+        store.save_best_effort(key, kind, &encode(&value));
+    }
+    Ok((value, Origin::Built))
+}
+
 /// Entry counts per shard directory, sorted by shard name.
 fn shard_counts(files: &[(PathBuf, u64, SystemTime)]) -> Vec<(String, u64)> {
     let mut counts = BTreeMap::<String, u64>::new();
@@ -1058,5 +1096,74 @@ mod tests {
             kind_from_file_name(Path::new("/x/objects/garbage.art")),
             None
         );
+    }
+
+    /// The read-through of a one-byte artifact that `accept` takes only
+    /// when the payload is exactly one byte.
+    fn read_byte(
+        store: Option<&Store>,
+        built: Result<u8, &'static str>,
+    ) -> Result<(u8, Origin), &'static str> {
+        let accept = |payload: &[u8]| match payload {
+            [byte] => Some(*byte),
+            _ => None,
+        };
+        read_through(store, ArtifactKey(0x44), 1, accept, || built, |b| vec![*b])
+    }
+
+    #[test]
+    fn read_through_without_a_store_builds() {
+        assert_eq!(read_byte(None, Ok(7)), Ok((7, Origin::Built)));
+        assert_eq!(read_byte(None, Err("boom")), Err("boom"));
+        let no_encode = |_: &u8| -> Vec<u8> { unreachable!("nothing is saved without a store") };
+        let built = read_through(
+            None,
+            ArtifactKey(1),
+            1,
+            |_| None,
+            || Ok::<_, ()>(3),
+            no_encode,
+        );
+        assert_eq!(built, Ok((3, Origin::Built)));
+    }
+
+    #[test]
+    fn read_through_loads_an_accepted_entry() {
+        let store = temp_store("read-through-hit");
+        store.save(ArtifactKey(0x44), 1, &[9]).unwrap();
+        assert_eq!(
+            read_byte(Some(&store), Err("unused")),
+            Ok((9, Origin::Loaded))
+        );
+        assert_eq!(store.session_writes(), 1, "a load writes nothing");
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn read_through_rebuilds_and_overwrites_a_rejected_entry() {
+        let store = temp_store("read-through-rejected");
+        let key = ArtifactKey(0x44);
+        store.save(key, 1, b"junk").unwrap();
+        assert_eq!(store.session_misses(), 0);
+        assert_eq!(read_byte(Some(&store), Ok(5)), Ok((5, Origin::Built)));
+        assert_eq!(
+            store.session_hits(),
+            1,
+            "the junk entry is a valid store hit"
+        );
+        assert_eq!(store.load(key, 1).as_deref(), Some(&[5u8][..]));
+        assert_eq!(read_byte(Some(&store), Ok(6)), Ok((5, Origin::Loaded)));
+        let _ = fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn read_through_saves_nothing_when_the_build_fails() {
+        let store = temp_store("read-through-error");
+        assert_eq!(read_byte(Some(&store), Err("boom")), Err("boom"));
+        assert_eq!(store.session_writes(), 0);
+        assert_eq!(store.session_write_errors(), 0);
+        assert_eq!(store.stats().unwrap().entries, 0);
+        assert_eq!(read_byte(Some(&store), Ok(2)), Ok((2, Origin::Built)));
+        let _ = fs::remove_dir_all(store.root());
     }
 }

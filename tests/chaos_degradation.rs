@@ -66,18 +66,21 @@ fn a_dead_write_plane_changes_no_analysis_result() {
         ..GenOptions::default()
     };
     let (clean_store, clean_dir) = temp_store("clean");
-    let clean_universe =
-        FaultUniverse::build_stored(&circuit, options, Some(&clean_store)).unwrap();
+    let clean_universe = FaultUniverse::build_stored(&circuit, None, options, Some(&clean_store))
+        .unwrap()
+        .0;
     let clean_wc = WorstCaseAnalysis::compute_stored(&clean_universe, 0, Some(&clean_store));
-    let clean_set = generate_stored(&clean_universe, &gen_options, Some(&clean_store));
+    let clean_set = generate_stored(&clean_universe, &gen_options, Some(&clean_store)).0;
     assert_eq!(clean_store.session_write_errors(), 0);
 
     // Same pipeline with the entire write plane failing.
     chaos.arm(ALL_WRITES_FAIL);
     let (store, dir) = temp_store("degraded");
-    let universe = FaultUniverse::build_stored(&circuit, options, Some(&store)).unwrap();
+    let universe = FaultUniverse::build_stored(&circuit, None, options, Some(&store))
+        .unwrap()
+        .0;
     let wc = WorstCaseAnalysis::compute_stored(&universe, 0, Some(&store));
-    let set = generate_stored(&universe, &gen_options, Some(&store));
+    let set = generate_stored(&universe, &gen_options, Some(&store)).0;
 
     // Identical results, down to the rendered test-set bytes.
     assert_eq!(clean_wc.nmin_values(), wc.nmin_values());
@@ -106,16 +109,22 @@ fn a_degraded_run_warms_up_once_the_plane_heals() {
     let options = UniverseOptions::default();
     let (store, dir) = temp_store("heal");
     chaos.arm(ALL_WRITES_FAIL);
-    let universe = FaultUniverse::build_stored(&circuit, options, Some(&store)).unwrap();
+    let universe = FaultUniverse::build_stored(&circuit, None, options, Some(&store))
+        .unwrap()
+        .0;
     let _ = WorstCaseAnalysis::compute_stored(&universe, 0, Some(&store));
     assert!(store.session_write_errors() > 0);
     ndetect::chaos::disarm_all();
     // ...so the next (healthy) run rebuilds and publishes, and the one
     // after that is fully warm.
-    let universe = FaultUniverse::build_stored(&circuit, options, Some(&store)).unwrap();
+    let universe = FaultUniverse::build_stored(&circuit, None, options, Some(&store))
+        .unwrap()
+        .0;
     let healthy_wc = WorstCaseAnalysis::compute_stored(&universe, 0, Some(&store));
     let hits_before = store.session_hits();
-    let warm_universe = FaultUniverse::build_stored(&circuit, options, Some(&store)).unwrap();
+    let warm_universe = FaultUniverse::build_stored(&circuit, None, options, Some(&store))
+        .unwrap()
+        .0;
     let warm_wc = WorstCaseAnalysis::compute_stored(&warm_universe, 0, Some(&store));
     assert_eq!(store.session_hits(), hits_before + 2);
     assert_eq!(healthy_wc.nmin_values(), warm_wc.nmin_values());

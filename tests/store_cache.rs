@@ -27,13 +27,17 @@ fn warm_pipeline_reproduces_the_papers_figure1_numbers() {
     let options = UniverseOptions::default();
 
     // Cold pass: builds and populates the store.
-    let cold_universe = FaultUniverse::build_stored(&circuit, options, Some(&store)).unwrap();
+    let cold_universe = FaultUniverse::build_stored(&circuit, None, options, Some(&store))
+        .unwrap()
+        .0;
     let cold_wc = WorstCaseAnalysis::compute_stored(&cold_universe, 0, Some(&store));
     assert_eq!(store.session_hits(), 0);
     assert_eq!(store.session_misses(), 2);
 
     // Warm pass: everything expensive comes from disk.
-    let warm_universe = FaultUniverse::build_stored(&circuit, options, Some(&store)).unwrap();
+    let warm_universe = FaultUniverse::build_stored(&circuit, None, options, Some(&store))
+        .unwrap()
+        .0;
     let warm_wc = WorstCaseAnalysis::compute_stored(&warm_universe, 0, Some(&store));
     assert_eq!(store.session_hits(), 2);
     assert_eq!(store.session_misses(), 2);
@@ -73,9 +77,11 @@ fn warm_pipeline_covers_generation_and_procedure1_artifacts() {
         ..Default::default()
     };
 
-    let cold_universe = FaultUniverse::build_stored(&circuit, options, Some(&store)).unwrap();
+    let cold_universe = FaultUniverse::build_stored(&circuit, None, options, Some(&store))
+        .unwrap()
+        .0;
     let cold_wc = WorstCaseAnalysis::compute_stored(&cold_universe, 0, Some(&store));
-    let cold_set = generate_stored(&cold_universe, &gen_options, Some(&store));
+    let cold_set = generate_stored(&cold_universe, &gen_options, Some(&store)).0;
     let tracked = cold_wc.tail_indices(3);
     assert!(!tracked.is_empty());
     let cold_probs =
@@ -84,9 +90,11 @@ fn warm_pipeline_covers_generation_and_procedure1_artifacts() {
     assert_eq!(store.session_hits(), 0);
     assert_eq!(store.session_misses(), 4);
 
-    let warm_universe = FaultUniverse::build_stored(&circuit, options, Some(&store)).unwrap();
+    let warm_universe = FaultUniverse::build_stored(&circuit, None, options, Some(&store))
+        .unwrap()
+        .0;
     let warm_wc = WorstCaseAnalysis::compute_stored(&warm_universe, 0, Some(&store));
-    let warm_set = generate_stored(&warm_universe, &gen_options, Some(&store));
+    let warm_set = generate_stored(&warm_universe, &gen_options, Some(&store)).0;
     let warm_probs =
         estimate_detection_probabilities_stored(&warm_universe, &tracked, &proc1, Some(&store))
             .unwrap();
@@ -113,8 +121,12 @@ fn suite_circuit_round_trips_through_the_store() {
     let circuit = ndetect::circuits::build("lion").unwrap();
     let options = UniverseOptions::default();
 
-    let cold = FaultUniverse::build_stored(&circuit, options, Some(&store)).unwrap();
-    let warm = FaultUniverse::build_stored(&circuit, options, Some(&store)).unwrap();
+    let cold = FaultUniverse::build_stored(&circuit, None, options, Some(&store))
+        .unwrap()
+        .0;
+    let warm = FaultUniverse::build_stored(&circuit, None, options, Some(&store))
+        .unwrap()
+        .0;
     assert_eq!(store.session_hits(), 1);
     assert_eq!(cold.targets(), warm.targets());
     assert_eq!(cold.bridges(), warm.bridges());
