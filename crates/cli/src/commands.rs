@@ -4,16 +4,14 @@ use ndetect_core::partition::analyze_output_cones;
 use ndetect_core::{
     estimate_detection_probabilities_stored, DetectionDefinition, Procedure1Config,
 };
-use ndetect_faults::FaultUniverse;
-use ndetect_netlist::{bench_format, Netlist, NetlistError, SeqNetlist};
+use ndetect_netlist::{bench_format, Netlist};
 use ndetect_seq::FaultModel;
 use ndetect_serve::render::{CorpusRequest, Knobs};
-use ndetect_serve::Engine;
+use ndetect_serve::{Engine, Subject};
 use ndetect_store::Store;
 use std::fmt::{self, Write as _};
 use std::io::{self, Write};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 mod serve_cmd;
 
@@ -36,6 +34,7 @@ pub const USAGE: &str = "usage:
   ndet serve [--addr A] [--addr-file F] [--request-timeout-ms T]
              [--hot-universes N] [--hot-sets N] [--max-conns N] [--chaos]
   ndet request <addr> <verb> [args...] [--retry N] [--retry-on LIST]
+               [--timeout-ms T]
   ndet trace report <file>
 
 <circuit>: a suite name (`ndet list`), `figure1`, `c17`, or a bundled
@@ -63,12 +62,13 @@ LRU, identical concurrent requests coalesce into a single build,
 connections beyond --max-conns get a one-line `err busy` reply, and
 SIGTERM/ctrl-c drains in-flight work before exiting 0. `ndet request`
 is the matching one-shot client: it sends one request line and prints
-the reply payload; `--retry N` retries up to N times with exponential
-backoff. By default a retry covers refused connections and `err busy` /
-`err timeout` replies (for supervisors racing server startup and herds
-hitting a saturated server); `--retry-on LIST` narrows or widens that
-to any comma-separated subset of refused,busy,timeout,internal,
-shutdown.
+the reply payload, failing when the server sends nothing for
+--timeout-ms T milliseconds (default 120000); `--retry N` retries up to
+N times with exponential backoff. By default a retry covers refused
+connections and `err busy` / `err timeout` replies (for supervisors
+racing server startup and herds hitting a saturated server);
+`--retry-on LIST` narrows or widens that to any comma-separated subset
+of refused,busy,timeout,internal,shutdown.
 
 Fault injection: every command honours the NDETECT_FAILPOINTS
 environment variable (`site=trigger:action` entries separated by `;`,
@@ -219,38 +219,18 @@ fn dispatch_command(
     let knobs = Knobs { threads };
     let text = match command {
         "list" => Ok(list()),
-        "stats" => {
-            let engine = one_shot_engine(&rest)?;
-            with_any_circuit(&rest, |_, kind| match kind {
-                CircuitKind::Comb(n) => ndetect_serve::render_stats(&n, knobs, &engine),
-                CircuitKind::Seq(s, m) => ndetect_serve::render_seq_stats(&s, m, knobs, &engine),
-            })
-        }
+        "stats" => subject(&rest).and_then(|(_, s, engine)| s.stats(knobs, &engine)),
         "worst" => {
             let floor = flag_value(&rest, "--floor")?.unwrap_or(100);
-            let engine = one_shot_engine(&rest)?;
-            with_any_circuit(&rest, |_, kind| match kind {
-                CircuitKind::Comb(n) => ndetect_serve::render_worst(&n, floor, knobs, &engine),
-                CircuitKind::Seq(s, m) => {
-                    ndetect_serve::render_seq_worst(&s, m, floor, knobs, &engine)
-                }
-            })
+            subject(&rest).and_then(|(_, s, engine)| s.worst(floor, knobs, &engine))
         }
         "average" => {
             let k = flag_value(&rest, "--k")?.unwrap_or(200);
             let nmax: u32 = flag_value(&rest, "--nmax")?.unwrap_or(10);
             let def: u32 = flag_value(&rest, "--def")?.unwrap_or(1);
             let tail = flag_value(&rest, "--tail")?.unwrap_or(nmax.saturating_add(1));
-            let engine = one_shot_engine(&rest)?;
-            with_any_circuit(&rest, |name, kind| {
-                let universe = match kind {
-                    CircuitKind::Comb(n) => engine.universe(&n, None, knobs.universe_options())?,
-                    CircuitKind::Seq(s, m) => {
-                        ndetect_serve::render::seq_universe(&s, m, knobs, &engine)?.1
-                    }
-                };
-                average(name, &universe, k, nmax, def, tail, knobs, &engine)
-            })
+            subject(&rest)
+                .and_then(|(name, s, engine)| average(name, &s, k, nmax, def, tail, knobs, &engine))
         }
         "gen" => {
             let n_det: u32 = flag_value(&rest, "--n")?.unwrap_or(10);
@@ -259,24 +239,16 @@ fn dispatch_command(
             if n_det == 0 {
                 return Err(Failure::Error("--n must be at least 1".into()));
             }
-            let engine = one_shot_engine(&rest)?;
-            with_any_circuit(&rest, |_, kind| match kind {
-                CircuitKind::Comb(n) => {
-                    ndetect_serve::render_gen(&n, n_det, do_compact, seed, knobs, &engine)
-                }
-                CircuitKind::Seq(s, m) => {
-                    ndetect_serve::render_seq_gen(&s, m, n_det, do_compact, seed, knobs, &engine)
-                }
-            })
+            subject(&rest).and_then(|(_, s, engine)| s.gen(n_det, do_compact, seed, knobs, &engine))
         }
-        "synth" => with_circuit(&rest, |_, n| Ok(bench_format::write(&n))),
+        "synth" => netlist(&rest).map(|n| bench_format::write(&n)),
         "bench-file" => bench_file(&rest, knobs, &one_shot_engine(&rest)?),
         "pla-file" => pla_file(&rest, knobs, &one_shot_engine(&rest)?),
-        "dot" => with_circuit(&rest, |_, n| Ok(ndetect_netlist::dot::write(&n))),
+        "dot" => netlist(&rest).map(|n| ndetect_netlist::dot::write(&n)),
         "cones" => {
             let max_inputs = flag_value(&rest, "--max-inputs")?.unwrap_or(14);
             let store = open_store_degraded(&rest)?;
-            with_circuit(&rest, |_, n| cones(&n, max_inputs, knobs, store.as_ref()))
+            netlist(&rest).and_then(|n| cones(&n, max_inputs, knobs, store.as_ref()))
         }
         "corpus" => corpus(&rest, knobs, &one_shot_engine(&rest)?),
         "cache" => cache(&rest, open_store(&rest)?.as_ref(), out).map(|()| String::new()),
@@ -409,23 +381,17 @@ fn positionals<'a>(rest: &[&'a String]) -> Vec<&'a str> {
     out
 }
 
-fn with_circuit(
-    rest: &[&String],
-    f: impl FnOnce(&str, Netlist) -> Result<String, String>,
-) -> Result<String, String> {
-    let name = positionals(rest)
+/// The circuit name: the first positional that is not a bare number.
+fn circuit_name<'a>(rest: &[&'a String]) -> Result<&'a str, String> {
+    positionals(rest)
         .into_iter()
         .find(|a| !a.chars().all(|c| c.is_ascii_digit()))
-        .ok_or("missing circuit name")?;
-    let netlist = ndetect_circuits::build(name).map_err(|e| e.to_string())?;
-    f(name, netlist)
+        .ok_or_else(|| "missing circuit name".to_string())
 }
 
-/// A resolved circuit argument: combinational, or sequential paired
-/// with the fault model its time-frame expansion lowers to.
-enum CircuitKind {
-    Comb(Netlist),
-    Seq(SeqNetlist, FaultModel),
+/// The combinational suite circuit named on the command line.
+fn netlist(rest: &[&String]) -> Result<Netlist, String> {
+    ndetect_circuits::build(circuit_name(rest)?).map_err(|e| e.to_string())
 }
 
 /// The `--fault-model` flag, parsed; `None` when absent.
@@ -438,43 +404,17 @@ fn fault_model_flag(rest: &[&String]) -> Result<Option<FaultModel>, String> {
     }
 }
 
-/// Resolves a circuit name to combinational or sequential. The
-/// combinational suite is tried first so existing names keep their
-/// meaning; unknown names fall back to the sequential registry
-/// (`s27`, `shift4`, `cnt3`). `--seq` skips the combinational lookup,
-/// and `--fault-model` on a combinational circuit is an error —
-/// fault-model selection only exists for time-frame expansion.
-fn with_any_circuit(
-    rest: &[&String],
-    f: impl FnOnce(&str, CircuitKind) -> Result<String, String>,
-) -> Result<String, String> {
-    let name = positionals(rest)
-        .into_iter()
-        .find(|a| !a.chars().all(|c| c.is_ascii_digit()))
-        .ok_or("missing circuit name")?;
+/// The circuit argument, resolved with `--fault-model` through the
+/// one-shot engine it comes with. `--seq` refuses a combinational name.
+fn subject<'a>(rest: &[&'a String]) -> Result<(&'a str, Subject, Engine), String> {
+    let engine = one_shot_engine(rest)?;
+    let name = circuit_name(rest)?;
     let model = fault_model_flag(rest)?;
-    if !flag_present(rest, "--seq") {
-        if let Ok(netlist) = ndetect_circuits::build(name) {
-            if let Some(m) = model {
-                return Err(format!(
-                    "--fault-model {} selects a sequential fault model; `{name}` is combinational",
-                    m.label()
-                ));
-            }
-            return f(name, CircuitKind::Comb(netlist));
-        }
+    if flag_present(rest, "--seq") && matches!(engine.resolve(name, None), Ok(Subject::Comb(_))) {
+        return Err(format!("`{name}` is not a sequential circuit (drop --seq)"));
     }
-    match ndetect_circuits::build_seq(name) {
-        Ok(seq) => f(name, CircuitKind::Seq(seq, model.unwrap_or_default())),
-        Err(_) => match ndetect_circuits::build(name) {
-            // Only reachable under --seq: the name exists, but in the
-            // combinational suite.
-            Ok(_) => Err(format!("`{name}` is not a sequential circuit (drop --seq)")),
-            // Report through the combinational error so the message
-            // lists the suite the user most likely wanted.
-            Err(e) => Err(e.to_string()),
-        },
-    }
+    let subject = engine.resolve(name, model)?;
+    Ok((name, subject, engine))
 }
 
 fn list() -> String {
@@ -500,7 +440,7 @@ fn list() -> String {
 #[allow(clippy::too_many_arguments)]
 fn average(
     name: &str,
-    universe: &Arc<FaultUniverse>,
+    subject: &Subject,
     k: usize,
     nmax: u32,
     def: u32,
@@ -508,6 +448,7 @@ fn average(
     knobs: Knobs,
     engine: &Engine,
 ) -> Result<String, String> {
+    let universe = &subject.universe(knobs, engine)?;
     let definition = match def {
         1 => DetectionDefinition::Standard,
         2 => DetectionDefinition::SufficientlyDifferent,
@@ -594,45 +535,20 @@ fn bench_file(rest: &[&String], knobs: Knobs, engine: &Engine) -> Result<String,
         .file_stem()
         .and_then(|s| s.to_str())
         .unwrap_or("bench");
-    let model = fault_model_flag(rest)?;
-    // Sequential files are recognised two ways: `--seq` forces the
-    // DFF-accepting parser, and a plain parse that fails specifically
-    // because the file contains flip-flops auto-upgrades to it.
-    let netlist = if flag_present(rest, "--seq") {
-        None
-    } else {
-        match bench_format::parse(name, &text) {
-            Ok(n) => Some(n),
-            Err(NetlistError::Sequential { .. }) => None,
-            Err(e) => return Err(e.to_string()),
-        }
-    };
-    match netlist {
-        Some(netlist) => {
-            if let Some(m) = model {
-                return Err(format!(
-                    "--fault-model {} selects a sequential fault model; `{name}` is combinational",
-                    m.label()
-                ));
-            }
-            match sub {
-                "stats" => ndetect_serve::render_stats(&netlist, knobs, engine),
-                "worst" => ndetect_serve::render_worst(&netlist, 100, knobs, engine),
-                "cones" => cones(&netlist, 14, knobs, engine.store()),
-                other => Err(format!("unknown bench-file subcommand `{other}`")),
-            }
-        }
-        None => {
-            let seq = bench_format::parse_seq(name, &text).map_err(|e| e.to_string())?;
-            let model = model.unwrap_or_default();
-            match sub {
-                "stats" => ndetect_serve::render_seq_stats(&seq, model, knobs, engine),
-                "worst" => ndetect_serve::render_seq_worst(&seq, model, 100, knobs, engine),
-                other => Err(format!(
-                    "unknown bench-file subcommand `{other}` for a sequential circuit (expected stats or worst)"
-                )),
-            }
-        }
+    let subject = Subject::parse_bench(
+        name,
+        &text,
+        flag_present(rest, "--seq"),
+        fault_model_flag(rest)?,
+    )?;
+    match (sub, &subject) {
+        ("stats", _) => subject.stats(knobs, engine),
+        ("worst", _) => subject.worst(100, knobs, engine),
+        ("cones", Subject::Comb(netlist)) => cones(netlist, 14, knobs, engine.store()),
+        (other, Subject::Comb(_)) => Err(format!("unknown bench-file subcommand `{other}`")),
+        (other, Subject::Seq(..)) => Err(format!(
+            "unknown bench-file subcommand `{other}` for a sequential circuit (expected stats or worst)"
+        )),
     }
 }
 

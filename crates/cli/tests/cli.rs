@@ -406,6 +406,53 @@ fn corpus_tolerates_malformed_files_as_error_rows() {
 }
 
 #[test]
+fn corpus_rows_escape_circuit_names() {
+    // File stems are free text: a comma or quote must not split a CSV
+    // row, and a control character must not break the JSON.
+    let dir = temp_cache("escaped-corpus");
+    std::fs::create_dir_all(&dir).unwrap();
+    for stem in ["a,b", "tab\tname", "say\"hi"] {
+        std::fs::write(
+            dir.join(format!("{stem}.bench")),
+            "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n",
+        )
+        .unwrap();
+    }
+    let (ok, csv, stderr) = run_binary(&["corpus", dir.to_str().unwrap()]);
+    assert!(ok, "{stderr}");
+    // RFC 4180: a quoted field runs to its closing quote; `""` is a
+    // literal quote inside one.
+    let fields = |row: &str| {
+        let (mut fields, mut quoted) = (1, false);
+        for c in row.chars() {
+            match c {
+                '"' => quoted = !quoted,
+                ',' if !quoted => fields += 1,
+                _ => {}
+            }
+        }
+        fields
+    };
+    let rows: Vec<&str> = csv.lines().collect();
+    assert_eq!(rows.len(), 4, "{csv}");
+    assert!(rows.iter().all(|row| fields(row) == 17), "{csv}");
+    assert!(csv.contains("\n\"a,b\",full,2,1,1,"), "{csv}");
+    assert!(csv.contains("\n\"say\"\"hi\",full,"), "{csv}");
+    assert!(csv.contains("\ntab\tname,full,"), "{csv}");
+
+    let (ok, json, _) = run_binary(&["corpus", dir.to_str().unwrap(), "--format", "json"]);
+    assert!(ok);
+    assert!(json.contains(r#""circuit": "a,b""#), "{json}");
+    assert!(json.contains(r#""circuit": "say\"hi""#), "{json}");
+    assert!(json.contains(r#""circuit": "tab\tname""#), "{json}");
+    assert!(
+        json.chars().all(|c| c == '\n' || c >= ' '),
+        "raw control character in {json:?}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_broken_cache_dir_degrades_analysis_and_fails_cache_maintenance() {
     // list/synth/dot never touch the store, so an unusable
     // NDETECT_CACHE_DIR must not break them (and must not create

@@ -44,25 +44,6 @@ impl StateEncoding {
         }
     }
 
-    /// A custom encoding from explicit codes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if codes are not distinct or exceed `num_bits`.
-    #[must_use]
-    pub fn custom(codes: Vec<u32>, num_bits: usize) -> Self {
-        assert!(!codes.is_empty());
-        let limit = 1u64 << num_bits;
-        for (i, &c) in codes.iter().enumerate() {
-            assert!(
-                (u64::from(c)) < limit,
-                "code {c} of state {i} needs more bits"
-            );
-            assert!(!codes[..i].contains(&c), "code {c} assigned to two states");
-        }
-        StateEncoding { codes, num_bits }
-    }
-
     /// Number of state bits.
     #[must_use]
     pub fn num_bits(&self) -> usize {
@@ -141,11 +122,5 @@ mod tests {
         let enc = StateEncoding::binary(3);
         assert_eq!(enc.state_of_code(2), Some(2));
         assert_eq!(enc.state_of_code(3), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "assigned to two states")]
-    fn custom_rejects_duplicates() {
-        let _ = StateEncoding::custom(vec![1, 1], 2);
     }
 }

@@ -95,27 +95,6 @@ impl GateKind {
         }
     }
 
-    /// The controlling input value of the gate, if it has one.
-    ///
-    /// A controlling value on any input determines the output regardless of
-    /// the other inputs (0 for AND/NAND, 1 for OR/NOR). Parity gates and
-    /// buffers have no controlling value.
-    ///
-    /// ```
-    /// use ndetect_netlist::GateKind;
-    /// assert_eq!(GateKind::And.controlling_value(), Some(false));
-    /// assert_eq!(GateKind::Nor.controlling_value(), Some(true));
-    /// assert_eq!(GateKind::Xor.controlling_value(), None);
-    /// ```
-    #[must_use]
-    pub fn controlling_value(self) -> Option<bool> {
-        match self {
-            GateKind::And | GateKind::Nand => Some(false),
-            GateKind::Or | GateKind::Nor => Some(true),
-            _ => None,
-        }
-    }
-
     /// The canonical `.bench` keyword for this kind, e.g. `"NAND"`.
     #[must_use]
     pub fn bench_keyword(self) -> &'static str {
@@ -238,16 +217,6 @@ mod tests {
         }
         assert_eq!(GateKind::from_bench_keyword("BUFF"), Some(GateKind::Buf));
         assert_eq!(GateKind::from_bench_keyword("DFF"), None);
-    }
-
-    #[test]
-    fn controlling_values() {
-        assert_eq!(GateKind::And.controlling_value(), Some(false));
-        assert_eq!(GateKind::Nand.controlling_value(), Some(false));
-        assert_eq!(GateKind::Or.controlling_value(), Some(true));
-        assert_eq!(GateKind::Nor.controlling_value(), Some(true));
-        assert_eq!(GateKind::Buf.controlling_value(), None);
-        assert_eq!(GateKind::Xnor.controlling_value(), None);
     }
 
     #[test]

@@ -92,10 +92,7 @@ pub const HISTOGRAM_BUCKETS: usize = 64;
 /// Bucket `i` counts samples in `(2^(i-1), 2^i]` (bucket 0 counts
 /// `0` and `1`); samples above `2^63` land in the overflow bucket.
 /// Recording is one relaxed `fetch_add` per sample on three cells, so
-/// the histogram stays on in release builds. Quantiles are derived
-/// from the buckets: [`Histogram::quantile_upper_bound`] returns the
-/// upper bound of the bucket containing the requested quantile — an
-/// upper estimate within a factor of 2, which is what log buckets buy.
+/// the histogram stays on in release builds.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS + 1],
@@ -166,31 +163,6 @@ impl Histogram {
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .collect()
-    }
-
-    /// The upper bound of the bucket containing quantile `q` (0..=1):
-    /// e.g. `quantile_upper_bound(0.99)` is an upper estimate of p99
-    /// within the bucket's factor-of-2 resolution. `None` when empty.
-    #[must_use]
-    pub fn quantile_upper_bound(&self, q: f64) -> Option<u64> {
-        let counts = self.bucket_counts();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return None;
-        }
-        let rank = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Some(if i >= HISTOGRAM_BUCKETS {
-                    u64::MAX
-                } else {
-                    Self::bucket_bound(i)
-                });
-            }
-        }
-        Some(u64::MAX)
     }
 }
 
@@ -354,16 +326,11 @@ mod tests {
     #[test]
     fn histogram_records_and_derives_quantiles() {
         let h = Histogram::new();
-        assert_eq!(h.quantile_upper_bound(0.5), None);
         for v in [1u64, 1, 1, 1, 1, 1, 1, 1, 1, 100] {
             h.record(v);
         }
         assert_eq!(h.count(), 10);
         assert_eq!(h.sum(), 109);
-        // p50 of nine 1s and one 100: bucket le=1; p99 reaches the
-        // sample at 100, whose bucket bound is 128.
-        assert_eq!(h.quantile_upper_bound(0.5), Some(1));
-        assert_eq!(h.quantile_upper_bound(0.99), Some(128));
         let counts = h.bucket_counts();
         assert_eq!(counts[0], 9);
         assert_eq!(counts[Histogram::bucket_index(100)], 1);
@@ -375,6 +342,5 @@ mod tests {
         h.record(u64::MAX);
         let counts = h.bucket_counts();
         assert_eq!(counts[HISTOGRAM_BUCKETS], 1);
-        assert_eq!(h.quantile_upper_bound(1.0), Some(u64::MAX));
     }
 }

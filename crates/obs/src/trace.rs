@@ -157,7 +157,7 @@ impl SpanRecord {
         let _ = write!(
             out,
             "{{\"name\":\"{}\",\"id\":{},\"parent\":{},\"thread\":{},\"start_ns\":{},\"dur_ns\":{},\"fields\":{{",
-            escape(&self.name),
+            escape_json(&self.name),
             self.id,
             self.parent,
             self.thread,
@@ -168,7 +168,7 @@ impl SpanRecord {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":\"{}\"", escape(k), escape(v));
+            let _ = write!(out, "\"{}\":\"{}\"", escape_json(k), escape_json(v));
         }
         out.push_str("}}");
         out
@@ -241,8 +241,10 @@ impl SpanRecord {
     }
 }
 
-/// JSON string escaping for the subset of JSON this module emits.
-fn escape(s: &str) -> String {
+/// Escapes `s` for a JSON string literal: quotes, backslashes and every
+/// control character below U+0020.
+#[must_use]
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -399,19 +401,11 @@ struct ActiveSpan {
 }
 
 impl Span {
-    /// Attaches a key/value annotation (a no-op when tracing is off, so
-    /// callers may compute values behind [`Span::is_active`]).
+    /// Attaches a key/value annotation (a no-op when tracing is off).
     pub fn field(&mut self, key: &str, value: impl ToString) {
         if let Some(active) = &mut self.active {
             active.fields.push((key.to_string(), value.to_string()));
         }
-    }
-
-    /// Whether this span is recording (tracing was enabled when it was
-    /// opened). Guard expensive field computations with this.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.active.is_some()
     }
 
     /// This span's id (0 when inactive) — pass to [`span_under`] on
@@ -533,7 +527,6 @@ mod tests {
     fn disabled_spans_cost_nothing_and_record_nothing() {
         // Tracing is off by default in the test process.
         let mut span = span("test.disabled");
-        assert!(!span.is_active());
         assert_eq!(span.id(), 0);
         span.field("k", "v");
         drop(span);

@@ -5,14 +5,14 @@
 //!
 //! Request handling composes three layers, hottest first:
 //!
-//! 1. the circuit memo — a registry name plus its `model=` is
-//!    synthesized once per engine and shared as an `Arc`;
-//! 2. one keyed map per artifact family — fault universes, worst-case
-//!    results and generated sets. A key is either *resident*, a
-//!    deserialized artifact kept least-recently-used within the
-//!    family's capacity, so repeated requests skip disk entirely; or
-//!    *building*, so a thundering herd of identical requests joins one
-//!    leader's build;
+//! 1. the circuit memo — a registry name plus its fault model resolves
+//!    once per engine to a [`Subject`], whose netlist requests share;
+//! 2. one keyed map per artifact family — two-frame expansions, fault
+//!    universes, worst-case results and generated sets. A key is either
+//!    *resident*, a deserialized artifact kept least-recently-used
+//!    within the family's capacity, so repeated requests skip disk
+//!    entirely; or *building*, so a thundering herd of identical
+//!    requests joins one leader's build;
 //! 3. the on-disk content-addressed store — cold artifacts are read
 //!    through [`ndetect_store::read_through`] (or built and published).
 //!
@@ -22,6 +22,7 @@
 //! asserts on them: N identical concurrent requests must report
 //! exactly one build per distinct artifact.
 
+use crate::render::Subject;
 use ndetect_core::WorstCaseAnalysis;
 use ndetect_faults::{
     explicit_universe_key, universe_key, ExplicitTargets, FaultUniverse, UniverseOptions,
@@ -29,7 +30,7 @@ use ndetect_faults::{
 use ndetect_gen::{generated_key, GenOptions, GeneratedSet};
 use ndetect_netlist::{Netlist, SeqNetlist};
 use ndetect_obs::{trace, Counter, Histogram, Registry};
-use ndetect_seq::FaultModel;
+use ndetect_seq::{expand_stored, expanded_key, ExpandedModel, FaultModel};
 use ndetect_store::{ArtifactKey, Origin, Store};
 use std::collections::HashMap;
 use std::convert::Infallible;
@@ -267,47 +268,15 @@ fn evict_lru<V, E>(slots: &mut HashMap<ArtifactKey, Slot<V, E>>, capacity: usize
     }
 }
 
-/// A request's circuit, resolved against the combinational suite first
-/// and the sequential registry second. Clones share the netlist.
-#[derive(Clone)]
-pub(crate) enum Resolved {
-    /// A combinational suite circuit, analysed directly.
-    Comb(Arc<Netlist>),
-    /// A sequential circuit, analysed via two-frame broadside
-    /// expansion under the given fault model.
-    Seq(Arc<SeqNetlist>, FaultModel),
-}
-
-/// Synthesizes a registry circuit: combinational names keep their
-/// existing behaviour (`model=` is rejected there — it selects a
-/// sequential fault model); unknown combinational names fall through to
-/// the sequential registry.
-fn synthesize(circuit: &str, model: Option<FaultModel>) -> Result<Resolved, String> {
-    match ndetect_circuits::build(circuit) {
-        Ok(netlist) => {
-            if model.is_some() {
-                return Err(format!(
-                    "`model=` selects a sequential fault model; `{circuit}` is combinational"
-                ));
-            }
-            Ok(Resolved::Comb(Arc::new(netlist)))
-        }
-        Err(comb_error) => match ndetect_circuits::build_seq(circuit) {
-            Ok(seq) => Ok(Resolved::Seq(Arc::new(seq), model.unwrap_or_default())),
-            // Unknown everywhere: report the suite error (the message
-            // clients already match on).
-            Err(_) => Err(comb_error.to_string()),
-        },
-    }
-}
-
 /// The shared serving engine; see the module docs. One instance is
 /// shared (via `Arc`) by every connection thread.
 pub struct Engine {
     store: Option<Store>,
-    /// Registry circuits by (name, `model=`). Only successes land here,
-    /// so it holds at most a few entries per registry name.
-    circuits: Mutex<HashMap<(String, Option<FaultModel>), Resolved>>,
+    /// Registry circuits by (name, fault model). Only successes land
+    /// here, so it holds at most a few entries per registry name.
+    circuits: Mutex<HashMap<(String, Option<FaultModel>), Subject>>,
+    /// Keyed by [`expanded_key`]; sized like `universes`.
+    expansions: Family<ExpandedModel, String>,
     universes: Family<FaultUniverse, String>,
     /// Keyed by [`WorstCaseAnalysis::store_key`], so `threads=` (a
     /// performance knob) shares one entry; sized like `universes`.
@@ -321,8 +290,8 @@ pub struct Engine {
 impl Engine {
     /// Creates an engine over an optional on-disk store with the given
     /// hot-cache capacities (entries, not bytes; zero keeps no resident
-    /// but still joins identical in-flight builds). Worst-case results
-    /// share the universe capacity.
+    /// but still joins identical in-flight builds). Expansions and
+    /// worst-case results share the universe capacity.
     #[must_use]
     pub fn new(store: Option<Store>, hot_universes: usize, hot_sets: usize) -> Self {
         let counters = Counters::default();
@@ -335,6 +304,7 @@ impl Engine {
         Engine {
             store,
             circuits: Mutex::new(HashMap::new()),
+            expansions: Family::new("serve.flight.expanded", hot_universes),
             universes: Family::new("serve.flight.universe", hot_universes),
             worst_cases: Family::new("serve.flight.worst", hot_universes),
             sets: Family::new("serve.flight.generated", hot_sets),
@@ -373,30 +343,37 @@ impl Engine {
         out
     }
 
-    /// Resolves a request's circuit name and `model=` token through the
-    /// circuit memo. The token is checked on every request, and errors
-    /// are never memoised.
-    pub(crate) fn resolve(&self, circuit: &str, model: Option<&str>) -> Result<Resolved, String> {
-        let model = model
-            .map(|m| {
-                FaultModel::parse(m).ok_or_else(|| {
-                    format!("unknown fault model `{m}` (expected transition or stuck-at)")
-                })
-            })
-            .transpose()?;
+    /// Resolves a registry circuit name through the circuit memo: the
+    /// combinational suite first, so its names keep their meaning, then
+    /// the sequential registry (`s27`, `shift4`, `cnt3`), where a missing
+    /// `model` defaults to transition. Errors are never memoised.
+    ///
+    /// # Errors
+    ///
+    /// Returns a user-facing message for an unknown name, or a fault
+    /// model on a combinational circuit.
+    pub fn resolve(&self, circuit: &str, model: Option<FaultModel>) -> Result<Subject, String> {
         let key = (circuit.to_string(), model);
         if let Some(hit) = self.circuits.lock().expect("circuit memo").get(&key) {
             return Ok(hit.clone());
         }
         // Synthesize outside the lock. Racing first requests may both
         // synthesize; the first insert wins, so all of them share it.
-        let resolved = synthesize(circuit, model)?;
+        let subject = match ndetect_circuits::build(circuit) {
+            Ok(netlist) => Subject::combinational(netlist, model)?,
+            Err(comb_error) => match ndetect_circuits::build_seq(circuit) {
+                Ok(seq) => Subject::Seq(Arc::new(seq), model.unwrap_or_default()),
+                // Unknown everywhere: report the suite error (the message
+                // clients already match on).
+                Err(_) => return Err(comb_error.to_string()),
+            },
+        };
         Ok(self
             .circuits
             .lock()
             .expect("circuit memo")
             .entry(key)
-            .or_insert(resolved)
+            .or_insert(subject)
             .clone())
     }
 
@@ -404,6 +381,24 @@ impl Engine {
     #[must_use]
     pub fn store(&self) -> Option<&Store> {
         self.store.as_ref()
+    }
+
+    /// The two-frame broadside expansion of `seq` under `model`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a user-facing message when the expansion fails.
+    pub(crate) fn expanded(
+        &self,
+        seq: &SeqNetlist,
+        model: FaultModel,
+    ) -> Result<Arc<ExpandedModel>, String> {
+        self.expansions
+            .get(expanded_key(seq, model), &self.counters, || {
+                expand_stored(seq, model, self.store.as_ref())
+                    .map(Arc::new)
+                    .map_err(|e| e.to_string())
+            })
     }
 
     /// The fault universe of `netlist` under `options` — over
@@ -618,7 +613,7 @@ pub(crate) mod tests {
     fn the_circuit_memo_synthesizes_each_registry_name_once() {
         let engine = Engine::new(None, 8, 8);
         let entries = || engine.circuits.lock().unwrap().len();
-        let (Ok(Resolved::Comb(a)), Ok(Resolved::Comb(b))) =
+        let (Ok(Subject::Comb(a)), Ok(Subject::Comb(b))) =
             (engine.resolve("s1a", None), engine.resolve("s1a", None))
         else {
             panic!("s1a is a combinational suite circuit");
@@ -627,14 +622,13 @@ pub(crate) mod tests {
         assert_eq!(entries(), 1);
         for _ in 0..2 {
             assert!(engine.resolve("not-a-circuit", None).is_err());
-            assert!(engine.resolve("s1a", Some("transition")).is_err());
-            assert!(engine.resolve("s27", Some("bogus")).is_err());
+            assert!(engine.resolve("s1a", Some(FaultModel::Transition)).is_err());
         }
         assert_eq!(entries(), 1, "errors are never memoised");
-        let Ok(Resolved::Seq(_, default)) = engine.resolve("s27", None) else {
+        let Ok(Subject::Seq(_, default)) = engine.resolve("s27", None) else {
             panic!("s27 is sequential");
         };
-        let Ok(Resolved::Seq(_, stuck_at)) = engine.resolve("s27", Some("stuck-at")) else {
+        let Ok(Subject::Seq(_, stuck_at)) = engine.resolve("s27", Some(FaultModel::StuckAt)) else {
             panic!("s27 is sequential");
         };
         assert_eq!(default, FaultModel::Transition);

@@ -6,15 +6,20 @@
 //! the on-disk store. This crate keeps an analysis process resident:
 //! a TCP accept loop ([`server`]) speaks a newline-delimited request
 //! protocol ([`protocol`]) and executes requests through a shared
-//! [`Engine`] that keeps one keyed map per artifact family above the
-//! store, holding the resident artifacts and the running builds — a
-//! thundering herd of identical requests runs exactly one build, and a
-//! warm request touches neither disk nor simulator.
+//! [`Engine`] that keeps one keyed map per artifact family (two-frame
+//! expansions, fault universes, worst-case results, generated sets)
+//! above the store, holding the resident artifacts and the running
+//! builds — a thundering herd of identical requests runs exactly one
+//! build, and a warm request, sequential circuits included, touches
+//! neither disk nor simulator.
 //!
 //! The rendering layer ([`render`]) is shared with the CLI, which
 //! renders through an [`Engine`] that keeps nothing resident, so a
 //! serve reply is byte-for-byte the stdout of the matching one-shot
-//! command.
+//! command. Both resolve every circuit into a [`Subject`] — a registry
+//! name through [`Engine::resolve`], a `.bench` file through
+//! [`Subject::parse_bench`] — whose methods are the one choice between
+//! the combinational and the sequential renderers.
 //! Shutdown ([`signal`]) is a drain: in-flight requests finish, new
 //! ones get structured `err shutdown` replies, and the process exits 0.
 
@@ -29,6 +34,7 @@ pub use protocol::{read_reply, ChaosCommand, ErrorReply, Reply, Request};
 pub use render::{
     render_corpus, render_corpus_stream, render_gen, render_seq_gen, render_seq_stats,
     render_seq_worst, render_stats, render_worst, CorpusOutput, CorpusRequest, CorpusTail, Knobs,
+    Subject,
 };
 pub use server::{Server, ServerConfig, ShutdownHandle};
 

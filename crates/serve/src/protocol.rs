@@ -33,6 +33,9 @@
 //! chunk plus the `ok` payload is byte-identical to the unstreamed
 //! reply. [`read_reply`] accumulates the frames transparently, so
 //! clients that do not care about incremental progress see one `ok`.
+//! It reads each payload as it arrives: a count larger than the bytes
+//! that follow is an `UnexpectedEof` error, never an allocation of that
+//! size.
 //!
 //! Verbs:
 //!
@@ -50,7 +53,8 @@
 //! `<circuit>` resolves through the combinational suite first, then the
 //! sequential registry (`s27`, `shift4`, `cnt3`); sequential circuits
 //! are analysed via two-frame broadside expansion under `model=`
-//! (default `transition`).
+//! (default `transition`). `model=` on a combinational circuit is an
+//! `analysis` error, worded as the CLI's `--fault-model` one.
 //!
 //! The `chaos` verb (failpoint control, `ndetect-chaos` spec grammar)
 //! only works when the server was started with `--chaos`; otherwise it
@@ -60,7 +64,7 @@
 //! CLI's `--threads` — a pure performance knob).
 
 use crate::render::{CorpusRequest, Knobs};
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::path::PathBuf;
 
 /// A parsed request line.
@@ -481,14 +485,22 @@ pub enum Reply {
 /// server closed mid-reply.
 pub fn read_reply(reader: &mut impl BufRead) -> io::Result<Reply> {
     let read_counted = |reader: &mut dyn BufRead, header: &str, rest: &str| -> io::Result<String> {
-        let nbytes: usize = rest.trim().parse().map_err(|_| {
+        let nbytes: u64 = rest.trim().parse().map_err(|_| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("bad reply header `{header}`"),
             )
         })?;
-        let mut payload = vec![0u8; nbytes];
-        reader.read_exact(&mut payload)?;
+        // The count is the peer's claim: the buffer grows only as bytes
+        // arrive, so a huge count cannot allocate ahead of them.
+        let mut payload = Vec::new();
+        reader.take(nbytes).read_to_end(&mut payload)?;
+        if payload.len() as u64 != nbytes {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("connection closed inside a `{header}` frame"),
+            ));
+        }
         String::from_utf8(payload)
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "payload is not UTF-8"))
     };
@@ -638,6 +650,16 @@ mod tests {
             }
         );
         assert!(read_reply(&mut reader).is_err(), "EOF");
+    }
+
+    #[test]
+    fn a_frame_count_past_the_stream_is_an_error_not_an_allocation() {
+        for header in ["ok", "row"] {
+            let wire = format!("{header} {}\nshort", usize::MAX);
+            let mut reader = io::BufReader::new(wire.as_bytes());
+            let error = read_reply(&mut reader).unwrap_err();
+            assert_eq!(error.kind(), io::ErrorKind::UnexpectedEof, "{header}");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use ndetect_core::{bridges_detected, NminDistribution};
 use ndetect_faults::{FaultUniverse, UniverseOptions};
 use ndetect_gen::GenOptions;
 use ndetect_netlist::{bench_format, Netlist, NetlistError, NetlistStats, SeqNetlist};
-use ndetect_seq::{expand_stored, ExpandedModel, FaultModel};
+use ndetect_seq::{ExpandedModel, FaultModel};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -63,20 +63,15 @@ fn stats_body(netlist: &Netlist, universe: &FaultUniverse) -> String {
     out
 }
 
-/// Expands a sequential circuit (through the store when available) and
-/// builds the explicit-target universe over the expansion.
-///
-/// # Errors
-///
-/// Returns a user-facing message when the expansion fails or the
-/// expanded universe cannot be built.
-pub fn seq_universe(
+/// The expansion of `seq` under `model` and the explicit-target
+/// universe over it.
+fn seq_universe(
     seq: &SeqNetlist,
     model: FaultModel,
     knobs: Knobs,
     engine: &Engine,
-) -> Result<(ExpandedModel, Arc<FaultUniverse>), String> {
-    let expanded = expand_stored(seq, model, engine.store()).map_err(|e| e.to_string())?;
+) -> Result<(Arc<ExpandedModel>, Arc<FaultUniverse>), String> {
+    let expanded = engine.expanded(seq, model)?;
     let universe = engine.universe(
         expanded.netlist(),
         Some(&expanded.explicit_targets()),
@@ -265,6 +260,112 @@ fn gen_body(
     );
     let _ = writeln!(out, "{set}");
     out
+}
+
+/// A circuit to analyse: a combinational netlist, or a sequential one
+/// with the fault model its two-frame expansion lowers. The CLI, the
+/// server and `corpus` resolve every circuit into one, and its methods
+/// are the one dispatch onto the combinational and sequential
+/// renderers. Clones share the netlist.
+#[derive(Clone, Debug)]
+pub enum Subject {
+    /// A combinational circuit, analysed directly.
+    Comb(Arc<Netlist>),
+    /// A sequential circuit, analysed through its two-frame broadside
+    /// expansion under the given fault model.
+    Seq(Arc<SeqNetlist>, FaultModel),
+}
+
+impl Subject {
+    /// Parses `.bench` text. A file with flip-flops is sequential (a
+    /// DFF is a classification, not a failure); `force_seq` reads any
+    /// file that way. A missing `model` defaults to transition.
+    ///
+    /// # Errors
+    ///
+    /// Returns the parser's message, or the combinational-circuit
+    /// message when `model` is given for a combinational file.
+    pub fn parse_bench(
+        name: &str,
+        text: &str,
+        force_seq: bool,
+        model: Option<FaultModel>,
+    ) -> Result<Subject, String> {
+        if !force_seq {
+            match bench_format::parse(name, text) {
+                Ok(netlist) => return Subject::combinational(netlist, model),
+                Err(NetlistError::Sequential { .. }) => {}
+                Err(e) => return Err(e.to_string()),
+            }
+        }
+        let seq = bench_format::parse_seq(name, text).map_err(|e| e.to_string())?;
+        Ok(Subject::Seq(Arc::new(seq), model.unwrap_or_default()))
+    }
+
+    /// A combinational subject; a fault model only exists for a
+    /// sequential circuit's expansion, so one given here is an error.
+    pub(crate) fn combinational(
+        netlist: Netlist,
+        model: Option<FaultModel>,
+    ) -> Result<Subject, String> {
+        match model {
+            None => Ok(Subject::Comb(Arc::new(netlist))),
+            Some(model) => Err(format!(
+                "fault model `{model}` applies only to sequential circuits; `{}` is combinational",
+                netlist.name()
+            )),
+        }
+    }
+
+    /// `stats` through [`render_stats`] or [`render_seq_stats`], whose
+    /// errors it returns.
+    pub fn stats(&self, knobs: Knobs, engine: &Engine) -> Result<String, String> {
+        match self {
+            Subject::Comb(netlist) => render_stats(netlist, knobs, engine),
+            Subject::Seq(seq, model) => render_seq_stats(seq, *model, knobs, engine),
+        }
+    }
+
+    /// `worst` through [`render_worst`] or [`render_seq_worst`], whose
+    /// errors it returns.
+    pub fn worst(&self, floor: usize, knobs: Knobs, engine: &Engine) -> Result<String, String> {
+        match self {
+            Subject::Comb(netlist) => render_worst(netlist, floor, knobs, engine),
+            Subject::Seq(seq, model) => render_seq_worst(seq, *model, floor, knobs, engine),
+        }
+    }
+
+    /// `gen` through [`render_gen`] or [`render_seq_gen`], whose
+    /// errors it returns.
+    pub fn gen(
+        &self,
+        n: u32,
+        compact: bool,
+        seed: Option<u64>,
+        knobs: Knobs,
+        engine: &Engine,
+    ) -> Result<String, String> {
+        match self {
+            Subject::Comb(netlist) => render_gen(netlist, n, compact, seed, knobs, engine),
+            Subject::Seq(seq, model) => {
+                render_seq_gen(seq, *model, n, compact, seed, knobs, engine)
+            }
+        }
+    }
+
+    /// The fault universe the renderers analyse: the circuit's own, or
+    /// the explicit-target universe over the expansion.
+    ///
+    /// # Errors
+    ///
+    /// Returns a user-facing message when the expansion fails or the
+    /// universe cannot be built.
+    pub fn universe(&self, knobs: Knobs, engine: &Engine) -> Result<Arc<FaultUniverse>, String> {
+        match self {
+            Subject::Comb(netlist) => engine.universe(netlist, None, knobs.universe_options()),
+            Subject::Seq(seq, model) => Ok(seq_universe(seq, *model, knobs, engine)?.1),
+        }
+    }
 }
 
 /// Parameters of a corpus run (`ndet corpus` / serve `corpus`).
@@ -476,7 +577,10 @@ pub fn render_corpus_stream(
 }
 
 /// Analyses one corpus circuit: exhaustively when it fits, otherwise
-/// via the per-output-cone partition (conservative aggregates).
+/// via the per-output-cone partition (conservative aggregates). A
+/// sequential circuit is analysed through its two-frame expansion: its
+/// structure columns (inputs/outputs/gates) describe the sequential
+/// circuit, its analysis columns the expanded universe.
 fn corpus_row(
     path: &Path,
     max_inputs: usize,
@@ -486,17 +590,27 @@ fn corpus_row(
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let name = path.file_stem().and_then(|s| s.to_str()).unwrap_or("bench");
-    let netlist = match bench_format::parse(name, &text) {
-        Ok(netlist) => netlist,
-        Err(NetlistError::Sequential { .. }) => {
-            // A DFF is a classification, not a failure: re-parse in
-            // sequential mode and analyse the two-frame transition
-            // expansion instead.
-            let seq = bench_format::parse_seq(name, &text)
-                .map_err(|e| format!("{}: {e}", path.display()))?;
-            return seq_corpus_row(&seq, max_inputs, knobs, engine);
+    let subject = Subject::parse_bench(name, &text, false, None)
+        .map_err(|e| format!("{}: {e}", path.display()))?;
+    let netlist = match subject {
+        Subject::Comb(netlist) => netlist,
+        Subject::Seq(seq, model) => {
+            let expanded = engine.expanded(&seq, model)?;
+            let mut row = CorpusRow::empty(name, "seq");
+            row.inputs = seq.num_true_inputs();
+            row.outputs = seq.num_true_outputs();
+            row.gates = seq.core().num_gates();
+            // A broadside pattern space (PIs + state bits) too wide for
+            // exhaustive analysis is classified without fabricating
+            // coverage, like `skipped`.
+            if expanded.netlist().num_inputs() <= max_inputs {
+                let explicit = expanded.explicit_targets();
+                let options = knobs.universe_options();
+                let universe = engine.universe(expanded.netlist(), Some(&explicit), options)?;
+                analysed_columns(&mut row, &universe, knobs, engine);
+            }
+            return Ok(row);
         }
-        Err(e) => return Err(format!("{}: {e}", path.display())),
     };
 
     let mut row = CorpusRow::empty(name, "full");
@@ -547,35 +661,6 @@ fn corpus_row(
     Ok(row)
 }
 
-/// Analyses one sequential corpus circuit through its two-frame
-/// transition expansion. Structure columns (inputs/outputs/gates)
-/// describe the *sequential* circuit; analysis columns (targets,
-/// coverage, space, gen sizes) come from the expanded universe.
-fn seq_corpus_row(
-    seq: &SeqNetlist,
-    max_inputs: usize,
-    knobs: Knobs,
-    engine: &Engine,
-) -> Result<CorpusRow, String> {
-    let expanded =
-        expand_stored(seq, FaultModel::Transition, engine.store()).map_err(|e| e.to_string())?;
-    let mut row = CorpusRow::empty(seq.name(), "seq");
-    row.inputs = seq.num_true_inputs();
-    row.outputs = seq.num_true_outputs();
-    row.gates = seq.core().num_gates();
-    if expanded.netlist().num_inputs() > max_inputs {
-        // The broadside pattern space (PIs + state bits) is too wide
-        // for exhaustive analysis; classify without fabricating
-        // coverage, like `skipped`.
-        return Ok(row);
-    }
-    let explicit = expanded.explicit_targets();
-    let options = knobs.universe_options();
-    let universe = engine.universe(expanded.netlist(), Some(&explicit), options)?;
-    analysed_columns(&mut row, &universe, knobs, engine);
-    Ok(row)
-}
-
 /// Fills the analysis columns of an exhaustively analysed row (`full`
 /// or `seq`): coverage and tail from the worst case, and compacted
 /// generated-set sizes at n = 1, 5, 10 against the exhaustive baseline
@@ -613,9 +698,16 @@ const CORPUS_CSV_HEADER: &str = "circuit,mode,inputs,outputs,gates,targets,bridg
 fn corpus_csv_row(r: &CorpusRow) -> String {
     let pct = |v: Option<f64>| v.map_or(String::new(), |v| format!("{v:.2}"));
     let opt = |v: Option<usize>| v.map_or(String::new(), |v| v.to_string());
+    // Circuit names come from file stems: quote per RFC 4180 when a
+    // name would otherwise split the row or the record.
+    let circuit = if r.circuit.contains([',', '"', '\r', '\n']) {
+        format!("\"{}\"", r.circuit.replace('"', "\"\""))
+    } else {
+        r.circuit.clone()
+    };
     format!(
         "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-        r.circuit,
+        circuit,
         r.mode,
         r.inputs,
         r.outputs,
@@ -637,8 +729,7 @@ fn corpus_csv_row(r: &CorpusRow) -> String {
 
 fn corpus_json_row(r: &CorpusRow, comma: bool) -> String {
     // Hand-rolled JSON (no serde offline); circuit names come from file
-    // stems and are escaped minimally.
-    let escape = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
+    // stems, so they may hold any character.
     let pct = |v: Option<f64>| v.map_or("null".to_string(), |v| format!("{v:.2}"));
     let opt = |v: Option<usize>| v.map_or("null".to_string(), |v| v.to_string());
     format!(
@@ -647,7 +738,7 @@ fn corpus_json_row(r: &CorpusRow, comma: bool) -> String {
          \"cov10_pct\": {}, \"tail11\": {}, \"max_nmin\": {}, \"space\": {}, \
          \"gen1\": {}, \"gen5\": {}, \"gen10\": {}, \"kernel\": {}, \
          \"peak_bytes\": {}}}{}\n",
-        escape(&r.circuit),
+        ndetect_obs::trace::escape_json(&r.circuit),
         r.mode,
         r.inputs,
         r.outputs,

@@ -21,11 +21,12 @@
 //! supervisor sending SIGTERM observes a clean exit 0 with no truncated
 //! replies.
 
-use crate::engine::{Engine, Resolved};
+use crate::engine::Engine;
 use crate::protocol::{self, ChaosCommand, ErrorReply, Request};
-use crate::render;
+use crate::render::{self, Subject};
 use crate::signal;
 use ndetect_obs::trace;
+use ndetect_seq::FaultModel;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -582,23 +583,13 @@ fn execute_request(
             circuit,
             model,
             knobs,
-        } => match engine.resolve(circuit, model.as_deref())? {
-            Resolved::Comb(netlist) => render::render_stats(&netlist, *knobs, engine.as_ref()),
-            Resolved::Seq(seq, fm) => render::render_seq_stats(&seq, fm, *knobs, engine.as_ref()),
-        },
+        } => subject(engine, circuit, model)?.stats(*knobs, engine),
         Request::Worst {
             circuit,
             floor,
             model,
             knobs,
-        } => match engine.resolve(circuit, model.as_deref())? {
-            Resolved::Comb(netlist) => {
-                render::render_worst(&netlist, *floor, *knobs, engine.as_ref())
-            }
-            Resolved::Seq(seq, fm) => {
-                render::render_seq_worst(&seq, fm, *floor, *knobs, engine.as_ref())
-            }
-        },
+        } => subject(engine, circuit, model)?.worst(*floor, *knobs, engine),
         Request::Gen {
             circuit,
             n,
@@ -606,14 +597,7 @@ fn execute_request(
             seed,
             model,
             knobs,
-        } => match engine.resolve(circuit, model.as_deref())? {
-            Resolved::Comb(netlist) => {
-                render::render_gen(&netlist, *n, *compact, *seed, *knobs, engine.as_ref())
-            }
-            Resolved::Seq(seq, fm) => {
-                render::render_seq_gen(&seq, fm, *n, *compact, *seed, *knobs, engine.as_ref())
-            }
-        },
+        } => subject(engine, circuit, model)?.gen(*n, *compact, *seed, *knobs, engine),
         Request::Corpus { request, knobs } => {
             // Stream the body incrementally: each row goes out as a
             // `row` frame the moment its analysis completes; the
@@ -637,11 +621,20 @@ fn execute_request(
     }
 }
 
+/// Resolves a request's circuit and `model=` token through the engine's
+/// circuit memo. The token is checked on every request.
+fn subject(engine: &Engine, circuit: &str, model: &Option<String>) -> Result<Subject, String> {
+    let parse = |m: &str| {
+        FaultModel::parse(m)
+            .ok_or_else(|| format!("unknown fault model `{m}` (expected transition or stuck-at)"))
+    };
+    engine.resolve(circuit, model.as_deref().map(parse).transpose()?)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::{read_reply, Reply};
-    use ndetect_seq::FaultModel;
 
     type Running = (
         std::net::SocketAddr,
@@ -797,8 +790,15 @@ mod tests {
         };
         assert_eq!(payload, second);
         assert_eq!(engine.counters().universe_builds.get(), 1);
-        // `model=` on a combinational circuit is a structured error.
-        let Reply::Err { code, .. } = request_line(addr, "stats figure1 model=transition") else {
+        // `model=` on a combinational circuit, and an unknown model, are
+        // structured errors.
+        let Reply::Err { code, message } = request_line(addr, "stats figure1 model=transition")
+        else {
+            panic!("expected analysis error");
+        };
+        assert_eq!(code, "analysis");
+        assert!(message.contains("combinational"), "{message}");
+        let Reply::Err { code, .. } = request_line(addr, "stats s27 model=bogus") else {
             panic!("expected analysis error");
         };
         assert_eq!(code, "analysis");

@@ -92,7 +92,7 @@ fn warm_serve_requests_over_a_store_take_zero_store_misses() {
     let dir = std::env::temp_dir().join(format!("ndet-serve-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = ndetect_store::Store::open(&dir).expect("open store");
-    let lines = ["gen figure1 n=2 compact", "worst s1a"];
+    let lines = ["gen figure1 n=2 compact", "worst s1a", "worst s27"];
 
     // Cold pass warms the on-disk store.
     {
@@ -149,35 +149,42 @@ fn warm_serve_requests_over_a_store_take_zero_store_misses() {
 
 #[test]
 fn a_cold_worst_herd_misses_the_store_once_per_artifact() {
-    let dir = std::env::temp_dir().join(format!("ndet-serve-herd-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = ndetect_store::Store::open(&dir).expect("open store");
-    let (addr, engine, shutdown, handle) = start(Engine::new(Some(store), 8, 8));
-    let barrier = Barrier::new(8);
-    let replies: Vec<Reply> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    barrier.wait();
-                    request(addr, "worst s1a")
+    // s27 adds its expansion to the universe and the nmin artifact.
+    for (line, misses) in [("worst s1a", 2), ("worst s27", 3)] {
+        let dir = std::env::temp_dir().join(format!(
+            "ndet-serve-herd-{}-{}",
+            std::process::id(),
+            line.replace(' ', "-")
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ndetect_store::Store::open(&dir).expect("open store");
+        let (addr, engine, shutdown, handle) = start(Engine::new(Some(store), 8, 8));
+        let barrier = Barrier::new(8);
+        let replies: Vec<Reply> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        barrier.wait();
+                        request(addr, line)
+                    })
                 })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    assert!(matches!(replies[0], Reply::Ok(_)), "{:?}", replies[0]);
-    for reply in &replies {
-        assert_eq!(reply, &replies[0], "all replies must be byte-identical");
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(matches!(replies[0], Reply::Ok(_)), "{:?}", replies[0]);
+        for reply in &replies {
+            assert_eq!(reply, &replies[0], "all replies must be byte-identical");
+        }
+        assert_eq!(
+            engine.store().map(ndetect_store::Store::session_misses),
+            Some(misses),
+            "`{line}` misses once per artifact"
+        );
+        shutdown.shutdown();
+        handle.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    assert_eq!(
-        engine.store().map(ndetect_store::Store::session_misses),
-        Some(2),
-        "one universe and one nmin artifact"
-    );
-    shutdown.shutdown();
-    handle.join().unwrap().unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
